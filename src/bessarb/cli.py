@@ -181,6 +181,15 @@ class _Options:
     def flag(self, key: str) -> bool:
         return bool(getattr(self._args, key, False) or self._config.get(key, False))
 
+    def number(self, key: str, default, kind=int):
+        """The value converted by `kind`; a value it rejects is a ConfigError."""
+        value = self.get(key, default)
+        try:
+            return kind(value)
+        except (TypeError, ValueError, ArithmeticError):
+            flag = "--" + key.replace("_", "-")
+            raise ConfigError(f"{flag} is not a number: {value!r}") from None
+
 
 def _battery(opts: _Options) -> BatterySpec:
     path = opts.get("battery")
@@ -207,7 +216,11 @@ def _require(opts: _Options, key: str) -> str:
 
 
 def _parse_market(text: str) -> MarketKind:
-    return MarketKind.DAM if text.lower() == "dam" else MarketKind.BM
+    kinds = {"dam": MarketKind.DAM, "bm": MarketKind.BM}
+    kind = kinds.get(text.lower())
+    if kind is None:
+        raise ConfigError(f"unknown market {text!r}; use dam or bm")
+    return kind
 
 
 def _load_market_files(opts: _Options, prefix: str):
@@ -221,25 +234,22 @@ def _load_market_files(opts: _Options, prefix: str):
 # --- subcommands ------------------------------------------------------------
 
 def _cmd_gen(opts: _Options) -> int:
-    seed = int(opts.get("seed", 0))
-    days = int(opts.get("days", 1))
+    seed = opts.number("seed", 0)
+    days = opts.number("days", 1)
     if days < 1:
         raise ConfigError("--days must be at least 1")
-    noise_sd = float(Fraction(str(opts.get("noise_sd", "0"))))
+    noise_sd = opts.number("noise_sd", "0", lambda v: float(Fraction(str(v))))
     if noise_sd < 0:
         raise ConfigError("--noise-sd must be non-negative")
     levels = [lv.strip() for lv in str(opts.get("levels", _DEFAULT_LEVELS_ARG)).split(",")]
     markets = [m.strip().lower() for m in str(opts.get("markets", "dam,bm")).split(",")]
-    for m in markets:
-        if m not in ("dam", "bm"):
-            raise ConfigError(f"unknown market {m!r}")
+    kinds = [_parse_market(m) for m in markets]
     start_text = opts.get("start")
     start = BASE_EPOCH if start_text is None else parse_timestamp(start_text)
     out = _out_dir(opts) or Path(".")
     out.mkdir(parents=True, exist_ok=True)
     counts = {}
-    for name in markets:
-        market = _parse_market(name)
+    for name, market in zip(markets, kinds):
         actuals, forecasts = generate_synthetic(
             seed, market, days=days, noise_sd=noise_sd, levels=levels,
             start_epoch_s=start,
@@ -352,7 +362,7 @@ def _cmd_sweep(opts: _Options) -> int:
         if strategies_text is None
         else tuple(s.strip().upper() for s in str(strategies_text).split(","))
     )
-    jobs = int(opts.get("jobs", 1))
+    jobs = opts.number("jobs", 1)
     if jobs < 1:
         raise ConfigError("--jobs must be at least 1")
     reports = run_sweep(
@@ -407,7 +417,7 @@ def _cmd_score(opts: _Options) -> int:
 def _cmd_econ(opts: _Options) -> int:
     asset_key = opts.get("asset")
     revenue = opts.get("revenue")
-    years = int(opts.get("years", 15))
+    years = opts.number("years", 15)
     if asset_key is not None:
         catalog = load_catalog()
         if asset_key not in catalog:
@@ -431,7 +441,7 @@ def _cmd_econ(opts: _Options) -> int:
             annual_fees=opts.get("fees", "18294"),
             years=years,
             degradation_kind=str(opts.get("degradation_kind", "linear")),
-            degradation_period_years=int(opts.get("degradation_period", 1)),
+            degradation_period_years=opts.number("degradation_period", 1),
             maintenance_kind=str(opts.get("maintenance_kind", "compound")),
         )
         curve = annual_return_curve(scenario)

@@ -386,6 +386,52 @@ class TestConfigFile:
         assert stderr_error(err)["error"] == "ConfigError"
 
 
+class TestBadOptionValues:
+    """Values of the wrong kind end in exit 2 and one JSON ConfigError."""
+
+    def config_error(self, capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        doc = stderr_error(err)
+        assert doc["error"] == "ConfigError"
+        return doc["message"]
+
+    def config(self, tmp_path, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        return str(cfg)
+
+    def test_non_numeric_noise_sd(self, tmp_path, capsys):
+        message = self.config_error(
+            capsys, "gen", "--noise-sd", "abc", "--out", str(tmp_path / "x")
+        )
+        assert "--noise-sd" in message
+
+    def test_non_numeric_days_in_config(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, {"days": "x"})
+        message = self.config_error(
+            capsys, "gen", "--config", cfg, "--out", str(tmp_path / "x")
+        )
+        assert "--days" in message
+
+    def test_non_numeric_jobs_in_config(self, data_dir, tmp_path, capsys):
+        cfg = self.config(tmp_path, {"jobs": "two"})
+        message = self.config_error(
+            capsys, "sweep", "--config", cfg, "--out", str(tmp_path / "x"),
+            "--dam-actuals", str(data_dir / "dam_actuals.csv"),
+            "--dam-forecast", str(data_dir / "dam_forecast.csv"),
+        )
+        assert "--jobs" in message
+
+    def test_unknown_market_in_config(self, data_dir, tmp_path, capsys):
+        cfg = self.config(tmp_path, {"market": "xyz"})
+        message = self.config_error(
+            capsys, "pf", "--config", cfg,
+            "--actuals", str(data_dir / "dam_actuals.csv"),
+        )
+        assert "xyz" in message
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

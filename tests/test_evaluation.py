@@ -214,6 +214,36 @@ def _brute_lattice_best(prices, spec, initial):
     return best
 
 
+def _fraction_dp(prices, spec, initial):
+    """The ramp-lattice recursion in plain Fraction arithmetic: an oracle."""
+    steps = (spec.capacity - spec.min_charge) // spec.ramp
+    ramp_mwh = ticks_to_mwh(spec.ramp)
+    value = [Fraction(0)] * (steps + 1)
+    for price in reversed(prices):
+        buy_cost = price * ramp_mwh / spec.charge_eff
+        sell_gain = spec.discharge_eff * price * ramp_mwh
+        nxt = []
+        for k in range(steps + 1):
+            best = value[k]
+            if k < steps and value[k + 1] - buy_cost > best:
+                best = value[k + 1] - buy_cost
+            if k > 0 and value[k - 1] + sell_gain > best:
+                best = value[k - 1] + sell_gain
+            nxt.append(best)
+        value = nxt
+    return value[(initial - spec.min_charge) // spec.ramp]
+
+
+cent_prices = st.lists(
+    st.integers(min_value=-20000, max_value=20000).map(lambda c: Fraction(c, 100)),
+    min_size=1,
+    max_size=12,
+)
+efficiencies = st.fractions(
+    min_value=Fraction(1, 1000), max_value=1, max_denominator=1000
+)
+
+
 class TestDpOptimal:
     def test_two_period_reference(self):
         assert dp_optimal(make_prices([10, 50]), UNIT) == Fraction(1460, 49)
@@ -246,6 +276,38 @@ class TestDpOptimal:
         assert dp_optimal(prices, spec, initial_charge=initial) == (
             _brute_lattice_best(prices.prices, spec, initial)
         )
+
+    @given(
+        cent_prices,
+        efficiencies,
+        efficiencies,
+        st.integers(min_value=1, max_value=1500),
+        st.integers(min_value=0, max_value=2000),
+        st.integers(min_value=0, max_value=40),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_oracle(
+        self, curve, charge_eff, discharge_eff, ramp, floor, steps, data
+    ):
+        capacity = floor + steps * ramp
+        if capacity == 0:
+            floor = capacity = ramp
+        initial = floor + data.draw(st.integers(0, steps), label="k0") * ramp
+        spec = BatterySpec(
+            capacity, ramp, floor, floor, charge_eff, discharge_eff
+        )
+        prices = make_prices(curve)
+        assert dp_optimal(prices, spec, initial_charge=initial) == (
+            _fraction_dp(prices.prices, spec, initial)
+        )
+
+    def test_zero_steps_is_idle(self):
+        spec = BatterySpec.from_mwh("2", "1", min_charge_mwh="2",
+                                    initial_charge_mwh="2")
+        prices = make_prices(["-5.25", "80.01", "3.3"])
+        assert dp_optimal(prices, spec) == 0
+        assert _fraction_dp(prices.prices, spec, spec.capacity) == 0
 
     @given(price_curves, st.booleans())
     @settings(max_examples=60)
@@ -455,6 +517,39 @@ class TestRunSweep:
             run_sweep(UNIT, dam_a, dam_f, bm_a, None)
         with pytest.raises(WindowMismatch):
             run_sweep(UNIT, dam_a, dam_f[:-1] if len(dam_f) > 1 else [])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("allow", [False, True])
+    def test_benchmark_columns_are_per_window_sums(self, jobs, allow):
+        dam_a, dam_f, bm_a, bm_f = self._data(days=2)
+        pairs = (MEDIAN_PAIR, QuantilePair("0.1", "0.9"))
+        rows = run_sweep(UNIT, dam_a, dam_f, bm_a, bm_f, pairs=pairs,
+                         jobs=jobs, allow_stock_buys=allow)
+        bm_by_start = {ps.window.start_epoch_s: ps for ps in bm_a}
+        dual = [
+            (build_dual_horizon(d.window, b.window), d, b)
+            for d in dam_a
+            if (b := bm_by_start.get(d.window.start_epoch_s)) is not None
+        ]
+        assert dual
+        expected = {
+            ("DAM", s): (
+                sum(perfect_foresight(ps, UNIT, s, allow) for ps in dam_a),
+                sum(dp_optimal(ps, UNIT) for ps in dam_a),
+            )
+            for s in ("TS1", "TS2", "TS3")
+        }
+        expected["BM", "TS3"] = (
+            sum(perfect_foresight(ps, UNIT, "TS3", allow) for ps in bm_a),
+            sum(dp_optimal(ps, UNIT) for ps in bm_a),
+        )
+        expected["DAM+BM", "TS3"] = (
+            sum(perfect_foresight_dual(h, d, b, UNIT, allow) for h, d, b in dual),
+            sum(dp_optimal_dual(h, d, b, UNIT) for h, d, b in dual),
+        )
+        assert len(rows) == len(expected) * (len(pairs) + 1)
+        for row in rows:
+            assert (row.pf, row.dp) == expected[row.market, row.strategy]
 
     def test_realized_never_beats_dp(self):
         dam_a, dam_f, bm_a, bm_f = self._data(days=2, noise="4")
