@@ -7,7 +7,9 @@ only at serialization boundaries (report CSVs round to cents).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Sequence
 
 from bessarb.errors import MalformedRow
 
@@ -33,6 +35,16 @@ def mwh_to_ticks(value: Fraction | str | int | float) -> int:
 
 def ticks_to_mwh(ticks: int) -> Fraction:
     return Fraction(ticks, TICKS_PER_MWH)
+
+
+def scale_to_integers(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(numerators, L): each value times L, L the lcm of their denominators.
+
+    Values scaled by one positive L compare, add and subtract exactly as
+    the fractions do, so hot loops can run on plain integers.
+    """
+    lcm = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (lcm // v.denominator) for v in values), lcm
 
 
 def to_cents(value: Fraction) -> int:

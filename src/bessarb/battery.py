@@ -95,8 +95,8 @@ class BatterySpec:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "BatterySpec":
         try:
-            doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"invalid battery spec JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("battery spec JSON must be an object")
@@ -176,6 +176,8 @@ class ChargeTimeline:
     Mutable builder used while constructing schedules: volumes are clipped
     against the whole committed future so the finished schedule replays
     cleanly in wall-clock order.  soc(i) is the charge after slot i's trade.
+    A commit updates the charge of every later slot, so each headroom query
+    is one min or max over a slice of the stored path.
     """
 
     def __init__(self, spec: BatterySpec, n_slots: int,
@@ -183,32 +185,28 @@ class ChargeTimeline:
         self.spec = spec
         self.n_slots = n_slots
         self.initial = spec.initial_charge if initial is None else initial
-        self._deltas = [0] * n_slots
+        self._path = [self.initial] * n_slots
 
     def path(self) -> list[int]:
-        out = []
-        charge = self.initial
-        for delta in self._deltas:
-            charge += delta
-            out.append(charge)
-        return out
+        return list(self._path)
 
     def charge_before(self, slot: int) -> int:
-        return self.initial + sum(self._deltas[:slot])
+        return self._path[slot - 1] if slot > 0 else self.initial
 
     def max_buy_between(self, slot: int, end: int) -> int:
         """Buy headroom at `slot` whose effect is undone before `end`."""
-        path = self.path()
-        segment = path[slot:end] if end > slot else path[slot:slot + 1]
+        segment = self._path[slot:end] if end > slot else self._path[slot:slot + 1]
         return min(self.spec.ramp, self.spec.capacity - max(segment))
 
     def max_buy_from(self, slot: int) -> int:
         """Buy headroom at `slot` that persists to the horizon end."""
-        return min(self.spec.ramp, self.spec.capacity - max(self.path()[slot:]))
+        return min(self.spec.ramp, self.spec.capacity - max(self._path[slot:]))
 
     def max_sell_from(self, slot: int) -> int:
         """Sell volume available at `slot` against the committed future."""
-        return min(self.spec.ramp, min(self.path()[slot:]) - self.spec.min_charge)
+        return min(self.spec.ramp, min(self._path[slot:]) - self.spec.min_charge)
 
     def commit(self, slot: int, signed_ticks: int) -> None:
-        self._deltas[slot] += signed_ticks
+        path = self._path
+        for i in range(slot, self.n_slots):
+            path[i] += signed_ticks

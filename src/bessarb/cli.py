@@ -64,17 +64,26 @@ from bessarb.strategies import (
 _DEFAULT_LEVELS_ARG = "0.1,0.3,0.5,0.7,0.9"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise ConfigError, not exit."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # Numeric options stay strings here: _Options.number converts them, so
+    # a bad value from the command line or a config file fails the same way.
+    common = _Parser(add_help=False)
     common.add_argument("--out", help="output directory")
-    common.add_argument("--jobs", type=int, help="worker processes (default 1)")
+    common.add_argument("--jobs", help="worker processes (default 1)")
     common.add_argument("--format", choices=("csv", "json"), dest="out_format",
                         help="report format (default csv)")
-    common.add_argument("--seed", type=int, help="random seed (default 0)")
+    common.add_argument("--seed", help="random seed (default 0)")
     common.add_argument("--config", help="JSON file with default option values")
     common.add_argument("--battery", help="battery spec JSON file")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bessarb",
         description="Backtest battery arbitrage on quantile price forecasts.",
     )
@@ -82,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", parents=[common], help="write synthetic data CSVs")
-    p.add_argument("--days", type=int, help="days to generate (default 1)")
+    p.add_argument("--days", help="days to generate (default 1)")
     p.add_argument("--noise-sd", help="price noise level in EUR (default 0)")
     p.add_argument("--markets", help="comma list of dam,bm (default both)")
     p.add_argument("--levels", help=f"forecast levels (default {_DEFAULT_LEVELS_ARG})")
@@ -130,9 +139,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--revenue", help="first-year trading revenue, EUR")
     p.add_argument("--maintenance", help="first-year maintenance, EUR")
     p.add_argument("--fees", help="annual market fees, EUR (default 18294)")
-    p.add_argument("--years", type=int, help="projection years (default 15)")
+    p.add_argument("--years", help="projection years (default 15)")
     p.add_argument("--degradation-kind", choices=("linear", "loss_compound"))
-    p.add_argument("--degradation-period", type=int,
+    p.add_argument("--degradation-period",
                    help="years per degradation step (default 1)")
     p.add_argument("--maintenance-kind", choices=("compound", "linear"))
     return parser
@@ -142,8 +151,8 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"invalid config JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config JSON must be an object")
@@ -183,12 +192,30 @@ class _Options:
 
     def number(self, key: str, default, kind=int):
         """The value converted by `kind`; a value it rejects is a ConfigError."""
+        return _convert(key, self.get(key, default), kind)
+
+    def items(self, key: str, default: str) -> list[str]:
+        """A comma-separated string, or a JSON list from a config file."""
         value = self.get(key, default)
-        try:
-            return kind(value)
-        except (TypeError, ValueError, ArithmeticError):
-            flag = "--" + key.replace("_", "-")
-            raise ConfigError(f"{flag} is not a number: {value!r}") from None
+        items = value if isinstance(value, list) else str(value).split(",")
+        if not items:
+            raise ConfigError(f"{_flag(key)} needs at least one value")
+        return [str(item).strip() for item in items]
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _convert(key: str, value, kind):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ConfigError(f"{_flag(key)} is not a number: {value!r}") from None
+
+
+def _decimal(value) -> Fraction:
+    return Fraction(str(value))
 
 
 def _battery(opts: _Options) -> BatterySpec:
@@ -210,8 +237,7 @@ def _out_dir(opts: _Options, required: bool = False) -> Path | None:
 def _require(opts: _Options, key: str) -> str:
     value = opts.get(key)
     if value is None:
-        flag = "--" + key.replace("_", "-")
-        raise ConfigError(f"missing required option {flag}")
+        raise ConfigError(f"missing required option {_flag(key)}")
     return value
 
 
@@ -238,11 +264,14 @@ def _cmd_gen(opts: _Options) -> int:
     days = opts.number("days", 1)
     if days < 1:
         raise ConfigError("--days must be at least 1")
-    noise_sd = opts.number("noise_sd", "0", lambda v: float(Fraction(str(v))))
+    noise_sd = opts.number("noise_sd", "0", lambda v: float(_decimal(v)))
     if noise_sd < 0:
         raise ConfigError("--noise-sd must be non-negative")
-    levels = [lv.strip() for lv in str(opts.get("levels", _DEFAULT_LEVELS_ARG)).split(",")]
-    markets = [m.strip().lower() for m in str(opts.get("markets", "dam,bm")).split(",")]
+    levels = [
+        _convert("levels", lv, _decimal)
+        for lv in opts.items("levels", _DEFAULT_LEVELS_ARG)
+    ]
+    markets = [m.lower() for m in opts.items("markets", "dam,bm")]
     kinds = [_parse_market(m) for m in markets]
     start_text = opts.get("start")
     start = BASE_EPOCH if start_text is None else parse_timestamp(start_text)
@@ -345,26 +374,20 @@ def _cmd_backtest(opts: _Options) -> int:
 
 
 def _cmd_sweep(opts: _Options) -> int:
+    jobs = opts.number("jobs", 1)
+    if jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
     spec = _battery(opts)
     dam_actuals, dam_forecasts = _load_market_files(opts, "dam")
     bm_actuals = bm_forecasts = None
     if opts.get("bm_actuals") is not None or opts.get("bm_forecast") is not None:
         bm_actuals, bm_forecasts = _load_market_files(opts, "bm")
-    pairs_text = opts.get("pairs")
     pairs = (
         DEFAULT_PAIRS
-        if pairs_text is None
-        else tuple(QuantilePair.parse(p.strip()) for p in str(pairs_text).split(","))
+        if opts.get("pairs") is None
+        else tuple(QuantilePair.parse(p) for p in opts.items("pairs", ""))
     )
-    strategies_text = opts.get("strategies")
-    strategies = (
-        ("TS1", "TS2", "TS3")
-        if strategies_text is None
-        else tuple(s.strip().upper() for s in str(strategies_text).split(","))
-    )
-    jobs = opts.number("jobs", 1)
-    if jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
+    strategies = tuple(s.upper() for s in opts.items("strategies", "TS1,TS2,TS3"))
     reports = run_sweep(
         spec,
         dam_actuals,
@@ -417,6 +440,8 @@ def _cmd_score(opts: _Options) -> int:
 def _cmd_econ(opts: _Options) -> int:
     asset_key = opts.get("asset")
     revenue = opts.get("revenue")
+    if revenue is not None:
+        revenue = _convert("revenue", revenue, _decimal)
     years = opts.number("years", 15)
     if asset_key is not None:
         catalog = load_catalog()
@@ -435,10 +460,12 @@ def _cmd_econ(opts: _Options) -> int:
                 "give --asset, or --revenue with --capex and --maintenance"
             )
         scenario = EconScenario(
-            capex=_require(opts, "capex"),
+            capex=_convert("capex", _require(opts, "capex"), _decimal),
             base_revenue=revenue,
-            base_maintenance=_require(opts, "maintenance"),
-            annual_fees=opts.get("fees", "18294"),
+            base_maintenance=_convert(
+                "maintenance", _require(opts, "maintenance"), _decimal
+            ),
+            annual_fees=opts.number("fees", "18294", _decimal),
             years=years,
             degradation_kind=str(opts.get("degradation_kind", "linear")),
             degradation_period_years=opts.number("degradation_period", 1),
@@ -478,8 +505,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         opts = _Options(args, _load_config(getattr(args, "config", None)))
         return _COMMANDS[args.command](opts)
     except ConfigError as exc:

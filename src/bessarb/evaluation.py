@@ -19,14 +19,18 @@ once per window of each market and once per dual horizon, pf once per
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from bessarb._numeric import TICKS_PER_MWH, format_money, to_cents
+from bessarb._numeric import (
+    TICKS_PER_MWH,
+    format_money,
+    scale_to_integers,
+    to_cents,
+)
 from bessarb.battery import BatterySpec, BatteryState, apply_trade
 from bessarb.errors import (
     ConfigError,
@@ -233,12 +237,11 @@ def _dp_max_cash(
     lo, hi = max(0, k0 - len(prices)), min(steps, k0 + len(prices))
     cn, cd = spec.charge_eff.numerator, spec.charge_eff.denominator
     dn, dd = spec.discharge_eff.numerator, spec.discharge_eff.denominator
-    lcm = math.lcm(*(p.denominator for p in prices))
+    scaled_prices, lcm = scale_to_integers(prices)
     buy_unit = spec.ramp * cd * dd
     sell_unit = spec.ramp * dn * cn
     value = [0] * (hi - lo + 1)
-    for price in reversed(prices):
-        scaled = price.numerator * (lcm // price.denominator)
+    for scaled in reversed(scaled_prices):
         buy, sell = scaled * buy_unit, scaled * sell_unit
         # stay at k, or charge one ramp (reach k + 1)
         charged = [v - buy for v in value[1:]]

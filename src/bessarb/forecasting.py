@@ -34,6 +34,7 @@ from bessarb.market import (
     _coerce_level,
     format_timestamp,
     parse_timestamp,
+    read_data_text,
 )
 
 
@@ -79,7 +80,7 @@ class FeatureMatrix:
     def from_csv(cls, path: str | Path, market: MarketKind) -> "FeatureMatrix":
         lines = [
             (n, raw)
-            for n, raw in enumerate(Path(path).read_text().splitlines(), start=1)
+            for n, raw in enumerate(read_data_text(path).splitlines(), start=1)
             if raw.strip()
         ]
         if not lines:

@@ -12,14 +12,14 @@ import math
 import random
 import statistics
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from bessarb._numeric import format_decimal, parse_decimal
+from bessarb._numeric import format_decimal, parse_decimal, scale_to_integers
 from bessarb.errors import (
     LevelMissing,
     LevelOutOfRange,
@@ -114,12 +114,18 @@ class QuantileForecast:
 
     values is period-major: values[t][i] is the forecast at levels[i].
     Rows are not required to be monotone in the level; use
-    validate_and_repair to sort them.
+    validate_and_repair to sort them, or repaired_curve to read one level
+    of the sorted rows.
     """
 
     window: TradingWindow
     levels: tuple[Fraction, ...]
     values: tuple[tuple[Fraction, ...], ...]
+    # level -> (repaired column, the same column as integers over one
+    # denominator common to the forecast), filled by the first
+    # repaired_curve call.  Derived from the fields above, so it takes no
+    # part in equality or hashing.
+    _repaired: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         checked = tuple(_coerce_level(lv) for lv in self.levels)
@@ -138,14 +144,39 @@ class QuantileForecast:
                     f"{len(checked)} levels"
                 )
 
-    def level_curve(self, level) -> tuple[Fraction, ...]:
+    def _level_index(self, level) -> int:
         lv = _coerce_level(level)
         try:
-            i = self.levels.index(lv)
+            return self.levels.index(lv)
         except ValueError:
             have = ", ".join(str(x) for x in self.levels)
             raise LevelMissing(f"level {lv} not among [{have}]") from None
+
+    def level_curve(self, level) -> tuple[Fraction, ...]:
+        i = self._level_index(level)
         return tuple(row[i] for row in self.values)
+
+    def repaired_curve(self, level) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+        """One level of the repaired rows: exact prices, and as integers.
+
+        The integers are the prices times one positive L shared by every
+        value of the forecast, so they order and subtract like the prices.
+        The rows are repaired and scaled once per forecast, on first use.
+        """
+        if self._repaired is None:
+            repaired, _ = validate_and_repair(self)
+            n = self.window.period_count
+            columns = [tuple(row[j] for row in repaired.values)
+                       for j in range(len(self.levels))]
+            flat, _ = scale_to_integers([v for col in columns for v in col])
+            object.__setattr__(self, "_repaired", {
+                lv: (col, flat[j * n:(j + 1) * n])
+                for j, (lv, col) in enumerate(zip(self.levels, columns))
+            })
+        curve = self._repaired.get(level)
+        if curve is None:
+            curve = self._repaired[self.levels[self._level_index(level)]]
+        return curve
 
 
 def validate_and_repair(forecast: QuantileForecast) -> tuple[QuantileForecast, int]:
@@ -167,8 +198,18 @@ def validate_and_repair(forecast: QuantileForecast) -> tuple[QuantileForecast, i
 
 # --- CSV ingest -----------------------------------------------------------
 
+def read_data_text(path: str | Path) -> str:
+    """A data file's text; bytes that are not UTF-8 raise MalformedRow."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedRow(line, f"{path}: not UTF-8 text") from None
+
+
 def _read_rows(path: str | Path) -> list[list[str]]:
-    text = Path(path).read_text()
+    text = read_data_text(path)
     rows = []
     for n, raw in enumerate(text.splitlines(), start=1):
         if raw.strip() == "":

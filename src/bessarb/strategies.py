@@ -8,6 +8,12 @@ positive under that pessimistic pricing.
 Volumes are clipped against a committed wall-clock charge trajectory, so a
 finished schedule always replays cleanly against the battery bounds no
 matter in which order the strategy discovered its trades.
+
+Pair scans compare plain integers.  A forecast scales its repaired curves
+once to integers over one common denominator (QuantileForecast.
+repaired_curve), and each strategy run weighs them by the battery's
+efficiencies, so a spread compares, ties and signs exactly as the exact
+fraction does.  Orders keep the exact forecast prices.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 from bessarb._numeric import format_decimal, ticks_to_mwh
 from bessarb.battery import BatterySpec, BatteryState, ChargeTimeline
@@ -27,7 +33,6 @@ from bessarb.market import (
     QuantileForecast,
     TradingWindow,
     format_timestamp,
-    validate_and_repair,
 )
 
 
@@ -177,40 +182,67 @@ def _spread(spec: BatterySpec, buy_price: Fraction, sell_price: Fraction) -> Fra
     return spec.discharge_eff * sell_price - buy_price / spec.charge_eff
 
 
-def _scan_ordered(
-    buy_curve: Sequence[Fraction],
-    sell_curve: Sequence[Fraction],
-    spec: BatterySpec,
-    lo: int,
-    hi: int,
-) -> CandidatePair | None:
-    """Max-spread (buy, sell) pair with buy strictly before sell in [lo, hi].
+@dataclass(frozen=True, slots=True)
+class _Curves:
+    """A forecast's buy and sell curves for one quantile pair and battery.
+
+    buy_prices and sell_prices are the exact repaired quantiles the orders
+    carry; buy and sell are the same curves as integers over the forecast's
+    common denominator L.  With charge_eff = cn/cd and discharge_eff =
+    dn/dd, w_sell * sell[j] - w_buy * buy[i], where w_sell = dn*cn and
+    w_buy = cd*dd, is the spread discharge_eff*S_j - B_i/charge_eff times
+    the positive constant dd*cn*L.  So argmax, ties and sign are those of
+    the exact spread.
+    """
+
+    buy_prices: tuple[Fraction, ...]
+    sell_prices: tuple[Fraction, ...]
+    buy: tuple[int, ...]
+    sell: tuple[int, ...]
+    w_buy: int
+    w_sell: int
+
+
+def _curves(forecast: QuantileForecast, pair: QuantilePair, spec: BatterySpec) -> _Curves:
+    buy_prices, buy = forecast.repaired_curve(pair.buy_level)
+    sell_prices, sell = forecast.repaired_curve(pair.sell_level)
+    ce, de = spec.charge_eff, spec.discharge_eff
+    return _Curves(
+        buy_prices,
+        sell_prices,
+        buy,
+        sell,
+        ce.denominator * de.denominator,
+        de.numerator * ce.numerator,
+    )
+
+
+def _scan_ordered(curves: _Curves, lo: int, hi: int) -> tuple[int, int] | None:
+    """(buy, sell) of the best buy-strictly-before-sell pair in [lo, hi].
 
     Single pass carrying the cheapest buy seen so far.  Ties prefer the
-    earliest buy period, then the earliest sell period.  Returns the argmax
-    pair even when its spread is not positive; callers gate on the sign.
+    earliest buy period, then the earliest sell period.  Returns None when
+    the range has fewer than two periods or the best efficiency-adjusted
+    spread is not positive.
     """
     if hi - lo < 1:
         return None
-    best: CandidatePair | None = None
-    cheap_t, cheap_price = lo, buy_curve[lo]
+    buy, sell, w_sell = curves.buy, curves.sell, curves.w_sell
+    best = None
+    cheap_t, cheap = lo, buy[lo]
+    cost = curves.w_buy * cheap
     for t in range(lo + 1, hi + 1):
-        spread = _spread(spec, cheap_price, sell_curve[t])
-        if best is None or spread > best.expected_spread:
-            best = CandidatePair(cheap_t, t, cheap_price, sell_curve[t], spread)
-        if buy_curve[t] < cheap_price:
-            cheap_t, cheap_price = t, buy_curve[t]
-    return best
+        spread = w_sell * sell[t] - cost
+        if best is None or spread > best[0]:
+            best = (spread, cheap_t, t)
+        if buy[t] < cheap:
+            cheap_t, cheap = t, buy[t]
+            cost = curves.w_buy * cheap
+    return best[1:] if best[0] > 0 else None
 
 
-def _scan_unordered(
-    buy_curve: Sequence[Fraction],
-    sell_curve: Sequence[Fraction],
-    spec: BatterySpec,
-    lo: int,
-    hi: int,
-) -> CandidatePair | None:
-    """Cheapest buy paired with dearest sell in [lo, hi], either time order.
+def _scan_unordered(curves: _Curves, lo: int, hi: int) -> tuple[int, int] | None:
+    """(buy, sell) of the cheapest buy and dearest sell in [lo, hi], either order.
 
     Ties prefer the earliest period on both curves.  Returns None when the
     range has fewer than two periods, when both extremes land on the same
@@ -218,13 +250,13 @@ def _scan_unordered(
     """
     if hi - lo < 1:
         return None
-    span = range(lo, hi + 1)
-    t_buy = min(span, key=lambda t: (buy_curve[t], t))
-    t_sell = max(span, key=lambda t: (sell_curve[t], -t))
-    if t_buy == t_sell:
+    buy = curves.buy[lo:hi + 1]
+    sell = curves.sell[lo:hi + 1]
+    low, high = min(buy), max(sell)
+    i_buy, i_sell = buy.index(low), sell.index(high)
+    if i_buy == i_sell or curves.w_sell * high <= curves.w_buy * low:
         return None
-    cand = CandidatePair.of(spec, t_buy, t_sell, buy_curve[t_buy], sell_curve[t_sell])
-    return cand if cand.expected_spread > 0 else None
+    return lo + i_buy, lo + i_sell
 
 
 def _bounded(forecast: QuantileForecast, lo: int, hi: int | None) -> tuple[int, int]:
@@ -233,6 +265,12 @@ def _bounded(forecast: QuantileForecast, lo: int, hi: int | None) -> tuple[int, 
     if not 0 <= lo < n or not 0 <= hi < n:
         raise WindowMismatch(f"range [{lo}, {hi}] outside window of {n} periods")
     return lo, hi
+
+
+def _candidate(spec: BatterySpec, curves: _Curves, t_buy: int, t_sell: int) -> CandidatePair:
+    return CandidatePair.of(
+        spec, t_buy, t_sell, curves.buy_prices[t_buy], curves.sell_prices[t_sell]
+    )
 
 
 def best_ordered_pair(
@@ -249,18 +287,10 @@ def best_ordered_pair(
     when even the best efficiency-adjusted spread is not positive.  Ties
     prefer the earliest buy period, then the earliest sell period.
     """
-    repaired, _ = validate_and_repair(forecast)
-    lo, hi = _bounded(repaired, lo, hi)
-    cand = _scan_ordered(
-        repaired.level_curve(pair.buy_level),
-        repaired.level_curve(pair.sell_level),
-        spec,
-        lo,
-        hi,
-    )
-    if cand is None or cand.expected_spread <= 0:
-        return None
-    return cand
+    lo, hi = _bounded(forecast, lo, hi)
+    curves = _curves(forecast, pair, spec)
+    found = _scan_ordered(curves, lo, hi)
+    return None if found is None else _candidate(spec, curves, *found)
 
 
 def best_unordered_pair(
@@ -277,15 +307,10 @@ def best_unordered_pair(
     same period, or when the spread is not positive.  Ties prefer the
     earliest period on both legs.
     """
-    repaired, _ = validate_and_repair(forecast)
-    lo, hi = _bounded(repaired, lo, hi)
-    return _scan_unordered(
-        repaired.level_curve(pair.buy_level),
-        repaired.level_curve(pair.sell_level),
-        spec,
-        lo,
-        hi,
-    )
+    lo, hi = _bounded(forecast, lo, hi)
+    curves = _curves(forecast, pair, spec)
+    found = _scan_unordered(curves, lo, hi)
+    return None if found is None else _candidate(spec, curves, *found)
 
 
 def bottleneck_execute(
@@ -342,26 +367,13 @@ class _Emitted:
         return tuple(sorted(self.orders, key=lambda o: o.period))
 
 
-def _curves(
-    forecast: QuantileForecast, pair: QuantilePair
-) -> tuple[QuantileForecast, tuple[Fraction, ...], tuple[Fraction, ...]]:
-    repaired, _ = validate_and_repair(forecast)
-    return (
-        repaired,
-        repaired.level_curve(pair.buy_level),
-        repaired.level_curve(pair.sell_level),
-    )
-
-
 def _execute_pair(
     timeline: ChargeTimeline,
-    spec: BatterySpec,
+    curves: _Curves,
     t_buy: int,
     t_sell: int,
     i_buy: int,
     i_sell: int,
-    buy_price: Fraction,
-    sell_price: Fraction,
     out: _Emitted,
     allow_stock_buys: bool,
 ) -> bool:
@@ -371,6 +383,7 @@ def _execute_pair(
     buy that a later sell of the same pair undoes only needs headroom until
     that sell; every other leg must clear the whole committed future.
     """
+    buy_price, sell_price = curves.buy_prices[t_buy], curves.sell_prices[t_sell]
     if i_buy < i_sell:
         x_buy = timeline.max_buy_between(i_buy, i_sell)
         timeline.commit(i_buy, x_buy)
@@ -401,9 +414,7 @@ def _execute_pair(
 
 def _run_worklist(
     timeline: ChargeTimeline,
-    spec: BatterySpec,
-    buy_curve: Sequence[Fraction],
-    sell_curve: Sequence[Fraction],
+    curves: _Curves,
     lo: int,
     hi: int,
     instant_of: Callable[[int], int],
@@ -422,19 +433,17 @@ def _run_worklist(
         work.append((lo, hi))
     while work:
         a, b = work.popleft()
-        cand = _scan_unordered(buy_curve, sell_curve, spec, a, b)
-        if cand is None:
+        found = _scan_unordered(curves, a, b)
+        if found is None:
             continue
-        t_buy, t_sell = cand.buy_period, cand.sell_period
+        t_buy, t_sell = found
         _execute_pair(
             timeline,
-            spec,
+            curves,
             t_buy,
             t_sell,
             instant_of(t_buy),
             instant_of(t_sell),
-            cand.buy_price,
-            cand.sell_price,
             out,
             allow_stock_buys,
         )
@@ -464,16 +473,16 @@ def ts1(
     initial_charge: int | None = None,
 ) -> Schedule:
     """Trade only the single best buy-before-sell pair of the window."""
-    repaired, buy_curve, sell_curve = _curves(forecast, pair)
+    curves = _curves(forecast, pair, spec)
     start = _resolve_initial(spec, initial_charge)
     out = _Emitted()
-    n = repaired.window.period_count
-    cand = _scan_ordered(buy_curve, sell_curve, spec, 0, n - 1)
-    if cand is not None and cand.expected_spread > 0:
+    found = _scan_ordered(curves, 0, forecast.window.period_count - 1)
+    if found is not None:
+        t_buy, t_sell = found
         volume = min(spec.ramp, spec.capacity - start)
-        out.add(cand.buy_period, Side.BUY, volume, cand.buy_price)
-        out.add(cand.sell_period, Side.SELL, volume, cand.sell_price)
-    return Schedule(repaired.window, "TS1", pair, out.sorted())
+        out.add(t_buy, Side.BUY, volume, curves.buy_prices[t_buy])
+        out.add(t_sell, Side.SELL, volume, curves.sell_prices[t_sell])
+    return Schedule(forecast.window, "TS1", pair, out.sorted())
 
 
 def ts2(
@@ -488,22 +497,22 @@ def ts2(
     strictly after its sell are searched again, so all spans are disjoint
     and each one returns the battery to its starting charge.
     """
-    repaired, buy_curve, sell_curve = _curves(forecast, pair)
+    curves = _curves(forecast, pair, spec)
     volume = min(spec.ramp, spec.capacity - _resolve_initial(spec, initial_charge))
     out = _Emitted()
 
     def recurse(lo: int, hi: int) -> None:
-        cand = _scan_ordered(buy_curve, sell_curve, spec, lo, hi)
-        if cand is None or cand.expected_spread <= 0:
+        found = _scan_ordered(curves, lo, hi)
+        if found is None:
             return
-        t1, t2 = cand.buy_period, cand.sell_period
-        out.add(t1, Side.BUY, volume, cand.buy_price)
-        out.add(t2, Side.SELL, volume, cand.sell_price)
+        t1, t2 = found
+        out.add(t1, Side.BUY, volume, curves.buy_prices[t1])
+        out.add(t2, Side.SELL, volume, curves.sell_prices[t2])
         recurse(lo, t1 - 1)
         recurse(t2 + 1, hi)
 
-    recurse(0, repaired.window.period_count - 1)
-    return Schedule(repaired.window, "TS2", pair, out.sorted())
+    recurse(0, forecast.window.period_count - 1)
+    return Schedule(forecast.window, "TS2", pair, out.sorted())
 
 
 def ts3(
@@ -514,22 +523,12 @@ def ts3(
     initial_charge: int | None = None,
 ) -> Schedule:
     """Work-list strategy: bottleneck-execute min/max pairs range by range."""
-    repaired, buy_curve, sell_curve = _curves(forecast, pair)
-    n = repaired.window.period_count
+    curves = _curves(forecast, pair, spec)
+    n = forecast.window.period_count
     timeline = ChargeTimeline(spec, n, _resolve_initial(spec, initial_charge))
     out = _Emitted()
-    _run_worklist(
-        timeline,
-        spec,
-        buy_curve,
-        sell_curve,
-        0,
-        n - 1,
-        lambda t: t,
-        out,
-        allow_stock_buys,
-    )
-    return Schedule(repaired.window, "TS3", pair, out.sorted())
+    _run_worklist(timeline, curves, 0, n - 1, lambda t: t, out, allow_stock_buys)
+    return Schedule(forecast.window, "TS3", pair, out.sorted())
 
 
 def _merged_instants(horizon: DualHorizon) -> tuple[dict[int, int], dict[int, int]]:
@@ -559,8 +558,8 @@ def ts3_dual(
     """
     if dam_forecast.window != horizon.dam or bm_forecast.window != horizon.bm:
         raise WindowMismatch("forecast windows do not match the horizon")
-    dam_fc, dam_buy, dam_sell = _curves(dam_forecast, pair)
-    bm_fc, bm_buy, bm_sell = _curves(bm_forecast, pair)
+    dam_curves = _curves(dam_forecast, pair, spec)
+    bm_curves = _curves(bm_forecast, pair, spec)
     dam_instant, bm_instant = _merged_instants(horizon)
     n_instants = horizon.dam.period_count + horizon.bm.period_count
     timeline = ChargeTimeline(spec, n_instants, _resolve_initial(spec, initial_charge))
@@ -568,31 +567,21 @@ def ts3_dual(
 
     def run_bm(lo: int, hi: int) -> None:
         _run_worklist(
-            timeline,
-            spec,
-            bm_buy,
-            bm_sell,
-            lo,
-            hi,
-            lambda s: bm_instant[s],
-            bm_out,
+            timeline, bm_curves, lo, hi, bm_instant.__getitem__, bm_out,
             allow_stock_buys,
         )
 
-    n_dam = horizon.dam.period_count
-    anchor = _scan_unordered(dam_buy, dam_sell, spec, 0, n_dam - 1)
+    anchor = _scan_unordered(dam_curves, 0, horizon.dam.period_count - 1)
     executed = False
     if anchor is not None:
-        t_buy, t_sell = anchor.buy_period, anchor.sell_period
+        t_buy, t_sell = anchor
         executed = _execute_pair(
             timeline,
-            spec,
+            dam_curves,
             t_buy,
             t_sell,
             dam_instant[t_buy],
             dam_instant[t_sell],
-            anchor.buy_price,
-            anchor.sell_price,
             dam_out,
             allow_stock_buys,
         )
@@ -612,12 +601,10 @@ def ts3_dual(
                 run_bm(after_slots[0], after_slots[-1])
             _run_worklist(
                 timeline,
-                spec,
-                dam_buy,
-                dam_sell,
+                dam_curves,
                 span_lo + 1,
                 span_hi - 1,
-                lambda t: dam_instant[t],
+                dam_instant.__getitem__,
                 dam_out,
                 allow_stock_buys,
             )

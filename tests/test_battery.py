@@ -26,6 +26,38 @@ from bessarb.errors import (
 )
 
 
+class _RebuildTimeline:
+    """Reference timeline: per-slot deltas, path rebuilt on every query."""
+
+    def __init__(self, spec, n_slots, initial):
+        self.spec, self.initial = spec, initial
+        self._deltas = [0] * n_slots
+
+    def path(self):
+        out, charge = [], self.initial
+        for delta in self._deltas:
+            charge += delta
+            out.append(charge)
+        return out
+
+    def charge_before(self, slot):
+        return self.initial + sum(self._deltas[:slot])
+
+    def max_buy_between(self, slot, end):
+        path = self.path()
+        segment = path[slot:end] if end > slot else path[slot:slot + 1]
+        return min(self.spec.ramp, self.spec.capacity - max(segment))
+
+    def max_buy_from(self, slot):
+        return min(self.spec.ramp, self.spec.capacity - max(self.path()[slot:]))
+
+    def max_sell_from(self, slot):
+        return min(self.spec.ramp, min(self.path()[slot:]) - self.spec.min_charge)
+
+    def commit(self, slot, signed_ticks):
+        self._deltas[slot] += signed_ticks
+
+
 class TestBatterySpec:
     def test_unit_spec_values(self):
         spec = unit_trading_spec()
@@ -208,6 +240,28 @@ class TestChargeTimeline:
         assert tl.max_sell_from(0) == 1000
 
     @given(st.data())
+    def test_matches_path_rebuild_oracle(self, data):
+        """Every query agrees with the rebuild-per-query timeline."""
+        spec = BatterySpec.from_mwh("3", "1", min_charge_mwh="0.5")
+        n = data.draw(st.integers(min_value=1, max_value=10))
+        initial = data.draw(st.integers(min_value=spec.min_charge, max_value=spec.capacity))
+        tl = ChargeTimeline(spec, n, initial)
+        ref = _RebuildTimeline(spec, n, initial)
+        for _ in range(data.draw(st.integers(min_value=0, max_value=8))):
+            slot = data.draw(st.integers(min_value=0, max_value=n - 1))
+            ticks = data.draw(st.integers(min_value=-spec.ramp, max_value=spec.ramp))
+            tl.commit(slot, ticks)
+            ref.commit(slot, ticks)
+            assert tl.path() == ref.path()
+            for i in range(n):
+                assert tl.charge_before(i) == ref.charge_before(i)
+                assert tl.max_buy_from(i) == ref.max_buy_from(i)
+                assert tl.max_sell_from(i) == ref.max_sell_from(i)
+                for end in range(n + 1):
+                    assert tl.max_buy_between(i, end) == ref.max_buy_between(i, end)
+        assert tl.charge_before(n) == ref.charge_before(n)
+
+    @given(st.data())
     def test_pairwise_commits_always_replay(self, data):
         """Ordered buy/sell pairs clipped by the timeline stay feasible."""
         spec = BatterySpec.from_mwh("3", "1")
@@ -226,6 +280,8 @@ class TestChargeTimeline:
             tl.commit(j, -x_sell)
             free.remove(i)
             free.remove(j)
-        trades = [(s, d) for s, d in enumerate(tl._deltas) if d]
+        path = tl.path()
+        before = [tl.initial] + path[:-1]
+        trades = [(s, b - a) for s, (a, b) in enumerate(zip(before, path)) if b != a]
         final = replay(trades, spec)  # raises on any bound violation
         assert spec.min_charge <= final.charge <= spec.capacity

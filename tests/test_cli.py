@@ -432,6 +432,159 @@ class TestBadOptionValues:
         assert "xyz" in message
 
 
+class TestUsageErrors:
+    """Bad values of typed options and usage errors print one JSON object."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("gen", "--seed", "x"), "--seed"),
+            (("gen", "--days", "x"), "--days"),
+            (("sweep", "--jobs", "x", "--dam-actuals", "a", "--dam-forecast", "f",
+              "--out", "o"), "--jobs"),
+            (("econ", "--asset", "A", "--years", "x"), "--years"),
+            (("econ", "--revenue", "1", "--capex", "1", "--maintenance", "1",
+              "--degradation-period", "x"), "--degradation-period"),
+        ],
+    )
+    def test_non_integer_option(self, tmp_path, capsys, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        doc = stderr_error(err)  # exactly one JSON object
+        assert doc["error"] == "ConfigError"
+        assert flag in doc["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("gen", "--format", "xml"), ("gen", "--bogus"), ("nosuch",), ()],
+    )
+    def test_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert stderr_error(err)["error"] == "ConfigError"
+
+
+class TestEconMoneyValues:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("--capex", "abc", "--revenue", "1", "--maintenance", "1"), "--capex"),
+            (("--capex", "1", "--revenue", "x", "--maintenance", "1"), "--revenue"),
+            (("--asset", "A", "--revenue", "x"), "--revenue"),
+            (("--capex", "1", "--revenue", "1", "--maintenance", "m"), "--maintenance"),
+            (("--capex", "1", "--revenue", "1", "--maintenance", "1", "--fees", "1/0"),
+             "--fees"),
+        ],
+    )
+    def test_non_numeric_money_value(self, capsys, argv, flag):
+        code, _, err = run(capsys, "econ", *argv)
+        assert code == 2
+        doc = stderr_error(err)
+        assert doc["error"] == "ConfigError"
+        assert flag in doc["message"]
+
+    def test_non_numeric_money_value_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"capex": "lots", "revenue": 1, "maintenance": 1}))
+        code, _, err = run(capsys, "econ", "--config", str(cfg))
+        assert code == 2
+        assert "--capex" in stderr_error(err)["message"]
+
+    def test_numeric_money_values_still_project(self, capsys):
+        code, out, _ = run(capsys, "econ", "--capex", "1000", "--revenue", "500.5",
+                           "--maintenance", "10", "--fees", "0", "--years", "3")
+        assert code == 0
+        assert out.startswith("breakeven=3 ")
+
+
+class TestNonUtf8Input:
+    BAD = b"\xff\xfetimestamp,price\n"
+
+    def test_price_csv_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_bytes(self.BAD)
+        code, _, err = run(capsys, "pf", "--actuals", str(path))
+        assert code == 3
+        doc = stderr_error(err)
+        assert doc["error"] == "MalformedRow"
+        assert "line 1" in doc["message"]
+
+    def test_forecast_csv_is_data_error(self, data_dir, tmp_path, capsys):
+        path = tmp_path / "f.csv"
+        good = (data_dir / "dam_forecast.csv").read_bytes()
+        lines = good.split(b"\n")
+        lines[3] = lines[3].replace(b",", b",\xe9", 1)
+        path.write_bytes(b"\n".join(lines))
+        code, _, err = run(capsys, "score", "--forecast", str(path),
+                           "--actuals", str(data_dir / "dam_actuals.csv"))
+        assert code == 3
+        doc = stderr_error(err)
+        assert doc["error"] == "MalformedRow"
+        assert "line 4" in doc["message"]
+
+    @pytest.mark.parametrize("option", ["--config", "--battery"])
+    def test_json_file_is_config_error(self, data_dir, tmp_path, capsys, option):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"capacity_mwh": "1"}\xff')
+        code, _, err = run(capsys, "pf", option, str(path),
+                           "--actuals", str(data_dir / "dam_actuals.csv"))
+        assert code == 2
+        assert stderr_error(err)["error"] == "ConfigError"
+
+
+class TestConfigLists:
+    """JSON lists in a config file mean the same as comma-separated strings."""
+
+    def _run_with(self, capsys, tmp_path, name, command, doc, *argv):
+        cfg = tmp_path / f"{name}.json"
+        out = tmp_path / name
+        cfg.write_text(json.dumps(dict(doc, out=str(out))))
+        code, _, err = run(capsys, command, "--config", str(cfg), *argv)
+        assert code == 0, err
+        return out
+
+    def test_sweep_list_config_matches_comma_string(self, data_dir, tmp_path, capsys):
+        files = (
+            "--dam-actuals", str(data_dir / "dam_actuals.csv"),
+            "--dam-forecast", str(data_dir / "dam_forecast.csv"),
+            "--bm-actuals", str(data_dir / "bm_actuals.csv"),
+            "--bm-forecast", str(data_dir / "bm_forecast.csv"),
+        )
+        listed = self._run_with(capsys, tmp_path, "listed", "sweep", {
+            "pairs": ["0.1:0.9", " 0.3:0.7"], "strategies": ["TS1", "ts3"],
+        }, *files)
+        joined = self._run_with(capsys, tmp_path, "joined", "sweep", {
+            "pairs": "0.1:0.9, 0.3:0.7", "strategies": "TS1,ts3",
+        }, *files)
+        report = (listed / "report.csv").read_bytes()
+        assert report == (joined / "report.csv").read_bytes()
+        assert report.count(b"\nDAM,TS1,") == 3  # two pairs and the average
+
+    def test_gen_list_config_matches_comma_string(self, tmp_path, capsys):
+        listed = self._run_with(capsys, tmp_path, "listed", "gen", {
+            "levels": [0.2, "0.5", 0.8], "markets": ["dam"],
+        })
+        joined = self._run_with(capsys, tmp_path, "joined", "gen", {
+            "levels": "0.2,0.5,0.8", "markets": "dam",
+        })
+        assert sorted(p.name for p in listed.iterdir()) == [
+            "dam_actuals.csv", "dam_forecast.csv",
+        ]
+        for name in ("dam_actuals.csv", "dam_forecast.csv"):
+            assert (listed / name).read_bytes() == (joined / name).read_bytes()
+
+    @pytest.mark.parametrize("doc", [{"markets": []}, {"levels": ["0.5", "abc"]}])
+    def test_bad_lists_are_config_errors(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "gen", "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert stderr_error(err)["error"] == "ConfigError"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -102,6 +102,10 @@ class TestFeatureMatrix:
         path.write_text("\n\n")
         with pytest.raises(MalformedRow):
             FeatureMatrix.from_csv(path, MarketKind.BM)
+        path.write_bytes(b"timestamp,a,target\n2024-01-01T00:00:00Z,\xff,5\n")
+        with pytest.raises(MalformedRow) as err:
+            FeatureMatrix.from_csv(path, MarketKind.BM)
+        assert "line 2" in str(err.value)
 
 
 class TestKnnForecaster:

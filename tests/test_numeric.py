@@ -12,6 +12,7 @@ from bessarb._numeric import (
     format_money,
     mwh_to_ticks,
     parse_decimal,
+    scale_to_integers,
     ticks_to_mwh,
     to_cents,
 )
@@ -112,3 +113,19 @@ class TestFormatMoney:
     def test_exact_repeating_fraction(self):
         # 1460/49 is the buy-10 sell-50 unit settlement
         assert format_money(Fraction(1460, 49)) == "29.80"
+
+
+class TestScaleToIntegers:
+    @given(st.lists(st.fractions(max_denominator=1000), max_size=12))
+    def test_integers_are_values_times_the_lcm(self, values):
+        scaled, lcm = scale_to_integers(values)
+        assert lcm >= 1
+        assert all(lcm % v.denominator == 0 for v in values)
+        assert [Fraction(n, lcm) for n in scaled] == values
+
+    def test_mixed_denominators(self):
+        values = [Fraction("0.5"), Fraction("-1.25"), Fraction(3)]
+        assert scale_to_integers(values) == ((2, -5, 12), 4)
+
+    def test_empty(self):
+        assert scale_to_integers([]) == ((), 1)

@@ -1,5 +1,6 @@
 """Pair selection, clipped execution and the four scheduling strategies."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,16 @@ from bessarb.errors import InvalidPair, LevelMissing, WindowMismatch
 from bessarb.market import (
     BASE_EPOCH,
     MarketKind,
+    QuantileForecast,
     TradingWindow,
     build_dual_horizon,
+    generate_synthetic,
+    validate_and_repair,
 )
 from bessarb.strategies import (
+    _curves,
+    _scan_ordered,
+    _scan_unordered,
     DEFAULT_PAIRS,
     MEDIAN_PAIR,
     CandidatePair,
@@ -46,6 +53,67 @@ UNIT = unit_trading_spec()
 price_curves = st.lists(
     st.integers(min_value=1, max_value=99), min_size=2, max_size=12
 )
+
+
+def _fraction_scan_ordered(buy_curve, sell_curve, spec, lo, hi):
+    """Reference scan on exact fractions: best buy-before-sell pair, ungated.
+
+    The integer scan runs the same single pass, and returns the pair only
+    when its spread is positive.
+    """
+    if hi - lo < 1:
+        return None
+    best = None
+    cheap_t, cheap_price = lo, buy_curve[lo]
+    for t in range(lo + 1, hi + 1):
+        cand = CandidatePair.of(spec, cheap_t, t, cheap_price, sell_curve[t])
+        if best is None or cand.expected_spread > best.expected_spread:
+            best = cand
+        if buy_curve[t] < cheap_price:
+            cheap_t, cheap_price = t, buy_curve[t]
+    return best
+
+
+def _fraction_scan_unordered(buy_curve, sell_curve, spec, lo, hi):
+    """Reference scan on exact fractions: cheapest buy, dearest sell, gated."""
+    if hi - lo < 1:
+        return None
+    span = range(lo, hi + 1)
+    t_buy = min(span, key=lambda t: (buy_curve[t], t))
+    t_sell = max(span, key=lambda t: (sell_curve[t], -t))
+    if t_buy == t_sell:
+        return None
+    cand = CandidatePair.of(spec, t_buy, t_sell, buy_curve[t_buy], sell_curve[t_sell])
+    return cand if cand.expected_spread > 0 else None
+
+
+efficiencies = st.integers(min_value=1, max_value=60).flatmap(
+    lambda den: st.integers(min_value=1, max_value=den).map(lambda num: Fraction(num, den))
+)
+# few distinct magnitudes, so equal prices (ties) are common
+decimal_prices = st.builds(
+    Fraction,
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from([1, 10, 100, 1000, 4, 8]),
+)
+
+
+@st.composite
+def scan_problems(draw):
+    """(forecast, pair, spec, lo, hi) with crossed rows, mixed denominators."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    rows = draw(st.lists(
+        st.tuples(decimal_prices, decimal_prices, decimal_prices),
+        min_size=n, max_size=n,
+    ))
+    levels = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
+    fc = QuantileForecast(TradingWindow(MarketKind.BM, BASE_EPOCH, n), levels, tuple(rows))
+    sell_level = draw(st.sampled_from(levels))
+    buy_level = draw(st.sampled_from([lv for lv in levels if lv >= sell_level]))
+    spec = BatterySpec(1000, 1000, 0, 0, draw(efficiencies), draw(efficiencies))
+    lo = draw(st.integers(min_value=0, max_value=n - 1))
+    hi = draw(st.integers(min_value=lo, max_value=n - 1))
+    return fc, QuantilePair(sell_level, buy_level), spec, lo, hi
 
 
 def _merged_index(horizon):
@@ -238,6 +306,119 @@ class TestBestUnorderedPair:
         else:
             assert (cand.buy_period, cand.sell_period) == (t_buy, t_sell)
             assert cand.expected_spread == spread
+
+
+class TestIntegerScans:
+    """The integer scans equal the exact-fraction reference scans."""
+
+    @given(scan_problems())
+    @settings(max_examples=300)
+    def test_ordered_scan_matches_fraction_oracle(self, problem):
+        fc, pair, spec, lo, hi = problem
+        curves = _curves(fc, pair, spec)
+        want = _fraction_scan_ordered(curves.buy_prices, curves.sell_prices, spec, lo, hi)
+        if want is not None and want.expected_spread <= 0:
+            want = None
+        found = _scan_ordered(curves, lo, hi)
+        if want is None:
+            assert found is None
+        else:
+            assert found == (want.buy_period, want.sell_period)
+        assert best_ordered_pair(fc, pair, spec, lo, hi) == want
+
+    @given(scan_problems())
+    @settings(max_examples=300)
+    def test_unordered_scan_matches_fraction_oracle(self, problem):
+        fc, pair, spec, lo, hi = problem
+        curves = _curves(fc, pair, spec)
+        want = _fraction_scan_unordered(curves.buy_prices, curves.sell_prices, spec, lo, hi)
+        found = _scan_unordered(curves, lo, hi)
+        if want is None:
+            assert found is None
+        else:
+            assert found == (want.buy_period, want.sell_period)
+        assert best_unordered_pair(fc, pair, spec, lo, hi) == want
+
+    def test_zero_spread_is_not_traded(self):
+        # 0.8 * 1000 == 784 / 0.98: the spread is exactly zero
+        assert best_ordered_pair(flat_forecast([784, 1000]), MEDIAN_PAIR, UNIT) is None
+        assert best_unordered_pair(flat_forecast([1000, 784]), MEDIAN_PAIR, UNIT) is None
+        assert ts3(flat_forecast([1000, 784]), MEDIAN_PAIR, UNIT).orders == ()
+        assert ts1(flat_forecast([784, 1000]), MEDIAN_PAIR, UNIT).orders == ()
+
+    def test_scans_read_the_repaired_rows(self):
+        # rows are level-crossed; the scans see them sorted, orders keep
+        # the exact repaired prices
+        fc = make_forecast({"0.3": ["25.5", "45", "9"], "0.7": ["20", "40.25", "30"]})
+        repaired, changed = validate_and_repair(fc)
+        assert changed == 2
+        pair = QuantilePair("0.3", "0.7")
+        for strategy in (ts1, ts2, ts3):
+            assert strategy(fc, pair, UNIT).orders == strategy(repaired, pair, UNIT).orders
+        assert [(o.period, o.side, o.expected_price) for o in ts1(fc, pair, UNIT).orders] == [
+            (0, Side.BUY, Fraction("25.5")),
+            (1, Side.SELL, Fraction("40.25")),
+        ]
+        # the forecast itself is not changed
+        assert fc.values[0] == (Fraction("25.5"), Fraction(20))
+
+    def test_repaired_curve_is_exact_and_scaled(self):
+        fc = make_forecast({"0.3": ["1.5", "-2", "0.125"], "0.7": ["1", "3", "0.25"]})
+        prices, scaled = fc.repaired_curve("0.7")
+        assert prices == (Fraction("1.5"), Fraction(3), Fraction("0.25"))
+        assert scaled == tuple(int(p * 8) for p in prices)  # L = lcm(2, 8) = 8
+        with pytest.raises(LevelMissing):
+            fc.repaired_curve("0.9")
+
+
+class TestForecastReuse:
+    """A forecast's repaired curves are computed once and shared safely."""
+
+    def _forecasts(self, market):
+        """Noisy forecasts with every third row level-crossed."""
+        _, forecasts = generate_synthetic(11, market, days=2, noise_sd=6)
+        return [
+            QuantileForecast(fc.window, fc.levels, tuple(
+                row[::-1] if t % 3 == 0 else row for t, row in enumerate(fc.values)
+            ))
+            for fc in forecasts
+        ]
+
+    @staticmethod
+    def _fresh(fc):
+        return QuantileForecast(fc.window, fc.levels, fc.values)
+
+    def test_shared_object_matches_fresh_copies(self):
+        runs = (
+            lambda fc, pair: ts1(fc, pair, UNIT),
+            lambda fc, pair: ts2(fc, pair, UNIT),
+            lambda fc, pair: ts3(fc, pair, UNIT),
+            lambda fc, pair: ts3(fc, pair, UNIT, allow_stock_buys=True),
+        )
+        shared = self._forecasts(MarketKind.BM)
+        assert all(validate_and_repair(fc)[1] for fc in shared)
+        for pair in DEFAULT_PAIRS:
+            for run in runs:
+                for fc in shared:
+                    assert run(fc, pair) == run(self._fresh(fc), pair)
+
+    def test_shared_dual_forecasts_match_fresh_copies(self):
+        dam, bm = self._forecasts(MarketKind.DAM)[0], self._forecasts(MarketKind.BM)[0]
+        horizon = build_dual_horizon(dam.window, bm.window)
+        for pair in DEFAULT_PAIRS:
+            got = ts3_dual(horizon, dam, bm, pair, UNIT)
+            want = ts3_dual(horizon, self._fresh(dam), self._fresh(bm), pair, UNIT)
+            assert got == want
+
+    def test_prepared_forecast_keeps_equality_hash_and_pickling(self):
+        fc = self._forecasts(MarketKind.BM)[0]
+        fresh = self._fresh(fc)
+        ts3(fc, DEFAULT_PAIRS[1], UNIT)
+        assert fc == fresh and hash(fc) == hash(fresh)
+        assert repr(fc) == repr(fresh)
+        copy = pickle.loads(pickle.dumps(fc))
+        assert copy == fc
+        assert ts3(copy, DEFAULT_PAIRS[2], UNIT) == ts3(fresh, DEFAULT_PAIRS[2], UNIT)
 
 
 class TestBottleneckExecute:
