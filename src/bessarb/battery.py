@@ -130,18 +130,16 @@ class BatteryState:
     charge: int
 
 
-def initial_state(spec: BatterySpec) -> BatteryState:
-    return BatteryState(spec.initial_charge)
-
-
-def max_buy(state: BatteryState, spec: BatterySpec) -> int:
-    """Largest admissible buy volume from this state, in ticks."""
-    return min(spec.ramp, spec.capacity - state.charge)
-
-
-def max_sell(state: BatteryState, spec: BatterySpec) -> int:
-    """Largest admissible sell volume from this state, in ticks."""
-    return min(spec.ramp, state.charge - spec.min_charge)
+def start_charge(spec: BatterySpec, initial_charge: int | None) -> int:
+    """The charge a run starts from: the given one, or the spec's default."""
+    if initial_charge is None:
+        return spec.initial_charge
+    if not spec.min_charge <= initial_charge <= spec.capacity:
+        raise ConfigError(
+            f"initial charge {initial_charge} outside "
+            f"[{spec.min_charge}, {spec.capacity}]"
+        )
+    return initial_charge
 
 
 def apply_trade(state: BatteryState, spec: BatterySpec, signed_ticks: int) -> BatteryState:
@@ -164,7 +162,7 @@ def replay(trades: Iterable[tuple[int, int]], spec: BatterySpec,
     the instant keep the given order.
     """
     if state is None:
-        state = initial_state(spec)
+        state = BatteryState(spec.initial_charge)
     for _, signed in sorted(trades, key=lambda t: t[0]):
         state = apply_trade(state, spec, signed)
     return state

@@ -28,16 +28,15 @@ from bessarb.economics import (
 )
 from bessarb.errors import BessArbError, ConfigError, MissingRevenueSource
 from bessarb.evaluation import (
-    _check_paired,
-    _run_strategy,
     dp_optimal,
-    dp_optimal_dual,
+    dp_unit,
+    dual_units,
     perfect_foresight,
-    perfect_foresight_dual,
+    pf_unit,
     run_sweep,
     score_forecasts,
-    settle,
-    settle_dual,
+    trade_unit,
+    window_units,
     write_plot_csv,
     write_report_csv,
     write_report_json,
@@ -45,7 +44,6 @@ from bessarb.evaluation import (
 from bessarb.market import (
     BASE_EPOCH,
     MarketKind,
-    build_dual_horizon,
     generate_synthetic,
     parse_forecast_csv,
     parse_price_csv,
@@ -57,7 +55,6 @@ from bessarb.strategies import (
     DEFAULT_PAIRS,
     QuantilePair,
     schedule_to_dict,
-    ts3_dual,
     write_schedule_csv,
 )
 
@@ -250,11 +247,15 @@ def _parse_market(text: str) -> MarketKind:
 
 
 def _load_market_files(opts: _Options, prefix: str):
+    """(forecasts, actuals) of one market, read from its two CSV files."""
     market = _parse_market(prefix)
     actuals = parse_price_csv(_require(opts, f"{prefix}_actuals"), market)
     forecasts = parse_forecast_csv(_require(opts, f"{prefix}_forecast"), market)
-    _check_paired(forecasts, actuals, prefix)
-    return actuals, forecasts
+    return forecasts, actuals
+
+
+def _load_units(opts: _Options, prefix: str):
+    return window_units(*_load_market_files(opts, prefix), prefix)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -291,12 +292,6 @@ def _cmd_gen(opts: _Options) -> int:
     return 0
 
 
-def _iter_carry(windows, carry: bool, charges):
-    """Yield (index, initial_charge) threading final charges when carrying."""
-    for i in range(windows):
-        yield i, (charges[-1] if carry and charges else None)
-
-
 def _cmd_backtest(opts: _Options) -> int:
     spec = _battery(opts)
     market = str(opts.get("market", "dam")).lower()
@@ -305,59 +300,28 @@ def _cmd_backtest(opts: _Options) -> int:
     carry = opts.flag("carry_state")
     allow_stock = opts.flag("allow_stock_buys")
     out = _out_dir(opts)
-    profit, trades, pf, dp = Fraction(0), 0, Fraction(0), Fraction(0)
-    schedules = []
-    charges: list[int] = []
-    if market in ("dam", "bm"):
-        actuals, forecasts = _load_market_files(opts, market)
-        for i, init in _iter_carry(len(actuals), carry, charges):
-            schedule = _run_strategy(
-                strategy, forecasts[i], pair, spec, allow_stock, init
-            )
-            result = settle(schedule, actuals[i], spec, init)
-            profit += result.cash
-            trades += schedule.trade_count
-            pf += perfect_foresight(actuals[i], spec, strategy, allow_stock, init)
-            dp += dp_optimal(actuals[i], spec, init)
-            charges.append(result.final_charge)
-            schedules.append(schedule)
-    elif market == "dual":
-        if strategy != "TS3":
-            raise ConfigError("dual-market backtests use strategy TS3")
-        dam_actuals, dam_forecasts = _load_market_files(opts, "dam")
-        bm_actuals, bm_forecasts = _load_market_files(opts, "bm")
-        bm_by_start = {ps.window.start_epoch_s: i for i, ps in enumerate(bm_actuals)}
-        matched = [
-            (di, bm_by_start[ps.window.start_epoch_s])
-            for di, ps in enumerate(dam_actuals)
-            if ps.window.start_epoch_s in bm_by_start
-        ]
-        if not matched:
+    if market == "dual":
+        units = dual_units(_load_units(opts, "dam"), _load_units(opts, "bm"))
+        if not units:
             raise ConfigError("no balancing window opens with a day-ahead window")
-        for n, init in _iter_carry(len(matched), carry, charges):
-            di, bi = matched[n]
-            horizon = build_dual_horizon(
-                dam_actuals[di].window, bm_actuals[bi].window
-            )
-            dam_sched, bm_sched = ts3_dual(
-                horizon, dam_forecasts[di], bm_forecasts[bi], pair, spec,
-                allow_stock_buys=allow_stock, initial_charge=init,
-            )
-            result = settle_dual(
-                dam_sched, bm_sched, dam_actuals[di], bm_actuals[bi], spec, init
-            )
-            profit += result.cash
-            trades += dam_sched.trade_count + bm_sched.trade_count
-            pf += perfect_foresight_dual(
-                horizon, dam_actuals[di], bm_actuals[bi], spec, allow_stock, init
-            )
-            dp += dp_optimal_dual(
-                horizon, dam_actuals[di], bm_actuals[bi], spec, init
-            )
-            charges.append(result.final_charge)
-            schedules.extend([dam_sched, bm_sched])
+    elif market in ("dam", "bm"):
+        units = _load_units(opts, market)
     else:
         raise ConfigError(f"unknown market {market!r}")
+    profit, trades, pf, dp = Fraction(0), 0, Fraction(0), Fraction(0)
+    schedules = []
+    init = None
+    for unit in units:
+        unit_schedules, result = trade_unit(
+            unit, strategy, pair, spec, allow_stock, init
+        )
+        profit += result.cash
+        trades += sum(s.trade_count for s in unit_schedules)
+        pf += pf_unit(unit, spec, strategy, allow_stock, init)
+        dp += dp_unit(unit, spec, init)
+        schedules.extend(unit_schedules)
+        if carry:
+            init = result.final_charge
     if out is not None:
         for i, schedule in enumerate(schedules):
             name = f"schedule_{schedule.window.market.value.lower()}_{i:03d}.csv"
@@ -378,10 +342,10 @@ def _cmd_sweep(opts: _Options) -> int:
     if jobs < 1:
         raise ConfigError("--jobs must be at least 1")
     spec = _battery(opts)
-    dam_actuals, dam_forecasts = _load_market_files(opts, "dam")
+    dam_forecasts, dam_actuals = _load_market_files(opts, "dam")
     bm_actuals = bm_forecasts = None
     if opts.get("bm_actuals") is not None or opts.get("bm_forecast") is not None:
-        bm_actuals, bm_forecasts = _load_market_files(opts, "bm")
+        bm_forecasts, bm_actuals = _load_market_files(opts, "bm")
     pairs = (
         DEFAULT_PAIRS
         if opts.get("pairs") is None

@@ -14,7 +14,7 @@ maintenance either escalates by compounding or grows linearly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Sequence
@@ -99,26 +99,6 @@ def annual_return_curve(scenario: EconScenario) -> list[Fraction]:
         cum -= scenario.annual_fees
         out.append(cum)
     return out
-
-
-def closed_form_cumulative(scenario: EconScenario, year: int) -> Fraction:
-    """Direct formula for the curve value, for cross-checking the recursion.
-
-    Only the yearly-linear degradation profile has a tractable closed form.
-    """
-    if scenario.degradation_kind != "linear" or scenario.degradation_period_years != 1:
-        raise ConfigError("closed form requires yearly linear degradation")
-    if not 0 <= year <= scenario.years:
-        raise ConfigError(f"year {year} outside the projection span")
-    y = year
-    g, m = scenario.base_revenue, scenario.base_maintenance
-    revenue = g * y - g * scenario.degradation_rate * y * (y - 1) / 2
-    e = scenario.maintenance_escalation
-    if scenario.maintenance_kind == "compound":
-        maint = m * ((1 + e) ** y - 1) / e
-    else:
-        maint = m * y + m * e * y * (y - 1) / 2
-    return -scenario.capex + revenue - maint - scenario.annual_fees * y
 
 
 def breakeven_year(curve: Sequence[Fraction]) -> int | None:
@@ -240,7 +220,3 @@ def scenario_for(
         degradation_period_years=battery.degradation_period_years,
         maintenance_kind=battery.maintenance_kind,
     )
-
-
-def with_revenue(scenario: EconScenario, base_revenue) -> EconScenario:
-    return replace(scenario, base_revenue=_money(base_revenue))

@@ -11,9 +11,16 @@ DP is the only guaranteed upper bound on realized cash.  pf is a reference,
 not a bound: a heuristic strategy can do better on a noisy forecast than on
 the true prices (22 of 4200 sweep rows over 40 seeds did).
 
-A sweep computes both benchmarks once per window before any cell runs: DP
-once per window of each market and once per dual horizon, pf once per
-(window, strategy).  Neither depends on the quantile pair.
+`backtest` and `sweep` share one per-unit path.  A unit is what one
+settlement covers: one window of one market, or one dual horizon (a
+day-ahead window and the balancing window that opens with it).
+`window_units` and `dual_units` build units; `trade_unit` runs a strategy
+over a unit and settles it, and `pf_unit` and `dp_unit` give its
+benchmarks, whichever shape the unit has.
+
+A sweep computes both benchmarks once per unit before any cell runs: DP
+once per unit of each market, pf once per (unit, strategy).  Neither
+depends on the quantile pair.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from bessarb._numeric import (
     scale_to_integers,
     to_cents,
 )
-from bessarb.battery import BatterySpec, BatteryState, apply_trade
+from bessarb.battery import BatterySpec, BatteryState, apply_trade, start_charge
 from bessarb.errors import (
     ConfigError,
     LevelOutOfRange,
@@ -66,14 +73,6 @@ class SettleResult:
     final_charge: int
 
 
-def _start_charge(spec: BatterySpec, initial_charge: int | None) -> int:
-    if initial_charge is None:
-        return spec.initial_charge
-    if not spec.min_charge <= initial_charge <= spec.capacity:
-        raise ConfigError(f"initial charge {initial_charge} outside battery bounds")
-    return initial_charge
-
-
 def _leg_cash(spec: BatterySpec, side: Side, price: Fraction, mwh: Fraction) -> Fraction:
     if side is Side.SELL:
         return spec.discharge_eff * price * mwh
@@ -93,7 +92,7 @@ def settle(
     """
     if schedule.window != actuals.window:
         raise WindowMismatch("schedule and prices cover different windows")
-    state = BatteryState(_start_charge(spec, initial_charge))
+    state = BatteryState(start_charge(spec, initial_charge))
     cash = Fraction(0)
     for order in schedule.orders:
         state = apply_trade(state, spec, order.signed_ticks)
@@ -118,7 +117,7 @@ def settle_dual(
     horizon = build_dual_horizon(dam_schedule.window, bm_schedule.window)
     dam_orders = {o.period: o for o in dam_schedule.orders}
     bm_orders = {o.period: o for o in bm_schedule.orders}
-    state = BatteryState(_start_charge(spec, initial_charge))
+    state = BatteryState(start_charge(spec, initial_charge))
     cash = Fraction(0)
     for market, period in horizon.merged_events():
         if market is MarketKind.DAM:
@@ -257,7 +256,7 @@ def dp_optimal(
     actuals: PriceSeries, spec: BatterySpec, initial_charge: int | None = None
 ) -> Fraction:
     """Best possible profit for the window given the settled prices."""
-    return _dp_max_cash(actuals.prices, spec, _start_charge(spec, initial_charge))
+    return _dp_max_cash(actuals.prices, spec, start_charge(spec, initial_charge))
 
 
 def dp_optimal_dual(
@@ -274,7 +273,94 @@ def dp_optimal_dual(
         (dam_actuals if market is MarketKind.DAM else bm_actuals).prices[period]
         for market, period in horizon.merged_events()
     ]
-    return _dp_max_cash(prices, spec, _start_charge(spec, initial_charge))
+    return _dp_max_cash(prices, spec, start_charge(spec, initial_charge))
+
+
+# --- units ------------------------------------------------------------------
+# A unit holds the forecasts and the settled prices of one settlement: one
+# single-market window, ((fc,), (ps,)), or one dual horizon,
+# ((dam_fc, bm_fc), (dam_ps, bm_ps)).
+
+_Unit = tuple[tuple[QuantileForecast, ...], tuple[PriceSeries, ...]]
+
+
+def window_units(
+    forecasts: Sequence[QuantileForecast], actuals: Sequence[PriceSeries], what: str
+) -> list[_Unit]:
+    """One unit per window; forecasts and prices must cover the same windows."""
+    if len(forecasts) != len(actuals):
+        raise WindowMismatch(f"{what}: forecast and price window counts differ")
+    for fc, ps in zip(forecasts, actuals):
+        if fc.window != ps.window:
+            raise WindowMismatch(f"{what}: forecast and price windows differ")
+    return [((fc,), (ps,)) for fc, ps in zip(forecasts, actuals)]
+
+
+def dual_units(dam_units: Sequence[_Unit], bm_units: Sequence[_Unit]) -> list[_Unit]:
+    """Each day-ahead unit joined with the balancing unit that opens with it."""
+    bm_by_start = {ps[0].window.start_epoch_s: (fc, ps) for fc, ps in bm_units}
+    units = []
+    for fc, ps in dam_units:
+        bm = bm_by_start.get(ps[0].window.start_epoch_s)
+        if bm is not None:
+            units.append((fc + bm[0], ps + bm[1]))
+    return units
+
+
+def _horizon(actuals: tuple[PriceSeries, ...], strategy: str = "TS3") -> DualHorizon:
+    if strategy != "TS3":
+        raise ConfigError("dual-market backtests use strategy TS3")
+    return build_dual_horizon(actuals[0].window, actuals[1].window)
+
+
+def trade_unit(
+    unit: _Unit,
+    strategy: str,
+    pair: QuantilePair,
+    spec: BatterySpec,
+    allow_stock_buys: bool = False,
+    initial_charge: int | None = None,
+) -> tuple[tuple[Schedule, ...], SettleResult]:
+    """Run a strategy over one unit and settle it: (schedules, result)."""
+    forecasts, actuals = unit
+    if len(actuals) == 1:
+        schedule = _run_strategy(
+            strategy, *forecasts, pair, spec, allow_stock_buys, initial_charge
+        )
+        return (schedule,), settle(schedule, *actuals, spec, initial_charge)
+    schedules = ts3_dual(
+        _horizon(actuals, strategy), *forecasts, pair, spec,
+        allow_stock_buys=allow_stock_buys, initial_charge=initial_charge,
+    )
+    return schedules, settle_dual(*schedules, *actuals, spec, initial_charge)
+
+
+def pf_unit(
+    unit: _Unit,
+    spec: BatterySpec,
+    strategy: str = "TS3",
+    allow_stock_buys: bool = False,
+    initial_charge: int | None = None,
+) -> Fraction:
+    """Perfect-foresight profit of the strategy over one unit."""
+    _, actuals = unit
+    if len(actuals) == 1:
+        return perfect_foresight(
+            *actuals, spec, strategy, allow_stock_buys, initial_charge
+        )
+    return perfect_foresight_dual(
+        _horizon(actuals, strategy), *actuals, spec, allow_stock_buys, initial_charge
+    )
+
+
+def dp_unit(
+    unit: _Unit, spec: BatterySpec, initial_charge: int | None = None
+) -> Fraction:
+    """DP optimum over one unit."""
+    _, actuals = unit
+    if len(actuals) == 1:
+        return dp_optimal(*actuals, spec, initial_charge)
+    return dp_optimal_dual(_horizon(actuals), *actuals, spec, initial_charge)
 
 
 # --- forecast scoring -------------------------------------------------------
@@ -338,88 +424,40 @@ class BacktestReport:
     per_window: tuple[Fraction, ...] = ()
 
 
-def _check_paired(forecasts, actuals, what: str) -> None:
-    if len(forecasts) != len(actuals):
-        raise WindowMismatch(f"{what}: forecast and price window counts differ")
-    for fc, ps in zip(forecasts, actuals):
-        if fc.window != ps.window:
-            raise WindowMismatch(f"{what}: forecast and price windows differ")
-
-
-def _dual_windows(payload: dict):
-    """(horizon, day-ahead index, balancing index) of each dual horizon."""
-    for di, bi in payload["horizon_pairs"]:
-        dam_window = payload["dam_actuals"][di].window
-        bm_window = payload["bm_actuals"][bi].window
-        yield build_dual_horizon(dam_window, bm_window), di, bi
-
-
 def _benchmark_table(payload: dict, blocks) -> dict:
-    """(pf, dp) totals of every (market, strategy) block, each window once.
+    """(pf, dp) totals of every (market, strategy) block, each unit once.
 
-    DP depends on the window alone, so it runs once per window of each
-    market and once per dual horizon; pf runs once per (window, strategy).
-    Neither depends on the quantile pair.
+    DP depends on the unit alone, so it runs once per unit of each market;
+    pf runs once per (unit, strategy).  Neither depends on the quantile pair.
     """
     spec, allow_stock = payload["spec"], payload["allow_stock_buys"]
     dp_by_market: dict[str, Fraction] = {}
     table = {}
     for market, strategy in blocks:
-        pf = Fraction(0)
-        if market == "DAM+BM":
-            dam, bm = payload["dam_actuals"], payload["bm_actuals"]
-            dp = Fraction(0)
-            for h, di, bi in _dual_windows(payload):
-                pf += perfect_foresight_dual(h, dam[di], bm[bi], spec, allow_stock)
-                dp += dp_optimal_dual(h, dam[di], bm[bi], spec)
-        else:
-            actuals = payload[f"{market.lower()}_actuals"]
-            for ps in actuals:
-                pf += perfect_foresight(ps, spec, strategy, allow_stock)
-            if market not in dp_by_market:
-                dp_by_market[market] = sum(
-                    (dp_optimal(ps, spec) for ps in actuals), Fraction(0)
-                )
-            dp = dp_by_market[market]
-        table[market, strategy] = (pf, dp)
+        units = payload["units"][market]
+        pf = sum(
+            (pf_unit(u, spec, strategy, allow_stock) for u in units), Fraction(0)
+        )
+        if market not in dp_by_market:
+            dp_by_market[market] = sum((dp_unit(u, spec) for u in units), Fraction(0))
+        table[market, strategy] = (pf, dp_by_market[market])
     return table
 
 
 def _cell_report(
     payload: dict, market: str, strategy: str, pair: QuantilePair
 ) -> BacktestReport:
-    """Run one strategy and pair over a market's windows and settle it."""
-    spec = payload["spec"]
-    allow_stock = payload["allow_stock_buys"]
-    realized, trades, per_window = Fraction(0), 0, []
-    if market in ("DAM", "BM"):
-        key = market.lower()
-        for fc, ps in zip(payload[f"{key}_forecasts"], payload[f"{key}_actuals"]):
-            schedule = _run_strategy(strategy, fc, pair, spec, allow_stock, None)
-            cash = settle(schedule, ps, spec).cash
-            realized += cash
-            per_window.append(cash)
-            trades += schedule.trade_count
-    else:
-        for horizon, di, bi in _dual_windows(payload):
-            dam_ps = payload["dam_actuals"][di]
-            bm_ps = payload["bm_actuals"][bi]
-            dam_sched, bm_sched = ts3_dual(
-                horizon,
-                payload["dam_forecasts"][di],
-                payload["bm_forecasts"][bi],
-                pair,
-                spec,
-                allow_stock_buys=allow_stock,
-            )
-            cash = settle_dual(dam_sched, bm_sched, dam_ps, bm_ps, spec).cash
-            realized += cash
-            per_window.append(cash)
-            trades += dam_sched.trade_count + bm_sched.trade_count
+    """Run one strategy and pair over a market's units and settle it."""
+    spec, allow_stock = payload["spec"], payload["allow_stock_buys"]
+    trades, per_window = 0, []
+    for unit in payload["units"][market]:
+        schedules, result = trade_unit(unit, strategy, pair, spec, allow_stock)
+        per_window.append(result.cash)
+        trades += sum(s.trade_count for s in schedules)
     pf, dp = payload["benchmarks"][market, strategy]
     return BacktestReport(
-        market, strategy, pair.label, realized, Fraction(trades), pf, dp,
-        len(per_window), tuple(per_window),
+        market, strategy, pair.label, sum(per_window, Fraction(0)),
+        Fraction(trades), pf, dp, len(per_window), tuple(per_window),
     )
 
 
@@ -480,29 +518,19 @@ def run_sweep(
     for name in strategies:
         if name not in STRATEGY_NAMES:
             raise ConfigError(f"unknown strategy {name!r}")
-    _check_paired(dam_forecasts, dam_actuals, "day-ahead")
-    payload = {
-        "spec": spec,
-        "allow_stock_buys": allow_stock_buys,
-        "dam_actuals": list(dam_actuals),
-        "dam_forecasts": list(dam_forecasts),
-    }
+    if not pairs:
+        raise ConfigError("a sweep needs at least one quantile pair")
+    units = {"DAM": window_units(dam_forecasts, dam_actuals, "day-ahead")}
     blocks = [("DAM", s) for s in strategies]
     if bm_actuals is not None:
         if bm_forecasts is None:
             raise ConfigError("balancing prices given without forecasts")
-        _check_paired(bm_forecasts, bm_actuals, "balancing")
-        payload["bm_actuals"] = list(bm_actuals)
-        payload["bm_forecasts"] = list(bm_forecasts)
-        bm_by_start = {ps.window.start_epoch_s: i for i, ps in enumerate(bm_actuals)}
-        payload["horizon_pairs"] = [
-            (di, bm_by_start[ps.window.start_epoch_s])
-            for di, ps in enumerate(dam_actuals)
-            if ps.window.start_epoch_s in bm_by_start
-        ]
+        units["BM"] = window_units(bm_forecasts, bm_actuals, "balancing")
+        units["DAM+BM"] = dual_units(units["DAM"], units["BM"])
         blocks.append(("BM", "TS3"))
-        if payload["horizon_pairs"]:
+        if units["DAM+BM"]:
             blocks.append(("DAM+BM", "TS3"))
+    payload = {"spec": spec, "allow_stock_buys": allow_stock_buys, "units": units}
     payload["benchmarks"] = _benchmark_table(payload, blocks)
     cells = [
         (market, strategy, pair)

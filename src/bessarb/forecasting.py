@@ -17,7 +17,6 @@ import numpy as np
 
 from bessarb._numeric import format_decimal, parse_decimal
 from bessarb.errors import (
-    ConfigError,
     EmptyTrainSet,
     InsufficientHistory,
     KTooLarge,
@@ -144,17 +143,6 @@ class KnnQuantileForecaster:
     def __init__(self, k: int = 5, levels: Sequence = DEFAULT_LEVELS):
         self.k = k
         self.levels = tuple(_coerce_level(lv) for lv in levels)
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {"k": self.k, "levels": self.levels}
-
-    def set_params(self, **params) -> "KnnQuantileForecaster":
-        for name, value in params.items():
-            if name not in ("k", "levels"):
-                raise ConfigError(f"unknown parameter {name!r}")
-            setattr(self, name, value)
-        self.levels = tuple(_coerce_level(lv) for lv in self.levels)
-        return self
 
     def fit(self, features, targets) -> "KnnQuantileForecaster":
         feats = np.asarray(features, dtype=float)

@@ -152,10 +152,6 @@ class QuantileForecast:
             have = ", ".join(str(x) for x in self.levels)
             raise LevelMissing(f"level {lv} not among [{have}]") from None
 
-    def level_curve(self, level) -> tuple[Fraction, ...]:
-        i = self._level_index(level)
-        return tuple(row[i] for row in self.values)
-
     def repaired_curve(self, level) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
         """One level of the repaired rows: exact prices, and as integers.
 

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable
 
 from bessarb._numeric import format_decimal, ticks_to_mwh
-from bessarb.battery import BatterySpec, BatteryState, ChargeTimeline
+from bessarb.battery import BatterySpec, BatteryState, ChargeTimeline, start_charge
 from bessarb.errors import InvalidPair, WindowMismatch
 from bessarb.market import (
     DualHorizon,
@@ -141,16 +141,6 @@ class Schedule:
                     raise WindowMismatch(
                         f"{self.strategy} orders must alternate buy/sell"
                     )
-
-    def expected_cash(self, spec: BatterySpec) -> Fraction:
-        """Cash flow if every leg settled at its decision price."""
-        total = Fraction(0)
-        for o in self.orders:
-            if o.side is Side.SELL:
-                total += spec.discharge_eff * o.expected_price * o.volume_mwh
-            else:
-                total -= o.expected_price * o.volume_mwh / spec.charge_eff
-        return total
 
     @property
     def trade_count(self) -> int:
@@ -455,17 +445,6 @@ def _run_worklist(
 
 # --- public strategies ------------------------------------------------------
 
-def _resolve_initial(spec: BatterySpec, initial_charge: int | None) -> int:
-    if initial_charge is None:
-        return spec.initial_charge
-    if not spec.min_charge <= initial_charge <= spec.capacity:
-        raise WindowMismatch(
-            f"initial charge {initial_charge} outside "
-            f"[{spec.min_charge}, {spec.capacity}]"
-        )
-    return initial_charge
-
-
 def ts1(
     forecast: QuantileForecast,
     pair: QuantilePair,
@@ -474,7 +453,7 @@ def ts1(
 ) -> Schedule:
     """Trade only the single best buy-before-sell pair of the window."""
     curves = _curves(forecast, pair, spec)
-    start = _resolve_initial(spec, initial_charge)
+    start = start_charge(spec, initial_charge)
     out = _Emitted()
     found = _scan_ordered(curves, 0, forecast.window.period_count - 1)
     if found is not None:
@@ -498,7 +477,7 @@ def ts2(
     and each one returns the battery to its starting charge.
     """
     curves = _curves(forecast, pair, spec)
-    volume = min(spec.ramp, spec.capacity - _resolve_initial(spec, initial_charge))
+    volume = min(spec.ramp, spec.capacity - start_charge(spec, initial_charge))
     out = _Emitted()
 
     def recurse(lo: int, hi: int) -> None:
@@ -525,7 +504,7 @@ def ts3(
     """Work-list strategy: bottleneck-execute min/max pairs range by range."""
     curves = _curves(forecast, pair, spec)
     n = forecast.window.period_count
-    timeline = ChargeTimeline(spec, n, _resolve_initial(spec, initial_charge))
+    timeline = ChargeTimeline(spec, n, start_charge(spec, initial_charge))
     out = _Emitted()
     _run_worklist(timeline, curves, 0, n - 1, lambda t: t, out, allow_stock_buys)
     return Schedule(forecast.window, "TS3", pair, out.sorted())
@@ -562,7 +541,7 @@ def ts3_dual(
     bm_curves = _curves(bm_forecast, pair, spec)
     dam_instant, bm_instant = _merged_instants(horizon)
     n_instants = horizon.dam.period_count + horizon.bm.period_count
-    timeline = ChargeTimeline(spec, n_instants, _resolve_initial(spec, initial_charge))
+    timeline = ChargeTimeline(spec, n_instants, start_charge(spec, initial_charge))
     dam_out, bm_out = _Emitted(), _Emitted()
 
     def run_bm(lo: int, hi: int) -> None:

@@ -12,9 +12,6 @@ from bessarb.battery import (
     BatteryState,
     ChargeTimeline,
     apply_trade,
-    initial_state,
-    max_buy,
-    max_sell,
     replay,
     unit_trading_spec,
 )
@@ -129,16 +126,16 @@ class TestBatterySpec:
 class TestTradeBounds:
     def test_max_buy_clips_to_headroom(self):
         spec = BatterySpec.from_mwh("3", "2")
-        assert max_buy(BatteryState(2500), spec) == 500
+        assert ChargeTimeline(spec, 1, 2500).max_buy_from(0) == 500
 
     def test_max_buy_clips_to_ramp(self):
         spec = BatterySpec.from_mwh("3", "2")
-        assert max_buy(BatteryState(0), spec) == 2000
+        assert ChargeTimeline(spec, 1, 0).max_buy_from(0) == 2000
 
     def test_max_sell_respects_floor(self):
         spec = BatterySpec.from_mwh("3", "2", min_charge_mwh="1")
-        assert max_sell(BatteryState(1500), spec) == 500
-        assert max_sell(BatteryState(1000), spec) == 0
+        assert ChargeTimeline(spec, 1, 1500).max_sell_from(0) == 500
+        assert ChargeTimeline(spec, 1, 1000).max_sell_from(0) == 0
 
     def test_apply_trade_moves_charge(self):
         spec = unit_trading_spec()
@@ -194,7 +191,7 @@ class TestReplay:
 
     def test_empty_is_initial(self):
         spec = unit_trading_spec()
-        assert replay([], spec) == initial_state(spec)
+        assert replay([], spec) == BatteryState(spec.initial_charge)
 
 
 class TestChargeTimeline:
@@ -202,10 +199,10 @@ class TestChargeTimeline:
         spec = BatterySpec.from_mwh("3", "2", min_charge_mwh="1",
                                     initial_charge_mwh="1.5")
         tl = ChargeTimeline(spec, 6)
-        state = BatteryState(spec.initial_charge)
-        assert tl.max_buy_from(0) == max_buy(state, spec)
-        assert tl.max_sell_from(0) == max_sell(state, spec)
-        assert tl.max_buy_between(2, 5) == max_buy(state, spec)
+        # from 1.5 MWh: buy up to the 3 MWh capacity, sell down to the 1 MWh floor
+        assert tl.max_buy_from(0) == 1500
+        assert tl.max_sell_from(0) == 500
+        assert tl.max_buy_between(2, 5) == 1500
 
     def test_path_accumulates_commits(self):
         spec = unit_trading_spec()

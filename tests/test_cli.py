@@ -2,11 +2,36 @@
 
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 from bessarb import __version__
+from bessarb._numeric import format_money
+from bessarb.battery import BatterySpec
 from bessarb.cli import main
+from bessarb.evaluation import (
+    dp_optimal,
+    dp_optimal_dual,
+    perfect_foresight,
+    perfect_foresight_dual,
+    settle,
+    settle_dual,
+)
+from bessarb.market import (
+    MarketKind,
+    build_dual_horizon,
+    parse_forecast_csv,
+    parse_price_csv,
+)
+from bessarb.strategies import (
+    QuantilePair,
+    schedule_to_dict,
+    ts1,
+    ts2,
+    ts3,
+    ts3_dual,
+)
 
 
 def run(capsys, *argv):
@@ -175,6 +200,122 @@ class TestBacktest:
         )
         assert code == 2
         assert stderr_error(err)["error"] == "InvalidPair"
+
+
+class TestBacktestOracle:
+    """`backtest` equals the public functions called directly, charge carried."""
+
+    BATTERY = {
+        "capacity_mwh": "2.5",
+        "ramp_mwh_per_period": "0.5",
+        "min_charge_mwh": "0.5",
+        "charge_eff": "0.95",
+        "discharge_eff": "0.9",
+        "initial_charge_mwh": "2",
+    }
+
+    @pytest.fixture(scope="class")
+    def setup(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("oracle")
+        data = root / "data"
+        assert main(["gen", "--out", str(data), "--days", "2",
+                     "--noise-sd", "3", "--seed", "11"]) == 0
+        battery = root / "battery.json"
+        battery.write_text(json.dumps(self.BATTERY))
+        return data, battery
+
+    @staticmethod
+    def expected(data, spec, market, strategy, pair, carry, allow_stock):
+        """(summary line, schedule dicts, final charges) from the public API."""
+        loaded = {
+            name: (parse_price_csv(data / f"{name}_actuals.csv", kind),
+                   parse_forecast_csv(data / f"{name}_forecast.csv", kind))
+            for name, kind in (("dam", MarketKind.DAM), ("bm", MarketKind.BM))
+        }
+        profit = pf = dp = Fraction(0)
+        trades, schedules, finals = 0, [], []
+        init = None
+        if market == "dual":
+            (dam_a, dam_f), (bm_a, bm_f) = loaded["dam"], loaded["bm"]
+            for di, ps in enumerate(dam_a):
+                starts = [b.window.start_epoch_s for b in bm_a]
+                if ps.window.start_epoch_s not in starts:
+                    continue
+                bi = starts.index(ps.window.start_epoch_s)
+                horizon = build_dual_horizon(ps.window, bm_a[bi].window)
+                scheds = ts3_dual(horizon, dam_f[di], bm_f[bi], pair, spec,
+                                  allow_stock_buys=allow_stock, initial_charge=init)
+                result = settle_dual(*scheds, ps, bm_a[bi], spec, init)
+                pf += perfect_foresight_dual(horizon, ps, bm_a[bi], spec,
+                                             allow_stock, init)
+                dp += dp_optimal_dual(horizon, ps, bm_a[bi], spec, init)
+                profit += result.cash
+                trades += sum(s.trade_count for s in scheds)
+                schedules.extend(scheds)
+                finals.append(result.final_charge)
+                init = result.final_charge if carry else None
+        else:
+            fn = {"TS1": ts1, "TS2": ts2, "TS3": ts3}[strategy]
+            kwargs = {"allow_stock_buys": allow_stock} if strategy == "TS3" else {}
+            for ps, fc in zip(*loaded[market]):
+                sched = fn(fc, pair, spec, initial_charge=init, **kwargs)
+                result = settle(sched, ps, spec, init)
+                pf += perfect_foresight(ps, spec, strategy, allow_stock, init)
+                dp += dp_optimal(ps, spec, init)
+                profit += result.cash
+                trades += sched.trade_count
+                schedules.append(sched)
+                finals.append(result.final_charge)
+                init = result.final_charge if carry else None
+        line = (f"profit={format_money(profit)} trades={trades} "
+                f"pf={format_money(pf)} dp={format_money(dp)}\n")
+        return line, [schedule_to_dict(s, spec) for s in schedules], finals
+
+    @pytest.mark.parametrize(
+        "market,strategy,carry,allow_stock",
+        [
+            ("dam", "TS1", False, False),
+            ("dam", "TS1", True, False),
+            ("dam", "TS3", False, False),
+            ("dam", "TS3", True, False),
+            ("bm", "TS2", False, False),
+            ("bm", "TS3", True, False),
+            ("dual", "TS3", False, False),
+            ("dual", "TS3", True, False),
+            ("bm", "TS3", True, True),
+        ],
+    )
+    def test_matches_public_functions(self, setup, tmp_path, capsys, market,
+                                      strategy, carry, allow_stock):
+        data, battery = setup
+        spec = BatterySpec.from_json_file(battery)
+        pair = QuantilePair.parse("0.3:0.7")
+        out = tmp_path / "bt"
+        argv = ["backtest", "--market", market, "--strategy", strategy,
+                "--pair", "0.3:0.7", "--battery", str(battery), "--out", str(out)]
+        for name in ("dam", "bm"):
+            argv += [f"--{name}-actuals", str(data / f"{name}_actuals.csv"),
+                     f"--{name}-forecast", str(data / f"{name}_forecast.csv")]
+        if carry:
+            argv.append("--carry-state")
+        if allow_stock:
+            argv.append("--allow-stock-buys")
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        line, docs, finals = self.expected(
+            data, spec, market, strategy, pair, carry, allow_stock
+        )
+        assert stdout == line
+        assert json.loads((out / "schedules.json").read_text()) == docs
+        names = sorted(p.name for p in out.glob("schedule_*.csv"))
+        assert names == sorted(
+            f"schedule_{d['market'].lower()}_{i:03d}.csv" for i, d in enumerate(docs)
+        )
+        assert len(docs) == {"dam": 2, "bm": 6, "dual": 4}[market]
+        if carry and strategy == "TS3":
+            # TS1 and TS2 end each window where they began; TS3 sells stock,
+            # so its carried charge leaves the spec's start and carrying shows
+            assert any(c != spec.initial_charge for c in finals[:-1])
 
 
 class TestSweep:

@@ -12,18 +12,34 @@ from bessarb.economics import (
     annual_return_curve,
     annualize_backtest_revenue,
     breakeven_year,
-    closed_form_cumulative,
     degradation_steps,
     implied_base_revenue,
     load_catalog,
     maintenance_factor,
     revenue_factor,
     scenario_for,
-    with_revenue,
 )
 from bessarb.errors import ConfigError, MissingRevenueSource, ZeroSpan
 
 from conftest import frac
+
+
+def closed_form_cumulative(scenario: EconScenario, year: int) -> Fraction:
+    """Direct formula for the curve value, to cross-check the recursion.
+
+    Only yearly linear degradation has a tractable closed form.
+    """
+    assert scenario.degradation_kind == "linear"
+    assert scenario.degradation_period_years == 1
+    y = year
+    g, m = scenario.base_revenue, scenario.base_maintenance
+    revenue = g * y - g * scenario.degradation_rate * y * (y - 1) / 2
+    e = scenario.maintenance_escalation
+    if scenario.maintenance_kind == "compound":
+        maint = m * ((1 + e) ** y - 1) / e
+    else:
+        maint = m * y + m * e * y * (y - 1) / 2
+    return -scenario.capex + revenue - maint - scenario.annual_fees * y
 
 
 def scenario(**kw):
@@ -123,14 +139,6 @@ class TestReturnCurve:
         )
         assert closed_form_cumulative(s, years) == annual_return_curve(s)[-1]
 
-    def test_closed_form_guards(self):
-        with pytest.raises(ConfigError):
-            closed_form_cumulative(scenario(degradation_kind="loss_compound"), 5)
-        with pytest.raises(ConfigError):
-            closed_form_cumulative(scenario(degradation_period_years=2), 5)
-        with pytest.raises(ConfigError):
-            closed_form_cumulative(scenario(years=10), 11)
-
 
 class TestBreakeven:
     def test_first_non_negative_index(self):
@@ -220,13 +228,6 @@ class TestCatalog:
         assert breakeven_year(entry.reference_curve) == 11
         assert entry.reference_curve[0] == -4850000
         assert entry.reference_curve[-1] == 1870967
-
-    def test_with_revenue_overrides_only_revenue(self):
-        s = scenario_for(load_catalog()["A"])
-        bumped = with_revenue(s, "200000")
-        assert bumped.base_revenue == 200000
-        assert bumped.capex == s.capex
-        assert bumped.maintenance_kind == s.maintenance_kind
 
     def test_scenario_for_explicit_revenue(self):
         s = scenario_for(load_catalog()["A"], base_revenue="50000")

@@ -21,6 +21,7 @@ from bessarb.evaluation import (
     degenerate_forecast,
     dp_optimal,
     dp_optimal_dual,
+    dual_units,
     perfect_foresight,
     perfect_foresight_dual,
     pinball,
@@ -28,6 +29,7 @@ from bessarb.evaluation import (
     score_forecasts,
     settle,
     settle_dual,
+    window_units,
     write_plot_csv,
     write_report_csv,
     write_report_json,
@@ -188,8 +190,8 @@ class TestPerfectForesight:
         actuals = make_prices([10, 50])
         fc = degenerate_forecast(actuals, DEFAULT_LEVELS)
         assert fc.levels == DEFAULT_LEVELS
-        for lv in DEFAULT_LEVELS:
-            assert fc.level_curve(lv) == actuals.prices
+        for row, price in zip(fc.values, actuals.prices):
+            assert row == (price,) * len(DEFAULT_LEVELS)
 
 
 def _brute_lattice_best(prices, spec, initial):
@@ -550,6 +552,22 @@ class TestRunSweep:
         assert len(rows) == len(expected) * (len(pairs) + 1)
         for row in rows:
             assert (row.pf, row.dp) == expected[row.market, row.strategy]
+
+    @pytest.mark.parametrize("include_average", [True, False])
+    def test_empty_pair_list_is_config_error(self, include_average):
+        dam_a, dam_f, _, _ = self._data()
+        with pytest.raises(ConfigError):
+            run_sweep(UNIT, dam_a, dam_f, pairs=(), include_average=include_average)
+
+    def test_dual_units_pair_windows_that_open_together(self):
+        dam_a, dam_f, _, _ = self._data(days=2)
+        bm_a, bm_f = generate_synthetic(4, MarketKind.BM, days=1)
+        units = dual_units(
+            window_units(dam_f, dam_a, "day-ahead"),
+            window_units(bm_f, bm_a, "balancing"),
+        )
+        # day 2 has no balancing data; day 1 pairs with its first window only
+        assert units == [((dam_f[0], bm_f[0]), (dam_a[0], bm_a[0]))]
 
     def test_realized_never_beats_dp(self):
         dam_a, dam_f, bm_a, bm_f = self._data(days=2, noise="4")

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bessarb.errors import (
-    ConfigError,
     EmptyTrainSet,
     InsufficientHistory,
     KTooLarge,
@@ -161,17 +160,6 @@ class TestKnnForecaster:
         model = KnnQuantileForecaster(k, DEFAULT_LEVELS).fit(feats, targets)
         row = model.predict([[0.0]])[0]
         assert all(a <= b for a, b in zip(row, row[1:]))
-
-    def test_params_round_trip(self):
-        model = KnnQuantileForecaster(5)
-        assert model.get_params()["k"] == 5
-        model.set_params(k=3, levels=("0.1", "0.9"))
-        assert model.get_params() == {
-            "k": 3,
-            "levels": (Fraction(1, 10), Fraction(9, 10)),
-        }
-        with pytest.raises(ConfigError):
-            model.set_params(neighbours=7)
 
     def test_fit_guards(self):
         with pytest.raises(EmptyTrainSet):

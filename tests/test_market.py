@@ -108,13 +108,13 @@ class TestContainers:
 
     def test_level_curve_lookup(self):
         fc = make_forecast({"0.3": [1, 2], "0.7": [3, 4]})
-        assert fc.level_curve("0.3") == (Fraction(1), Fraction(2))
-        assert fc.level_curve(Fraction(7, 10)) == (Fraction(3), Fraction(4))
+        assert fc.repaired_curve("0.3")[0] == (Fraction(1), Fraction(2))
+        assert fc.repaired_curve(Fraction(7, 10))[0] == (Fraction(3), Fraction(4))
 
     def test_level_curve_missing(self):
         fc = make_forecast({"0.5": [1, 2]})
         with pytest.raises(LevelMissing):
-            fc.level_curve("0.9")
+            fc.repaired_curve("0.9")
 
 
 class TestRepair:
@@ -357,8 +357,8 @@ class TestSyntheticGenerator:
     def test_zero_noise_collapses_forecast_onto_actuals(self):
         actuals, forecasts = generate_synthetic(5, MarketKind.BM, days=1, noise_sd=0)
         for series, fc in zip(actuals, forecasts):
-            for level in fc.levels:
-                assert fc.level_curve(level) == series.prices
+            for row, price in zip(fc.values, series.prices):
+                assert row == (price,) * len(fc.levels)
 
     def test_prices_are_cent_quantized(self):
         actuals, forecasts = generate_synthetic(3, MarketKind.DAM, noise_sd=4)
@@ -370,8 +370,8 @@ class TestSyntheticGenerator:
     def test_noise_widens_quantile_fan(self):
         _, forecasts = generate_synthetic(7, MarketKind.DAM, noise_sd=4)
         fc = forecasts[0]
-        lo, hi = fc.level_curve(DEFAULT_LEVELS[0]), fc.level_curve(DEFAULT_LEVELS[-1])
-        assert any(h > l for l, h in zip(lo, hi))
+        assert fc.levels == DEFAULT_LEVELS
+        assert any(row[-1] > row[0] for row in fc.values)
 
     def test_levels_validated(self):
         with pytest.raises(LevelOutOfRange):

@@ -13,7 +13,8 @@ from bessarb.battery import (
     replay,
     unit_trading_spec,
 )
-from bessarb.errors import InvalidPair, LevelMissing, WindowMismatch
+from bessarb.errors import ConfigError, InvalidPair, LevelMissing, WindowMismatch
+from bessarb.evaluation import settle
 from bessarb.market import (
     BASE_EPOCH,
     MarketKind,
@@ -46,7 +47,7 @@ from bessarb.strategies import (
     write_schedule_csv,
 )
 
-from conftest import flat_forecast, frac, make_forecast
+from conftest import flat_forecast, frac, make_forecast, make_prices
 
 UNIT = unit_trading_spec()
 
@@ -199,7 +200,9 @@ class TestSchedule:
             TradeOrder(1, Side.SELL, 1000, Fraction(50)),
         )
         sched = Schedule(self._win(), "TS1", MEDIAN_PAIR, orders)
-        assert sched.expected_cash(UNIT) == Fraction(1460, 49)
+        # settled at its decision prices, a schedule earns its expected cash
+        at_expected = make_prices([10, 50, 0, 0])
+        assert settle(sched, at_expected, UNIT).cash == Fraction(1460, 49)
         assert sched.trade_count == 2
 
 
@@ -491,7 +494,7 @@ class TestTs1:
         assert sched.orders[0].volume_ticks == 500
 
     def test_initial_charge_out_of_range(self):
-        with pytest.raises(WindowMismatch):
+        with pytest.raises(ConfigError):
             ts1(flat_forecast([10, 50]), MEDIAN_PAIR, UNIT, initial_charge=2000)
 
     @given(price_curves, st.integers(min_value=1, max_value=20))
