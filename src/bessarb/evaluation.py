@@ -388,13 +388,9 @@ def score_forecasts(
     forecasts: Sequence[QuantileForecast], actuals: Sequence[PriceSeries]
 ) -> PinballReport:
     """Mean pinball loss per quantile level and over all cells."""
-    if len(forecasts) != len(actuals):
-        raise WindowMismatch("forecast and price window counts differ")
     sums: dict[Fraction, Fraction] = {}
     counts: dict[Fraction, int] = {}
-    for fc, ps in zip(forecasts, actuals):
-        if fc.window != ps.window:
-            raise WindowMismatch("forecast and price windows differ")
+    for (fc,), (ps,) in window_units(forecasts, actuals, "score"):
         for t, row in enumerate(fc.values):
             for lv, pred in zip(fc.levels, row):
                 sums[lv] = sums.get(lv, Fraction(0)) + pinball(lv, ps.prices[t], pred)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from pathlib import Path
 from typing import Sequence
 
@@ -29,11 +30,10 @@ from bessarb.market import (
     DEFAULT_LEVELS,
     MarketKind,
     QuantileForecast,
-    TradingWindow,
     _coerce_level,
+    cut_windows,
     format_timestamp,
-    parse_timestamp,
-    read_data_text,
+    read_table,
 )
 
 
@@ -77,29 +77,20 @@ class FeatureMatrix:
 
     @classmethod
     def from_csv(cls, path: str | Path, market: MarketKind) -> "FeatureMatrix":
-        lines = [
-            (n, raw)
-            for n, raw in enumerate(read_data_text(path).splitlines(), start=1)
-            if raw.strip()
-        ]
-        if not lines:
-            raise MalformedRow(0, f"{path}: empty file")
-        header = [c.strip() for c in lines[0][1].split(",")]
+        rows = read_table(path)
+        _, header = next(rows)
         if len(header) < 3 or header[0].lower() != "timestamp" or header[-1].lower() != "target":
             raise UnknownColumn(f"{path}: expected header timestamp,<features...>,target")
         names = tuple(header[1:-1])
-        timestamps, rows, targets = [], [], []
-        for n, raw in lines[1:]:
-            cells = [c.strip() for c in raw.split(",")]
-            if len(cells) != len(header):
-                raise MalformedRow(n, f"{path}: expected {len(header)} columns")
-            timestamps.append(parse_timestamp(cells[0], line=n))
+        timestamps, feats, targets = [], [], []
+        for line, ts, cells in rows:
+            timestamps.append(ts)
             try:
-                rows.append([float(c) for c in cells[1:-1]])
+                feats.append([float(c) for c in cells[:-1]])
             except ValueError:
-                raise MalformedRow(n, f"{path}: non-numeric feature") from None
-            targets.append(parse_decimal(cells[-1], line=n))
-        return cls(market, tuple(timestamps), names, np.array(rows), tuple(targets))
+                raise MalformedRow(line, f"{path}: non-numeric feature") from None
+            targets.append(parse_decimal(cells[-1], line=line))
+        return cls(market, tuple(timestamps), names, np.array(feats), tuple(targets))
 
     def to_csv(self, path: str | Path) -> None:
         lines = ["timestamp," + ",".join(self.feature_names) + ",target"]
@@ -173,23 +164,6 @@ class KnnQuantileForecaster:
         return out
 
 
-def knn_predict(
-    train: FeatureMatrix,
-    query_features,
-    k: int,
-    levels: Sequence,
-    window: TradingWindow,
-) -> QuantileForecast:
-    """One-shot neighbour forecast shaped as a trading-window forecast."""
-    model = KnnQuantileForecaster(k, levels).fit(train.features, train.targets)
-    rows = model.predict(query_features)
-    if len(rows) != window.period_count:
-        raise MissingPeriod(
-            f"{len(rows)} query rows for a {window.period_count}-period window"
-        )
-    return QuantileForecast(window, model.levels, tuple(rows))
-
-
 @dataclass(frozen=True, slots=True)
 class WalkForwardPlan:
     """Rolling evaluation recipe over a feature matrix."""
@@ -252,16 +226,6 @@ def _choose_k(train: FeatureMatrix, plan: WalkForwardPlan, train_end_s: int) -> 
     return best_k
 
 
-def _window_of(market: MarketKind, slice_: FeatureMatrix, start_s: int) -> None:
-    step = market.period_seconds
-    for i, ts in enumerate(slice_.timestamps):
-        want = start_s + i * step
-        if ts != want:
-            raise MissingPeriod(
-                f"expected {format_timestamp(want)}, got {format_timestamp(ts)}"
-            )
-
-
 def walk_forward(
     matrix: FeatureMatrix, plan: WalkForwardPlan
 ) -> WalkForwardResult:
@@ -292,21 +256,20 @@ def walk_forward(
         test = matrix.slice_by_time(test_start, test_start + plan.test_span_s)
         if len(train) == 0:
             raise EmptyTrainSet("training slice is empty")
-        if len(test) != plan.test_span_s // market.period_seconds:
-            raise MissingPeriod("test slice has gaps")
-        _window_of(market, test, test_start)
+        grid = tuple(range(test_start, test_start + plan.test_span_s, window_span))
+        if len(test) != len(grid) * per_window or test.timestamps[::per_window] != grid:
+            raise MissingPeriod(
+                f"test rows from {format_timestamp(test_start)} do not fill "
+                f"{len(grid)} whole windows"
+            )
         if chosen_k is None or test_start - last_tune >= plan.retune_every_s:
             chosen_k = _choose_k(train, plan, test_start)
             last_tune = test_start
             refits.append((test_start, chosen_k))
         model = KnnQuantileForecaster(chosen_k, plan.levels)
         model.fit(train.features, train.targets)
-        rows = model.predict(test.features)
-        for w in range(len(test) // per_window):
-            window = TradingWindow(
-                market, test_start + w * window_span, per_window
-            )
-            block = tuple(rows[w * per_window : (w + 1) * per_window])
+        rows = zip(count(1), test.timestamps, model.predict(test.features))
+        for window, block in cut_windows(rows, market, "test span"):
             forecasts.append(QuantileForecast(window, model.levels, block))
         test_start += plan.step_s
     if not forecasts:

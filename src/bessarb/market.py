@@ -1,5 +1,8 @@
 """Market data containers, CSV ingest/emit and synthetic data generation.
 
+Every timestamped CSV (prices, forecasts and forecasting features) is
+read by read_table, and cut_windows cuts rows into trading windows.
+
 Two market granularities are supported: hourly day-ahead windows of 24
 periods and half-hourly balancing windows of 16 periods.  Prices are exact
 Fractions of EUR/MWh throughout; floats only appear inside the synthetic
@@ -194,85 +197,93 @@ def validate_and_repair(forecast: QuantileForecast) -> tuple[QuantileForecast, i
 
 # --- CSV ingest -----------------------------------------------------------
 
-def read_data_text(path: str | Path) -> str:
-    """A data file's text; bytes that are not UTF-8 raise MalformedRow."""
+def read_table(path: str | Path):
+    """Yield a timestamped CSV's (line, header cells), then each row.
+
+    Rows come as (line, epoch seconds, value cells), blank lines skipped.
+    The file must be UTF-8, and every row must have as many cells as the
+    header and open with a timestamp after the one before; a fault raises
+    with the file and line.
+    """
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # count lines as splitlines does, so every fault names the same line
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise MalformedRow(line, f"{path}: not UTF-8 text") from None
-
-
-def _read_rows(path: str | Path) -> list[list[str]]:
-    text = read_data_text(path)
-    rows = []
-    for n, raw in enumerate(text.splitlines(), start=1):
+    header = prev = None
+    for line, raw in enumerate(text.splitlines(), start=1):
         if raw.strip() == "":
             continue
-        rows.append([n] + [cell.strip() for cell in raw.split(",")])
-    if not rows:
-        raise MalformedRow(0, f"{path}: empty file")
-    return rows
-
-
-def _chunk_windows(
-    stamped: list[tuple[int, int]], market: MarketKind, path
-) -> list[list[int]]:
-    """Group row indices into full windows anchored at the first loose row."""
-    step = market.period_seconds
-    count = market.periods_per_window
-    prev = None
-    for line, ts in stamped:
+        cells = [cell.strip() for cell in raw.split(",")]
+        if header is None:
+            header = cells
+            yield line, header
+            continue
+        if len(cells) != len(header):
+            raise MalformedRow(
+                line, f"{path}: expected {len(header)} columns, got {len(cells)}"
+            )
+        ts = parse_timestamp(cells[0], line=line)
         if prev is not None and ts <= prev:
             raise NonMonotonicTimestamps(
                 f"{path}:{line}: timestamp {format_timestamp(ts)} not after "
                 f"{format_timestamp(prev)}"
             )
         prev = ts
-    chunks = []
-    i = 0
-    while i + count <= len(stamped):
-        start = stamped[i][1]
-        for k in range(count):
-            line, ts = stamped[i + k]
+        yield line, ts, cells[1:]
+    if header is None:
+        raise MalformedRow(0, f"{path}: empty file")
+
+
+def cut_windows(
+    rows: Iterable[tuple[int, int, object]], market: MarketKind, path
+) -> list[tuple[TradingWindow, tuple]]:
+    """Whole windows of (line, epoch seconds, value) rows, with their values.
+
+    Each window opens at the first row not yet in a window; a gap inside
+    it raises MissingPeriod, and a short tail is dropped with a warning.
+    """
+    step = market.period_seconds
+    count = market.periods_per_window
+    windows, block = [], []
+    for row in rows:
+        block.append(row)
+        if len(block) < count:
+            continue
+        start = block[0][1]
+        for k, (line, ts, _) in enumerate(block):
             want = start + k * step
             if ts != want:
                 raise MissingPeriod(
                     f"{path}:{line}: expected {format_timestamp(want)}, "
                     f"got {format_timestamp(ts)}"
                 )
-        chunks.append(list(range(i, i + count)))
-        i += count
-    if i < len(stamped):
+        windows.append(
+            (TradingWindow(market, start, count), tuple(v for _, _, v in block))
+        )
+        block = []
+    if block:
         warnings.warn(
-            f"{path}: dropping {len(stamped) - i} trailing rows "
+            f"{path}: dropping {len(block)} trailing rows "
             f"(short of a full {count}-period window)",
             IngestWarning,
             stacklevel=3,
         )
-    return chunks
+    return windows
 
 
 def parse_price_csv(path: str | Path, market: MarketKind) -> list[PriceSeries]:
     """Read `timestamp,price` rows into whole trading windows."""
-    rows = _read_rows(path)
-    header = rows[0]
-    if [c.lower() for c in header[1:]] != ["timestamp", "price"]:
+    rows = read_table(path)
+    _, header = next(rows)
+    if [c.lower() for c in header] != ["timestamp", "price"]:
         raise UnknownColumn(f"{path}: expected header timestamp,price")
-    parsed = []
-    for row in rows[1:]:
-        line = row[0]
-        if len(row) != 3:
-            raise MalformedRow(line, f"{path}: expected 2 columns, got {len(row) - 1}")
-        ts = parse_timestamp(row[1], line=line)
-        parsed.append((line, ts, parse_decimal(row[2], line=line)))
-    stamped = [(line, ts) for line, ts, _ in parsed]
-    out = []
-    for chunk in _chunk_windows(stamped, market, path):
-        window = TradingWindow(market, parsed[chunk[0]][1], market.periods_per_window)
-        out.append(PriceSeries(window, tuple(parsed[i][2] for i in chunk)))
-    return out
+    prices = (
+        (line, ts, parse_decimal(cells[0], line=line)) for line, ts, cells in rows
+    )
+    return [PriceSeries(w, block) for w, block in cut_windows(prices, market, path)]
 
 
 def _parse_level_column(name: str, *, path, line: int) -> Fraction:
@@ -288,33 +299,23 @@ def _parse_level_column(name: str, *, path, line: int) -> Fraction:
 
 def parse_forecast_csv(path: str | Path, market: MarketKind) -> list[QuantileForecast]:
     """Read `timestamp,q10,q50,...` rows into whole forecast windows."""
-    rows = _read_rows(path)
-    header = rows[0]
-    if len(header) < 3 or header[1].lower() != "timestamp":
+    rows = read_table(path)
+    header_line, header = next(rows)
+    if len(header) < 2 or header[0].lower() != "timestamp":
         raise UnknownColumn(f"{path}: expected header timestamp,q<level>,...")
     levels = tuple(
-        _parse_level_column(name, path=path, line=header[0]) for name in header[2:]
+        _parse_level_column(name, path=path, line=header_line) for name in header[1:]
     )
     if list(levels) != sorted(set(levels)):
         raise LevelOutOfRange(f"{path}: quantile columns must ascend strictly")
-    parsed = []
-    for row in rows[1:]:
-        line = row[0]
-        if len(row) != 2 + len(levels):
-            raise MalformedRow(
-                line, f"{path}: expected {1 + len(levels)} columns, got {len(row) - 1}"
-            )
-        ts = parse_timestamp(row[1], line=line)
-        values = tuple(parse_decimal(cell, line=line) for cell in row[2:])
-        parsed.append((line, ts, values))
-    stamped = [(line, ts) for line, ts, _ in parsed]
-    out = []
-    for chunk in _chunk_windows(stamped, market, path):
-        window = TradingWindow(market, parsed[chunk[0]][1], market.periods_per_window)
-        out.append(
-            QuantileForecast(window, levels, tuple(parsed[i][2] for i in chunk))
-        )
-    return out
+    values = (
+        (line, ts, tuple(parse_decimal(cell, line=line) for cell in cells))
+        for line, ts, cells in rows
+    )
+    return [
+        QuantileForecast(w, levels, block)
+        for w, block in cut_windows(values, market, path)
+    ]
 
 
 def write_price_csv(path: str | Path, series: Iterable[PriceSeries]) -> None:

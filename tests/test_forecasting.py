@@ -21,7 +21,6 @@ from bessarb.forecasting import (
     FeatureMatrix,
     KnnQuantileForecaster,
     WalkForwardPlan,
-    knn_predict,
     walk_forward,
 )
 from bessarb.market import (
@@ -29,7 +28,6 @@ from bessarb.market import (
     DEFAULT_LEVELS,
     MarketKind,
     PriceSeries,
-    TradingWindow,
 )
 
 from conftest import frac
@@ -172,23 +170,6 @@ class TestKnnForecaster:
             KnnQuantileForecaster(0).fit([[1.0]], (1,))
         with pytest.raises(EmptyTrainSet):
             KnnQuantileForecaster(1).predict([[1.0]])
-
-
-class TestKnnPredict:
-    def test_window_shape(self):
-        train = bm_matrix(range(32))
-        window = TradingWindow(MarketKind.BM, BASE_EPOCH, 16)
-        queries = [[float(s), 9.0] for s in range(16)]
-        fc = knn_predict(train, queries, 3, ("0.1", "0.5", "0.9"), window)
-        assert fc.window == window
-        assert fc.levels == (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
-        assert len(fc.values) == 16
-
-    def test_query_count_must_fill_window(self):
-        train = bm_matrix(range(32))
-        window = TradingWindow(MarketKind.BM, BASE_EPOCH, 16)
-        with pytest.raises(MissingPeriod):
-            knn_predict(train, [[0.0, 0.0]] * 3, 3, ("0.5",), window)
 
 
 class TestWalkForwardPlan:

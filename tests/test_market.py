@@ -15,6 +15,7 @@ from bessarb.errors import (
     UnknownColumn,
     WindowMismatch,
 )
+from bessarb.forecasting import FeatureMatrix
 from bessarb.market import (
     BASE_EPOCH,
     DEFAULT_LEVELS,
@@ -280,6 +281,87 @@ class TestForecastCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedRow):
             parse_forecast_csv(path, MarketKind.BM)
+
+
+# One file shape per reader: header, then the value cells of row i.
+READERS = {
+    "prices": ("timestamp,price", lambda i: f"{30 + i}", parse_price_csv),
+    "forecasts": ("timestamp,q10,q90", lambda i: f"{i},{i + 1}", parse_forecast_csv),
+    "features": ("timestamp,a,target", lambda i: f"{i}.5,{i}", FeatureMatrix.from_csv),
+}
+
+# fault -> (error class, or None if the file still parses; how it spoils
+# line 5 of the file).
+FAULTS = {
+    "blank line": (None, lambda row: b"  \n" + row),
+    "wrong column count": (MalformedRow, lambda row: row + b",7"),
+    "bad timestamp": (MalformedRow, lambda row: b"2024-13-01T00:00:00Z" + row[20:]),
+    "out-of-order timestamp": (
+        NonMonotonicTimestamps,
+        lambda row: format_timestamp(BASE_EPOCH).encode() + row[20:],
+    ),
+    "non-UTF-8 bytes": (MalformedRow, lambda row: row[:-1] + b"\xff"),
+}
+
+
+def _table(reader, rows=16, spoil=lambda row: row):
+    header, cells_of, _ = READERS[reader]
+    lines = [header] + [
+        f"{format_timestamp(BASE_EPOCH + i * 1800)},{cells_of(i)}"
+        for i in range(rows)
+    ]
+    data = [line.encode() for line in lines]
+    data[4] = spoil(data[4])
+    return b"\n".join(data) + b"\n"
+
+
+def _comparable(parsed):
+    if isinstance(parsed, FeatureMatrix):
+        return parsed.timestamps, parsed.targets, parsed.features.tolist()
+    return parsed
+
+
+class TestSharedReader:
+    """Price, forecast and feature files fail alike, naming the same line."""
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("reader", READERS)
+    def test_fault_table(self, reader, fault, tmp_path):
+        error, spoil = FAULTS[fault]
+        parse = READERS[reader][2]
+        path, clean = tmp_path / "spoilt.csv", tmp_path / "clean.csv"
+        path.write_bytes(_table(reader, spoil=spoil))
+        clean.write_bytes(_table(reader))
+        if error is None:
+            assert _comparable(parse(path, MarketKind.BM)) == _comparable(
+                parse(clean, MarketKind.BM)
+            )
+            return
+        with pytest.raises(error) as err:
+            parse(path, MarketKind.BM)
+        assert type(err.value) is error
+        if error is MalformedRow:
+            assert err.value.line == 5
+        else:
+            assert f"{path}:5:" in str(err.value)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_non_utf8_line_counts_every_line_break(self, reader, tmp_path):
+        path = tmp_path / "cr.csv"
+        data = _table(reader, spoil=lambda row: row[:-1] + b"\xff")
+        path.write_bytes(data.replace(b"\n", b"\r"))
+        with pytest.raises(MalformedRow) as err:
+            READERS[reader][2](path, MarketKind.BM)
+        assert err.value.line == 5
+
+    @pytest.mark.parametrize("reader", ["prices", "forecasts"])
+    def test_short_tail_warning_points_at_the_caller(self, reader, tmp_path):
+        path = tmp_path / "tail.csv"
+        path.write_bytes(_table(reader, rows=20))
+        with pytest.warns(IngestWarning) as caught:
+            windows = READERS[reader][2](path, MarketKind.BM)
+        assert len(windows) == 1
+        assert caught[0].filename == __file__
 
 
 class TestDualHorizon:
