@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from bessarb.errors import MalformedRow
 
@@ -45,6 +45,21 @@ def scale_to_integers(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]
     """
     lcm = math.lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (lcm // v.denominator) for v in values), lcm
+
+
+def pinball_sum(a: int, b: int, actual: Iterable[int], predicted: Iterable[int]) -> int:
+    """b * S times the summed pinball loss at quantile level a/b.
+
+    `actual` and `predicted` are paired integers over one positive scale S.
+    An actual above its prediction costs a per unit, one below costs b - a.
+    """
+    under = over = 0
+    for y, z in zip(actual, predicted):
+        if y >= z:
+            under += y - z
+        else:
+            over += z - y
+    return a * under + (b - a) * over
 
 
 def to_cents(value: Fraction) -> int:

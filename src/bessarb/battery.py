@@ -188,9 +188,6 @@ class ChargeTimeline:
     def path(self) -> list[int]:
         return list(self._path)
 
-    def charge_before(self, slot: int) -> int:
-        return self._path[slot - 1] if slot > 0 else self.initial
-
     def max_buy_between(self, slot: int, end: int) -> int:
         """Buy headroom at `slot` whose effect is undone before `end`."""
         segment = self._path[slot:end] if end > slot else self._path[slot:slot + 1]

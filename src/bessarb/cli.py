@@ -26,7 +26,7 @@ from bessarb.economics import (
     load_catalog,
     scenario_for,
 )
-from bessarb.errors import BessArbError, ConfigError, MissingRevenueSource
+from bessarb.errors import BessArbError, ConfigError, MalformedRow, MissingRevenueSource
 from bessarb.evaluation import (
     dp_optimal,
     dp_unit,
@@ -275,7 +275,12 @@ def _cmd_gen(opts: _Options) -> int:
     markets = [m.lower() for m in opts.items("markets", "dam,bm")]
     kinds = [_parse_market(m) for m in markets]
     start_text = opts.get("start")
-    start = BASE_EPOCH if start_text is None else parse_timestamp(start_text)
+    try:
+        start = BASE_EPOCH if start_text is None else parse_timestamp(str(start_text))
+    except MalformedRow:
+        raise ConfigError(
+            f"--start must be an ISO-8601 UTC timestamp in whole seconds: {start_text!r}"
+        ) from None
     out = _out_dir(opts) or Path(".")
     out.mkdir(parents=True, exist_ok=True)
     counts = {}

@@ -26,6 +26,7 @@ depends on the quantile pair.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,7 @@ from typing import Iterable, Sequence
 from bessarb._numeric import (
     TICKS_PER_MWH,
     format_money,
+    pinball_sum,
     scale_to_integers,
     to_cents,
 )
@@ -365,13 +367,16 @@ def dp_unit(
 
 # --- forecast scoring -------------------------------------------------------
 
+def _exact(value) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(str(value))
+
+
 def pinball(level, actual, predicted) -> Fraction:
     """Quantile regression loss for one prediction, exact."""
-    q = level if isinstance(level, Fraction) else Fraction(str(level))
+    q = _exact(level)
     if not 0 < q < 1:
         raise LevelOutOfRange(f"quantile level {q} outside (0, 1)")
-    y = actual if isinstance(actual, Fraction) else Fraction(str(actual))
-    z = predicted if isinstance(predicted, Fraction) else Fraction(str(predicted))
+    y, z = _exact(actual), _exact(predicted)
     if y >= z:
         return q * (y - z)
     return (1 - q) * (z - y)
@@ -387,19 +392,33 @@ class PinballReport:
 def score_forecasts(
     forecasts: Sequence[QuantileForecast], actuals: Sequence[PriceSeries]
 ) -> PinballReport:
-    """Mean pinball loss per quantile level and over all cells."""
-    sums: dict[Fraction, Fraction] = {}
-    counts: dict[Fraction, int] = {}
+    """Mean pinball loss per quantile level and over all cells, exact.
+
+    Each level's actuals and predictions are scaled to integers over one L,
+    and its loss is summed as an integer by `pinball_sum`.  One Fraction is
+    built per level, and one for the mean over all cells.
+    """
+    cells: dict[Fraction, tuple[list, list]] = {}
     for (fc,), (ps,) in window_units(forecasts, actuals, "score"):
-        for t, row in enumerate(fc.values):
-            for lv, pred in zip(fc.levels, row):
-                sums[lv] = sums.get(lv, Fraction(0)) + pinball(lv, ps.prices[t], pred)
-                counts[lv] = counts.get(lv, 0) + 1
-    if not sums:
+        for y, row in zip(ps.prices, fc.values):
+            y = _exact(y)
+            for lv, z in zip(fc.levels, row):
+                ys, zs = cells.setdefault(lv, ([], []))
+                ys.append(y)
+                zs.append(_exact(z))
+    if not cells:
         raise WindowMismatch("nothing to score")
-    per_level = {lv: sums[lv] / counts[lv] for lv in sorted(sums)}
-    total_cells = sum(counts.values())
-    mean = sum(sums.values(), Fraction(0)) / total_cells
+    per_level, sums = {}, []
+    for lv in sorted(cells):
+        ys, zs = cells[lv]
+        values, scale = scale_to_integers(ys + zs)
+        n = len(ys)
+        loss = pinball_sum(lv.numerator, lv.denominator, values[:n], values[n:])
+        per_level[lv] = Fraction(loss, lv.denominator * scale * n)
+        sums.append((loss, lv.denominator * scale))
+    total_cells = sum(len(ys) for ys, _ in cells.values())
+    den = math.lcm(*(d for _, d in sums))
+    mean = Fraction(sum(loss * (den // d) for loss, d in sums), den * total_cells)
     return PinballReport(per_level, mean, total_cells)
 
 

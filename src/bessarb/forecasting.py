@@ -2,12 +2,18 @@
 
 Forecasts a period's price distribution from the target values of its k
 closest historical periods in feature space.  Distances are Euclidean over
-train-standardized features; quantiles are read off the sorted neighbour
-targets with linear interpolation, exactly in Fractions.
+train-standardized features, in float64; each query row is ranked once with
+a stable sort, so the k nearest are a prefix of the ranking for every k.
+Targets are scaled to integers over one L at fit time.  A quantile at level
+a/b is read off the sorted neighbour targets by linear interpolation at rank
+(k - 1) * a/b, as an integer over b * L, and becomes a Fraction only in the
+returned rows.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -16,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from bessarb._numeric import format_decimal, parse_decimal
+from bessarb._numeric import parse_decimal, pinball_sum, scale_to_integers
 from bessarb.errors import (
     EmptyTrainSet,
     InsufficientHistory,
@@ -66,13 +72,15 @@ class FeatureMatrix:
         return len(self.timestamps)
 
     def slice_by_time(self, start_s: int, end_s: int) -> "FeatureMatrix":
-        keep = [i for i, ts in enumerate(self.timestamps) if start_s <= ts < end_s]
+        # timestamps strictly increase, so the rows in [start_s, end_s) are a run
+        lo = bisect_left(self.timestamps, start_s)
+        hi = bisect_left(self.timestamps, end_s)
         return FeatureMatrix(
             self.market,
-            tuple(self.timestamps[i] for i in keep),
+            self.timestamps[lo:hi],
             self.feature_names,
-            self.features[keep] if keep else self.features[:0],
-            tuple(self.targets[i] for i in keep),
+            self.features[lo:hi],
+            self.targets[lo:hi],
         )
 
     @classmethod
@@ -92,15 +100,6 @@ class FeatureMatrix:
             targets.append(parse_decimal(cells[-1], line=line))
         return cls(market, tuple(timestamps), names, np.array(feats), tuple(targets))
 
-    def to_csv(self, path: str | Path) -> None:
-        lines = ["timestamp," + ",".join(self.feature_names) + ",target"]
-        for i, ts in enumerate(self.timestamps):
-            feats = ",".join(repr(float(x)) for x in self.features[i])
-            lines.append(
-                f"{format_timestamp(ts)},{feats},{format_decimal(self.targets[i])}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
-
 
 def _standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = features.mean(axis=0)
@@ -109,31 +108,18 @@ def _standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def _empirical_quantile(sorted_targets: Sequence[Fraction], level: Fraction) -> Fraction:
-    """Linear interpolation at rank (k - 1) * level over sorted neighbours."""
-    k = len(sorted_targets)
-    rank = (k - 1) * level
-    lo = rank.numerator // rank.denominator
-    frac = rank - lo
-    if frac == 0:
-        return sorted_targets[lo]
-    return sorted_targets[lo] + frac * (sorted_targets[lo + 1] - sorted_targets[lo])
-
-
-def _neighbour_rows(
-    train_std: np.ndarray, query_std: np.ndarray, k: int
-) -> np.ndarray:
-    # stable sort keeps older rows first on distance ties
-    d2 = ((train_std - query_std) ** 2).sum(axis=1)
-    return np.argsort(d2, kind="stable")[:k]
-
-
 class KnnQuantileForecaster:
     """k-nearest-neighbour empirical quantile estimator."""
 
     def __init__(self, k: int = 5, levels: Sequence = DEFAULT_LEVELS):
         self.k = k
         self.levels = tuple(_coerce_level(lv) for lv in levels)
+        # a/b as (a, b, B // b), B the lcm of the level denominators
+        self._level_lcm = math.lcm(*(lv.denominator for lv in self.levels))
+        self._level_terms = tuple(
+            (lv.numerator, lv.denominator, self._level_lcm // lv.denominator)
+            for lv in self.levels
+        )
 
     def fit(self, features, targets) -> "KnnQuantileForecaster":
         feats = np.asarray(features, dtype=float)
@@ -145,23 +131,48 @@ class KnnQuantileForecaster:
             raise KTooLarge(f"k={self.k} with {len(feats)} training rows")
         self._mean, self._std = _standardizer(feats)
         self._train = (feats - self._mean) / self._std
-        self._targets = tuple(
-            t if isinstance(t, Fraction) else Fraction(str(t)) for t in targets
+        self._targets, self._scale = scale_to_integers(
+            [t if isinstance(t, Fraction) else Fraction(str(t)) for t in targets]
         )
         return self
 
-    def predict(self, features) -> list[tuple[Fraction, ...]]:
+    def _ranking(self, features) -> np.ndarray:
+        """Training rows by distance to each query, nearest first.
+
+        The sort is stable, so older rows come first on distance ties.
+        """
         if not hasattr(self, "_train"):
             raise EmptyTrainSet("fit before predict")
         queries = (np.asarray(features, dtype=float) - self._mean) / self._std
-        out = []
-        for row in queries:
-            idx = _neighbour_rows(self._train, row, self.k)
-            neighbours = sorted(self._targets[i] for i in idx)
-            out.append(
-                tuple(_empirical_quantile(neighbours, lv) for lv in self.levels)
-            )
-        return out
+        d2 = ((self._train[None] - queries[:, None]) ** 2).sum(axis=2)
+        return np.argsort(d2, axis=1, kind="stable")
+
+    def predict(self, features) -> list[tuple[Fraction, ...]]:
+        rows = _interpolate(self._ranking(features), self.k, self._targets, self._level_terms)
+        den = self._level_lcm * self._scale
+        return [tuple(Fraction(v, den) for v in row) for row in rows]
+
+
+def _interpolate(ranking: np.ndarray, k: int, targets: Sequence[int],
+                 terms: Sequence[tuple[int, int, int]]) -> list[list[int]]:
+    """Per ranked query, each level's quantile of its k nearest targets.
+
+    `targets` are integers over L, and `terms` holds (a, b, B // b) per
+    level a/b, B the lcm of the level denominators.  Rank (k - 1) * a/b
+    splits into lo + rem/b, so each quantile is an integer over B * L.
+    """
+    out = []
+    for row in ranking[:, :k].tolist():
+        nb = sorted(targets[i] for i in row)
+        cells = []
+        for a, b, w in terms:
+            lo, rem = divmod((k - 1) * a, b)
+            value = nb[lo] * b
+            if rem:
+                value += rem * (nb[lo + 1] - nb[lo])
+            cells.append(value * w)
+        out.append(cells)
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,39 +201,37 @@ class WalkForwardResult:
     refits: tuple[tuple[int, int], ...]  # (test window start, chosen k)
 
 
-def _aggregate_pinball(
-    model: KnnQuantileForecaster, val: FeatureMatrix
-) -> Fraction:
-    # local import; evaluation pulls strategies which never import back here
-    from bessarb.evaluation import pinball
-
-    rows = model.predict(val.features)
-    total = Fraction(0)
-    for actual, row in zip(val.targets, rows):
-        for lv, pred in zip(model.levels, row):
-            total += pinball(lv, actual, pred)
-    return total
-
-
 def _choose_k(train: FeatureMatrix, plan: WalkForwardPlan, train_end_s: int) -> int:
-    """Smallest-k minimizer of pinball loss on the tail of the train slice."""
+    """First k of the grid with the least pinball loss on the train slice's tail.
+
+    The validation rows are ranked once; each k takes its neighbours from
+    the prefix of that ranking.  Every k's loss is an integer over one
+    common denominator, so the losses compare as integers.
+    """
     val_start = train_end_s - plan.test_span_s
     fit = train.slice_by_time(train.timestamps[0], val_start)
     val = train.slice_by_time(val_start, train_end_s)
     if len(fit) == 0 or len(val) == 0:
         raise InsufficientHistory("train slice too short to hold a validation tail")
-    best_k, best_loss = None, None
-    for k in plan.k_grid:
-        if k > len(fit):
-            continue
-        model = KnnQuantileForecaster(k, plan.levels).fit(fit.features, fit.targets)
-        loss = _aggregate_pinball(model, val)
-        if best_loss is None or loss < best_loss:
-            best_k, best_loss = k, loss
-    if best_k is None:
+    ks = [k for k in plan.k_grid if k <= len(fit)]
+    if not ks:
         raise InsufficientHistory(
             f"no k in {plan.k_grid} fits {len(fit)} training rows"
         )
+    model = KnnQuantileForecaster(max(ks), plan.levels).fit(fit.features, fit.targets)
+    ranking = model._ranking(val.features)
+    targets, _ = scale_to_integers(fit.targets + val.targets)
+    neighbours = targets[:len(fit)]
+    actual = [y * model._level_lcm for y in targets[len(fit):]]
+    best_k, best_loss = None, None
+    for k in ks:
+        columns = zip(*_interpolate(ranking, k, neighbours, model._level_terms))
+        loss = sum(
+            w * pinball_sum(a, b, actual, col)
+            for (a, b, w), col in zip(model._level_terms, columns)
+        )
+        if best_loss is None or loss < best_loss:
+            best_k, best_loss = k, loss
     return best_k
 
 

@@ -96,6 +96,9 @@ class TestGen:
             ("gen", "--days", "0"),
             ("gen", "--noise-sd", "-1"),
             ("gen", "--markets", "dam,spot"),
+            ("gen", "--start", "tomorrow"),
+            ("gen", "--start", "2025-06-01T00:00:00"),
+            ("gen", "--start", "2025-06-01T00:00:00.5Z"),
         ],
     )
     def test_config_errors(self, tmp_path, capsys, argv):

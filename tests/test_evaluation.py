@@ -38,6 +38,7 @@ from bessarb.market import (
     BASE_EPOCH,
     DEFAULT_LEVELS,
     MarketKind,
+    PriceSeries,
     QuantileForecast,
     TradingWindow,
     build_dual_horizon,
@@ -424,6 +425,41 @@ class TestScoreForecasts:
             score_forecasts([fc], [actuals])
         with pytest.raises(WindowMismatch):
             score_forecasts([], [actuals])
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sum_of_public_pinball(self, data):
+        """Per-level and overall means equal Fraction sums of `pinball`.
+
+        Each window draws its own level set, so levels differ in how many
+        cells they score; values mix integer and decimal denominators.
+        """
+        value = st.builds(Fraction, st.integers(-10**6, 10**6),
+                          st.sampled_from((1, 2, 4, 10, 100, 1000, 3)))
+        level_pool = [Fraction(a, b) for b in (2, 3, 4, 10, 100)
+                      for a in (1, b // 3 + 1, b - 1) if 0 < a < b]
+        forecasts, actuals = [], []
+        for w in range(data.draw(st.integers(min_value=1, max_value=4))):
+            n = data.draw(st.integers(min_value=1, max_value=6))
+            levels = tuple(sorted(data.draw(
+                st.sets(st.sampled_from(level_pool), min_size=1, max_size=5))))
+            window = TradingWindow(MarketKind.BM, BASE_EPOCH + w * 86400, n)
+            prices = tuple(data.draw(value) for _ in range(n))
+            rows = tuple(tuple(data.draw(value) for _ in levels) for _ in range(n))
+            actuals.append(PriceSeries(window, prices))
+            forecasts.append(QuantileForecast(window, levels, rows))
+        sums, counts = {}, {}
+        for fc, ps in zip(forecasts, actuals):
+            for y, row in zip(ps.prices, fc.values):
+                for lv, z in zip(fc.levels, row):
+                    sums[lv] = sums.get(lv, Fraction(0)) + pinball(lv, y, z)
+                    counts[lv] = counts.get(lv, 0) + 1
+        report = score_forecasts(forecasts, actuals)
+        assert report.per_level == {lv: sums[lv] / counts[lv] for lv in sorted(sums)}
+        assert list(report.per_level) == sorted(sums)
+        assert report.mean == sum(sums.values(), Fraction(0)) / sum(counts.values())
+        assert report.cells == sum(counts.values())
+        assert all(type(v) is Fraction for v in (report.mean, *report.per_level.values()))
 
     def test_noisier_forecasts_score_worse(self):
         """Mean pinball rises with noise scale, well outside sampling error."""

@@ -1,5 +1,6 @@
 """Neighbour-based quantile forecasting and the walk-forward loop."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,11 +17,12 @@ from bessarb.errors import (
     NonMonotonicTimestamps,
     UnknownColumn,
 )
-from bessarb.evaluation import score_forecasts
+from bessarb.evaluation import pinball, score_forecasts
 from bessarb.forecasting import (
     FeatureMatrix,
     KnnQuantileForecaster,
     WalkForwardPlan,
+    _choose_k,
     walk_forward,
 )
 from bessarb.market import (
@@ -28,7 +30,9 @@ from bessarb.market import (
     DEFAULT_LEVELS,
     MarketKind,
     PriceSeries,
+    format_timestamp,
 )
+from bessarb._numeric import format_decimal
 
 from conftest import frac
 
@@ -54,6 +58,189 @@ def bm_matrix(targets, feature_of=None, timestamps=None):
     )
 
 
+# --- Fraction oracles: per-row ranking, quantiles and losses in Fractions ----
+
+def _standardized(train, queries):
+    train = np.asarray(train, dtype=float)
+    mean, std = train.mean(axis=0), train.std(axis=0)
+    std[std == 0] = 1.0
+    return (train - mean) / std, (np.asarray(queries, dtype=float) - mean) / std
+
+
+def _row_ranking(train_std, query_std):
+    # one query at a time; the stable sort keeps older rows first on ties
+    return np.argsort(((train_std - query_std) ** 2).sum(axis=1), kind="stable")
+
+
+def _fraction_quantile(sorted_targets, level):
+    """Linear interpolation at rank (k - 1) * level over sorted neighbours."""
+    rank = (len(sorted_targets) - 1) * level
+    lo = rank.numerator // rank.denominator
+    if rank == lo:
+        return sorted_targets[lo]
+    return sorted_targets[lo] + (rank - lo) * (sorted_targets[lo + 1] - sorted_targets[lo])
+
+
+def fraction_predict(train, targets, k, levels, queries):
+    train_std, query_std = _standardized(train, queries)
+    out = []
+    for row in query_std:
+        neighbours = sorted(frac(targets[i]) for i in _row_ranking(train_std, row)[:k])
+        out.append(tuple(_fraction_quantile(neighbours, frac(lv)) for lv in levels))
+    return out
+
+
+def fraction_choose_k(train, plan, train_end_s):
+    """The per-k loop: refit, predict and sum Fraction pinball losses per k."""
+    val_start = train_end_s - plan.test_span_s
+    fit = train.slice_by_time(train.timestamps[0], val_start)
+    val = train.slice_by_time(val_start, train_end_s)
+    best_k, best_loss = None, None
+    for k in plan.k_grid:
+        if k > len(fit):
+            continue
+        rows = fraction_predict(fit.features, fit.targets, k, plan.levels, val.features)
+        loss = sum(
+            (pinball(lv, actual, pred)
+             for actual, row in zip(val.targets, rows)
+             for lv, pred in zip(plan.levels, row)),
+            Fraction(0),
+        )
+        if best_loss is None or loss < best_loss:
+            best_k, best_loss = k, loss
+    return best_k
+
+
+# Feature values with exact duplicates (exact distance ties) and values whose
+# standardized squares land within rounding of each other (near-ties).
+GRID = (0.0, 1.0, 2.0, 0.1, 0.2, 0.3, -1.5, 1e-9, 1 / 3)
+LEVEL_POOL = tuple(
+    Fraction(a, b) for b in (2, 3, 4, 10) for a in range(1, b) if math.gcd(a, b) == 1
+)
+targets_st = st.builds(
+    Fraction,
+    st.integers(min_value=-5000, max_value=5000),
+    st.sampled_from((1, 1, 2, 4, 5, 10, 100, 1000, 3, 7)),
+)
+levels_st = st.lists(st.sampled_from(LEVEL_POOL), min_size=1, max_size=6, unique=True)
+
+
+@st.composite
+def feature_tables(draw, rows=None):
+    """(train, queries): some rows repeated, some queries equal to a row."""
+    cols = draw(st.integers(min_value=1, max_value=3))
+    row = st.lists(st.sampled_from(GRID), min_size=cols, max_size=cols)
+    if rows is None:
+        train = draw(st.lists(row, min_size=1, max_size=10))
+        for i in draw(st.lists(st.integers(0, len(train) - 1), max_size=3)):
+            train.append(list(train[i]))
+    else:
+        train = draw(st.lists(row, min_size=rows, max_size=rows))
+    queries = draw(st.lists(row, min_size=1, max_size=5))
+    for i in draw(st.lists(st.integers(0, len(train) - 1), max_size=2)):
+        queries.append(list(train[i]))
+    return np.array(train), np.array(queries)
+
+
+def _levels_reading_every_rank(k):
+    """Levels whose interpolated quantiles determine all k sorted neighbours."""
+    if k == 1:
+        return (Fraction(1, 2),)
+    if k == 2:
+        return (Fraction(1, 4), Fraction(3, 4))
+    return (
+        (Fraction(1, 2 * (k - 1)),)
+        + tuple(Fraction(j, k - 1) for j in range(1, k - 1))
+        + (Fraction(2 * k - 3, 2 * (k - 1)),)
+    )
+
+
+def _sorted_neighbours(row, k):
+    """Invert `_levels_reading_every_rank`: the k sorted neighbour targets."""
+    if k == 1:
+        return list(row)
+    if k == 2:
+        lo, hi = row
+        return [lo - (hi - lo) / 2, hi + (hi - lo) / 2]
+    inner = list(row[1:-1])
+    return [2 * row[0] - inner[0], *inner, 2 * row[-1] - inner[-1]]
+
+
+class TestFractionOracles:
+    @given(feature_tables(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_predict_matches_fraction_oracle(self, table, data):
+        train, queries = table
+        targets = data.draw(st.lists(targets_st, min_size=len(train), max_size=len(train)))
+        k = data.draw(st.integers(min_value=1, max_value=len(train)))
+        levels = data.draw(levels_st)
+        got = KnnQuantileForecaster(k, levels).fit(train, targets).predict(queries)
+        assert got == fraction_predict(train, targets, k, levels, queries)
+        assert all(type(v) is Fraction for row in got for v in row)
+
+    @given(feature_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_ranking_matches_per_row_stable_argsort(self, table):
+        """Every k's neighbour set is the k-prefix of the per-row stable argsort.
+
+        Targets 2**i make each neighbour set readable from its sum; the
+        levels of `_levels_reading_every_rank` give back every neighbour.
+        """
+        train, queries = table
+        targets = [Fraction(2**i) for i in range(len(train))]
+        train_std, query_std = _standardized(train, queries)
+        want = [_row_ranking(train_std, q).tolist() for q in query_std]
+        for k in range(1, len(train) + 1):
+            model = KnnQuantileForecaster(k, _levels_reading_every_rank(k))
+            rows = model.fit(train, targets).predict(queries)
+            for row, ranking in zip(rows, want):
+                total = sum(_sorted_neighbours(row, k))
+                assert total.denominator == 1
+                assert {i for i in range(len(train)) if int(total) >> i & 1} == set(ranking[:k])
+
+    @given(feature_tables(rows=32), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_choose_k_matches_per_k_fraction_loop(self, table, data):
+        train, _ = table
+        targets = data.draw(st.lists(targets_st, min_size=32, max_size=32))
+        grid = data.draw(st.lists(st.integers(min_value=1, max_value=20),
+                                  min_size=1, max_size=5))
+        levels = tuple(sorted(data.draw(levels_st)))
+        m = FeatureMatrix(
+            MarketKind.BM,
+            tuple(BASE_EPOCH + i * BM_STEP for i in range(32)),
+            tuple(f"f{j}" for j in range(train.shape[1])),
+            train,
+            tuple(targets),
+        )
+        plan = WalkForwardPlan(2 * WINDOW_SPAN, WINDOW_SPAN, WINDOW_SPAN,
+                               WINDOW_SPAN, k_grid=tuple(grid), levels=levels)
+        end = BASE_EPOCH + 2 * WINDOW_SPAN
+        if min(grid) > 16:
+            with pytest.raises(InsufficientHistory):
+                _choose_k(m, plan, end)
+        else:
+            assert _choose_k(m, plan, end) == fraction_choose_k(m, plan, end)
+
+    @pytest.mark.parametrize("grid", [(3, 5, 9, 15), (9, 3, 5), (5, 5, 3)])
+    def test_choose_k_ties_go_to_the_first_k_of_the_grid(self, grid):
+        # constant targets score zero for every k
+        m = bm_matrix([25] * 32)
+        plan = WalkForwardPlan(2 * WINDOW_SPAN, WINDOW_SPAN, WINDOW_SPAN,
+                               WINDOW_SPAN, k_grid=grid)
+        end = BASE_EPOCH + 2 * WINDOW_SPAN
+        assert _choose_k(m, plan, end) == fraction_choose_k(m, plan, end) == grid[0]
+
+
+def write_feature_csv(m, path):
+    """A feature matrix in the CSV layout `FeatureMatrix.from_csv` reads."""
+    lines = ["timestamp," + ",".join(m.feature_names) + ",target"]
+    for ts, row, target in zip(m.timestamps, m.features, m.targets):
+        feats = ",".join(repr(float(x)) for x in row)
+        lines.append(f"{format_timestamp(ts)},{feats},{format_decimal(target)}")
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestFeatureMatrix:
     def test_shape_guards(self):
         with pytest.raises(MalformedRow):
@@ -73,10 +260,24 @@ class TestFeatureMatrix:
         assert mid.targets == (2, 3, 4)
         assert len(m.slice_by_time(0, BASE_EPOCH)) == 0
 
+    @given(st.integers(min_value=0, max_value=12), st.data())
+    def test_slice_by_time_matches_row_filter(self, n, data):
+        m = bm_matrix(range(n), timestamps=sorted(data.draw(st.sets(
+            st.integers(BASE_EPOCH, BASE_EPOCH + 40), min_size=n, max_size=n))))
+        start = data.draw(st.integers(BASE_EPOCH - 2, BASE_EPOCH + 42))
+        end = data.draw(st.integers(BASE_EPOCH - 2, BASE_EPOCH + 42))
+        keep = [i for i, ts in enumerate(m.timestamps) if start <= ts < end]
+        got = m.slice_by_time(start, end)
+        assert got.timestamps == tuple(m.timestamps[i] for i in keep)
+        assert got.targets == tuple(m.targets[i] for i in keep)
+        assert got.features.shape == (len(keep), 2)
+        assert np.array_equal(got.features, m.features[keep])
+        assert (got.market, got.feature_names) == (m.market, m.feature_names)
+
     def test_csv_round_trip(self, tmp_path):
         m = bm_matrix([frac("10.5"), frac("-3.25"), 7])
         path = tmp_path / "features.csv"
-        m.to_csv(path)
+        write_feature_csv(m, path)
         text = path.read_text()
         assert text.splitlines()[0] == "timestamp,slot,window,target"
         back = FeatureMatrix.from_csv(path, MarketKind.BM)
