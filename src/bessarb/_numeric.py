@@ -1,13 +1,18 @@
 """Exact arithmetic helpers.
 
-Money and prices are carried as fractions.Fraction so settlement identities
-hold exactly; energy is carried as integer milli-MWh ticks.  Rounding happens
-only at serialization boundaries (report CSVs round to cents).
+Prices are carried as integers over one positive scale per series: a CSV
+cell is read straight into an integer numerator over a power of ten, and
+hot loops (strategy scans, settlement, the DP bound) add and compare those
+integers.  A Fraction is built only at the edges: one per settled unit, per
+order price and per value a caller reads back.  Energy is carried as
+integer milli-MWh ticks.  Rounding happens only at serialization boundaries
+(report CSVs round to cents).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -15,13 +20,29 @@ from bessarb.errors import MalformedRow
 
 TICKS_PER_MWH = 1000
 
+_PLAIN_DECIMAL = re.compile(r"-?\d+(?:\.\d+)?", re.ASCII)
+
+
+def parse_ratio(text: str, *, line: int = 0) -> tuple[int, int]:
+    """(n, d), d > 0, with n/d exactly the decimal text; MalformedRow on failure.
+
+    Plain decimals, -?digits[.digits], are read by int() as their digits
+    over 10**k, k the digits after the point.  Any other text is read as
+    Fraction(text.strip()) reads it, so it parses or fails exactly as that
+    does.
+    """
+    if _PLAIN_DECIMAL.fullmatch(text):
+        whole, _, part = text.partition(".")
+        return int(whole + part), 10 ** len(part)
+    try:
+        return Fraction(text.strip()).as_integer_ratio()
+    except (ValueError, ZeroDivisionError):
+        raise MalformedRow(line, f"not a decimal number: {text!r}") from None
+
 
 def parse_decimal(text: str, *, line: int = 0) -> Fraction:
     """Parse a decimal string exactly; raises MalformedRow on failure."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise MalformedRow(line, f"not a decimal number: {text!r}") from None
+    return Fraction(*parse_ratio(text, line=line))
 
 
 def mwh_to_ticks(value: Fraction | str | int | float) -> int:
@@ -37,14 +58,30 @@ def ticks_to_mwh(ticks: int) -> Fraction:
     return Fraction(ticks, TICKS_PER_MWH)
 
 
-def scale_to_integers(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+def scale_to_integers(values: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
     """(numerators, L): each value times L, L the lcm of their denominators.
 
     Values scaled by one positive L compare, add and subtract exactly as
     the fractions do, so hot loops can run on plain integers.
     """
-    lcm = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (lcm // v.denominator) for v in values), lcm
+    return scale_ratios([v.as_integer_ratio() for v in values])
+
+
+def scale_ratios(ratios: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """(numerators, L): each n/d of `ratios` times L, L the lcm of the d."""
+    lcm = math.lcm(*(d for _, d in ratios))
+    return tuple(n * (lcm // d) for n, d in ratios), lcm
+
+
+def lowest_scale(scaled: Iterable[int], scale: int) -> tuple[tuple[int, ...], int]:
+    """The values n/scale, over the least positive scale that keeps them whole."""
+    if scale <= 0:
+        raise ValueError(f"scale {scale} is not positive")
+    scaled = tuple(scaled)
+    g = math.gcd(scale, *scaled)
+    if g == 1:
+        return scaled, scale
+    return tuple(n // g for n in scaled), scale // g
 
 
 def pinball_sum(a: int, b: int, actual: Iterable[int], predicted: Iterable[int]) -> int:
@@ -69,7 +106,13 @@ def to_cents(value: Fraction) -> int:
 
 def format_decimal(value: Fraction) -> str:
     """Shortest exact decimal string; raises if the value is not decimal."""
-    num, den = value.numerator, value.denominator
+    return format_ratio(*value.as_integer_ratio())
+
+
+def format_ratio(num: int, den: int) -> str:
+    """format_decimal of num/den, den > 0, without building a Fraction."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
     scale = 0
     d = den
     for p in (2, 5):
@@ -77,7 +120,7 @@ def format_decimal(value: Fraction) -> str:
             d //= p
             scale += 1
     if d != 1:
-        raise ValueError(f"{value!r} has no exact decimal representation")
+        raise ValueError(f"{num}/{den} has no exact decimal representation")
     scaled = num * 10**scale // den
     text = f"{abs(scaled):0{scale + 1}d}"
     if scale:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
-from bessarb._numeric import format_decimal, mwh_to_ticks, ticks_to_mwh
+from bessarb._numeric import TICKS_PER_MWH, format_decimal, mwh_to_ticks, ticks_to_mwh
 from bessarb.errors import (
     CapacityViolation,
     ConfigError,
@@ -111,6 +111,19 @@ class BatterySpec:
             "discharge_eff": format_decimal(self.discharge_eff),
             "initial_charge_mwh": format_decimal(ticks_to_mwh(self.initial_charge)),
         }
+
+    def cash_weights(self) -> tuple[int, int, int]:
+        """(w_buy, w_sell, den): integer weights of one leg's cash.
+
+        With charge_eff = cn/cd and discharge_eff = dn/dd, a leg of x ticks
+        at price p/S earns w_sell*p*x / (S*den) when sold and costs
+        w_buy*p*x / (S*den) when bought, where w_sell = dn*cn,
+        w_buy = cd*dd and den = 1000*dd*cn (1000 ticks per MWh).  So legs
+        at prices over one scale add, compare and sign as integers.
+        """
+        cn, cd = self.charge_eff.as_integer_ratio()
+        dn, dd = self.discharge_eff.as_integer_ratio()
+        return cd * dd, dn * cn, TICKS_PER_MWH * dd * cn
 
     def digest(self) -> str:
         """sha256 over the canonical JSON form, for schedule provenance."""

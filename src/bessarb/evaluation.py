@@ -27,19 +27,12 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from bessarb._numeric import (
-    TICKS_PER_MWH,
-    format_money,
-    pinball_sum,
-    scale_to_integers,
-    to_cents,
-)
+from bessarb._numeric import format_money, pinball_sum, scale_ratios, to_cents
 from bessarb.battery import BatterySpec, BatteryState, apply_trade, start_charge
 from bessarb.errors import (
     ConfigError,
@@ -75,10 +68,35 @@ class SettleResult:
     final_charge: int
 
 
-def _leg_cash(spec: BatterySpec, side: Side, price: Fraction, mwh: Fraction) -> Fraction:
-    if side is Side.SELL:
-        return spec.discharge_eff * price * mwh
-    return -price * mwh / spec.charge_eff
+def _settle_legs(
+    legs, scale: int, spec: BatterySpec, initial_charge: int | None
+) -> SettleResult:
+    """Replay (order, price) legs in wall-clock order and pay them.
+
+    Prices are integers over `scale`.  Cash is summed as one integer over
+    scale * den, with the weights of BatterySpec.cash_weights, so one
+    Fraction is built per call.
+    """
+    w_buy, w_sell, den = spec.cash_weights()
+    state = BatteryState(start_charge(spec, initial_charge))
+    cash = 0
+    for order, price in legs:
+        state = apply_trade(state, spec, order.signed_ticks)
+        if order.side is Side.SELL:
+            cash += w_sell * price * order.volume_ticks
+        else:
+            cash -= w_buy * price * order.volume_ticks
+    return SettleResult(Fraction(cash, scale * den), state.charge)
+
+
+def _over_one_scale(
+    dam: PriceSeries, bm: PriceSeries
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """Both markets' prices as integers over the lcm of their scales."""
+    scale = math.lcm(dam.scale, bm.scale)
+    return tuple(
+        tuple(n * (scale // ps.scale) for n in ps.scaled) for ps in (dam, bm)
+    ), scale
 
 
 def settle(
@@ -94,13 +112,9 @@ def settle(
     """
     if schedule.window != actuals.window:
         raise WindowMismatch("schedule and prices cover different windows")
-    state = BatteryState(start_charge(spec, initial_charge))
-    cash = Fraction(0)
-    for order in schedule.orders:
-        state = apply_trade(state, spec, order.signed_ticks)
-        price = actuals.prices[order.period]
-        cash += _leg_cash(spec, order.side, price, order.volume_mwh)
-    return SettleResult(cash, state.charge)
+    prices = actuals.scaled
+    legs = ((order, prices[order.period]) for order in schedule.orders)
+    return _settle_legs(legs, actuals.scale, spec, initial_charge)
 
 
 def settle_dual(
@@ -117,20 +131,18 @@ def settle_dual(
     if bm_schedule.window != bm_actuals.window:
         raise WindowMismatch("balancing schedule and prices differ")
     horizon = build_dual_horizon(dam_schedule.window, bm_schedule.window)
-    dam_orders = {o.period: o for o in dam_schedule.orders}
-    bm_orders = {o.period: o for o in bm_schedule.orders}
-    state = BatteryState(start_charge(spec, initial_charge))
-    cash = Fraction(0)
-    for market, period in horizon.merged_events():
-        if market is MarketKind.DAM:
-            order, prices = dam_orders.get(period), dam_actuals.prices
-        else:
-            order, prices = bm_orders.get(period), bm_actuals.prices
-        if order is None:
-            continue
-        state = apply_trade(state, spec, order.signed_ticks)
-        cash += _leg_cash(spec, order.side, prices[period], order.volume_mwh)
-    return SettleResult(cash, state.charge)
+    (dam_prices, bm_prices), scale = _over_one_scale(dam_actuals, bm_actuals)
+    orders = {
+        MarketKind.DAM: {o.period: o for o in dam_schedule.orders},
+        MarketKind.BM: {o.period: o for o in bm_schedule.orders},
+    }
+    prices = {MarketKind.DAM: dam_prices, MarketKind.BM: bm_prices}
+    legs = (
+        (orders[market][period], prices[market][period])
+        for market, period in horizon.merged_events()
+        if period in orders[market]
+    )
+    return _settle_legs(legs, scale, spec, initial_charge)
 
 
 # --- benchmarks -------------------------------------------------------------
@@ -139,8 +151,9 @@ def degenerate_forecast(
     actuals: PriceSeries, levels: Sequence = (Fraction(1, 2),)
 ) -> QuantileForecast:
     """Forecast that pins every quantile level to the settled price."""
-    rows = tuple(tuple(p for _ in levels) for p in actuals.prices)
-    return QuantileForecast(actuals.window, tuple(levels), rows)
+    levels = tuple(levels)
+    rows = tuple((n,) * len(levels) for n in actuals.scaled)
+    return QuantileForecast.from_scaled(actuals.window, levels, rows, actuals.scale)
 
 
 def _run_strategy(
@@ -204,7 +217,7 @@ def perfect_foresight_dual(
 
 
 def _dp_max_cash(
-    prices: Sequence[Fraction], spec: BatterySpec, initial_charge: int
+    prices: Sequence[int], scale: int, spec: BatterySpec, initial_charge: int
 ) -> Fraction:
     """Exact optimum over all feasible schedules, by ramp-lattice recursion.
 
@@ -212,17 +225,16 @@ def _dp_max_cash(
     interval polytope, so some optimum sits on the ramp lattice whenever the
     charge span and starting charge are whole ramps.
 
-    The recursion runs on plain integers.  With each price written as a/b,
-    L the lcm of the window's price denominators, charge_eff = cn/cd and
-    discharge_eff = dn/dd, every leg's cash shares the denominator
-    D = L * 1000 * cn * dd (1000 ticks per MWh):
+    `prices` are integers over `scale`.  With the leg weights of
+    BatterySpec.cash_weights, every leg's cash shares the denominator
+    scale * den:
 
-        buy one ramp:  a/b * ramp/1000 * cd/cn = a*(L/b)*ramp*cd*dd / D
-        sell one ramp: dn/dd * a/b * ramp/1000 = a*(L/b)*ramp*dn*cn / D
+        buy one ramp:  p * ramp * w_buy / (scale * den)
+        sell one ramp: p * ramp * w_sell / (scale * den)
 
-    So lattice values are integer numerators over D, compared exactly, and
-    one Fraction is built at the end.  Prices of any size stay exact:
-    Python integers do not overflow.
+    So lattice values are integer numerators, compared exactly, and one
+    Fraction is built at the end.  Prices of any size stay exact: Python
+    integers do not overflow.
     """
     span = spec.capacity - spec.min_charge
     if span % spec.ramp:
@@ -236,14 +248,12 @@ def _dp_max_cash(
     # n periods move at most n ramps: lattice points farther from k0 are
     # unreachable, so the recursion keeps only [lo, hi].
     lo, hi = max(0, k0 - len(prices)), min(steps, k0 + len(prices))
-    cn, cd = spec.charge_eff.numerator, spec.charge_eff.denominator
-    dn, dd = spec.discharge_eff.numerator, spec.discharge_eff.denominator
-    scaled_prices, lcm = scale_to_integers(prices)
-    buy_unit = spec.ramp * cd * dd
-    sell_unit = spec.ramp * dn * cn
+    w_buy, w_sell, den = spec.cash_weights()
+    buy_unit = spec.ramp * w_buy
+    sell_unit = spec.ramp * w_sell
     value = [0] * (hi - lo + 1)
-    for scaled in reversed(scaled_prices):
-        buy, sell = scaled * buy_unit, scaled * sell_unit
+    for price in reversed(prices):
+        buy, sell = price * buy_unit, price * sell_unit
         # stay at k, or charge one ramp (reach k + 1)
         charged = [v - buy for v in value[1:]]
         best = [v if v > c else c for v, c in zip(value, charged)]
@@ -251,14 +261,16 @@ def _dp_max_cash(
         # or discharge one ramp (reach k - 1)
         discharged = [v + sell for v in value[:-1]]
         value = best[:1] + [b if b > d else d for b, d in zip(best[1:], discharged)]
-    return Fraction(value[k0 - lo], lcm * TICKS_PER_MWH * cn * dd)
+    return Fraction(value[k0 - lo], scale * den)
 
 
 def dp_optimal(
     actuals: PriceSeries, spec: BatterySpec, initial_charge: int | None = None
 ) -> Fraction:
     """Best possible profit for the window given the settled prices."""
-    return _dp_max_cash(actuals.prices, spec, start_charge(spec, initial_charge))
+    return _dp_max_cash(
+        actuals.scaled, actuals.scale, spec, start_charge(spec, initial_charge)
+    )
 
 
 def dp_optimal_dual(
@@ -271,11 +283,12 @@ def dp_optimal_dual(
     """Best possible profit trading both markets of one dual horizon."""
     if dam_actuals.window != horizon.dam or bm_actuals.window != horizon.bm:
         raise WindowMismatch("price windows do not match the horizon")
+    (dam, bm), scale = _over_one_scale(dam_actuals, bm_actuals)
     prices = [
-        (dam_actuals if market is MarketKind.DAM else bm_actuals).prices[period]
+        (dam if market is MarketKind.DAM else bm)[period]
         for market, period in horizon.merged_events()
     ]
-    return _dp_max_cash(prices, spec, start_charge(spec, initial_charge))
+    return _dp_max_cash(prices, scale, spec, start_charge(spec, initial_charge))
 
 
 # --- units ------------------------------------------------------------------
@@ -400,18 +413,17 @@ def score_forecasts(
     """
     cells: dict[Fraction, tuple[list, list]] = {}
     for (fc,), (ps,) in window_units(forecasts, actuals, "score"):
-        for y, row in zip(ps.prices, fc.values):
-            y = _exact(y)
+        for y, row in zip(ps.scaled, fc.scaled):
             for lv, z in zip(fc.levels, row):
                 ys, zs = cells.setdefault(lv, ([], []))
-                ys.append(y)
-                zs.append(_exact(z))
+                ys.append((y, ps.scale))
+                zs.append((z, fc.scale))
     if not cells:
         raise WindowMismatch("nothing to score")
     per_level, sums = {}, []
     for lv in sorted(cells):
         ys, zs = cells[lv]
-        values, scale = scale_to_integers(ys + zs)
+        values, scale = scale_ratios(ys + zs)
         n = len(ys)
         loss = pinball_sum(lv.numerator, lv.denominator, values[:n], values[n:])
         per_level[lv] = Fraction(loss, lv.denominator * scale * n)
@@ -553,6 +565,9 @@ def run_sweep(
         for pair in pairs
     ]
     if jobs > 1:
+        # imported here: only a parallel sweep pays for loading the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(payload,)
         ) as pool:

@@ -94,9 +94,12 @@ class FeatureMatrix:
         for line, ts, cells in rows:
             timestamps.append(ts)
             try:
-                feats.append([float(c) for c in cells[:-1]])
+                row = [float(c) for c in cells[:-1]]
             except ValueError:
                 raise MalformedRow(line, f"{path}: non-numeric feature") from None
+            if not all(map(math.isfinite, row)):
+                raise MalformedRow(line, f"{path}: non-finite feature")
+            feats.append(row)
             targets.append(parse_decimal(cells[-1], line=line))
         return cls(market, tuple(timestamps), names, np.array(feats), tuple(targets))
 
@@ -220,9 +223,12 @@ def _choose_k(train: FeatureMatrix, plan: WalkForwardPlan, train_end_s: int) -> 
         )
     model = KnnQuantileForecaster(max(ks), plan.levels).fit(fit.features, fit.targets)
     ranking = model._ranking(val.features)
-    targets, _ = scale_to_integers(fit.targets + val.targets)
-    neighbours = targets[:len(fit)]
-    actual = [y * model._level_lcm for y in targets[len(fit):]]
+    # the fit targets are integers over model._scale; bring both sides to
+    # one common scale
+    val_targets, val_scale = scale_to_integers(val.targets)
+    scale = math.lcm(model._scale, val_scale)
+    neighbours = [y * (scale // model._scale) for y in model._targets]
+    actual = [y * (scale // val_scale) * model._level_lcm for y in val_targets]
     best_k, best_loss = None, None
     for k in ks:
         columns = zip(*_interpolate(ranking, k, neighbours, model._level_terms))

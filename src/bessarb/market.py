@@ -5,8 +5,11 @@ read by read_table, and cut_windows cuts rows into trading windows.
 
 Two market granularities are supported: hourly day-ahead windows of 24
 periods and half-hourly balancing windows of 16 periods.  Prices are exact
-Fractions of EUR/MWh throughout; floats only appear inside the synthetic
-generator before rounding to cents.
+EUR/MWh values, held as integers over one positive scale per series or
+forecast: each CSV cell is read into an integer over a power of ten
+(_numeric.parse_ratio), and the `prices` and `values` Fractions are built
+only when read.  Floats only appear inside the synthetic generator before
+rounding to cents.
 """
 
 from __future__ import annotations
@@ -22,7 +25,15 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from bessarb._numeric import format_decimal, parse_decimal, scale_to_integers
+from bessarb._numeric import (
+    format_decimal,
+    format_ratio,
+    lowest_scale,
+    parse_decimal,
+    parse_ratio,
+    scale_ratios,
+    scale_to_integers,
+)
 from bessarb.errors import (
     LevelMissing,
     LevelOutOfRange,
@@ -89,19 +100,45 @@ def format_timestamp(epoch_s: int) -> str:
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PriceSeries:
-    """Settlement prices for one window, EUR/MWh."""
+    """Settlement prices for one window, EUR/MWh.
+
+    The prices are held as integers over one positive scale, the least
+    that keeps every price whole: prices[t] == scaled[t] / scale.  Build a
+    series from exact prices, or from integers with from_scaled; `prices`
+    builds the Fractions each time it is read.
+    """
 
     window: TradingWindow
-    prices: tuple[Fraction, ...]
+    scaled: tuple[int, ...]
+    scale: int
 
-    def __post_init__(self) -> None:
-        if len(self.prices) != self.window.period_count:
+    def __init__(self, window: TradingWindow, prices: Sequence[Fraction]) -> None:
+        self._set(window, *scale_to_integers(prices))
+
+    @classmethod
+    def from_scaled(
+        cls, window: TradingWindow, scaled: Sequence[int], scale: int
+    ) -> "PriceSeries":
+        """The series whose price t is scaled[t] / scale."""
+        series = cls.__new__(cls)
+        series._set(window, scaled, scale)
+        return series
+
+    def _set(self, window: TradingWindow, scaled: Sequence[int], scale: int) -> None:
+        if len(scaled) != window.period_count:
             raise WindowMismatch(
-                f"{len(self.prices)} prices for a "
-                f"{self.window.period_count}-period window"
+                f"{len(scaled)} prices for a {window.period_count}-period window"
             )
+        scaled, scale = lowest_scale(scaled, scale)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "scale", scale)
+
+    @property
+    def prices(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.scale) for n in self.scaled)
 
 
 def _coerce_level(level) -> Fraction:
@@ -111,41 +148,72 @@ def _coerce_level(level) -> Fraction:
     return lv
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class QuantileForecast:
     """Per-period quantile price forecasts for one window.
 
-    values is period-major: values[t][i] is the forecast at levels[i].
-    Rows are not required to be monotone in the level; use
-    validate_and_repair to sort them, or repaired_curve to read one level
-    of the sorted rows.
+    values is period-major: values[t][i] is the forecast at levels[i].  The
+    values are held as integer rows over one positive scale, the least
+    that keeps every value whole: values[t][i] == scaled[t][i] / scale.
+    Build a forecast from exact values, or from integers with from_scaled;
+    `values` builds the Fractions each time it is read.  Rows are not
+    required to be monotone in the level; use validate_and_repair to sort
+    them, or repaired_curve to read one level of the sorted rows.
     """
 
     window: TradingWindow
     levels: tuple[Fraction, ...]
-    values: tuple[tuple[Fraction, ...], ...]
-    # level -> (repaired column, the same column as integers over one
-    # denominator common to the forecast), filled by the first
+    scaled: tuple[tuple[int, ...], ...]
+    scale: int
+    # The columns of the repaired rows, one per level, filled by the first
     # repaired_curve call.  Derived from the fields above, so it takes no
     # part in equality or hashing.
-    _repaired: dict | None = field(default=None, init=False, compare=False, repr=False)
+    _repaired: tuple | None = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        checked = tuple(_coerce_level(lv) for lv in self.levels)
-        if list(checked) != sorted(set(checked)):
-            raise LevelOutOfRange("quantile levels must be strictly ascending")
-        object.__setattr__(self, "levels", checked)
-        if len(self.values) != self.window.period_count:
-            raise WindowMismatch(
-                f"{len(self.values)} forecast rows for a "
-                f"{self.window.period_count}-period window"
-            )
-        for row in self.values:
-            if len(row) != len(checked):
-                raise WindowMismatch(
-                    f"forecast row has {len(row)} values for "
-                    f"{len(checked)} levels"
-                )
+    def __init__(
+        self,
+        window: TradingWindow,
+        levels: Sequence,
+        values: Sequence[Sequence[Fraction]],
+    ) -> None:
+        levels = _checked_shape(window, levels, values)
+        self._set(window, levels, *scale_to_integers(v for row in values for v in row))
+
+    @classmethod
+    def from_scaled(
+        cls,
+        window: TradingWindow,
+        levels: Sequence,
+        scaled: Sequence[Sequence[int]],
+        scale: int,
+    ) -> "QuantileForecast":
+        """The forecast whose value t at levels[i] is scaled[t][i] / scale."""
+        forecast = cls.__new__(cls)
+        levels = _checked_shape(window, levels, scaled)
+        forecast._set(window, levels, (n for row in scaled for n in row), scale)
+        return forecast
+
+    def _set(
+        self,
+        window: TradingWindow,
+        levels: tuple[Fraction, ...],
+        flat: Iterable[int],
+        scale: int,
+    ) -> None:
+        flat, scale = lowest_scale(flat, scale)
+        width = len(levels)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "scaled", tuple(
+            flat[t * width:(t + 1) * width] for t in range(window.period_count)
+        ))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_repaired", None)
+
+    @property
+    def values(self) -> tuple[tuple[Fraction, ...], ...]:
+        scale = self.scale
+        return tuple(tuple(Fraction(n, scale) for n in row) for row in self.scaled)
 
     def _level_index(self, level) -> int:
         lv = _coerce_level(level)
@@ -155,34 +223,47 @@ class QuantileForecast:
             have = ", ".join(str(x) for x in self.levels)
             raise LevelMissing(f"level {lv} not among [{have}]") from None
 
-    def repaired_curve(self, level) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-        """One level of the repaired rows: exact prices, and as integers.
+    def repaired_curve(self, level) -> tuple[int, ...]:
+        """One level of the repaired rows, as integers over `scale`.
 
-        The integers are the prices times one positive L shared by every
-        value of the forecast, so they order and subtract like the prices.
-        The rows are repaired and scaled once per forecast, on first use.
+        The rows are sorted once per forecast, on first use.  Integers over
+        one positive scale sort, order and subtract as the values do.
         """
         if self._repaired is None:
-            repaired, _ = validate_and_repair(self)
-            n = self.window.period_count
-            columns = [tuple(row[j] for row in repaired.values)
-                       for j in range(len(self.levels))]
-            flat, _ = scale_to_integers([v for col in columns for v in col])
-            object.__setattr__(self, "_repaired", {
-                lv: (col, flat[j * n:(j + 1) * n])
-                for j, (lv, col) in enumerate(zip(self.levels, columns))
-            })
-        curve = self._repaired.get(level)
-        if curve is None:
-            curve = self._repaired[self.levels[self._level_index(level)]]
-        return curve
+            rows = [sorted(row) for row in self.scaled]
+            object.__setattr__(self, "_repaired", tuple(
+                tuple(row[j] for row in rows) for j in range(len(self.levels))
+            ))
+        try:
+            # a level equal to one held is found without coercing it
+            j = self.levels.index(level)
+        except ValueError:
+            j = self._level_index(level)
+        return self._repaired[j]
+
+
+def _checked_shape(window: TradingWindow, levels: Sequence, rows: Sequence) -> tuple:
+    """The levels, checked, once the rows fit the window and the levels."""
+    checked = tuple(_coerce_level(lv) for lv in levels)
+    if any(a >= b for a, b in zip(checked, checked[1:])):
+        raise LevelOutOfRange("quantile levels must be strictly ascending")
+    if len(rows) != window.period_count:
+        raise WindowMismatch(
+            f"{len(rows)} forecast rows for a {window.period_count}-period window"
+        )
+    for row in rows:
+        if len(row) != len(checked):
+            raise WindowMismatch(
+                f"forecast row has {len(row)} values for {len(checked)} levels"
+            )
+    return checked
 
 
 def validate_and_repair(forecast: QuantileForecast) -> tuple[QuantileForecast, int]:
     """Sort each period's quantile row ascending; returns (fixed, n_changed)."""
     repaired = []
     changed = 0
-    for row in forecast.values:
+    for row in forecast.scaled:
         fixed = tuple(sorted(row))
         if fixed != row:
             changed += 1
@@ -190,7 +271,9 @@ def validate_and_repair(forecast: QuantileForecast) -> tuple[QuantileForecast, i
     if not changed:
         return forecast, 0
     return (
-        QuantileForecast(forecast.window, forecast.levels, tuple(repaired)),
+        QuantileForecast.from_scaled(
+            forecast.window, forecast.levels, repaired, forecast.scale
+        ),
         changed,
     )
 
@@ -280,10 +363,11 @@ def parse_price_csv(path: str | Path, market: MarketKind) -> list[PriceSeries]:
     _, header = next(rows)
     if [c.lower() for c in header] != ["timestamp", "price"]:
         raise UnknownColumn(f"{path}: expected header timestamp,price")
-    prices = (
-        (line, ts, parse_decimal(cells[0], line=line)) for line, ts, cells in rows
-    )
-    return [PriceSeries(w, block) for w, block in cut_windows(prices, market, path)]
+    prices = ((line, ts, parse_ratio(cells[0], line=line)) for line, ts, cells in rows)
+    return [
+        PriceSeries.from_scaled(w, *scale_ratios(block))
+        for w, block in cut_windows(prices, market, path)
+    ]
 
 
 def _parse_level_column(name: str, *, path, line: int) -> Fraction:
@@ -308,22 +392,25 @@ def parse_forecast_csv(path: str | Path, market: MarketKind) -> list[QuantileFor
     )
     if list(levels) != sorted(set(levels)):
         raise LevelOutOfRange(f"{path}: quantile columns must ascend strictly")
-    values = (
-        (line, ts, tuple(parse_decimal(cell, line=line) for cell in cells))
+    width = len(levels)
+    ratios = (
+        (line, ts, [parse_ratio(cell, line=line) for cell in cells])
         for line, ts, cells in rows
     )
-    return [
-        QuantileForecast(w, levels, block)
-        for w, block in cut_windows(values, market, path)
-    ]
+    forecasts = []
+    for w, block in cut_windows(ratios, market, path):
+        flat, scale = scale_ratios([ratio for row in block for ratio in row])
+        rows = [flat[t:t + width] for t in range(0, len(flat), width)]
+        forecasts.append(QuantileForecast.from_scaled(w, levels, rows, scale))
+    return forecasts
 
 
 def write_price_csv(path: str | Path, series: Iterable[PriceSeries]) -> None:
     lines = ["timestamp,price"]
     for ps in series:
-        for t, price in enumerate(ps.prices):
+        for t, price in enumerate(ps.scaled):
             stamp = format_timestamp(ps.window.timestamp_of(t))
-            lines.append(f"{stamp},{format_decimal(price)}")
+            lines.append(f"{stamp},{format_ratio(price, ps.scale)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -341,9 +428,11 @@ def write_forecast_csv(path: str | Path, forecasts: Iterable[QuantileForecast]) 
             raise WindowMismatch("forecast windows disagree on quantile levels")
     lines = ["timestamp," + ",".join(_level_column(lv) for lv in levels)]
     for fc in forecasts:
-        for t, row in enumerate(fc.values):
+        for t, row in enumerate(fc.scaled):
             stamp = format_timestamp(fc.window.timestamp_of(t))
-            lines.append(stamp + "," + ",".join(format_decimal(v) for v in row))
+            lines.append(
+                stamp + "," + ",".join(format_ratio(n, fc.scale) for n in row)
+            )
     Path(path).write_text("\n".join(lines) + "\n")
 
 

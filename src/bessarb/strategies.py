@@ -9,11 +9,12 @@ Volumes are clipped against a committed wall-clock charge trajectory, so a
 finished schedule always replays cleanly against the battery bounds no
 matter in which order the strategy discovered its trades.
 
-Pair scans compare plain integers.  A forecast scales its repaired curves
-once to integers over one common denominator (QuantileForecast.
-repaired_curve), and each strategy run weighs them by the battery's
+Pair scans compare plain integers.  A forecast holds its values as
+integers over one scale and repairs its curves once (QuantileForecast.
+repaired_curve); each strategy run weighs them by the battery's
 efficiencies, so a spread compares, ties and signs exactly as the exact
-fraction does.  Orders keep the exact forecast prices.
+fraction does.  Orders keep the exact forecast prices, built as Fractions
+only for the orders placed.
 """
 
 from __future__ import annotations
@@ -176,34 +177,30 @@ def _spread(spec: BatterySpec, buy_price: Fraction, sell_price: Fraction) -> Fra
 class _Curves:
     """A forecast's buy and sell curves for one quantile pair and battery.
 
-    buy_prices and sell_prices are the exact repaired quantiles the orders
-    carry; buy and sell are the same curves as integers over the forecast's
-    common denominator L.  With charge_eff = cn/cd and discharge_eff =
-    dn/dd, w_sell * sell[j] - w_buy * buy[i], where w_sell = dn*cn and
-    w_buy = cd*dd, is the spread discharge_eff*S_j - B_i/charge_eff times
-    the positive constant dd*cn*L.  So argmax, ties and sign are those of
-    the exact spread.
+    buy and sell are the repaired quantile curves as integers over the
+    forecast's scale L, so curve[t] / L is the exact price.  With the leg
+    weights w_buy and w_sell of BatterySpec.cash_weights,
+    w_sell * sell[j] - w_buy * buy[i] is the spread
+    discharge_eff*S_j - B_i/charge_eff times a positive constant.  So
+    argmax, ties and sign are those of the exact spread.
     """
 
-    buy_prices: tuple[Fraction, ...]
-    sell_prices: tuple[Fraction, ...]
     buy: tuple[int, ...]
     sell: tuple[int, ...]
+    scale: int
     w_buy: int
     w_sell: int
 
 
+
 def _curves(forecast: QuantileForecast, pair: QuantilePair, spec: BatterySpec) -> _Curves:
-    buy_prices, buy = forecast.repaired_curve(pair.buy_level)
-    sell_prices, sell = forecast.repaired_curve(pair.sell_level)
-    ce, de = spec.charge_eff, spec.discharge_eff
+    w_buy, w_sell, _ = spec.cash_weights()
     return _Curves(
-        buy_prices,
-        sell_prices,
-        buy,
-        sell,
-        ce.denominator * de.denominator,
-        de.numerator * ce.numerator,
+        forecast.repaired_curve(pair.buy_level),
+        forecast.repaired_curve(pair.sell_level),
+        forecast.scale,
+        w_buy,
+        w_sell,
     )
 
 
@@ -259,7 +256,11 @@ def _bounded(forecast: QuantileForecast, lo: int, hi: int | None) -> tuple[int, 
 
 def _candidate(spec: BatterySpec, curves: _Curves, t_buy: int, t_sell: int) -> CandidatePair:
     return CandidatePair.of(
-        spec, t_buy, t_sell, curves.buy_prices[t_buy], curves.sell_prices[t_sell]
+        spec,
+        t_buy,
+        t_sell,
+        Fraction(curves.buy[t_buy], curves.scale),
+        Fraction(curves.sell[t_sell], curves.scale),
     )
 
 
@@ -345,12 +346,19 @@ def bottleneck_execute(
 
 @dataclass
 class _Emitted:
-    """Orders accumulated against one shared charge timeline."""
+    """Orders on one pair of curves, accumulated against one shared timeline.
 
+    Each order carries its exact curve price, built when the order is placed.
+    """
+
+    curves: _Curves
     orders: list = field(default_factory=list)
 
-    def add(self, period: int, side: Side, ticks: int, price: Fraction) -> None:
+    def add(self, period: int, side: Side, ticks: int) -> None:
         if ticks > 0:
+            curves = self.curves
+            curve = curves.buy if side is Side.BUY else curves.sell
+            price = Fraction(curve[period], curves.scale)
             self.orders.append(TradeOrder(period, side, ticks, price))
 
     def sorted(self) -> tuple[TradeOrder, ...]:
@@ -359,7 +367,6 @@ class _Emitted:
 
 def _execute_pair(
     timeline: ChargeTimeline,
-    curves: _Curves,
     t_buy: int,
     t_sell: int,
     i_buy: int,
@@ -373,7 +380,6 @@ def _execute_pair(
     buy that a later sell of the same pair undoes only needs headroom until
     that sell; every other leg must clear the whole committed future.
     """
-    buy_price, sell_price = curves.buy_prices[t_buy], curves.sell_prices[t_sell]
     if i_buy < i_sell:
         x_buy = timeline.max_buy_between(i_buy, i_sell)
         timeline.commit(i_buy, x_buy)
@@ -382,8 +388,8 @@ def _execute_pair(
             timeline.commit(i_buy, -x_buy)
             return False
         timeline.commit(i_sell, -x_sell)
-        out.add(t_buy, Side.BUY, x_buy, buy_price)
-        out.add(t_sell, Side.SELL, x_sell, sell_price)
+        out.add(t_buy, Side.BUY, x_buy)
+        out.add(t_sell, Side.SELL, x_sell)
         return True
     x_sell = timeline.max_sell_from(i_sell)
     if x_sell <= 0:
@@ -391,14 +397,14 @@ def _execute_pair(
             x_buy = timeline.max_buy_from(i_buy)
             if x_buy > 0:
                 timeline.commit(i_buy, x_buy)
-                out.add(t_buy, Side.BUY, x_buy, buy_price)
+                out.add(t_buy, Side.BUY, x_buy)
                 return True
         return False
     timeline.commit(i_sell, -x_sell)
     x_buy = timeline.max_buy_from(i_buy)
     timeline.commit(i_buy, x_buy)
-    out.add(t_sell, Side.SELL, x_sell, sell_price)
-    out.add(t_buy, Side.BUY, x_buy, buy_price)
+    out.add(t_sell, Side.SELL, x_sell)
+    out.add(t_buy, Side.BUY, x_buy)
     return True
 
 
@@ -429,7 +435,6 @@ def _run_worklist(
         t_buy, t_sell = found
         _execute_pair(
             timeline,
-            curves,
             t_buy,
             t_sell,
             instant_of(t_buy),
@@ -454,13 +459,13 @@ def ts1(
     """Trade only the single best buy-before-sell pair of the window."""
     curves = _curves(forecast, pair, spec)
     start = start_charge(spec, initial_charge)
-    out = _Emitted()
+    out = _Emitted(curves)
     found = _scan_ordered(curves, 0, forecast.window.period_count - 1)
     if found is not None:
         t_buy, t_sell = found
         volume = min(spec.ramp, spec.capacity - start)
-        out.add(t_buy, Side.BUY, volume, curves.buy_prices[t_buy])
-        out.add(t_sell, Side.SELL, volume, curves.sell_prices[t_sell])
+        out.add(t_buy, Side.BUY, volume)
+        out.add(t_sell, Side.SELL, volume)
     return Schedule(forecast.window, "TS1", pair, out.sorted())
 
 
@@ -478,15 +483,15 @@ def ts2(
     """
     curves = _curves(forecast, pair, spec)
     volume = min(spec.ramp, spec.capacity - start_charge(spec, initial_charge))
-    out = _Emitted()
+    out = _Emitted(curves)
 
     def recurse(lo: int, hi: int) -> None:
         found = _scan_ordered(curves, lo, hi)
         if found is None:
             return
         t1, t2 = found
-        out.add(t1, Side.BUY, volume, curves.buy_prices[t1])
-        out.add(t2, Side.SELL, volume, curves.sell_prices[t2])
+        out.add(t1, Side.BUY, volume)
+        out.add(t2, Side.SELL, volume)
         recurse(lo, t1 - 1)
         recurse(t2 + 1, hi)
 
@@ -505,7 +510,7 @@ def ts3(
     curves = _curves(forecast, pair, spec)
     n = forecast.window.period_count
     timeline = ChargeTimeline(spec, n, start_charge(spec, initial_charge))
-    out = _Emitted()
+    out = _Emitted(curves)
     _run_worklist(timeline, curves, 0, n - 1, lambda t: t, out, allow_stock_buys)
     return Schedule(forecast.window, "TS3", pair, out.sorted())
 
@@ -542,7 +547,7 @@ def ts3_dual(
     dam_instant, bm_instant = _merged_instants(horizon)
     n_instants = horizon.dam.period_count + horizon.bm.period_count
     timeline = ChargeTimeline(spec, n_instants, start_charge(spec, initial_charge))
-    dam_out, bm_out = _Emitted(), _Emitted()
+    dam_out, bm_out = _Emitted(dam_curves), _Emitted(bm_curves)
 
     def run_bm(lo: int, hi: int) -> None:
         _run_worklist(
@@ -556,7 +561,6 @@ def ts3_dual(
         t_buy, t_sell = anchor
         executed = _execute_pair(
             timeline,
-            dam_curves,
             t_buy,
             t_sell,
             dam_instant[t_buy],

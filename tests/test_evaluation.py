@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bessarb._numeric import ticks_to_mwh
-from bessarb.battery import BatterySpec, unit_trading_spec
+from bessarb.battery import BatterySpec, BatteryState, apply_trade, unit_trading_spec
 from bessarb.errors import (
     ConfigError,
     FloorViolation,
@@ -18,6 +18,7 @@ from bessarb.errors import (
 )
 from bessarb.evaluation import (
     BacktestReport,
+    SettleResult,
     degenerate_forecast,
     dp_optimal,
     dp_optimal_dual,
@@ -159,6 +160,110 @@ class TestSettleDual:
         bm_sched = _schedule(bm, [TradeOrder(0, Side.SELL, 1000, Fraction(50))])
         with pytest.raises(FloorViolation):
             settle_dual(dam_sched, bm_sched, dam_prices, bm_prices, UNIT)
+
+
+def _leg_cash(spec, side, price, mwh):
+    if side is Side.SELL:
+        return spec.discharge_eff * price * mwh
+    return -price * mwh / spec.charge_eff
+
+
+def _fraction_settle(events, spec):
+    """Settle (order, exact price) events leg by leg in Fractions: an oracle."""
+    state = BatteryState(spec.initial_charge)
+    cash = Fraction(0)
+    for order, price in events:
+        state = apply_trade(state, spec, order.signed_ticks)
+        cash += _leg_cash(spec, order.side, price, order.volume_mwh)
+    return SettleResult(cash, state.charge)
+
+
+@st.composite
+def batteries(draw):
+    """Any battery, with efficiencies drawn from (0, 1]."""
+    ramp = draw(st.integers(min_value=1, max_value=1500))
+    floor = draw(st.integers(min_value=0, max_value=2000))
+    capacity = floor + draw(st.integers(min_value=1, max_value=4000))
+    initial = draw(st.integers(min_value=floor, max_value=capacity))
+    return BatterySpec(
+        capacity, ramp, floor, initial, draw(efficiencies), draw(efficiencies)
+    )
+
+
+def _series(draw, window, label):
+    """Prices of one window over a scale drawn from a few."""
+    den = draw(st.sampled_from([1, 3, 8, 100, 1000]), label=f"{label} scale")
+    units = draw(st.lists(st.integers(-10**6, 10**6), min_size=window.period_count,
+                          max_size=window.period_count), label=f"{label} prices")
+    return PriceSeries(window, tuple(Fraction(u, den) for u in units))
+
+
+def _clipped_orders(draw, spec, slots):
+    """{slot: order} from one signed volume drawn per slot.
+
+    Slots come in wall-clock order, and each volume is clipped to the
+    battery bounds, so the schedule replays cleanly.
+    """
+    charge, orders = spec.initial_charge, {}
+    for slot in slots:
+        want = draw(st.integers(-spec.ramp, spec.ramp), label="volume")
+        ticks = max(spec.min_charge - charge, min(spec.capacity - charge, want))
+        if ticks:
+            side = Side.BUY if ticks > 0 else Side.SELL
+            orders[slot] = TradeOrder(slot[1], side, abs(ticks), Fraction(0))
+        charge += ticks
+    return orders
+
+
+class TestSettleOracle:
+    """Integer settlement equals the leg-by-leg Fraction sum."""
+
+    @given(batteries(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_settle_matches_fraction_legs(self, spec, data):
+        window = TradingWindow(MarketKind.DAM, BASE_EPOCH, 24)
+        actuals = _series(data.draw, window, "DAM")
+        orders = _clipped_orders(data.draw, spec, [("DAM", t) for t in range(24)])
+        sched = _schedule(window, [orders[k] for k in sorted(orders)])
+        want = _fraction_settle(
+            [(o, actuals.prices[o.period]) for o in sched.orders], spec
+        )
+        assert settle(sched, actuals, spec) == want
+
+    @given(batteries(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_settle_dual_matches_fraction_legs(self, spec, data):
+        dam = TradingWindow(MarketKind.DAM, BASE_EPOCH, 24)
+        bm = TradingWindow(MarketKind.BM, BASE_EPOCH, 16)
+        horizon = build_dual_horizon(dam, bm)
+        dam_ps = _series(data.draw, dam, "DAM")
+        bm_ps = _series(data.draw, bm, "BM")
+        events = [(m.value, p) for m, p in horizon.merged_events()]
+        orders = _clipped_orders(data.draw, spec, events)
+        prices = {"DAM": dam_ps.prices, "BM": bm_ps.prices}
+        want = _fraction_settle(
+            [(orders[k], prices[k[0]][k[1]]) for k in events if k in orders], spec
+        )
+        dam_sched = _schedule(dam, [o for k, o in sorted(orders.items()) if k[0] == "DAM"])
+        bm_sched = _schedule(bm, [o for k, o in sorted(orders.items()) if k[0] == "BM"])
+        assert settle_dual(dam_sched, bm_sched, dam_ps, bm_ps, spec) == want
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dual_dp_matches_fraction_dp_over_two_scales(self, data):
+        dam = TradingWindow(MarketKind.DAM, BASE_EPOCH, 24)
+        bm = TradingWindow(MarketKind.BM, BASE_EPOCH, 16)
+        horizon = build_dual_horizon(dam, bm)
+        dam_ps = _series(data.draw, dam, "DAM")
+        bm_ps = _series(data.draw, bm, "BM")
+        spec = BatterySpec.from_mwh("3", "1", charge_eff="0.9", discharge_eff="0.85")
+        merged = [
+            (dam_ps if m is MarketKind.DAM else bm_ps).prices[p]
+            for m, p in horizon.merged_events()
+        ]
+        assert dp_optimal_dual(horizon, dam_ps, bm_ps, spec) == (
+            _fraction_dp(merged, spec, spec.initial_charge)
+        )
 
 
 class TestPerfectForesight:

@@ -306,6 +306,21 @@ class TestFeatureMatrix:
         assert "line 2" in str(err.value)
 
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_feature_names_its_line(self, tmp_path, cell):
+        # float() reads these; one of them would turn every distance into NaN
+        path = tmp_path / "features.csv"
+        path.write_text(
+            "timestamp,a,target\n"
+            "2024-01-01T00:00:00Z,1,10\n"
+            f"2024-01-01T00:30:00Z,{cell},20\n"
+            "2024-01-01T01:00:00Z,3,30\n"
+        )
+        with pytest.raises(MalformedRow) as err:
+            FeatureMatrix.from_csv(path, MarketKind.BM)
+        assert "line 3" in str(err.value)
+
+
 class TestKnnForecaster:
     def fit3(self, targets=(10, 20, 30), k=3):
         feats = [[0.0], [1.0], [2.0]]

@@ -1,9 +1,11 @@
 """Market containers, CSV ingest, dual horizon and the synthetic generator."""
 
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bessarb.errors import (
@@ -34,6 +36,7 @@ from bessarb.market import (
     write_forecast_csv,
     write_price_csv,
 )
+from bessarb._numeric import format_decimal
 
 from conftest import frac, make_forecast, make_prices
 
@@ -109,13 +112,93 @@ class TestContainers:
 
     def test_level_curve_lookup(self):
         fc = make_forecast({"0.3": [1, 2], "0.7": [3, 4]})
-        assert fc.repaired_curve("0.3")[0] == (Fraction(1), Fraction(2))
-        assert fc.repaired_curve(Fraction(7, 10))[0] == (Fraction(3), Fraction(4))
+        assert fc.scale == 1
+        assert fc.repaired_curve("0.3") == (1, 2)
+        assert fc.repaired_curve(Fraction(7, 10)) == (3, 4)
 
     def test_level_curve_missing(self):
         fc = make_forecast({"0.5": [1, 2]})
         with pytest.raises(LevelMissing):
             fc.repaired_curve("0.9")
+
+
+def _decimal_text(units: int, k: int, pad: int) -> str:
+    """units / 10**k as a decimal string with `pad` extra trailing zeros."""
+    text = format_decimal(Fraction(units, 10**k))
+    if pad:
+        text += ("" if "." in text else ".") + "0" * pad
+    return text
+
+
+decimal_cells = st.builds(
+    _decimal_text,
+    st.integers(min_value=-10**8, max_value=10**8),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=2),
+)
+
+
+class TestScaledContainers:
+    """Integers over one scale inside; the same Fractions outside."""
+
+    def test_parsed_series_equals_the_fraction_built_one(self, tmp_path):
+        cells = ["30.10", "-2", "0.5", "1/3", "7.125", "1e1", "0"] + ["12.34"] * 9
+        path = tmp_path / "p.csv"
+        path.write_text(_price_lines(BASE_EPOCH, 16, 1800, lambda i: cells[i]))
+        [parsed] = parse_price_csv(path, MarketKind.BM)
+        prices = tuple(Fraction(c) for c in cells)
+        built = PriceSeries(parsed.window, prices)
+        assert parsed == built and hash(parsed) == hash(built)
+        assert parsed.prices == built.prices == prices
+        assert all(type(p) is Fraction for p in parsed.prices)
+        # the least scale: lcm of the reduced denominators 10, 2, 3, 8, 50
+        assert parsed.scale == built.scale == 600
+        assert parsed.scaled == tuple(int(p * 600) for p in prices)
+
+    @given(st.lists(decimal_cells, min_size=16, max_size=16))
+    def test_any_decimal_cells_parse_to_the_fraction_built_series(self, cells):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.csv"
+            path.write_text(_price_lines(BASE_EPOCH, 16, 1800, lambda i: cells[i]))
+            [parsed] = parse_price_csv(path, MarketKind.BM)
+        built = PriceSeries(parsed.window, tuple(Fraction(c) for c in cells))
+        assert parsed == built
+        assert parsed.prices == built.prices
+
+    @given(st.lists(st.lists(decimal_cells, min_size=3, max_size=3),
+                    min_size=16, max_size=16))
+    @settings(max_examples=50)
+    def test_any_decimal_cells_parse_to_the_fraction_built_forecast(self, rows):
+        lines = ["timestamp,q10,q50,q90"] + [
+            f"{format_timestamp(BASE_EPOCH + i * 1800)}," + ",".join(row)
+            for i, row in enumerate(rows)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.csv"
+            path.write_text("\n".join(lines) + "\n")
+            [parsed] = parse_forecast_csv(path, MarketKind.BM)
+        values = tuple(tuple(Fraction(c) for c in row) for row in rows)
+        built = QuantileForecast(parsed.window, parsed.levels, values)
+        assert parsed == built and hash(parsed) == hash(built)
+        assert parsed.values == built.values == values
+        assert parsed.levels == (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
+        for level in parsed.levels:
+            assert parsed.repaired_curve(level) == built.repaired_curve(level)
+
+    def test_scaled_constructors_keep_the_least_scale(self):
+        win = TradingWindow(MarketKind.BM, BASE_EPOCH, 2)
+        series = PriceSeries.from_scaled(win, (250, -500), 1000)
+        assert (series.scaled, series.scale) == ((1, -2), 4)
+        assert series == PriceSeries(win, (Fraction(1, 4), Fraction(-1, 2)))
+        zero = PriceSeries.from_scaled(win, (0, 0), 100)
+        assert (zero.scaled, zero.scale) == ((0, 0), 1)
+        fc = QuantileForecast.from_scaled(win, (Fraction(1, 2),), ((30,), (45,)), 10)
+        assert (fc.scaled, fc.scale) == (((6,), (9,)), 2)
+        assert fc.values == ((Fraction(3),), (Fraction(9, 2),))
+        with pytest.raises(WindowMismatch):
+            PriceSeries.from_scaled(win, (1,), 1)
+        with pytest.raises(WindowMismatch):
+            QuantileForecast.from_scaled(win, (Fraction(1, 2),), ((1, 2), (3, 4)), 1)
 
 
 class TestRepair:

@@ -3,20 +3,42 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bessarb._numeric import (
     TICKS_PER_MWH,
     format_decimal,
     format_money,
+    format_ratio,
     mwh_to_ticks,
     parse_decimal,
+    parse_ratio,
     scale_to_integers,
     ticks_to_mwh,
     to_cents,
 )
 from bessarb.errors import MalformedRow
+
+# Decimal-like text: signs, padding, ASCII and Arabic-Indic digits,
+# underscores, a point on either side, exponents and slashes, plus a few
+# named cases and arbitrary short text.
+_digits = st.text(alphabet="0123456789\u0663_", max_size=6)
+texts = st.one_of(
+    st.builds(
+        lambda *parts: "".join(parts),
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from(["", "-", "+"]),
+        _digits,
+        st.sampled_from(["", "."]),
+        _digits,
+        st.sampled_from(["", "e3", "E-2", "e", "/3", "/0", "/"]),
+        st.sampled_from(["", " ", "\n"]),
+    ),
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "", ".", "-", "1/3", "1e3",
+                     "1_0", "12,5", ".5", "5.", "0x10", "\u0663.\u0665"]),
+    st.text(max_size=8),
+)
 
 
 class TestParseDecimal:
@@ -37,6 +59,36 @@ class TestParseDecimal:
     def test_empty_raises(self):
         with pytest.raises(MalformedRow):
             parse_decimal("")
+
+    @given(texts)
+    @settings(max_examples=400)
+    def test_matches_fraction_of_the_stripped_text(self, text):
+        # parse_decimal and parse_ratio accept exactly what Fraction accepts
+        try:
+            want = Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(MalformedRow):
+                parse_decimal(text)
+            with pytest.raises(MalformedRow):
+                parse_ratio(text)
+            return
+        assert parse_decimal(text) == want
+        num, den = parse_ratio(text)
+        assert den > 0 and Fraction(num, den) == want
+
+    @given(st.from_regex(r"-?[0-9]+(\.[0-9]+)?", fullmatch=True))
+    def test_plain_decimal_reads_as_digits_over_a_power_of_ten(self, text):
+        digits = text.partition(".")[2]
+        assert parse_ratio(text) == (int(text.replace(".", "")), 10 ** len(digits))
+
+    @pytest.mark.parametrize(
+        "text,ratio",
+        [("-12.50", (-1250, 100)), ("007", (7, 1)), (" 1.5 ", (3, 2)),
+         ("+5", (5, 1)), (".5", (1, 2)), ("5.", (5, 1)), ("1e3", (1000, 1)),
+         ("1/3", (1, 3)), ("\u0663.\u0665", (7, 2))],
+    )
+    def test_ratio_examples(self, text, ratio):
+        assert parse_ratio(text) == ratio
 
 
 class TestTicks:
@@ -90,6 +142,18 @@ class TestFormatDecimal:
     def test_non_decimal_rejected(self):
         with pytest.raises(ValueError):
             format_decimal(Fraction(1, 3))
+
+    @pytest.mark.parametrize(
+        "num,den,text",
+        [(250, 1000, "0.25"), (-30, 3, "-10"), (6, 30, "0.2"), (0, 7, "0"),
+         (1234, 100, "12.34")],
+    )
+    def test_ratio_in_any_terms(self, num, den, text):
+        assert format_ratio(num, den) == text == format_decimal(Fraction(num, den))
+
+    def test_non_decimal_ratio_rejected(self):
+        with pytest.raises(ValueError):
+            format_ratio(3, 9)
 
     @given(
         st.integers(min_value=-10**12, max_value=10**12),

@@ -75,6 +75,13 @@ def _fraction_scan_ordered(buy_curve, sell_curve, spec, lo, hi):
     return best
 
 
+def _fraction_curves(fc, pair):
+    """The pair's buy and sell curves of the sorted rows, as exact prices."""
+    rows = [sorted(row) for row in fc.values]
+    i_buy, i_sell = fc.levels.index(pair.buy_level), fc.levels.index(pair.sell_level)
+    return [row[i_buy] for row in rows], [row[i_sell] for row in rows]
+
+
 def _fraction_scan_unordered(buy_curve, sell_curve, spec, lo, hi):
     """Reference scan on exact fractions: cheapest buy, dearest sell, gated."""
     if hi - lo < 1:
@@ -319,7 +326,7 @@ class TestIntegerScans:
     def test_ordered_scan_matches_fraction_oracle(self, problem):
         fc, pair, spec, lo, hi = problem
         curves = _curves(fc, pair, spec)
-        want = _fraction_scan_ordered(curves.buy_prices, curves.sell_prices, spec, lo, hi)
+        want = _fraction_scan_ordered(*_fraction_curves(fc, pair), spec, lo, hi)
         if want is not None and want.expected_spread <= 0:
             want = None
         found = _scan_ordered(curves, lo, hi)
@@ -334,7 +341,7 @@ class TestIntegerScans:
     def test_unordered_scan_matches_fraction_oracle(self, problem):
         fc, pair, spec, lo, hi = problem
         curves = _curves(fc, pair, spec)
-        want = _fraction_scan_unordered(curves.buy_prices, curves.sell_prices, spec, lo, hi)
+        want = _fraction_scan_unordered(*_fraction_curves(fc, pair), spec, lo, hi)
         found = _scan_unordered(curves, lo, hi)
         if want is None:
             assert found is None
@@ -367,9 +374,10 @@ class TestIntegerScans:
 
     def test_repaired_curve_is_exact_and_scaled(self):
         fc = make_forecast({"0.3": ["1.5", "-2", "0.125"], "0.7": ["1", "3", "0.25"]})
-        prices, scaled = fc.repaired_curve("0.7")
+        scaled = fc.repaired_curve("0.7")
+        assert fc.scale == 8  # L = lcm(2, 8)
+        prices = tuple(Fraction(n, fc.scale) for n in scaled)
         assert prices == (Fraction("1.5"), Fraction(3), Fraction("0.25"))
-        assert scaled == tuple(int(p * 8) for p in prices)  # L = lcm(2, 8) = 8
         with pytest.raises(LevelMissing):
             fc.repaired_curve("0.9")
 
