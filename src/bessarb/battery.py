@@ -89,8 +89,9 @@ class BatterySpec:
         missing = {k for k in _JSON_KEYS[:2] if k not in doc}
         if missing:
             raise ConfigError(f"battery spec missing keys: {sorted(missing)}")
-        kwargs = {k: doc[k] for k in _JSON_KEYS if k in doc}
-        return cls.from_mwh(**{k: str(v) for k, v in kwargs.items()})
+        return cls.from_mwh(
+            **{k: _spec_number(k, doc[k]) for k in _JSON_KEYS if k in doc}
+        )
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "BatterySpec":
@@ -129,6 +130,21 @@ class BatterySpec:
         """sha256 over the canonical JSON form, for schedule provenance."""
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _spec_number(key: str, value) -> Fraction:
+    """A battery spec JSON value as an exact number; else a ConfigError naming the key.
+
+    Energies must also be whole milli-MWh.  JSON null, booleans, lists and
+    objects print as Python text that no number parses, so they fail too.
+    """
+    try:
+        number = Fraction(str(value))
+        if not key.endswith("_eff"):
+            mwh_to_ticks(number)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"battery spec {key} = {value!r}: {exc}") from None
+    return number
 
 
 def unit_trading_spec() -> BatterySpec:

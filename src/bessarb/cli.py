@@ -26,7 +26,13 @@ from bessarb.economics import (
     load_catalog,
     scenario_for,
 )
-from bessarb.errors import BessArbError, ConfigError, MalformedRow, MissingRevenueSource
+from bessarb.errors import (
+    BessArbError,
+    ConfigError,
+    LevelOutOfRange,
+    MalformedRow,
+    MissingRevenueSource,
+)
 from bessarb.evaluation import (
     dp_optimal,
     dp_unit,
@@ -168,6 +174,12 @@ _KNOWN_CONFIG_KEYS = {
 }
 
 
+_PATH_CONFIG_KEYS = (
+    "out", "battery", "dam_actuals", "dam_forecast", "bm_actuals", "bm_forecast",
+    "actuals", "forecast",
+)
+
+
 class _Options:
     """CLI values over config-file values over hard defaults."""
 
@@ -175,6 +187,10 @@ class _Options:
         unknown = set(config) - _KNOWN_CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key in _PATH_CONFIG_KEYS:
+            value = config.get(key)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{_flag(key)} must be a path: {value!r}")
         self._args = args
         self._config = config
 
@@ -285,10 +301,13 @@ def _cmd_gen(opts: _Options) -> int:
     out.mkdir(parents=True, exist_ok=True)
     counts = {}
     for name, market in zip(markets, kinds):
-        actuals, forecasts = generate_synthetic(
-            seed, market, days=days, noise_sd=noise_sd, levels=levels,
-            start_epoch_s=start,
-        )
+        try:
+            actuals, forecasts = generate_synthetic(
+                seed, market, days=days, noise_sd=noise_sd, levels=levels,
+                start_epoch_s=start,
+            )
+        except LevelOutOfRange as exc:
+            raise ConfigError(f"--levels: {exc}") from None
         write_price_csv(out / f"{name}_actuals.csv", actuals)
         write_forecast_csv(out / f"{name}_forecast.csv", forecasts)
         counts[name] = len(actuals)

@@ -11,12 +11,15 @@ DP is the only guaranteed upper bound on realized cash.  pf is a reference,
 not a bound: a heuristic strategy can do better on a noisy forecast than on
 the true prices (22 of 4200 sweep rows over 40 seeds did).
 
-`backtest` and `sweep` share one per-unit path.  A unit is what one
-settlement covers: one window of one market, or one dual horizon (a
-day-ahead window and the balancing window that opens with it).
-`window_units` and `dual_units` build units; `trade_unit` runs a strategy
-over a unit and settles it, and `pf_unit` and `dp_unit` give its
-benchmarks, whichever shape the unit has.
+Everything runs on units.  A unit is what one settlement covers: a
+market.Horizon (one window of one market, or a day-ahead window and the
+balancing window that opens with it), with a forecast and the settled
+prices of each window.  `window_units` and `dual_units` build units;
+`trade_unit` runs a strategy over a unit and settles it, and `pf_unit` and
+`dp_unit` give its benchmarks.  Settlement walks the horizon's instants and
+the DP reads prices along its events, so one body serves every shape.
+`settle`, `perfect_foresight`, `dp_optimal` and their `_dual` forms name
+one market or one dual horizon, and run on the same bodies.
 
 A sweep computes both benchmarks once per unit before any cell runs: DP
 once per unit of each market, pf once per (unit, strategy).  Neither
@@ -30,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from bessarb._numeric import format_money, pinball_sum, scale_ratios, to_cents
 from bessarb.battery import BatterySpec, BatteryState, apply_trade, start_charge
@@ -41,8 +44,7 @@ from bessarb.errors import (
     WindowMismatch,
 )
 from bessarb.market import (
-    DualHorizon,
-    MarketKind,
+    Horizon,
     PriceSeries,
     QuantileForecast,
     build_dual_horizon,
@@ -68,19 +70,42 @@ class SettleResult:
     final_charge: int
 
 
-def _settle_legs(
-    legs, scale: int, spec: BatterySpec, initial_charge: int | None
-) -> SettleResult:
-    """Replay (order, price) legs in wall-clock order and pay them.
+def _over_one_scale(
+    series: Sequence[PriceSeries],
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Every series' prices as integers over the lcm of their scales."""
+    scale = math.lcm(*(ps.scale for ps in series))
+    return tuple(
+        ps.scaled if ps.scale == scale
+        else tuple(n * (scale // ps.scale) for n in ps.scaled)
+        for ps in series
+    ), scale
 
-    Prices are integers over `scale`.  Cash is summed as one integer over
+
+def _settle(
+    horizon: Horizon,
+    schedules: Sequence[Schedule],
+    actuals: Sequence[PriceSeries],
+    spec: BatterySpec,
+    initial_charge: int | None,
+) -> SettleResult:
+    """Replay each window's orders in the horizon's wall-clock order and pay them.
+
+    Prices are integers over one scale.  Cash is summed as one integer over
     scale * den, with the weights of BatterySpec.cash_weights, so one
     Fraction is built per call.
     """
+    prices, scale = _over_one_scale(actuals)
+    # instants are distinct, so the legs sort on their instant alone
+    legs = sorted(
+        (horizon.instants[w][order.period], order, prices[w][order.period])
+        for w, schedule in enumerate(schedules)
+        for order in schedule.orders
+    )
     w_buy, w_sell, den = spec.cash_weights()
     state = BatteryState(start_charge(spec, initial_charge))
     cash = 0
-    for order, price in legs:
+    for _, order, price in legs:
         state = apply_trade(state, spec, order.signed_ticks)
         if order.side is Side.SELL:
             cash += w_sell * price * order.volume_ticks
@@ -89,143 +114,116 @@ def _settle_legs(
     return SettleResult(Fraction(cash, scale * den), state.charge)
 
 
-def _over_one_scale(
-    dam: PriceSeries, bm: PriceSeries
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], int]:
-    """Both markets' prices as integers over the lcm of their scales."""
-    scale = math.lcm(dam.scale, bm.scale)
-    return tuple(
-        tuple(n * (scale // ps.scale) for n in ps.scaled) for ps in (dam, bm)
-    ), scale
-
-
-def settle(
-    schedule: Schedule,
-    actuals: PriceSeries,
-    spec: BatterySpec,
-    initial_charge: int | None = None,
-) -> SettleResult:
-    """Replay a schedule against settled prices.
-
-    Raises the relevant battery violation if any order breaks a bound, so a
-    returned figure is always physically achievable.
-    """
-    if schedule.window != actuals.window:
-        raise WindowMismatch("schedule and prices cover different windows")
-    prices = actuals.scaled
-    legs = ((order, prices[order.period]) for order in schedule.orders)
-    return _settle_legs(legs, actuals.scale, spec, initial_charge)
-
-
-def settle_dual(
-    dam_schedule: Schedule,
-    bm_schedule: Schedule,
-    dam_actuals: PriceSeries,
-    bm_actuals: PriceSeries,
-    spec: BatterySpec,
-    initial_charge: int | None = None,
-) -> SettleResult:
-    """Jointly replay one day-ahead and one balancing schedule."""
-    if dam_schedule.window != dam_actuals.window:
-        raise WindowMismatch("day-ahead schedule and prices differ")
-    if bm_schedule.window != bm_actuals.window:
-        raise WindowMismatch("balancing schedule and prices differ")
-    horizon = build_dual_horizon(dam_schedule.window, bm_schedule.window)
-    (dam_prices, bm_prices), scale = _over_one_scale(dam_actuals, bm_actuals)
-    orders = {
-        MarketKind.DAM: {o.period: o for o in dam_schedule.orders},
-        MarketKind.BM: {o.period: o for o in bm_schedule.orders},
-    }
-    prices = {MarketKind.DAM: dam_prices, MarketKind.BM: bm_prices}
-    legs = (
-        (orders[market][period], prices[market][period])
-        for market, period in horizon.merged_events()
-        if period in orders[market]
-    )
-    return _settle_legs(legs, scale, spec, initial_charge)
-
-
-# --- benchmarks -------------------------------------------------------------
-
-def degenerate_forecast(
-    actuals: PriceSeries, levels: Sequence = (Fraction(1, 2),)
-) -> QuantileForecast:
-    """Forecast that pins every quantile level to the settled price."""
-    levels = tuple(levels)
-    rows = tuple((n,) * len(levels) for n in actuals.scaled)
-    return QuantileForecast.from_scaled(actuals.window, levels, rows, actuals.scale)
-
-
-def _run_strategy(
+def _trade(
+    horizon: Horizon,
+    forecasts: Sequence[QuantileForecast],
     strategy: str,
-    forecast: QuantileForecast,
     pair: QuantilePair,
     spec: BatterySpec,
     allow_stock_buys: bool,
     initial_charge: int | None,
-) -> Schedule:
-    if strategy == "TS1":
-        return ts1(forecast, pair, spec, initial_charge=initial_charge)
-    if strategy == "TS2":
-        return ts2(forecast, pair, spec, initial_charge=initial_charge)
-    if strategy == "TS3":
-        return ts3(
-            forecast,
-            pair,
-            spec,
-            allow_stock_buys=allow_stock_buys,
-            initial_charge=initial_charge,
+) -> tuple[Schedule, ...]:
+    """The strategy's schedules over a horizon, one per window."""
+    if len(forecasts) > 1:
+        if strategy != "TS3":
+            raise ConfigError("dual-market backtests use strategy TS3")
+        return ts3_dual(
+            horizon, *forecasts, pair, spec, allow_stock_buys, initial_charge
         )
-    raise ConfigError(f"unknown strategy {strategy!r}")
+    (forecast,) = forecasts
+    if strategy == "TS3":
+        return (ts3(forecast, pair, spec, allow_stock_buys, initial_charge),)
+    if strategy not in ("TS1", "TS2"):
+        raise ConfigError(f"unknown strategy {strategy!r}")
+    run = ts1 if strategy == "TS1" else ts2
+    return (run(forecast, pair, spec, initial_charge),)
 
 
-def perfect_foresight(
-    actuals: PriceSeries,
+# --- units ------------------------------------------------------------------
+
+class _Unit(NamedTuple):
+    """One settlement: its horizon, and a forecast and prices per window."""
+
+    horizon: Horizon
+    forecasts: tuple[QuantileForecast, ...]
+    actuals: tuple[PriceSeries, ...]
+
+
+def window_units(
+    forecasts: Sequence[QuantileForecast], actuals: Sequence[PriceSeries], what: str
+) -> list[_Unit]:
+    """One unit per window; forecasts and prices must cover the same windows."""
+    if len(forecasts) != len(actuals):
+        raise WindowMismatch(f"{what}: forecast and price window counts differ")
+    for fc, ps in zip(forecasts, actuals):
+        if fc.window != ps.window:
+            raise WindowMismatch(f"{what}: forecast and price windows differ")
+    return [
+        _Unit(Horizon((ps.window,)), (fc,), (ps,))
+        for fc, ps in zip(forecasts, actuals)
+    ]
+
+
+def dual_units(dam_units: Sequence[_Unit], bm_units: Sequence[_Unit]) -> list[_Unit]:
+    """Each day-ahead unit joined with the balancing unit that opens with it."""
+    bm_by_start = {u.horizon.windows[0].start_epoch_s: u for u in bm_units}
+    units = []
+    for dam in dam_units:
+        (window,) = dam.horizon.windows
+        bm = bm_by_start.get(window.start_epoch_s)
+        if bm is not None:
+            units.append(_Unit(
+                build_dual_horizon(window, *bm.horizon.windows),
+                dam.forecasts + bm.forecasts,
+                dam.actuals + bm.actuals,
+            ))
+    return units
+
+
+def trade_unit(
+    unit: _Unit,
+    strategy: str,
+    pair: QuantilePair,
+    spec: BatterySpec,
+    allow_stock_buys: bool = False,
+    initial_charge: int | None = None,
+) -> tuple[tuple[Schedule, ...], SettleResult]:
+    """Run a strategy over one unit and settle it: (schedules, result)."""
+    horizon, forecasts, actuals = unit
+    schedules = _trade(
+        horizon, forecasts, strategy, pair, spec, allow_stock_buys, initial_charge
+    )
+    return schedules, _settle(horizon, schedules, actuals, spec, initial_charge)
+
+
+def pf_unit(
+    unit: _Unit,
     spec: BatterySpec,
     strategy: str = "TS3",
     allow_stock_buys: bool = False,
     initial_charge: int | None = None,
 ) -> Fraction:
-    """Profit of the strategy when the forecast equals the settled prices."""
-    forecast = degenerate_forecast(actuals)
-    schedule = _run_strategy(
-        strategy, forecast, MEDIAN_PAIR, spec, allow_stock_buys, initial_charge
+    """Profit of the strategy over one unit when its forecasts equal the
+    settled prices (perfect foresight)."""
+    forecasts = tuple(degenerate_forecast(ps) for ps in unit.actuals)
+    _, result = trade_unit(
+        unit._replace(forecasts=forecasts), strategy, MEDIAN_PAIR, spec,
+        allow_stock_buys, initial_charge,
     )
-    return settle(schedule, actuals, spec, initial_charge).cash
+    return result.cash
 
 
-def perfect_foresight_dual(
-    horizon: DualHorizon,
-    dam_actuals: PriceSeries,
-    bm_actuals: PriceSeries,
-    spec: BatterySpec,
-    allow_stock_buys: bool = False,
-    initial_charge: int | None = None,
+def dp_unit(
+    unit: _Unit, spec: BatterySpec, initial_charge: int | None = None
 ) -> Fraction:
-    dam_sched, bm_sched = ts3_dual(
-        horizon,
-        degenerate_forecast(dam_actuals),
-        degenerate_forecast(bm_actuals),
-        MEDIAN_PAIR,
-        spec,
-        allow_stock_buys=allow_stock_buys,
-        initial_charge=initial_charge,
-    )
-    return settle_dual(
-        dam_sched, bm_sched, dam_actuals, bm_actuals, spec, initial_charge
-    ).cash
+    """Best possible profit over one unit, by ramp-lattice recursion.
 
-
-def _dp_max_cash(
-    prices: Sequence[int], scale: int, spec: BatterySpec, initial_charge: int
-) -> Fraction:
-    """Exact optimum over all feasible schedules, by ramp-lattice recursion.
-
+    The recursion reads the settled prices along the horizon's events.
     Valid as a bound for fractional volumes too: the feasible set is an
     interval polytope, so some optimum sits on the ramp lattice whenever the
     charge span and starting charge are whole ramps.
 
-    `prices` are integers over `scale`.  With the leg weights of
+    Prices are integers over one scale.  With the leg weights of
     BatterySpec.cash_weights, every leg's cash shares the denominator
     scale * den:
 
@@ -236,15 +234,18 @@ def _dp_max_cash(
     Fraction is built at the end.  Prices of any size stay exact: Python
     integers do not overflow.
     """
+    initial = start_charge(spec, initial_charge)
     span = spec.capacity - spec.min_charge
     if span % spec.ramp:
         raise NonCommensurateRamp(
             f"charge span {span} is not a whole number of ramps {spec.ramp}"
         )
-    if (initial_charge - spec.min_charge) % spec.ramp:
+    if (initial - spec.min_charge) % spec.ramp:
         raise NonCommensurateRamp("starting charge sits off the ramp lattice")
+    by_window, scale = _over_one_scale(unit.actuals)
+    prices = [by_window[w][p] for w, p in unit.horizon.events]
     steps = span // spec.ramp
-    k0 = (initial_charge - spec.min_charge) // spec.ramp
+    k0 = (initial - spec.min_charge) // spec.ramp
     # n periods move at most n ramps: lattice points farther from k0 are
     # unreachable, so the recursion keeps only [lo, hi].
     lo, hi = max(0, k0 - len(prices)), min(steps, k0 + len(prices))
@@ -264,118 +265,99 @@ def _dp_max_cash(
     return Fraction(value[k0 - lo], scale * den)
 
 
+# --- one market or one dual horizon -----------------------------------------
+# The benchmarks need no forecasts, so their units carry none.
+
+def settle(
+    schedule: Schedule,
+    actuals: PriceSeries,
+    spec: BatterySpec,
+    initial_charge: int | None = None,
+) -> SettleResult:
+    """Replay a schedule against settled prices.
+
+    Raises the relevant battery violation if any order breaks a bound, so a
+    returned figure is always physically achievable.
+    """
+    if schedule.window != actuals.window:
+        raise WindowMismatch("schedule and prices cover different windows")
+    return _settle(
+        Horizon((actuals.window,)), (schedule,), (actuals,), spec, initial_charge
+    )
+
+
+def settle_dual(
+    dam_schedule: Schedule,
+    bm_schedule: Schedule,
+    dam_actuals: PriceSeries,
+    bm_actuals: PriceSeries,
+    spec: BatterySpec,
+    initial_charge: int | None = None,
+) -> SettleResult:
+    """Jointly replay one day-ahead and one balancing schedule."""
+    if dam_schedule.window != dam_actuals.window:
+        raise WindowMismatch("day-ahead schedule and prices differ")
+    if bm_schedule.window != bm_actuals.window:
+        raise WindowMismatch("balancing schedule and prices differ")
+    horizon = build_dual_horizon(dam_schedule.window, bm_schedule.window)
+    return _settle(
+        horizon, (dam_schedule, bm_schedule), (dam_actuals, bm_actuals), spec,
+        initial_charge,
+    )
+
+
+def degenerate_forecast(
+    actuals: PriceSeries, levels: Sequence = (Fraction(1, 2),)
+) -> QuantileForecast:
+    """Forecast that pins every quantile level to the settled price."""
+    levels = tuple(levels)
+    rows = tuple((n,) * len(levels) for n in actuals.scaled)
+    return QuantileForecast.from_scaled(actuals.window, levels, rows, actuals.scale)
+
+
+def perfect_foresight(
+    actuals: PriceSeries,
+    spec: BatterySpec,
+    strategy: str = "TS3",
+    allow_stock_buys: bool = False,
+    initial_charge: int | None = None,
+) -> Fraction:
+    """Profit of the strategy when the forecast equals the settled prices."""
+    unit = _Unit(Horizon((actuals.window,)), (), (actuals,))
+    return pf_unit(unit, spec, strategy, allow_stock_buys, initial_charge)
+
+
+def perfect_foresight_dual(
+    horizon: Horizon,
+    dam_actuals: PriceSeries,
+    bm_actuals: PriceSeries,
+    spec: BatterySpec,
+    allow_stock_buys: bool = False,
+    initial_charge: int | None = None,
+) -> Fraction:
+    unit = _Unit(horizon, (), (dam_actuals, bm_actuals))
+    return pf_unit(unit, spec, "TS3", allow_stock_buys, initial_charge)
+
+
 def dp_optimal(
     actuals: PriceSeries, spec: BatterySpec, initial_charge: int | None = None
 ) -> Fraction:
     """Best possible profit for the window given the settled prices."""
-    return _dp_max_cash(
-        actuals.scaled, actuals.scale, spec, start_charge(spec, initial_charge)
-    )
+    unit = _Unit(Horizon((actuals.window,)), (), (actuals,))
+    return dp_unit(unit, spec, initial_charge)
 
 
 def dp_optimal_dual(
-    horizon: DualHorizon,
+    horizon: Horizon,
     dam_actuals: PriceSeries,
     bm_actuals: PriceSeries,
     spec: BatterySpec,
     initial_charge: int | None = None,
 ) -> Fraction:
     """Best possible profit trading both markets of one dual horizon."""
-    if dam_actuals.window != horizon.dam or bm_actuals.window != horizon.bm:
+    if (dam_actuals.window, bm_actuals.window) != horizon.windows:
         raise WindowMismatch("price windows do not match the horizon")
-    (dam, bm), scale = _over_one_scale(dam_actuals, bm_actuals)
-    prices = [
-        (dam if market is MarketKind.DAM else bm)[period]
-        for market, period in horizon.merged_events()
-    ]
-    return _dp_max_cash(prices, scale, spec, start_charge(spec, initial_charge))
-
-
-# --- units ------------------------------------------------------------------
-# A unit holds the forecasts and the settled prices of one settlement: one
-# single-market window, ((fc,), (ps,)), or one dual horizon,
-# ((dam_fc, bm_fc), (dam_ps, bm_ps)).
-
-_Unit = tuple[tuple[QuantileForecast, ...], tuple[PriceSeries, ...]]
-
-
-def window_units(
-    forecasts: Sequence[QuantileForecast], actuals: Sequence[PriceSeries], what: str
-) -> list[_Unit]:
-    """One unit per window; forecasts and prices must cover the same windows."""
-    if len(forecasts) != len(actuals):
-        raise WindowMismatch(f"{what}: forecast and price window counts differ")
-    for fc, ps in zip(forecasts, actuals):
-        if fc.window != ps.window:
-            raise WindowMismatch(f"{what}: forecast and price windows differ")
-    return [((fc,), (ps,)) for fc, ps in zip(forecasts, actuals)]
-
-
-def dual_units(dam_units: Sequence[_Unit], bm_units: Sequence[_Unit]) -> list[_Unit]:
-    """Each day-ahead unit joined with the balancing unit that opens with it."""
-    bm_by_start = {ps[0].window.start_epoch_s: (fc, ps) for fc, ps in bm_units}
-    units = []
-    for fc, ps in dam_units:
-        bm = bm_by_start.get(ps[0].window.start_epoch_s)
-        if bm is not None:
-            units.append((fc + bm[0], ps + bm[1]))
-    return units
-
-
-def _horizon(actuals: tuple[PriceSeries, ...], strategy: str = "TS3") -> DualHorizon:
-    if strategy != "TS3":
-        raise ConfigError("dual-market backtests use strategy TS3")
-    return build_dual_horizon(actuals[0].window, actuals[1].window)
-
-
-def trade_unit(
-    unit: _Unit,
-    strategy: str,
-    pair: QuantilePair,
-    spec: BatterySpec,
-    allow_stock_buys: bool = False,
-    initial_charge: int | None = None,
-) -> tuple[tuple[Schedule, ...], SettleResult]:
-    """Run a strategy over one unit and settle it: (schedules, result)."""
-    forecasts, actuals = unit
-    if len(actuals) == 1:
-        schedule = _run_strategy(
-            strategy, *forecasts, pair, spec, allow_stock_buys, initial_charge
-        )
-        return (schedule,), settle(schedule, *actuals, spec, initial_charge)
-    schedules = ts3_dual(
-        _horizon(actuals, strategy), *forecasts, pair, spec,
-        allow_stock_buys=allow_stock_buys, initial_charge=initial_charge,
-    )
-    return schedules, settle_dual(*schedules, *actuals, spec, initial_charge)
-
-
-def pf_unit(
-    unit: _Unit,
-    spec: BatterySpec,
-    strategy: str = "TS3",
-    allow_stock_buys: bool = False,
-    initial_charge: int | None = None,
-) -> Fraction:
-    """Perfect-foresight profit of the strategy over one unit."""
-    _, actuals = unit
-    if len(actuals) == 1:
-        return perfect_foresight(
-            *actuals, spec, strategy, allow_stock_buys, initial_charge
-        )
-    return perfect_foresight_dual(
-        _horizon(actuals, strategy), *actuals, spec, allow_stock_buys, initial_charge
-    )
-
-
-def dp_unit(
-    unit: _Unit, spec: BatterySpec, initial_charge: int | None = None
-) -> Fraction:
-    """DP optimum over one unit."""
-    _, actuals = unit
-    if len(actuals) == 1:
-        return dp_optimal(*actuals, spec, initial_charge)
-    return dp_optimal_dual(_horizon(actuals), *actuals, spec, initial_charge)
+    return dp_unit(_Unit(horizon, (), (dam_actuals, bm_actuals)), spec, initial_charge)
 
 
 # --- forecast scoring -------------------------------------------------------
@@ -412,7 +394,7 @@ def score_forecasts(
     built per level, and one for the mean over all cells.
     """
     cells: dict[Fraction, tuple[list, list]] = {}
-    for (fc,), (ps,) in window_units(forecasts, actuals, "score"):
+    for _, (fc,), (ps,) in window_units(forecasts, actuals, "score"):
         for y, row in zip(ps.scaled, fc.scaled):
             for lv, z in zip(fc.levels, row):
                 ys, zs = cells.setdefault(lv, ([], []))

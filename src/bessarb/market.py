@@ -10,6 +10,10 @@ forecast: each CSV cell is read into an integer over a power of ten
 (_numeric.parse_ratio), and the `prices` and `values` Fractions are built
 only when read.  Floats only appear inside the synthetic generator before
 rounding to cents.
+
+A Horizon holds the windows one settlement covers, one window or a
+day-ahead window with the balancing window that opens with it, and lists
+their trades in wall-clock order once.
 """
 
 from __future__ import annotations
@@ -436,40 +440,41 @@ def write_forecast_csv(path: str | Path, forecasts: Iterable[QuantileForecast]) 
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-# --- dual-market horizon --------------------------------------------------
+# --- settlement horizon ---------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
-class DualHorizon:
-    """One day-ahead window plus the balancing window that opens with it.
+class Horizon:
+    """The windows of one settlement, and their trades in wall-clock order.
 
-    Balancing slot s falls inside day-ahead hour s // 2, so the 16 balancing
-    slots cover the first 8 hours of the day-ahead window.
+    A horizon holds one window of one market, or a day-ahead window and
+    the balancing window that opens with it (build_dual_horizon).  `events`
+    lists every (window index, period) in wall-clock trade order; when two
+    markets trade at the same instant, the hourly leg is taken first by
+    convention.  `instants[w][p]` is the position of (w, p) in `events`.
+    Both are derived from the windows once, so they take no part in
+    equality.
     """
 
-    dam: TradingWindow
-    bm: TradingWindow
+    windows: tuple[TradingWindow, ...]
+    events: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    instants: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
-    def hour_of_slot(self, slot: int) -> int:
-        if not 0 <= slot < self.bm.period_count:
-            raise IndexError(f"slot {slot} outside balancing window")
-        return slot * self.bm.market.period_seconds // self.dam.market.period_seconds
-
-    def merged_events(self) -> tuple[tuple[MarketKind, int], ...]:
-        """(market, period) pairs in wall-clock trade order.
-
-        Both markets can trade at the top of an hour; the hourly leg is
-        taken first by convention.
-        """
-        events = []
-        for hh in range(self.dam.period_count * 2):
-            if hh % 2 == 0:
-                events.append((MarketKind.DAM, hh // 2))
-            if hh < self.bm.period_count:
-                events.append((MarketKind.BM, hh))
-        return tuple(events)
+    def __post_init__(self) -> None:
+        windows = self.windows
+        events = [(i, p) for i, w in enumerate(windows) for p in range(w.period_count)]
+        if len(windows) > 1:
+            events.sort(key=lambda e: (
+                windows[e[0]].timestamp_of(e[1]), -windows[e[0]].market.period_seconds
+            ))
+        instants = [[0] * w.period_count for w in windows]
+        for k, (i, p) in enumerate(events):
+            instants[i][p] = k
+        object.__setattr__(self, "events", tuple(events))
+        object.__setattr__(self, "instants", tuple(map(tuple, instants)))
 
 
-def build_dual_horizon(dam: TradingWindow, bm: TradingWindow) -> DualHorizon:
+def build_dual_horizon(dam: TradingWindow, bm: TradingWindow) -> Horizon:
+    """The horizon of a day-ahead window and the balancing window opening with it."""
     if dam.market is not MarketKind.DAM or bm.market is not MarketKind.BM:
         raise WindowMismatch("dual horizon needs one DAM and one BM window")
     if dam.start_epoch_s != bm.start_epoch_s:
@@ -479,7 +484,7 @@ def build_dual_horizon(dam: TradingWindow, bm: TradingWindow) -> DualHorizon:
         )
     if bm.end_epoch_s > dam.end_epoch_s:
         raise WindowMismatch("balancing window overruns the day-ahead window")
-    return DualHorizon(dam, bm)
+    return Horizon((dam, bm))
 
 
 # --- synthetic data -------------------------------------------------------

@@ -30,7 +30,7 @@ from bessarb._numeric import format_decimal, ticks_to_mwh
 from bessarb.battery import BatterySpec, BatteryState, ChargeTimeline, start_charge
 from bessarb.errors import InvalidPair, WindowMismatch
 from bessarb.market import (
-    DualHorizon,
+    Horizon,
     QuantileForecast,
     TradingWindow,
     format_timestamp,
@@ -515,16 +515,8 @@ def ts3(
     return Schedule(forecast.window, "TS3", pair, out.sorted())
 
 
-def _merged_instants(horizon: DualHorizon) -> tuple[dict[int, int], dict[int, int]]:
-    """Per-market period -> index into the merged wall-clock event order."""
-    dam_instant, bm_instant = {}, {}
-    for idx, (market, period) in enumerate(horizon.merged_events()):
-        (dam_instant if market.value == "DAM" else bm_instant)[period] = idx
-    return dam_instant, bm_instant
-
-
 def ts3_dual(
-    horizon: DualHorizon,
+    horizon: Horizon,
     dam_forecast: QuantileForecast,
     bm_forecast: QuantileForecast,
     pair: QuantilePair,
@@ -540,62 +532,46 @@ def ts3_dual(
     trajectory so the combined schedule replays cleanly.  Without a
     profitable anchor the balancing window is traded alone.
     """
-    if dam_forecast.window != horizon.dam or bm_forecast.window != horizon.bm:
+    dam, bm = horizon.windows
+    if dam_forecast.window != dam or bm_forecast.window != bm:
         raise WindowMismatch("forecast windows do not match the horizon")
     dam_curves = _curves(dam_forecast, pair, spec)
     bm_curves = _curves(bm_forecast, pair, spec)
-    dam_instant, bm_instant = _merged_instants(horizon)
-    n_instants = horizon.dam.period_count + horizon.bm.period_count
-    timeline = ChargeTimeline(spec, n_instants, start_charge(spec, initial_charge))
+    dam_instant, bm_instant = (ix.__getitem__ for ix in horizon.instants)
+    timeline = ChargeTimeline(
+        spec, len(horizon.events), start_charge(spec, initial_charge)
+    )
     dam_out, bm_out = _Emitted(dam_curves), _Emitted(bm_curves)
+    n_bm = bm.period_count
 
     def run_bm(lo: int, hi: int) -> None:
         _run_worklist(
-            timeline, bm_curves, lo, hi, bm_instant.__getitem__, bm_out,
-            allow_stock_buys,
+            timeline, bm_curves, lo, hi, bm_instant, bm_out, allow_stock_buys
         )
 
-    anchor = _scan_unordered(dam_curves, 0, horizon.dam.period_count - 1)
+    anchor = _scan_unordered(dam_curves, 0, dam.period_count - 1)
     executed = False
     if anchor is not None:
         t_buy, t_sell = anchor
         executed = _execute_pair(
-            timeline,
-            t_buy,
-            t_sell,
-            dam_instant[t_buy],
-            dam_instant[t_sell],
-            dam_out,
-            allow_stock_buys,
+            timeline, t_buy, t_sell, dam_instant(t_buy), dam_instant(t_sell),
+            dam_out, allow_stock_buys,
         )
         if executed:
             span_lo, span_hi = min(t_buy, t_sell), max(t_buy, t_sell)
-            before_slots = [
-                s for s in range(horizon.bm.period_count)
-                if horizon.hour_of_slot(s) < span_lo
-            ]
-            after_slots = [
-                s for s in range(horizon.bm.period_count)
-                if horizon.hour_of_slot(s) > span_hi
-            ]
-            if before_slots:
-                run_bm(before_slots[0], before_slots[-1])
-            if after_slots:
-                run_bm(after_slots[0], after_slots[-1])
+            # balancing slot s falls inside day-ahead hour s // r
+            r = dam.market.period_seconds // bm.market.period_seconds
+            run_bm(0, min(span_lo * r, n_bm) - 1)
+            run_bm((span_hi + 1) * r, n_bm - 1)
             _run_worklist(
-                timeline,
-                dam_curves,
-                span_lo + 1,
-                span_hi - 1,
-                dam_instant.__getitem__,
-                dam_out,
-                allow_stock_buys,
+                timeline, dam_curves, span_lo + 1, span_hi - 1, dam_instant,
+                dam_out, allow_stock_buys,
             )
     if not executed:
-        run_bm(0, horizon.bm.period_count - 1)
+        run_bm(0, n_bm - 1)
     return (
-        Schedule(horizon.dam, "TS3", pair, dam_out.sorted()),
-        Schedule(horizon.bm, "TS3", pair, bm_out.sorted()),
+        Schedule(dam, "TS3", pair, dam_out.sorted()),
+        Schedule(bm, "TS3", pair, bm_out.sorted()),
     )
 
 

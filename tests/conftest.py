@@ -47,6 +47,19 @@ def flat_forecast(curve, levels=("0.5",), market=MarketKind.BM, start=BASE_EPOCH
     return make_forecast({lv: curve for lv in levels}, market=market, start=start)
 
 
+def merged_events(dam: TradingWindow, bm: TradingWindow) -> list:
+    """(market, period) of a day-ahead window and the balancing window that
+    opens with it, in wall-clock trade order, hourly leg first at the top of
+    an hour.  An oracle for Horizon.events, independent of its sort."""
+    events = []
+    for hh in range(dam.period_count * 2):
+        if hh % 2 == 0:
+            events.append((MarketKind.DAM, hh // 2))
+        if hh < bm.period_count:
+            events.append((MarketKind.BM, hh))
+    return events
+
+
 @pytest.fixture
 def unit_spec():
     return unit_trading_spec()

@@ -99,6 +99,9 @@ class TestGen:
             ("gen", "--start", "tomorrow"),
             ("gen", "--start", "2025-06-01T00:00:00"),
             ("gen", "--start", "2025-06-01T00:00:00.5Z"),
+            ("gen", "--levels", "1.5"),
+            ("gen", "--levels", "0.5,0.5"),
+            ("gen", "--levels", "0.9,0.1"),
         ],
     )
     def test_config_errors(self, tmp_path, capsys, argv):
@@ -566,6 +569,49 @@ class TestBadOptionValues:
             "--dam-forecast", str(data_dir / "dam_forecast.csv"),
         )
         assert "--jobs" in message
+
+    @pytest.mark.parametrize(
+        "option, doc, key",
+        [
+            *(
+                pytest.param(
+                    "--battery", {"capacity_mwh": "1", "ramp_mwh_per_period": value},
+                    "ramp_mwh_per_period", id=f"battery-ramp-{value!r}",
+                )
+                for value in ("abc", "nan", "1/0", None, [1], True, "0.0001")
+            ),
+            pytest.param(
+                "--battery",
+                {"capacity_mwh": "1", "ramp_mwh_per_period": "1", "charge_eff": "x"},
+                "charge_eff", id="battery-charge-eff",
+            ),
+            *(
+                pytest.param("--config", {key: value}, flag,
+                             id=f"config-{key}-{value!r}")
+                for key, flag, value in (
+                    ("battery", "--battery", 5),
+                    ("battery", "--battery", ["b.json"]),
+                    ("actuals", "--actuals", 5),
+                    ("forecast", "--forecast", 5),
+                    ("dam_actuals", "--dam-actuals", 5),
+                    ("dam_forecast", "--dam-forecast", 5),
+                    ("bm_actuals", "--bm-actuals", 5),
+                    ("bm_forecast", "--bm-forecast", 5),
+                    ("out", "--out", True),
+                )
+            ),
+        ],
+    )
+    def test_bad_json_value_names_its_key(
+        self, data_dir, tmp_path, capsys, option, doc, key
+    ):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        message = self.config_error(
+            capsys, "pf", option, str(path),
+            "--actuals", str(data_dir / "dam_actuals.csv"),
+        )
+        assert key in message
 
     def test_unknown_market_in_config(self, data_dir, tmp_path, capsys):
         cfg = self.config(tmp_path, {"market": "xyz"})

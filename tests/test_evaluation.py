@@ -22,14 +22,17 @@ from bessarb.evaluation import (
     degenerate_forecast,
     dp_optimal,
     dp_optimal_dual,
+    dp_unit,
     dual_units,
     perfect_foresight,
     perfect_foresight_dual,
+    pf_unit,
     pinball,
     run_sweep,
     score_forecasts,
     settle,
     settle_dual,
+    trade_unit,
     window_units,
     write_plot_csv,
     write_report_csv,
@@ -57,7 +60,7 @@ from bessarb.strategies import (
     ts3_dual,
 )
 
-from conftest import flat_forecast, frac, make_prices
+from conftest import flat_forecast, frac, make_prices, merged_events
 
 UNIT = unit_trading_spec()
 
@@ -235,10 +238,9 @@ class TestSettleOracle:
     def test_settle_dual_matches_fraction_legs(self, spec, data):
         dam = TradingWindow(MarketKind.DAM, BASE_EPOCH, 24)
         bm = TradingWindow(MarketKind.BM, BASE_EPOCH, 16)
-        horizon = build_dual_horizon(dam, bm)
         dam_ps = _series(data.draw, dam, "DAM")
         bm_ps = _series(data.draw, bm, "BM")
-        events = [(m.value, p) for m, p in horizon.merged_events()]
+        events = [(m.value, p) for m, p in merged_events(dam, bm)]
         orders = _clipped_orders(data.draw, spec, events)
         prices = {"DAM": dam_ps.prices, "BM": bm_ps.prices}
         want = _fraction_settle(
@@ -259,7 +261,7 @@ class TestSettleOracle:
         spec = BatterySpec.from_mwh("3", "1", charge_eff="0.9", discharge_eff="0.85")
         merged = [
             (dam_ps if m is MarketKind.DAM else bm_ps).prices[p]
-            for m, p in horizon.merged_events()
+            for m, p in merged_events(dam, bm)
         ]
         assert dp_optimal_dual(horizon, dam_ps, bm_ps, spec) == (
             _fraction_dp(merged, spec, spec.initial_charge)
@@ -477,6 +479,78 @@ class TestDpOptimalDual:
         assert realized <= dp_optimal_dual(horizon, dam_ps, bm_ps, UNIT)
         pf = perfect_foresight_dual(horizon, dam_ps, bm_ps, UNIT, allow)
         assert pf <= dp_optimal_dual(horizon, dam_ps, bm_ps, UNIT)
+
+
+@st.composite
+def lattice_batteries(draw):
+    """A battery whose charge span and start charge are whole ramps."""
+    ramp = draw(st.integers(min_value=1, max_value=1500))
+    floor = draw(st.integers(min_value=0, max_value=2000))
+    steps = draw(st.integers(min_value=1, max_value=5))
+    start = draw(st.integers(min_value=0, max_value=steps))
+    return BatterySpec(
+        floor + steps * ramp, ramp, floor, floor + start * ramp,
+        draw(efficiencies), draw(efficiencies),
+    )
+
+
+def _unit_forecast(draw, window, label):
+    """A three-level forecast, rows possibly crossed, over a drawn scale."""
+    den = draw(st.sampled_from([1, 3, 100]), label=f"{label} forecast scale")
+    rows = draw(st.lists(
+        st.tuples(*[st.integers(-500, 5000)] * 3),
+        min_size=window.period_count, max_size=window.period_count,
+    ), label=f"{label} forecast")
+    levels = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
+    return QuantileForecast(
+        window, levels, tuple(tuple(Fraction(v, den) for v in row) for row in rows)
+    )
+
+
+class TestUnitPathBounds:
+    """On the one unit path, realized cash and pf never beat the DP optimum.
+
+    Covers day-ahead, balancing and day-ahead + balancing units, TS1-TS3
+    (TS3 alone for dual units), any quantile pair, stock buys on or off, and
+    the final charge of each unit carried into the next.
+    """
+
+    @given(lattice_batteries(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_trade_and_pf_stay_within_dp(self, spec, data):
+        market = data.draw(st.sampled_from(["DAM", "BM", "DAM+BM"]), label="market")
+        days = data.draw(st.integers(min_value=1, max_value=2), label="days")
+        by_market = {}
+        for kind in (MarketKind.DAM, MarketKind.BM):
+            if kind.value not in market:
+                continue
+            windows = [
+                TradingWindow(kind, BASE_EPOCH + d * 86400, kind.periods_per_window)
+                for d in range(days)
+            ]
+            by_market[kind.value] = window_units(
+                [_unit_forecast(data.draw, w, kind.value) for w in windows],
+                [_series(data.draw, w, kind.value) for w in windows],
+                kind.value,
+            )
+        if market == "DAM+BM":
+            units = dual_units(by_market["DAM"], by_market["BM"])
+        else:
+            units = by_market[market]
+        strategies = ["TS3"] if market == "DAM+BM" else ["TS1", "TS2", "TS3"]
+        strategy = data.draw(st.sampled_from(strategies), label="strategy")
+        levels = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
+        sell = data.draw(st.sampled_from(levels), label="sell level")
+        buy = data.draw(st.sampled_from([lv for lv in levels if lv >= sell]))
+        pair = QuantilePair(sell, buy)
+        allow = data.draw(st.booleans(), label="allow stock buys")
+        init = None
+        for unit in units:
+            _, result = trade_unit(unit, strategy, pair, spec, allow, init)
+            dp = dp_unit(unit, spec, init)
+            assert result.cash <= dp
+            assert pf_unit(unit, spec, strategy, allow, init) <= dp
+            init = result.final_charge
 
 
 class TestPinball:
@@ -708,7 +782,10 @@ class TestRunSweep:
             window_units(bm_f, bm_a, "balancing"),
         )
         # day 2 has no balancing data; day 1 pairs with its first window only
-        assert units == [((dam_f[0], bm_f[0]), (dam_a[0], bm_a[0]))]
+        assert [(u.forecasts, u.actuals) for u in units] == [
+            ((dam_f[0], bm_f[0]), (dam_a[0], bm_a[0]))
+        ]
+        assert units[0].horizon == build_dual_horizon(dam_a[0].window, bm_a[0].window)
 
     def test_realized_never_beats_dp(self):
         dam_a, dam_f, bm_a, bm_f = self._data(days=2, noise="4")

@@ -1,5 +1,6 @@
 """Market containers, CSV ingest, dual horizon and the synthetic generator."""
 
+import pickle
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +22,7 @@ from bessarb.forecasting import FeatureMatrix
 from bessarb.market import (
     BASE_EPOCH,
     DEFAULT_LEVELS,
+    Horizon,
     IngestWarning,
     MarketKind,
     PriceSeries,
@@ -38,7 +40,7 @@ from bessarb.market import (
 )
 from bessarb._numeric import format_decimal
 
-from conftest import frac, make_forecast, make_prices
+from conftest import frac, make_forecast, make_prices, merged_events
 
 
 class TestWindows:
@@ -453,33 +455,66 @@ class TestDualHorizon:
         bm = TradingWindow(MarketKind.BM, BASE_EPOCH, 16)
         return build_dual_horizon(dam, bm)
 
+    def _market_events(self, hz):
+        return [(hz.windows[w].market, p) for w, p in hz.events]
+
     def test_slot_to_hour(self):
-        hz = self._horizon()
-        assert hz.hour_of_slot(0) == 0
-        assert hz.hour_of_slot(1) == 0
-        assert hz.hour_of_slot(15) == 7
-        with pytest.raises(IndexError):
-            hz.hour_of_slot(16)
+        # balancing slot s trades inside day-ahead hour s // 2
+        dam, bm = self._horizon().instants
+        for slot, instant in enumerate(bm):
+            hour = slot // 2
+            assert dam[hour] < instant
+            assert hour + 1 == 24 or instant < dam[hour + 1]
 
     def test_merged_events_cover_both_markets_once(self):
         hz = self._horizon()
-        events = hz.merged_events()
+        events = self._market_events(hz)
         assert len(events) == 40
         assert [p for m, p in events if m is MarketKind.DAM] == list(range(24))
         assert [p for m, p in events if m is MarketKind.BM] == list(range(16))
 
     def test_merged_events_in_wall_clock_order(self):
         hz = self._horizon()
-        stamps = []
-        for market, period in hz.merged_events():
-            window = hz.dam if market is MarketKind.DAM else hz.bm
-            stamps.append(window.timestamp_of(period))
+        stamps = [hz.windows[w].timestamp_of(p) for w, p in hz.events]
         assert stamps == sorted(stamps)
 
     def test_shared_instant_lists_hourly_leg_first(self):
-        events = self._horizon().merged_events()
+        dam, bm = self._horizon().instants
         # hour h leads its first half-hour slot 2h
-        assert events.index((MarketKind.DAM, 3)) < events.index((MarketKind.BM, 6))
+        assert dam[3] < bm[6]
+
+    @pytest.mark.parametrize("bm_periods", [1, 7, 16, 48])
+    def test_events_match_the_merged_order_oracle(self, bm_periods):
+        dam = TradingWindow(MarketKind.DAM, BASE_EPOCH, 24)
+        bm = TradingWindow(MarketKind.BM, BASE_EPOCH, bm_periods)
+        hz = build_dual_horizon(dam, bm)
+        assert self._market_events(hz) == merged_events(dam, bm)
+
+    @pytest.mark.parametrize("windows", [
+        (TradingWindow(MarketKind.DAM, BASE_EPOCH, 24),),
+        (TradingWindow(MarketKind.BM, BASE_EPOCH, 16),),
+        (TradingWindow(MarketKind.DAM, BASE_EPOCH, 24),
+         TradingWindow(MarketKind.BM, BASE_EPOCH, 16)),
+    ])
+    def test_instants_invert_events(self, windows):
+        hz = Horizon(windows)
+        assert len(hz.events) == sum(w.period_count for w in windows)
+        assert [len(ix) for ix in hz.instants] == [w.period_count for w in windows]
+        for k, (w, p) in enumerate(hz.events):
+            assert hz.instants[w][p] == k
+
+    def test_one_window_lists_its_periods(self):
+        window = TradingWindow(MarketKind.BM, BASE_EPOCH, 16)
+        hz = Horizon((window,))
+        assert hz.events == tuple((0, p) for p in range(16))
+        assert hz.instants == (tuple(range(16)),)
+
+    def test_equality_and_pickling_follow_the_windows(self):
+        hz = self._horizon()
+        copy = pickle.loads(pickle.dumps(hz))
+        assert copy == hz and hash(copy) == hash(hz)
+        assert (copy.events, copy.instants) == (hz.events, hz.instants)
+        assert hz != Horizon(hz.windows[:1])
 
     def test_market_kind_guards(self):
         dam = TradingWindow(MarketKind.DAM, BASE_EPOCH, 24)

@@ -47,7 +47,7 @@ from bessarb.strategies import (
     write_schedule_csv,
 )
 
-from conftest import flat_forecast, frac, make_forecast, make_prices
+from conftest import flat_forecast, frac, make_forecast, make_prices, merged_events
 
 UNIT = unit_trading_spec()
 
@@ -125,7 +125,7 @@ def scan_problems(draw):
 
 
 def _merged_index(horizon):
-    return {event: i for i, event in enumerate(horizon.merged_events())}
+    return {event: i for i, event in enumerate(merged_events(*horizon.windows))}
 
 
 def _joint_trades(horizon, dam_schedule, bm_schedule):
@@ -647,6 +647,24 @@ class TestTs3Dual:
         assert [(o.period, o.side) for o in bm_sched.orders] == [
             (1, Side.BUY),
             (2, Side.SELL),
+            (14, Side.BUY),
+            (15, Side.SELL),
+        ]
+
+    def test_span_edges_bound_the_balancing_ranges(self):
+        # anchor hours 3..6: slots 0..5 close before it, 14..15 open after it
+        spec = BatterySpec.from_mwh("2", "1")
+        dam = [50] * 24
+        dam[3], dam[6] = 10, 90
+        bm = [40] * 16
+        bm[4], bm[5] = 5, 48  # last pair before the span
+        bm[6], bm[13] = 95, 3  # first and last slot inside it
+        bm[14], bm[15] = 6, 49  # first pair after it
+        _, (dam_sched, bm_sched) = self._setup(dam, bm, spec)
+        assert [o.period for o in dam_sched.orders] == [3, 6]
+        assert [(o.period, o.side) for o in bm_sched.orders] == [
+            (4, Side.BUY),
+            (5, Side.SELL),
             (14, Side.BUY),
             (15, Side.SELL),
         ]
