@@ -77,14 +77,23 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     # Numeric options stay strings here: _Options.number converts them, so
     # a bad value from the command line or a config file fails the same way.
-    common = _Parser(add_help=False)
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--jobs", help="worker processes (default 1)")
-    common.add_argument("--format", choices=("csv", "json"), dest="out_format",
-                        help="report format (default csv)")
-    common.add_argument("--seed", help="random seed (default 0)")
-    common.add_argument("--config", help="JSON file with default option values")
-    common.add_argument("--battery", help="battery spec JSON file")
+    # Each subcommand takes --config and only the common options it reads.
+    common = {
+        "--out": dict(help="output directory"),
+        "--jobs": dict(help="processes that share the sweep, this one included;"
+                            " at most one per work item (default 1)"),
+        "--format": dict(choices=("csv", "json"), dest="out_format",
+                         help="report format (default csv)"),
+        "--seed": dict(help="random seed (default 0)"),
+        "--battery": dict(help="battery spec JSON file"),
+    }
+
+    def add_parser(name, options, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.add_argument("--config", help="JSON file with default option values")
+        for option in options:
+            p.add_argument(option, **common[option])
+        return p
 
     parser = _Parser(
         prog="bessarb",
@@ -93,19 +102,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="write synthetic data CSVs")
+    p = add_parser("gen", ("--seed", "--out"), help="write synthetic data CSVs")
     p.add_argument("--days", help="days to generate (default 1)")
     p.add_argument("--noise-sd", help="price noise level in EUR (default 0)")
     p.add_argument("--markets", help="comma list of dam,bm (default both)")
     p.add_argument("--levels", help=f"forecast levels (default {_DEFAULT_LEVELS_ARG})")
     p.add_argument("--start", help="first window start, ISO UTC")
 
-    for name in ("backtest", "sweep"):
-        p = sub.add_parser(
-            name,
-            parents=[common],
-            help="trade forecasts against settled prices",
-        )
+    for name, options in (
+        ("backtest", ("--battery", "--out")),
+        ("sweep", ("--jobs", "--battery", "--out", "--format")),
+    ):
+        p = add_parser(name, options, help="trade forecasts against settled prices")
         p.add_argument("--dam-actuals", help="hourly price CSV")
         p.add_argument("--dam-forecast", help="hourly quantile forecast CSV")
         p.add_argument("--bm-actuals", help="half-hourly price CSV")
@@ -124,19 +132,19 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--no-average", action="store_true",
                            help="omit per-block average rows")
 
-    p = sub.add_parser("pf", parents=[common],
-                       help="perfect-foresight and optimum benchmarks")
+    p = add_parser("pf", ("--battery",),
+                   help="perfect-foresight and optimum benchmarks")
     p.add_argument("--actuals", help="price CSV")
     p.add_argument("--market", choices=("dam", "bm"))
     p.add_argument("--strategy", choices=("TS1", "TS2", "TS3"))
 
-    p = sub.add_parser("score", parents=[common], help="pinball-score a forecast")
+    p = add_parser("score", ("--out",), help="pinball-score a forecast")
     p.add_argument("--forecast", help="quantile forecast CSV")
     p.add_argument("--actuals", help="price CSV")
     p.add_argument("--market", choices=("dam", "bm"))
 
-    p = sub.add_parser("econ", parents=[common],
-                       help="project multi-year cumulative returns")
+    p = add_parser("econ", ("--out", "--format"),
+                   help="project multi-year cumulative returns")
     p.add_argument("--asset", help="catalog asset key (A, B, C or D)")
     p.add_argument("--capex", help="purchase cost, EUR")
     p.add_argument("--revenue", help="first-year trading revenue, EUR")

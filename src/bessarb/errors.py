@@ -26,6 +26,11 @@ class MalformedRow(DataError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.detail = message
+
+    def __reduce__(self):
+        # Exception pickles its args, the one formatted string; rebuild from both
+        return type(self), (self.line, self.detail)
 
 
 class NonMonotonicTimestamps(DataError):

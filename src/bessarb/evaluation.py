@@ -21,9 +21,9 @@ the DP reads prices along its events, so one body serves every shape.
 `settle`, `perfect_foresight`, `dp_optimal` and their `_dual` forms name
 one market or one dual horizon, and run on the same bodies.
 
-A sweep computes both benchmarks once per unit before any cell runs: DP
-once per unit of each market, pf once per (unit, strategy).  Neither
-depends on the quantile pair.
+A sweep runs one work list: DP per market, pf per (market, strategy), as
+neither depends on the quantile pair, then one item per cell.  Its reports
+are built once every lane of the list is back, so they do not depend on jobs.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from typing import Iterable, NamedTuple, Sequence
 from bessarb._numeric import format_money, pinball_sum, scale_ratios, to_cents
 from bessarb.battery import BatterySpec, BatteryState, apply_trade, start_charge
 from bessarb.errors import (
+    BessArbError,
     ConfigError,
     LevelOutOfRange,
     NonCommensurateRamp,
@@ -433,73 +434,84 @@ class BacktestReport:
     per_window: tuple[Fraction, ...] = ()
 
 
-def _benchmark_table(payload: dict, blocks) -> dict:
-    """(pf, dp) totals of every (market, strategy) block, each unit once.
-
-    DP depends on the unit alone, so it runs once per unit of each market;
-    pf runs once per (unit, strategy).  Neither depends on the quantile pair.
-    """
-    spec, allow_stock = payload["spec"], payload["allow_stock_buys"]
-    dp_by_market: dict[str, Fraction] = {}
-    table = {}
-    for market, strategy in blocks:
-        units = payload["units"][market]
-        pf = sum(
-            (pf_unit(u, spec, strategy, allow_stock) for u in units), Fraction(0)
-        )
-        if market not in dp_by_market:
-            dp_by_market[market] = sum((dp_unit(u, spec) for u in units), Fraction(0))
-        table[market, strategy] = (pf, dp_by_market[market])
-    return table
-
-
-def _cell_report(
-    payload: dict, market: str, strategy: str, pair: QuantilePair
-) -> BacktestReport:
-    """Run one strategy and pair over a market's units and settle it."""
-    spec, allow_stock = payload["spec"], payload["allow_stock_buys"]
+def _run_item(payload: tuple, item: tuple):
+    """One sweep item (market, strategy, pair): the market's DP total when
+    strategy is None, its pf total when pair is None, else the cell's
+    per-window cash and trade count."""
+    market, strategy, pair = item
+    spec, allow_stock, by_market = payload
+    units = by_market[market]
+    if strategy is None:
+        return sum((dp_unit(u, spec) for u in units), Fraction(0))
+    if pair is None:
+        return sum((pf_unit(u, spec, strategy, allow_stock) for u in units), Fraction(0))
     trades, per_window = 0, []
-    for unit in payload["units"][market]:
+    for unit in units:
         schedules, result = trade_unit(unit, strategy, pair, spec, allow_stock)
         per_window.append(result.cash)
         trades += sum(s.trade_count for s in schedules)
-    pf, dp = payload["benchmarks"][market, strategy]
-    return BacktestReport(
-        market, strategy, pair.label, sum(per_window, Fraction(0)),
-        Fraction(trades), pf, dp, len(per_window), tuple(per_window),
-    )
+    return tuple(per_window), trades
 
 
-# The sweep payload of a pool worker, sent once per worker by the initializer.
-_worker_payload: dict | None = None
+def _run_lane(payload: tuple, items: Sequence, lane: int, lanes: int, conn=None):
+    """(results, failure) of items[lane::lanes], run in order up to the first
+    that raises; failure is None or (item index, exception).  A child lane
+    sends the pair over `conn`."""
+    results, failure = [], None
+    for index in range(lane, len(items), lanes):
+        try:
+            results.append(_run_item(payload, items[index]))
+        except Exception as exc:  # raised again by _run_lanes, in the caller
+            failure = index, exc
+            break
+    if conn is None:
+        return results, failure
+    with conn:
+        conn.send((results, failure))
 
 
-def _init_worker(payload: dict) -> None:
-    global _worker_payload
-    _worker_payload = payload
-
-
-def _worker_cell(cell) -> BacktestReport:
-    return _cell_report(_worker_payload, *cell)
-
-
-def _average_row(rows: Sequence[BacktestReport]) -> BacktestReport:
-    n = len(rows)
-    per_window = tuple(
-        sum(r.per_window[i] for r in rows) / n
-        for i in range(len(rows[0].per_window))
-    )
-    return BacktestReport(
-        rows[0].market,
-        rows[0].strategy,
-        "average",
-        sum(r.realized for r in rows) / n,
-        sum(r.trades for r in rows) / n,
-        rows[0].pf,
-        rows[0].dp,
-        rows[0].windows,
-        per_window,
-    )
+def _run_lanes(payload: tuple, items: Sequence, jobs: int) -> list:
+    """Every item's result, in order, striped over min(jobs, len(items)) lanes.
+    Lane 0 runs here, each other lane in one child process that sends its
+    results over one pipe.  The lowest-index failure is raised, as in one lane."""
+    lanes = max(1, min(jobs, len(items)))
+    children, pipes, answers = [], [], []
+    try:
+        for lane in range(1, lanes):
+            import multiprocessing  # only a parallel sweep pays for loading it
+            recv, send = multiprocessing.Pipe(duplex=False)
+            pipes.append(recv)
+            with send:
+                child = multiprocessing.Process(
+                    target=_run_lane, args=(payload, items, lane, lanes, send)
+                )
+                child.start()
+            children.append(child)
+        answers.append(_run_lane(payload, items, 0, lanes))
+        for lane, (child, recv) in enumerate(zip(children, pipes), 1):
+            try:
+                answers.append(recv.recv())
+            except EOFError:
+                pass
+            child.join()
+            if child.exitcode or len(answers) == lane:  # lane died unanswered
+                raise BessArbError(f"sweep lane {lane} died before answering"
+                                   f" (exit code {child.exitcode})")
+    finally:
+        for recv in pipes:
+            recv.close()
+        for child in children:
+            if child.exitcode is None:  # abandoned by a failure
+                child.kill()
+            child.join()
+            child.close()
+    failures = [failure for _, failure in answers if failure is not None]
+    if failures:
+        raise min(failures)[1]  # item indices are distinct
+    results = [None] * len(items)
+    for lane, (done, _) in enumerate(answers):
+        results[lane::lanes] = done
+    return results
 
 
 def run_sweep(
@@ -522,7 +534,7 @@ def run_sweep(
     work-list strategy, and every balancing window that opens together with
     a day-ahead window is also traded jointly with it.  Rows come back in a
     fixed order with one average row per (market, strategy) block, and are
-    identical however many worker processes are used.
+    identical for any number of jobs.
     """
     for name in strategies:
         if name not in STRATEGY_NAMES:
@@ -539,32 +551,30 @@ def run_sweep(
         blocks.append(("BM", "TS3"))
         if units["DAM+BM"]:
             blocks.append(("DAM+BM", "TS3"))
-    payload = {"spec": spec, "allow_stock_buys": allow_stock_buys, "units": units}
-    payload["benchmarks"] = _benchmark_table(payload, blocks)
-    cells = [
-        (market, strategy, pair)
-        for market, strategy in blocks
-        for pair in pairs
-    ]
-    if jobs > 1:
-        # imported here: only a parallel sweep pays for loading the pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(payload,)
-        ) as pool:
-            rows = list(pool.map(_worker_cell, cells))
-    else:
-        rows = [_cell_report(payload, *cell) for cell in cells]
-    if not include_average:
-        return rows
-    out: list[BacktestReport] = []
-    step = len(pairs)
-    for i in range(0, len(rows), step):
-        block = rows[i : i + step]
-        out.extend(block)
-        out.append(_average_row(block))
-    return out
+    items = [(market, None, None) for market in dict.fromkeys(m for m, _ in blocks)]
+    items += [(market, strategy, None) for market, strategy in blocks]
+    items += [(market, strategy, pair) for market, strategy in blocks for pair in pairs]
+    payload = (spec, allow_stock_buys, units)
+    result = dict(zip(items, _run_lanes(payload, items, jobs)))
+    rows: list[BacktestReport] = []
+    for market, strategy in blocks:
+        pf, dp = result[market, strategy, None], result[market, None, None]
+        block = []
+        for pair in pairs:
+            per_window, trades = result[market, strategy, pair]
+            block.append(BacktestReport(
+                market, strategy, pair.label, sum(per_window, Fraction(0)),
+                Fraction(trades), pf, dp, len(per_window), per_window,
+            ))
+        rows += block
+        if include_average:
+            n = len(block)
+            rows.append(BacktestReport(
+                market, strategy, "average", sum(r.realized for r in block) / n,
+                sum(r.trades for r in block) / n, pf, dp, block[0].windows,
+                tuple(sum(w) / n for w in zip(*(r.per_window for r in block))),
+            ))
+    return rows
 
 
 # --- report serialization ---------------------------------------------------

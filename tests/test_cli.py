@@ -1,12 +1,14 @@
 """Command line behavior: wiring, defaults, outputs and exit codes."""
 
 import json
+import multiprocessing
+import os
 import re
 from fractions import Fraction
 
 import pytest
 
-from bessarb import __version__
+from bessarb import __version__, evaluation
 from bessarb._numeric import format_money
 from bessarb.battery import BatterySpec
 from bessarb.cli import main
@@ -400,6 +402,37 @@ class TestSweep:
         code, *_ = self.sweep(capsys, data_dir, tmp_path / "x", "--jobs", "0")
         assert code == 2
 
+    def test_lane_error_does_not_depend_on_jobs(self, data_dir, tmp_path, capsys):
+        battery = tmp_path / "battery.json"
+        battery.write_text('{"capacity_mwh": "1", "ramp_mwh_per_period": "0.3"}\n')
+        results = {
+            self.sweep(capsys, data_dir, tmp_path / jobs, "--jobs", jobs,
+                       "--battery", str(battery))
+            for jobs in ("1", "2", "3")
+        }
+        ((code, out, err),) = results
+        assert (code, out) == (2, "")
+        assert stderr_error(err)["error"] == "NonCommensurateRamp"
+        assert multiprocessing.active_children() == []
+
+    def test_lane_that_dies_is_one_json_error(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        parent, run_item = os.getpid(), evaluation._run_item
+
+        def dies_in_child(payload, item):
+            if os.getpid() != parent:
+                os._exit(9)
+            return run_item(payload, item)
+
+        monkeypatch.setattr(evaluation, "_run_item", dies_in_child)
+        code, out, err = self.sweep(capsys, data_dir, tmp_path / "x", "--jobs", "2")
+        assert (code, out) == (3, "")
+        doc = stderr_error(err)  # exactly one JSON object, no traceback
+        assert doc["error"] == "BessArbError"
+        assert "exit code 9" in doc["message"]
+        assert multiprocessing.active_children() == []
+
 
 class TestPf:
     def test_benchmarks_line(self, data_dir, capsys):
@@ -655,6 +688,25 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert stderr_error(err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("pf", "--out", "x"), "--out"),
+            (("pf", "--jobs", "2"), "--jobs"),
+            (("gen", "--battery", "b.json"), "--battery"),
+        ],
+    )
+    def test_common_option_the_command_does_not_read(
+        self, tmp_path, capsys, monkeypatch, argv, option
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        doc = stderr_error(err)
+        assert doc["error"] == "ConfigError"
+        assert option in doc["message"]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEconMoneyValues:

@@ -1,5 +1,7 @@
 """Settlement, perfect-foresight and DP benchmarks, scoring and sweeps."""
 
+import multiprocessing
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bessarb import errors, evaluation
 from bessarb._numeric import ticks_to_mwh
 from bessarb.battery import BatterySpec, BatteryState, apply_trade, unit_trading_spec
 from bessarb.errors import (
@@ -792,6 +795,63 @@ class TestRunSweep:
         for row in run_sweep(UNIT, dam_a, dam_f, bm_a, bm_f):
             assert row.realized <= row.dp
             assert row.pf <= row.dp
+
+
+class TestSweepLanes:
+    """Lanes share a sweep's work list; none changes its rows or its error."""
+
+    def _dam(self):
+        return generate_synthetic(4, MarketKind.DAM, days=2, noise_sd=frac("2"))
+
+    def test_lowest_failing_item_wins(self, monkeypatch):
+        dam_a, dam_f = self._dam()
+        run_item = evaluation._run_item
+
+        def cells_fail(payload, item):
+            market, strategy, pair = item
+            if pair is not None:
+                raise WindowMismatch(f"{market} {strategy} {pair.label}")
+            return run_item(payload, item)
+
+        monkeypatch.setattr(evaluation, "_run_item", cells_fail)
+        messages = set()
+        for jobs in (1, 2, 3, 8):
+            with pytest.raises(WindowMismatch) as exc:
+                run_sweep(UNIT, dam_a, dam_f, jobs=jobs)
+            messages.add(str(exc.value))
+        # the first cell is the lowest failing item in every striping
+        assert messages == {"DAM TS1 0.5-0.5"}
+        assert multiprocessing.active_children() == []
+
+    def test_processes_are_bounded_by_items(self, monkeypatch):
+        dam_a, dam_f = self._dam()
+        started = []
+
+        class Counted(multiprocessing.Process):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(multiprocessing, "Process", Counted)
+        rows = run_sweep(UNIT, dam_a, dam_f, pairs=(MEDIAN_PAIR,),
+                         strategies=("TS3",), jobs=8)
+        # three items (DP, pf, one cell): the caller runs one lane of three
+        assert len(started) == 2
+        assert rows == run_sweep(UNIT, dam_a, dam_f, pairs=(MEDIAN_PAIR,),
+                                 strategies=("TS3",))
+
+    @pytest.mark.parametrize(
+        "cls",
+        [c for c in vars(errors).values()
+         if isinstance(c, type) and issubclass(c, Exception)],
+        ids=lambda c: c.__name__,
+    )
+    def test_errors_survive_pickling(self, cls):
+        error = cls(3, "x") if cls is errors.MalformedRow else cls("x")
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is cls
+        assert str(copy) == str(error)
+        assert vars(copy) == vars(error)
 
 
 class TestReportWriters:
