@@ -4,6 +4,13 @@ Subcommands: gen (synthetic data), backtest (one strategy and pair),
 sweep (full report grid), pf (benchmarks only), score (forecast quality),
 econ (multi-year return projection).
 
+Each option is declared once, in `_build_parser`, with its type, choices
+and default; handlers read the typed values. A `--config` JSON file stands
+for command-line tokens: each key is an option of the chosen subcommand,
+named by its underscore form (`noise_sd`, `out_format`), and its value is
+that option's text. Those tokens go before the real ones and pass through
+the same parser, so the command line wins and both are checked alike.
+
 Exit codes: 0 success, 2 configuration problems, 3 data or IO problems.
 Errors print one JSON object to stderr.
 """
@@ -20,6 +27,10 @@ from bessarb import __version__
 from bessarb._numeric import format_decimal, format_money
 from bessarb.battery import BatterySpec, unit_trading_spec
 from bessarb.economics import (
+    DEFAULT_ANNUAL_FEES,
+    DEFAULT_YEARS,
+    DEGRADATION_KINDS,
+    MAINTENANCE_KINDS,
     EconScenario,
     annual_return_curve,
     breakeven_year,
@@ -34,6 +45,7 @@ from bessarb.errors import (
     MissingRevenueSource,
 )
 from bessarb.evaluation import (
+    STRATEGY_NAMES,
     dp_optimal,
     dp_unit,
     dual_units,
@@ -49,6 +61,7 @@ from bessarb.evaluation import (
 )
 from bessarb.market import (
     BASE_EPOCH,
+    DEFAULT_LEVELS,
     MarketKind,
     generate_synthetic,
     parse_forecast_csv,
@@ -64,7 +77,8 @@ from bessarb.strategies import (
     write_schedule_csv,
 )
 
-_DEFAULT_LEVELS_ARG = "0.1,0.3,0.5,0.7,0.9"
+_MARKETS = {kind.value.lower(): kind for kind in MarketKind}
+_LEVELS_TEXT = ",".join(map(format_decimal, DEFAULT_LEVELS))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,17 +88,55 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # Numeric options stay strings here: _Options.number converts them, so
-    # a bad value from the command line or a config file fails the same way.
-    # Each subcommand takes --config and only the common options it reads.
+def _decimal(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
+def _market(text: str) -> MarketKind:
+    kind = _MARKETS.get(text.lower())
+    if kind is None:
+        raise argparse.ArgumentTypeError(f"unknown market {text!r}; use dam or bm")
+    return kind
+
+
+def _timestamp(text: str) -> int:
+    try:
+        return parse_timestamp(text)
+    except MalformedRow:
+        raise argparse.ArgumentTypeError(
+            f"must be an ISO-8601 UTC timestamp in whole seconds: {text!r}"
+        ) from None
+
+
+class _Items:
+    """Type of a list option: comma-separated text, each item converted by
+    `item`.  A config file may give the items as a JSON list instead."""
+
+    def __init__(self, item):
+        self.item = item
+
+    def __call__(self, text: str) -> tuple:
+        return tuple(self.item(part.strip()) for part in text.split(","))
+
+
+# Types of the options, or list items, that a JSON number in a config may feed.
+_NUMBERS = (int, _decimal)
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and its subcommand parsers by name.  Each subcommand
+    takes --config and only the common options it reads."""
     common = {
         "--out": dict(help="output directory"),
-        "--jobs": dict(help="processes that share the sweep, this one included;"
-                            " at most one per work item (default 1)"),
-        "--format": dict(choices=("csv", "json"), dest="out_format",
-                         help="report format (default csv)"),
-        "--seed": dict(help="random seed (default 0)"),
+        "--jobs": dict(type=int, default=1,
+                       help="processes that share the sweep, this one included;"
+                            " at most one per work item (default %(default)s)"),
+        "--format": dict(choices=("csv", "json"), default="csv", dest="out_format",
+                         help="report format (default %(default)s)"),
+        "--seed": dict(type=int, default=0, help="random seed (default %(default)s)"),
         "--battery": dict(help="battery spec JSON file"),
     }
 
@@ -103,11 +155,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = add_parser("gen", ("--seed", "--out"), help="write synthetic data CSVs")
-    p.add_argument("--days", help="days to generate (default 1)")
-    p.add_argument("--noise-sd", help="price noise level in EUR (default 0)")
-    p.add_argument("--markets", help="comma list of dam,bm (default both)")
-    p.add_argument("--levels", help=f"forecast levels (default {_DEFAULT_LEVELS_ARG})")
-    p.add_argument("--start", help="first window start, ISO UTC")
+    p.add_argument("--days", type=int, default=1,
+                   help="days to generate (default %(default)s)")
+    p.add_argument("--noise-sd", type=_decimal, default=0,
+                   help="price noise level in EUR (default %(default)s)")
+    p.add_argument("--markets", type=_Items(_market), default=tuple(MarketKind),
+                   help="comma list of dam,bm (default both)")
+    p.add_argument("--levels", type=_Items(_decimal), default=DEFAULT_LEVELS,
+                   help=f"forecast levels (default {_LEVELS_TEXT})")
+    p.add_argument("--start", type=_timestamp, default=BASE_EPOCH,
+                   help="first window start, ISO UTC")
 
     for name, options in (
         ("backtest", ("--battery", "--out")),
@@ -121,198 +178,140 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--allow-stock-buys", action="store_true",
                        help="permit unmatched buys when a sell leg clips to zero")
         if name == "backtest":
-            p.add_argument("--market", choices=("dam", "bm", "dual"))
-            p.add_argument("--strategy", choices=("TS1", "TS2", "TS3"))
-            p.add_argument("--pair", help="quantile pair sell:buy (default 0.5:0.5)")
+            p.add_argument("--market", choices=("dam", "bm", "dual"), default="dam")
+            p.add_argument("--strategy", choices=STRATEGY_NAMES, default="TS3")
+            p.add_argument("--pair", type=QuantilePair.parse, default="0.5:0.5",
+                           help="quantile pair sell:buy (default %(default)s)")
             p.add_argument("--carry-state", action="store_true",
                            help="carry final charge into the next window")
         else:
-            p.add_argument("--pairs", help="comma list of sell:buy pairs")
-            p.add_argument("--strategies", help="comma list of TS1,TS2,TS3")
+            p.add_argument("--pairs", type=_Items(QuantilePair.parse),
+                           default=DEFAULT_PAIRS, help="comma list of sell:buy pairs")
+            p.add_argument("--strategies", type=_Items(str.upper),
+                           default=STRATEGY_NAMES,
+                           help=f"comma list of {','.join(STRATEGY_NAMES)}")
             p.add_argument("--no-average", action="store_true",
                            help="omit per-block average rows")
 
     p = add_parser("pf", ("--battery",),
                    help="perfect-foresight and optimum benchmarks")
     p.add_argument("--actuals", help="price CSV")
-    p.add_argument("--market", choices=("dam", "bm"))
-    p.add_argument("--strategy", choices=("TS1", "TS2", "TS3"))
+    p.add_argument("--market", choices=tuple(_MARKETS), default="dam")
+    p.add_argument("--strategy", choices=STRATEGY_NAMES, default="TS3")
 
     p = add_parser("score", ("--out",), help="pinball-score a forecast")
     p.add_argument("--forecast", help="quantile forecast CSV")
     p.add_argument("--actuals", help="price CSV")
-    p.add_argument("--market", choices=("dam", "bm"))
+    p.add_argument("--market", choices=tuple(_MARKETS), default="dam")
 
+    # Scenario options have no parser default: unset, EconScenario or the
+    # catalog asset decides, and econ can tell a given option from an unset one.
     p = add_parser("econ", ("--out", "--format"),
                    help="project multi-year cumulative returns")
     p.add_argument("--asset", help="catalog asset key (A, B, C or D)")
-    p.add_argument("--capex", help="purchase cost, EUR")
-    p.add_argument("--revenue", help="first-year trading revenue, EUR")
-    p.add_argument("--maintenance", help="first-year maintenance, EUR")
-    p.add_argument("--fees", help="annual market fees, EUR (default 18294)")
-    p.add_argument("--years", help="projection years (default 15)")
-    p.add_argument("--degradation-kind", choices=("linear", "loss_compound"))
-    p.add_argument("--degradation-period",
+    p.add_argument("--capex", type=_decimal, help="purchase cost, EUR")
+    p.add_argument("--revenue", type=_decimal, help="first-year trading revenue, EUR")
+    p.add_argument("--maintenance", type=_decimal, help="first-year maintenance, EUR")
+    p.add_argument("--fees", type=_decimal,
+                   help=f"annual market fees, EUR (default {DEFAULT_ANNUAL_FEES})")
+    p.add_argument("--years", type=int,
+                   help=f"projection years (default {DEFAULT_YEARS})")
+    p.add_argument("--degradation-kind", choices=DEGRADATION_KINDS)
+    p.add_argument("--degradation-period", type=int,
                    help="years per degradation step (default 1)")
-    p.add_argument("--maintenance-kind", choices=("compound", "linear"))
-    return parser
+    p.add_argument("--maintenance-kind", choices=MAINTENANCE_KINDS)
+    return parser, sub.choices
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _config_tokens(commands: dict, command: str, path: str) -> list[str]:
+    """The tokens of `command` that the keys of the config file stand for."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int too long to read
         raise ConfigError(f"invalid config JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config JSON must be an object")
-    return doc
-
-
-_KNOWN_CONFIG_KEYS = {
-    "out", "jobs", "out_format", "seed", "battery",
-    "days", "noise_sd", "markets", "levels", "start",
-    "dam_actuals", "dam_forecast", "bm_actuals", "bm_forecast",
-    "allow_stock_buys", "market", "strategy", "pair", "carry_state",
-    "pairs", "strategies", "no_average",
-    "actuals", "forecast",
-    "asset", "capex", "revenue", "maintenance", "fees", "years",
-    "degradation_kind", "degradation_period", "maintenance_kind",
-}
-
-
-_PATH_CONFIG_KEYS = (
-    "out", "battery", "dam_actuals", "dam_forecast", "bm_actuals", "bm_forecast",
-    "actuals", "forecast",
-)
-
-
-class _Options:
-    """CLI values over config-file values over hard defaults."""
-
-    def __init__(self, args: argparse.Namespace, config: dict):
-        unknown = set(config) - _KNOWN_CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in _PATH_CONFIG_KEYS:
-            value = config.get(key)
-            if value is not None and not isinstance(value, str):
-                raise ConfigError(f"{_flag(key)} must be a path: {value!r}")
-        self._args = args
-        self._config = config
-
-    def get(self, key: str, default=None):
-        value = getattr(self._args, key, None)
-        if value is not None:
-            return value
-        return self._config.get(key, default)
-
-    def flag(self, key: str) -> bool:
-        return bool(getattr(self._args, key, False) or self._config.get(key, False))
-
-    def number(self, key: str, default, kind=int):
-        """The value converted by `kind`; a value it rejects is a ConfigError."""
-        return _convert(key, self.get(key, default), kind)
-
-    def items(self, key: str, default: str) -> list[str]:
-        """A comma-separated string, or a JSON list from a config file."""
-        value = self.get(key, default)
-        items = value if isinstance(value, list) else str(value).split(",")
-        if not items:
-            raise ConfigError(f"{_flag(key)} needs at least one value")
-        return [str(item).strip() for item in items]
+    options = {a.dest: a for a in commands[command]._actions if a.option_strings}
+    tokens = []
+    for key, value in doc.items():
+        action = None if key in ("config", "help") else options.get(key)
+        if action is None:
+            flags = {a.dest: a.option_strings[-1]
+                     for p in commands.values() for a in p._actions}
+            raise ConfigError(
+                f"{command} takes no config key {key!r} ({flags.get(key, _flag(key))})"
+            )
+        flag = action.option_strings[-1]
+        if value is None:
+            continue
+        if action.nargs == 0:  # a switch
+            if not isinstance(value, bool):
+                raise ConfigError(f"{flag} takes true or false in a config: {value!r}")
+            tokens += [flag] if value else []
+            continue
+        listed = isinstance(value, list) and isinstance(action.type, _Items)
+        items = value if listed else [value]
+        numeric = getattr(action.type, "item", action.type) in _NUMBERS
+        if not all(isinstance(v, str) or numeric and type(v) in (int, float)
+                   for v in items):
+            raise ConfigError(f"{flag} cannot take {value!r} in a config")
+        tokens.append(f"{flag}={','.join(map(str, items))}")
+    return tokens
 
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _convert(key: str, value, kind):
-    try:
-        return kind(value)
-    except (TypeError, ValueError, ArithmeticError):
-        raise ConfigError(f"{_flag(key)} is not a number: {value!r}") from None
-
-
-def _decimal(value) -> Fraction:
-    return Fraction(str(value))
-
-
-def _battery(opts: _Options) -> BatterySpec:
-    path = opts.get("battery")
+def _battery(args: argparse.Namespace) -> BatterySpec:
+    path = args.battery
     return unit_trading_spec() if path is None else BatterySpec.from_json_file(path)
 
 
-def _out_dir(opts: _Options, required: bool = False) -> Path | None:
-    out = opts.get("out")
-    if out is None:
+def _out_dir(args: argparse.Namespace, required: bool = False) -> Path | None:
+    if args.out is None:
         if required:
             raise ConfigError("this command needs --out")
         return None
-    path = Path(out)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _require(opts: _Options, key: str) -> str:
-    value = opts.get(key)
+def _require(args: argparse.Namespace, key: str) -> str:
+    value = getattr(args, key)
     if value is None:
         raise ConfigError(f"missing required option {_flag(key)}")
     return value
 
 
-def _parse_market(text: str) -> MarketKind:
-    kinds = {"dam": MarketKind.DAM, "bm": MarketKind.BM}
-    kind = kinds.get(text.lower())
-    if kind is None:
-        raise ConfigError(f"unknown market {text!r}; use dam or bm")
-    return kind
-
-
-def _load_market_files(opts: _Options, prefix: str):
+def _load_market_files(args: argparse.Namespace, prefix: str):
     """(forecasts, actuals) of one market, read from its two CSV files."""
-    market = _parse_market(prefix)
-    actuals = parse_price_csv(_require(opts, f"{prefix}_actuals"), market)
-    forecasts = parse_forecast_csv(_require(opts, f"{prefix}_forecast"), market)
+    market = _MARKETS[prefix]
+    actuals = parse_price_csv(_require(args, f"{prefix}_actuals"), market)
+    forecasts = parse_forecast_csv(_require(args, f"{prefix}_forecast"), market)
     return forecasts, actuals
 
 
-def _load_units(opts: _Options, prefix: str):
-    return window_units(*_load_market_files(opts, prefix), prefix)
+def _load_units(args: argparse.Namespace, prefix: str):
+    return window_units(*_load_market_files(args, prefix), prefix)
 
 
 # --- subcommands ------------------------------------------------------------
 
-def _cmd_gen(opts: _Options) -> int:
-    seed = opts.number("seed", 0)
-    days = opts.number("days", 1)
-    if days < 1:
+def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.days < 1:
         raise ConfigError("--days must be at least 1")
-    noise_sd = opts.number("noise_sd", "0", lambda v: float(_decimal(v)))
-    if noise_sd < 0:
+    if args.noise_sd < 0:
         raise ConfigError("--noise-sd must be non-negative")
-    levels = [
-        _convert("levels", lv, _decimal)
-        for lv in opts.items("levels", _DEFAULT_LEVELS_ARG)
-    ]
-    markets = [m.lower() for m in opts.items("markets", "dam,bm")]
-    kinds = [_parse_market(m) for m in markets]
-    start_text = opts.get("start")
-    try:
-        start = BASE_EPOCH if start_text is None else parse_timestamp(str(start_text))
-    except MalformedRow:
-        raise ConfigError(
-            f"--start must be an ISO-8601 UTC timestamp in whole seconds: {start_text!r}"
-        ) from None
-    out = _out_dir(opts) or Path(".")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args) or Path(".")
     counts = {}
-    for name, market in zip(markets, kinds):
+    for market in args.markets:
+        name = market.value.lower()
         try:
             actuals, forecasts = generate_synthetic(
-                seed, market, days=days, noise_sd=noise_sd, levels=levels,
-                start_epoch_s=start,
+                args.seed, market, days=args.days, noise_sd=float(args.noise_sd),
+                levels=args.levels, start_epoch_s=args.start,
             )
         except LevelOutOfRange as exc:
             raise ConfigError(f"--levels: {exc}") from None
@@ -320,39 +319,32 @@ def _cmd_gen(opts: _Options) -> int:
         write_forecast_csv(out / f"{name}_forecast.csv", forecasts)
         counts[name] = len(actuals)
     summary = " ".join(f"{name}_windows={n}" for name, n in counts.items())
-    print(f"gen out={out} days={days} {summary}")
+    print(f"gen out={out} days={args.days} {summary}")
     return 0
 
 
-def _cmd_backtest(opts: _Options) -> int:
-    spec = _battery(opts)
-    market = str(opts.get("market", "dam")).lower()
-    strategy = str(opts.get("strategy", "TS3"))
-    pair = QuantilePair.parse(str(opts.get("pair", "0.5:0.5")))
-    carry = opts.flag("carry_state")
-    allow_stock = opts.flag("allow_stock_buys")
-    out = _out_dir(opts)
-    if market == "dual":
-        units = dual_units(_load_units(opts, "dam"), _load_units(opts, "bm"))
+def _cmd_backtest(args: argparse.Namespace) -> int:
+    spec = _battery(args)
+    out = _out_dir(args)
+    if args.market == "dual":
+        units = dual_units(_load_units(args, "dam"), _load_units(args, "bm"))
         if not units:
             raise ConfigError("no balancing window opens with a day-ahead window")
-    elif market in ("dam", "bm"):
-        units = _load_units(opts, market)
     else:
-        raise ConfigError(f"unknown market {market!r}")
+        units = _load_units(args, args.market)
     profit, trades, pf, dp = Fraction(0), 0, Fraction(0), Fraction(0)
     schedules = []
     init = None
     for unit in units:
         unit_schedules, result = trade_unit(
-            unit, strategy, pair, spec, allow_stock, init
+            unit, args.strategy, args.pair, spec, args.allow_stock_buys, init
         )
         profit += result.cash
         trades += sum(s.trade_count for s in unit_schedules)
-        pf += pf_unit(unit, spec, strategy, allow_stock, init)
+        pf += pf_unit(unit, spec, args.strategy, args.allow_stock_buys, init)
         dp += dp_unit(unit, spec, init)
         schedules.extend(unit_schedules)
-        if carry:
+        if args.carry_state:
             init = result.final_charge
     if out is not None:
         for i, schedule in enumerate(schedules):
@@ -369,35 +361,28 @@ def _cmd_backtest(opts: _Options) -> int:
     return 0
 
 
-def _cmd_sweep(opts: _Options) -> int:
-    jobs = opts.number("jobs", 1)
-    if jobs < 1:
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
-    spec = _battery(opts)
-    dam_forecasts, dam_actuals = _load_market_files(opts, "dam")
+    spec = _battery(args)
+    dam_forecasts, dam_actuals = _load_market_files(args, "dam")
     bm_actuals = bm_forecasts = None
-    if opts.get("bm_actuals") is not None or opts.get("bm_forecast") is not None:
-        bm_forecasts, bm_actuals = _load_market_files(opts, "bm")
-    pairs = (
-        DEFAULT_PAIRS
-        if opts.get("pairs") is None
-        else tuple(QuantilePair.parse(p) for p in opts.items("pairs", ""))
-    )
-    strategies = tuple(s.upper() for s in opts.items("strategies", "TS1,TS2,TS3"))
+    if args.bm_actuals is not None or args.bm_forecast is not None:
+        bm_forecasts, bm_actuals = _load_market_files(args, "bm")
     reports = run_sweep(
         spec,
         dam_actuals,
         dam_forecasts,
         bm_actuals,
         bm_forecasts,
-        pairs=pairs,
-        strategies=strategies,
-        jobs=jobs,
-        allow_stock_buys=opts.flag("allow_stock_buys"),
-        include_average=not opts.flag("no_average"),
+        pairs=args.pairs,
+        strategies=args.strategies,
+        jobs=args.jobs,
+        allow_stock_buys=args.allow_stock_buys,
+        include_average=not args.no_average,
     )
-    out = _out_dir(opts, required=True)
-    if opts.get("out_format", "csv") == "json":
+    out = _out_dir(args, required=True)
+    if args.out_format == "json":
         write_report_json(out / "report.json", reports)
     else:
         write_report_csv(out / "report.csv", reports)
@@ -406,23 +391,23 @@ def _cmd_sweep(opts: _Options) -> int:
     return 0
 
 
-def _cmd_pf(opts: _Options) -> int:
-    spec = _battery(opts)
-    market = _parse_market(str(opts.get("market", "dam")))
-    strategy = str(opts.get("strategy", "TS3"))
-    actuals = parse_price_csv(_require(opts, "actuals"), market)
-    pf = sum((perfect_foresight(ps, spec, strategy) for ps in actuals), Fraction(0))
+def _cmd_pf(args: argparse.Namespace) -> int:
+    spec = _battery(args)
+    actuals = parse_price_csv(_require(args, "actuals"), _MARKETS[args.market])
+    pf = sum(
+        (perfect_foresight(ps, spec, args.strategy) for ps in actuals), Fraction(0)
+    )
     dp = sum((dp_optimal(ps, spec) for ps in actuals), Fraction(0))
     print(f"pf={format_money(pf)} dp={format_money(dp)} windows={len(actuals)}")
     return 0
 
 
-def _cmd_score(opts: _Options) -> int:
-    market = _parse_market(str(opts.get("market", "dam")))
-    forecasts = parse_forecast_csv(_require(opts, "forecast"), market)
-    actuals = parse_price_csv(_require(opts, "actuals"), market)
+def _cmd_score(args: argparse.Namespace) -> int:
+    market = _MARKETS[args.market]
+    forecasts = parse_forecast_csv(_require(args, "forecast"), market)
+    actuals = parse_price_csv(_require(args, "actuals"), market)
     report = score_forecasts(forecasts, actuals)
-    out = _out_dir(opts)
+    out = _out_dir(args)
     if out is not None:
         lines = ["level,mean_pinball"]
         for lv, loss in report.per_level.items():
@@ -433,45 +418,42 @@ def _cmd_score(opts: _Options) -> int:
     return 0
 
 
-def _cmd_econ(opts: _Options) -> int:
-    asset_key = opts.get("asset")
-    revenue = opts.get("revenue")
-    if revenue is not None:
-        revenue = _convert("revenue", revenue, _decimal)
-    years = opts.number("years", 15)
-    if asset_key is not None:
+# econ option -> the EconScenario field it sets
+_SCENARIO_FIELDS = dict(
+    capex="capex", revenue="base_revenue", maintenance="base_maintenance",
+    fees="annual_fees", years="years", degradation_kind="degradation_kind",
+    degradation_period="degradation_period_years", maintenance_kind="maintenance_kind",
+)
+
+
+def _cmd_econ(args: argparse.Namespace) -> int:
+    given = {field: getattr(args, key) for key, field in _SCENARIO_FIELDS.items()
+             if getattr(args, key) is not None}
+    if args.asset is not None:
         catalog = load_catalog()
-        if asset_key not in catalog:
-            raise ConfigError(
-                f"unknown asset {asset_key!r}; have {sorted(catalog)}"
-            )
-        asset = catalog[asset_key]
-        if asset.degradation_kind is None:
+        if args.asset not in catalog:
+            raise ConfigError(f"unknown asset {args.asset!r}; have {sorted(catalog)}")
+        fixed = [_flag(key) for key, field in _SCENARIO_FIELDS.items()
+                 if field in given and key not in ("revenue", "years")]
+        if fixed:
+            raise ConfigError(f"--asset fixes the cost profile; drop {' '.join(fixed)}")
+        asset = catalog[args.asset]
+        if asset.degradation_kind is None and not given:
             curve = list(asset.reference_curve)
         else:
-            curve = annual_return_curve(scenario_for(asset, revenue, years=years))
+            curve = annual_return_curve(scenario_for(asset, **given))
     else:
-        if revenue is None:
+        if args.revenue is None:
             raise MissingRevenueSource(
                 "give --asset, or --revenue with --capex and --maintenance"
             )
-        scenario = EconScenario(
-            capex=_convert("capex", _require(opts, "capex"), _decimal),
-            base_revenue=revenue,
-            base_maintenance=_convert(
-                "maintenance", _require(opts, "maintenance"), _decimal
-            ),
-            annual_fees=opts.number("fees", "18294", _decimal),
-            years=years,
-            degradation_kind=str(opts.get("degradation_kind", "linear")),
-            degradation_period_years=opts.number("degradation_period", 1),
-            maintenance_kind=str(opts.get("maintenance_kind", "compound")),
-        )
-        curve = annual_return_curve(scenario)
+        _require(args, "capex")
+        _require(args, "maintenance")
+        curve = annual_return_curve(EconScenario(**given))
     breakeven = breakeven_year(curve)
-    out = _out_dir(opts)
+    out = _out_dir(args)
     if out is not None:
-        if opts.get("out_format", "csv") == "json":
+        if args.out_format == "json":
             doc = {
                 "breakeven_year": breakeven,
                 "cumulative_eur": [format_money(v) for v in curve],
@@ -500,11 +482,22 @@ _COMMANDS = {
 }
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv and its --config tokens; the parser is freed on return."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        at = argv.index(args.command) + 1
+        tokens = _config_tokens(commands, args.command, args.config)
+        args = parser.parse_args(argv[:at] + tokens + argv[at:])
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        opts = _Options(args, _load_config(getattr(args, "config", None)))
-        return _COMMANDS[args.command](opts)
+        args = _parse_args(argv)
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         _print_error(exc)
         return 2

@@ -632,7 +632,7 @@ def write_plot_csv(path: str | Path, reports: Iterable[BacktestReport]) -> None:
     lines = ["market,strategy,pair,mean_eur,min_eur,max_eur"]
     for r in reports:
         if r.per_window:
-            mean = sum(r.per_window, Fraction(0)) / len(r.per_window)
+            mean = r.realized / len(r.per_window)  # realized sums per_window
             lo, hi = min(r.per_window), max(r.per_window)
         else:
             mean = lo = hi = Fraction(0)

@@ -537,6 +537,28 @@ class TestEcon:
         assert code == 2
         assert stderr_error(err)["error"] == "MissingRevenueSource"
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("--asset", "A", "--capex", "5"), "--capex"),
+            (("--asset", "A", "--maintenance", "1", "--fees", "9"), "--maintenance"),
+            (("--asset", "B", "--fees", "9"), "--fees"),
+            (("--asset", "D", "--degradation-kind", "linear"), "--degradation-kind"),
+            (("--asset", "A", "--degradation-period", "1"), "--degradation-period"),
+            (("--asset", "B", "--maintenance-kind", "compound"), "--maintenance-kind"),
+            (("--asset", "C", "--capex", "5"), "--capex"),
+            # C has no fitted profile, so its curve takes no revenue or years
+            (("--asset", "C", "--revenue", "999999999"), "no fitted cost profile"),
+            (("--asset", "C", "--years", "3"), "no fitted cost profile"),
+        ],
+    )
+    def test_option_the_asset_does_not_read(self, capsys, argv, named):
+        code, out, err = run(capsys, "econ", *argv)
+        assert (code, out) == (2, "")
+        doc = stderr_error(err)
+        assert doc["error"] == "ConfigError"
+        assert named in doc["message"]
+
 
 class TestConfigFile:
     def test_defaults_with_cli_override(self, tmp_path, capsys):
@@ -604,22 +626,23 @@ class TestBadOptionValues:
         assert "--jobs" in message
 
     @pytest.mark.parametrize(
-        "option, doc, key",
+        "command, option, doc, key",
         [
             *(
                 pytest.param(
-                    "--battery", {"capacity_mwh": "1", "ramp_mwh_per_period": value},
+                    "pf", "--battery",
+                    {"capacity_mwh": "1", "ramp_mwh_per_period": value},
                     "ramp_mwh_per_period", id=f"battery-ramp-{value!r}",
                 )
                 for value in ("abc", "nan", "1/0", None, [1], True, "0.0001")
             ),
             pytest.param(
-                "--battery",
+                "pf", "--battery",
                 {"capacity_mwh": "1", "ramp_mwh_per_period": "1", "charge_eff": "x"},
                 "charge_eff", id="battery-charge-eff",
             ),
             *(
-                pytest.param("--config", {key: value}, flag,
+                pytest.param("pf", "--config", {key: value}, flag,
                              id=f"config-{key}-{value!r}")
                 for key, flag, value in (
                     ("battery", "--battery", 5),
@@ -633,18 +656,53 @@ class TestBadOptionValues:
                     ("out", "--out", True),
                 )
             ),
+            *(
+                pytest.param(command, "--config", {key: value}, flag,
+                             id=f"{command}-config-{key}-{value!r}")
+                for command, key, flag, value in (
+                    ("gen", "out", "--out", 5),
+                    ("backtest", "allow_stock_buys", "--allow-stock-buys", "false"),
+                    ("sweep", "allow_stock_buys", "--allow-stock-buys", 1),
+                    ("sweep", "out_format", "--format", "xml"),
+                    ("sweep", "pairs", "--pairs", [0.5]),
+                )
+            ),
         ],
     )
     def test_bad_json_value_names_its_key(
-        self, data_dir, tmp_path, capsys, option, doc, key
+        self, data_dir, tmp_path, capsys, command, option, doc, key
     ):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
+        actuals = ("--actuals", str(data_dir / "dam_actuals.csv"))
         message = self.config_error(
-            capsys, "pf", option, str(path),
-            "--actuals", str(data_dir / "dam_actuals.csv"),
+            capsys, command, option, str(path), *(actuals if command == "pf" else ()),
         )
         assert key in message
+
+    @pytest.mark.parametrize(
+        "command, flag, key, value",
+        [
+            ("sweep", "--format", "out_format", "xml"),
+            ("backtest", "--strategy", "strategy", "TS9"),
+            ("score", "--market", "market", "DAM"),
+            ("gen", "--days", "days", "x"),
+            ("gen", "--levels", "levels", "0.5,abc"),
+            ("econ", "--fees", "fees", "1/0"),
+            ("backtest", "--pair", "pair", "highlow"),
+            ("sweep", "--pairs", "pairs", "0.5:0.5,0.9"),
+        ],
+    )
+    def test_config_value_fails_as_its_flag_does(
+        self, tmp_path, capsys, monkeypatch, command, flag, key, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = self.config(tmp_path, {key: value})
+        from_config = run(capsys, command, "--config", cfg)
+        from_flag = run(capsys, command, flag, value)
+        assert from_flag[:2] == (2, "")
+        stderr_error(from_flag[2])
+        assert from_config == from_flag
 
     def test_unknown_market_in_config(self, data_dir, tmp_path, capsys):
         cfg = self.config(tmp_path, {"market": "xyz"})
@@ -695,12 +753,19 @@ class TestUsageErrors:
             (("pf", "--out", "x"), "--out"),
             (("pf", "--jobs", "2"), "--jobs"),
             (("gen", "--battery", "b.json"), "--battery"),
+            (("pf", "--config", {"out": "x"}), "--out"),
+            (("pf", "--config", {"jobs": "2"}), "--jobs"),
+            (("gen", "--config", {"battery": "b.json"}), "--battery"),
         ],
     )
     def test_common_option_the_command_does_not_read(
-        self, tmp_path, capsys, monkeypatch, argv, option
+        self, tmp_path, tmp_path_factory, capsys, monkeypatch, argv, option
     ):
         monkeypatch.chdir(tmp_path)
+        if isinstance(argv[-1], dict):  # config form; the file lives elsewhere
+            cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
+            cfg.write_text(json.dumps(argv[-1]))
+            argv = (*argv[:-1], str(cfg))
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         doc = stderr_error(err)
