@@ -16,11 +16,17 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from bessarb.errors import MalformedRow
+from bessarb.errors import ConfigError, MalformedRow
 
 TICKS_PER_MWH = 1000
 
+# Bound on the text of a number in an option or a battery file: the value
+# then lies under 10**300 in size, so it converts to a float and prints.
+MAX_DIGITS = 100
+MAX_EXPONENT = 200
+
 _PLAIN_DECIMAL = re.compile(r"-?\d+(?:\.\d+)?", re.ASCII)
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 
 
 def parse_ratio(text: str, *, line: int = 0) -> tuple[int, int]:
@@ -38,6 +44,19 @@ def parse_ratio(text: str, *, line: int = 0) -> tuple[int, int]:
         return Fraction(text.strip()).as_integer_ratio()
     except (ValueError, ZeroDivisionError):
         raise MalformedRow(line, f"not a decimal number: {text!r}") from None
+
+
+def parse_number(text: str) -> Fraction:
+    """Fraction(text), failing as that does, for text within the bound:
+    at most MAX_DIGITS digits and an exponent of at most MAX_EXPONENT either
+    way.  Text beyond it is a ConfigError, before Fraction can spend seconds
+    building a number that nothing prints."""
+    exponent = _EXPONENT.search(text)
+    if (sum(map(str.isdecimal, text)) > MAX_DIGITS
+            or exponent and abs(int(exponent[1])) > MAX_EXPONENT):
+        raise ConfigError(f"a number takes at most {MAX_DIGITS} digits"
+                          f" and an exponent of at most {MAX_EXPONENT} either way")
+    return Fraction(text)
 
 
 def parse_decimal(text: str, *, line: int = 0) -> Fraction:

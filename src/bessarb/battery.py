@@ -14,7 +14,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
-from bessarb._numeric import TICKS_PER_MWH, format_decimal, mwh_to_ticks, ticks_to_mwh
+from bessarb._numeric import (
+    TICKS_PER_MWH,
+    format_decimal,
+    mwh_to_ticks,
+    parse_number,
+    ticks_to_mwh,
+)
 from bessarb.errors import (
     CapacityViolation,
     ConfigError,
@@ -139,10 +145,10 @@ def _spec_number(key: str, value) -> Fraction:
     objects print as Python text that no number parses, so they fail too.
     """
     try:
-        number = Fraction(str(value))
+        number = parse_number(str(value))
         if not key.endswith("_eff"):
             mwh_to_ticks(number)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, ConfigError) as exc:
         raise ConfigError(f"battery spec {key} = {value!r}: {exc}") from None
     return number
 

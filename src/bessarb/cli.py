@@ -4,12 +4,15 @@ Subcommands: gen (synthetic data), backtest (one strategy and pair),
 sweep (full report grid), pf (benchmarks only), score (forecast quality),
 econ (multi-year return projection).
 
-Each option is declared once, in `_build_parser`, with its type, choices
-and default; handlers read the typed values. A `--config` JSON file stands
-for command-line tokens: each key is an option of the chosen subcommand,
-named by its underscore form (`noise_sd`, `out_format`), and its value is
-that option's text. Those tokens go before the real ones and pass through
-the same parser, so the command line wins and both are checked alike.
+Each option is declared once, with its type, choices and default: the
+common ones in `_COMMON`, the rest in one `_<command>_options` function per
+subcommand; handlers read the typed values. `_build_parser` builds the
+subcommand that argv names, or all six when argv names none. A `--config`
+JSON file stands for command-line tokens: each key is an option of the
+chosen subcommand, named by its underscore form (`noise_sd`, `out_format`),
+and its value is that option's text. Those tokens go before the real ones
+and pass through the same parser, so the command line wins and both are
+checked alike.
 
 Exit codes: 0 success, 2 configuration problems, 3 data or IO problems.
 Errors print one JSON object to stderr.
@@ -24,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from bessarb import __version__
-from bessarb._numeric import format_decimal, format_money
+from bessarb._numeric import format_decimal, format_money, parse_number
 from bessarb.battery import BatterySpec, unit_trading_spec
 from bessarb.economics import (
     DEFAULT_ANNUAL_FEES,
@@ -90,7 +93,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _decimal(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_number(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}: {text!r}") from None
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
@@ -126,35 +131,20 @@ class _Items:
 _NUMBERS = (int, _decimal)
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, and its subcommand parsers by name.  Each subcommand
-    takes --config and only the common options it reads."""
-    common = {
-        "--out": dict(help="output directory"),
-        "--jobs": dict(type=int, default=1,
-                       help="processes that share the sweep, this one included;"
-                            " at most one per work item (default %(default)s)"),
-        "--format": dict(choices=("csv", "json"), default="csv", dest="out_format",
-                         help="report format (default %(default)s)"),
-        "--seed": dict(type=int, default=0, help="random seed (default %(default)s)"),
-        "--battery": dict(help="battery spec JSON file"),
-    }
+# The options more than one subcommand reads; each subcommand lists its own.
+_COMMON = {
+    "--out": dict(help="output directory"),
+    "--jobs": dict(type=int, default=1,
+                   help="processes that share the sweep, this one included;"
+                        " at most one per work item (default %(default)s)"),
+    "--format": dict(choices=("csv", "json"), default="csv", dest="out_format",
+                     help="report format (default %(default)s)"),
+    "--seed": dict(type=int, default=0, help="random seed (default %(default)s)"),
+    "--battery": dict(help="battery spec JSON file"),
+}
 
-    def add_parser(name, options, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--config", help="JSON file with default option values")
-        for option in options:
-            p.add_argument(option, **common[option])
-        return p
 
-    parser = _Parser(
-        prog="bessarb",
-        description="Backtest battery arbitrage on quantile price forecasts.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = add_parser("gen", ("--seed", "--out"), help="write synthetic data CSVs")
+def _gen_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--days", type=int, default=1,
                    help="days to generate (default %(default)s)")
     p.add_argument("--noise-sd", type=_decimal, default=0,
@@ -166,48 +156,52 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--start", type=_timestamp, default=BASE_EPOCH,
                    help="first window start, ISO UTC")
 
-    for name, options in (
-        ("backtest", ("--battery", "--out")),
-        ("sweep", ("--jobs", "--battery", "--out", "--format")),
-    ):
-        p = add_parser(name, options, help="trade forecasts against settled prices")
-        p.add_argument("--dam-actuals", help="hourly price CSV")
-        p.add_argument("--dam-forecast", help="hourly quantile forecast CSV")
-        p.add_argument("--bm-actuals", help="half-hourly price CSV")
-        p.add_argument("--bm-forecast", help="half-hourly quantile forecast CSV")
-        p.add_argument("--allow-stock-buys", action="store_true",
-                       help="permit unmatched buys when a sell leg clips to zero")
-        if name == "backtest":
-            p.add_argument("--market", choices=("dam", "bm", "dual"), default="dam")
-            p.add_argument("--strategy", choices=STRATEGY_NAMES, default="TS3")
-            p.add_argument("--pair", type=QuantilePair.parse, default="0.5:0.5",
-                           help="quantile pair sell:buy (default %(default)s)")
-            p.add_argument("--carry-state", action="store_true",
-                           help="carry final charge into the next window")
-        else:
-            p.add_argument("--pairs", type=_Items(QuantilePair.parse),
-                           default=DEFAULT_PAIRS, help="comma list of sell:buy pairs")
-            p.add_argument("--strategies", type=_Items(str.upper),
-                           default=STRATEGY_NAMES,
-                           help=f"comma list of {','.join(STRATEGY_NAMES)}")
-            p.add_argument("--no-average", action="store_true",
-                           help="omit per-block average rows")
 
-    p = add_parser("pf", ("--battery",),
-                   help="perfect-foresight and optimum benchmarks")
+def _market_file_options(p: argparse.ArgumentParser) -> None:
+    """The inputs backtest and sweep share."""
+    p.add_argument("--dam-actuals", help="hourly price CSV")
+    p.add_argument("--dam-forecast", help="hourly quantile forecast CSV")
+    p.add_argument("--bm-actuals", help="half-hourly price CSV")
+    p.add_argument("--bm-forecast", help="half-hourly quantile forecast CSV")
+    p.add_argument("--allow-stock-buys", action="store_true",
+                   help="permit unmatched buys when a sell leg clips to zero")
+
+
+def _backtest_options(p: argparse.ArgumentParser) -> None:
+    _market_file_options(p)
+    p.add_argument("--market", choices=("dam", "bm", "dual"), default="dam")
+    p.add_argument("--strategy", choices=STRATEGY_NAMES, default="TS3")
+    p.add_argument("--pair", type=QuantilePair.parse, default="0.5:0.5",
+                   help="quantile pair sell:buy (default %(default)s)")
+    p.add_argument("--carry-state", action="store_true",
+                   help="carry final charge into the next window")
+
+
+def _sweep_options(p: argparse.ArgumentParser) -> None:
+    _market_file_options(p)
+    p.add_argument("--pairs", type=_Items(QuantilePair.parse),
+                   default=DEFAULT_PAIRS, help="comma list of sell:buy pairs")
+    p.add_argument("--strategies", type=_Items(str.upper), default=STRATEGY_NAMES,
+                   help=f"comma list of {','.join(STRATEGY_NAMES)}")
+    p.add_argument("--no-average", action="store_true",
+                   help="omit per-block average rows")
+
+
+def _pf_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--actuals", help="price CSV")
     p.add_argument("--market", choices=tuple(_MARKETS), default="dam")
     p.add_argument("--strategy", choices=STRATEGY_NAMES, default="TS3")
 
-    p = add_parser("score", ("--out",), help="pinball-score a forecast")
+
+def _score_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--forecast", help="quantile forecast CSV")
     p.add_argument("--actuals", help="price CSV")
     p.add_argument("--market", choices=tuple(_MARKETS), default="dam")
 
+
+def _econ_options(p: argparse.ArgumentParser) -> None:
     # Scenario options have no parser default: unset, EconScenario or the
     # catalog asset decides, and econ can tell a given option from an unset one.
-    p = add_parser("econ", ("--out", "--format"),
-                   help="project multi-year cumulative returns")
     p.add_argument("--asset", help="catalog asset key (A, B, C or D)")
     p.add_argument("--capex", type=_decimal, help="purchase cost, EUR")
     p.add_argument("--revenue", type=_decimal, help="first-year trading revenue, EUR")
@@ -220,24 +214,46 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--degradation-period", type=int,
                    help="years per degradation step (default 1)")
     p.add_argument("--maintenance-kind", choices=MAINTENANCE_KINDS)
+
+
+def _build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and its subcommand parsers by name: only `command`'s when
+    it names a subcommand, else all six.  Each subcommand takes --config and
+    only the common options it reads."""
+    parser = _Parser(
+        prog="bessarb",
+        description="Backtest battery arbitrage on quantile price forecasts.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, summary, common, declare) in _COMMANDS.items():
+        if command in _COMMANDS and name != command:
+            continue
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="JSON file with default option values")
+        for option in common:
+            p.add_argument(option, **_COMMON[option])
+        declare(p)
     return parser, sub.choices
 
 
-def _config_tokens(commands: dict, command: str, path: str) -> list[str]:
-    """The tokens of `command` that the keys of the config file stand for."""
+def _config_tokens(subparser: argparse.ArgumentParser, command: str,
+                   path: str) -> list[str]:
+    """The tokens of `command`, parsed by `subparser`, that the keys of the
+    config file stand for."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, not JSON, or an int too long to read
         raise ConfigError(f"invalid config JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config JSON must be an object")
-    options = {a.dest: a for a in commands[command]._actions if a.option_strings}
+    actions = {a.dest: a for a in subparser._actions if a.option_strings}
     tokens = []
     for key, value in doc.items():
-        action = None if key in ("config", "help") else options.get(key)
+        action = None if key in ("config", "help") else actions.get(key)
         if action is None:
             flags = {a.dest: a.option_strings[-1]
-                     for p in commands.values() for a in p._actions}
+                     for p in _build_parser()[1].values() for a in p._actions}
             raise ConfigError(
                 f"{command} takes no config key {key!r} ({flags.get(key, _flag(key))})"
             )
@@ -472,24 +488,36 @@ def _cmd_econ(args: argparse.Namespace) -> int:
     return 0
 
 
+# name: (handler, summary, the common options it reads, its own options)
 _COMMANDS = {
-    "gen": _cmd_gen,
-    "backtest": _cmd_backtest,
-    "sweep": _cmd_sweep,
-    "pf": _cmd_pf,
-    "score": _cmd_score,
-    "econ": _cmd_econ,
+    "gen": (_cmd_gen, "write synthetic data CSVs", ("--seed", "--out"), _gen_options),
+    "backtest": (_cmd_backtest, "trade forecasts against settled prices",
+                 ("--battery", "--out"), _backtest_options),
+    "sweep": (_cmd_sweep, "trade forecasts against settled prices",
+              ("--jobs", "--battery", "--out", "--format"), _sweep_options),
+    "pf": (_cmd_pf, "perfect-foresight and optimum benchmarks", ("--battery",),
+           _pf_options),
+    "score": (_cmd_score, "pinball-score a forecast", ("--out",), _score_options),
+    "econ": (_cmd_econ, "project multi-year cumulative returns", ("--out", "--format"),
+             _econ_options),
 }
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """Parse argv and its --config tokens; the parser is freed on return."""
-    parser, commands = _build_parser()
+    """Parse argv and its --config tokens; the parser is freed on return.
+
+    When argv starts with a subcommand name, the parser holds that one
+    subcommand only: the top-level parser then hands every later token to
+    it, so nothing reads differently.  Any other argv (help, version, a
+    missing or unknown name, or an option before the name) gets all six,
+    so the help text and the error list every subcommand.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if args.config is not None:
-        argv = sys.argv[1:] if argv is None else list(argv)
         at = argv.index(args.command) + 1
-        tokens = _config_tokens(commands, args.command, args.config)
+        tokens = _config_tokens(commands[args.command], args.command, args.config)
         args = parser.parse_args(argv[:at] + tokens + argv[at:])
     return args
 
@@ -497,7 +525,7 @@ def _parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         _print_error(exc)
         return 2

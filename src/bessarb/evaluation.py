@@ -470,6 +470,17 @@ def _run_lane(payload: tuple, items: Sequence, lane: int, lanes: int, conn=None)
         conn.send((results, failure))
 
 
+def _lane_context():
+    """The fork context where the platform has one, else the default.  A
+    forked lane starts with the package loaded; the default method
+    (forkserver on Linux from Python 3.14) would import it again."""
+    import multiprocessing  # only a parallel sweep pays for loading it
+
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
+
+
 def _run_lanes(payload: tuple, items: Sequence, jobs: int) -> list:
     """Every item's result, in order, striped over min(jobs, len(items)) lanes.
     Lane 0 runs here, each other lane in one child process that sends its
@@ -478,11 +489,11 @@ def _run_lanes(payload: tuple, items: Sequence, jobs: int) -> list:
     children, pipes, answers = [], [], []
     try:
         for lane in range(1, lanes):
-            import multiprocessing  # only a parallel sweep pays for loading it
-            recv, send = multiprocessing.Pipe(duplex=False)
+            context = _lane_context()
+            recv, send = context.Pipe(duplex=False)
             pipes.append(recv)
             with send:
-                child = multiprocessing.Process(
+                child = context.Process(
                     target=_run_lane, args=(payload, items, lane, lanes, send)
                 )
                 child.start()

@@ -26,9 +26,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from bessarb._numeric import format_decimal, ticks_to_mwh
+from bessarb._numeric import format_decimal, parse_number, ticks_to_mwh
 from bessarb.battery import BatterySpec, BatteryState, ChargeTimeline, start_charge
-from bessarb.errors import InvalidPair, WindowMismatch
+from bessarb.errors import ConfigError, InvalidPair, WindowMismatch
 from bessarb.market import (
     Horizon,
     QuantileForecast,
@@ -71,7 +71,9 @@ class QuantilePair:
         if len(parts) != 2:
             raise InvalidPair(f"expected sell:buy, got {text!r}")
         try:
-            sell, buy = (Fraction(p.strip()) for p in parts)
+            sell, buy = (parse_number(p.strip()) for p in parts)
+        except ConfigError as exc:
+            raise InvalidPair(f"{exc}: {text!r}") from None
         except (ValueError, ZeroDivisionError):
             raise InvalidPair(f"bad quantile level in {text!r}") from None
         return cls(sell, buy)

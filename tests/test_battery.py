@@ -120,6 +120,18 @@ class TestBatterySpec:
         with pytest.raises(ConfigError):
             BatterySpec.from_json_file(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("capacity_mwh", "1e10000000"), ("ramp_mwh_per_period", "1e-10000000"),
+         ("charge_eff", "0." + "9" * 200), ("min_charge_mwh", 10**150)],
+    )
+    def test_number_beyond_the_bound_is_config_error(self, tmp_path, key, value):
+        path = tmp_path / "battery.json"
+        path.write_text(json.dumps({"capacity_mwh": "2", "ramp_mwh_per_period": "1",
+                                    key: value}))
+        with pytest.raises(ConfigError, match=f"battery spec {key} = .*at most"):
+            BatterySpec.from_json_file(path)
+
     def test_digest_is_stable_and_distinct(self):
         a = unit_trading_spec()
         b = BatterySpec.from_mwh("2", "1")

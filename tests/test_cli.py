@@ -4,11 +4,15 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from bessarb import __version__, evaluation
+import bessarb
+from bessarb import __version__, cli, evaluation
 from bessarb._numeric import format_money
 from bessarb.battery import BatterySpec
 from bessarb.cli import main
@@ -38,6 +42,16 @@ from bessarb.strategies import (
 
 def run(capsys, *argv):
     code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def outcome(capsys, *argv):
+    """run, for argv that may end in SystemExit (help and version)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -433,6 +447,41 @@ class TestSweep:
         assert "exit code 9" in doc["message"]
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the platform cannot fork")
+    def test_lanes_fork_when_the_default_is_spawn(self, data_dir, tmp_path, capsys):
+        # A lane that sees _run_item patched after import was forked: a
+        # spawned one would import the package again and miss the patch.
+        script = """
+import multiprocessing, os, sys
+multiprocessing.set_start_method("spawn")
+from bessarb import cli, evaluation
+parent, run_item = os.getpid(), evaluation._run_item
+def marked(payload, item):
+    if os.getpid() != parent:
+        open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    return run_item(payload, item)
+evaluation._run_item = marked
+sys.exit(cli.main(sys.argv[2:]))
+"""
+        serial, parallel, lanes = tmp_path / "s1", tmp_path / "s2", tmp_path / "lanes"
+        lanes.mkdir()
+        assert self.sweep(capsys, data_dir, serial, "--jobs", "1")[0] == 0
+        src = str(Path(bessarb.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(lanes), "sweep",
+             *(f"--{m}-{k}={data_dir / f'{m}_{k}.csv'}"
+               for m in ("dam", "bm") for k in ("actuals", "forecast")),
+             "--out", str(parallel), "--jobs", "2"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert len(list(lanes.iterdir())) == 1  # the one child lane
+        for name in ("report.csv", "plot.csv"):
+            assert (parallel / name).read_bytes() == (serial / name).read_bytes()
+
 
 class TestPf:
     def test_benchmarks_line(self, data_dir, capsys):
@@ -774,6 +823,38 @@ class TestUsageErrors:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestNumberBound:
+    """A number beyond the bound of _numeric.parse_number exits 2 at once."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("econ", "--capex", "1e5000", "--revenue", "1", "--maintenance", "1"),
+             "--capex"),
+            (("gen", "--noise-sd", "1e400"), "--noise-sd"),
+            (("gen", "--levels", "0.5,1e-10000000"), "--levels"),
+            (("backtest", "--pair", "1e10000000:0.5"), "1e10000000:0.5"),
+        ],
+    )
+    def test_option(self, tmp_path, capsys, monkeypatch, argv, named):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        message = stderr_error(err)["message"]
+        assert named in message and "at most 100 digits" in message
+        assert list(tmp_path.iterdir()) == []
+
+    def test_battery_file(self, data_dir, tmp_path, capsys):
+        battery = tmp_path / "battery.json"
+        battery.write_text('{"capacity_mwh": "1e10000000", "ramp_mwh_per_period": "1"}')
+        code, out, err = run(capsys, "pf", "--battery", str(battery),
+                             "--actuals", str(data_dir / "dam_actuals.csv"))
+        assert (code, out) == (2, "")
+        doc = stderr_error(err)
+        assert doc["error"] == "ConfigError"
+        assert "capacity_mwh" in doc["message"]
+
+
 class TestEconMoneyValues:
     @pytest.mark.parametrize(
         "argv, flag",
@@ -897,3 +978,79 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == __version__
+
+
+class TestOneSubcommandParser:
+    """argv that starts with a subcommand name is parsed by a parser that
+    holds that subcommand alone; it must read argv as the full one does."""
+
+    COMMANDS = ("gen", "backtest", "sweep", "pf", "score", "econ")
+
+    @pytest.fixture()
+    def full(self, monkeypatch):
+        """Make every main call build all six subcommands, as a reference."""
+        build = cli._build_parser
+
+        def full_build(command=None):
+            return build()
+
+        def use():
+            monkeypatch.setattr(cli, "_build_parser", full_build)
+        return use
+
+    def both(self, capsys, full, *argv):
+        lazy = outcome(capsys, *argv)
+        full()
+        return lazy, outcome(capsys, *argv)
+
+    def test_builds_only_the_named_subcommand(self):
+        assert list(cli._build_parser("pf")[1]) == ["pf"]
+        for command in (None, "nosuch", "--help"):
+            assert list(cli._build_parser(command)[1]) == list(self.COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_help(self, capsys, full, command):
+        lazy, reference = self.both(capsys, full, command, "--help")
+        assert lazy == reference
+        assert lazy[0] == 0 and lazy[1].startswith(f"usage: bessarb {command} ")
+
+    @pytest.mark.parametrize(
+        "argv", [("--help",), ("-h", "pf"), ("--version",), (), ("nosuch",)]
+    )
+    def test_top_level(self, capsys, full, argv):
+        lazy, reference = self.both(capsys, full, *argv)
+        assert lazy == reference
+        assert lazy[0] in (0, 2)
+
+    @pytest.mark.parametrize(
+        "argv", [("--bogus", "pf"), ("pf", "--version"), ("pf", "--help", "x"),
+                 ("gen", "--days"), ("econ", "--capex")]
+    )
+    def test_awkward_argv(self, capsys, full, argv):
+        lazy, reference = self.both(capsys, full, *argv)
+        assert lazy == reference
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (("pf",), {"jobs": "2"}),
+            (("pf",), {"market": "bm", "battery": "b.json"}),
+            (("gen", "--seed", "3"), {"days": 2, "levels": ["0.1", "0.9"]}),
+            (("sweep", "--jobs", "1"), {"jobs": 2, "no_average": True}),
+            (("econ",), {"capex": "1e201"}),
+        ],
+    )
+    def test_config_tokens(self, tmp_path, capsys, full, argv, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = (argv[0], "--config", str(cfg), *argv[1:])
+        try:
+            lazy = vars(cli._parse_args(argv))
+        except bessarb.errors.ConfigError as exc:
+            lazy = str(exc)
+        full()
+        try:
+            reference = vars(cli._parse_args(argv))
+        except bessarb.errors.ConfigError as exc:
+            reference = str(exc)
+        assert lazy == reference

@@ -415,6 +415,16 @@ class TestDpOptimal:
             _fraction_dp(prices.prices, spec, initial)
         )
 
+    def test_unit_values_the_carried_stock(self):
+        # Falling positive prices: from empty the optimum idles; from full it
+        # sells one ramp at 40 and one at 30, each at the 0.8 discharge rate.
+        spec = BatterySpec.from_mwh("2", "1")
+        curve = [40, 30, 20]
+        (unit,) = window_units([flat_forecast(curve)], [make_prices(curve)], "BM")
+        assert spec.initial_charge == spec.min_charge
+        assert dp_unit(unit, spec) == 0
+        assert dp_unit(unit, spec, spec.capacity) == Fraction(56)
+
     def test_zero_steps_is_idle(self):
         spec = BatterySpec.from_mwh("2", "1", min_charge_mwh="2",
                                     initial_charge_mwh="2")
@@ -826,13 +836,14 @@ class TestSweepLanes:
     def test_processes_are_bounded_by_items(self, monkeypatch):
         dam_a, dam_f = self._dam()
         started = []
+        context = evaluation._lane_context()
 
-        class Counted(multiprocessing.Process):
+        class Counted(context.Process):
             def start(self):
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(multiprocessing, "Process", Counted)
+        monkeypatch.setattr(context, "Process", Counted)
         rows = run_sweep(UNIT, dam_a, dam_f, pairs=(MEDIAN_PAIR,),
                          strategies=("TS3",), jobs=8)
         # three items (DP, pf, one cell): the caller runs one lane of three

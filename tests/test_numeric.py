@@ -7,18 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bessarb._numeric import (
+    MAX_DIGITS,
+    MAX_EXPONENT,
     TICKS_PER_MWH,
     format_decimal,
     format_money,
     format_ratio,
     mwh_to_ticks,
     parse_decimal,
+    parse_number,
     parse_ratio,
     scale_to_integers,
     ticks_to_mwh,
     to_cents,
 )
-from bessarb.errors import MalformedRow
+from bessarb.errors import ConfigError, MalformedRow
 
 # Decimal-like text: signs, padding, ASCII and Arabic-Indic digits,
 # underscores, a point on either side, exponents and slashes, plus a few
@@ -89,6 +92,41 @@ class TestParseDecimal:
     )
     def test_ratio_examples(self, text, ratio):
         assert parse_ratio(text) == ratio
+
+
+class TestParseNumber:
+    @given(texts)
+    @settings(max_examples=400)
+    def test_matches_fraction_within_the_bound(self, text):
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                parse_number(text)
+            return
+        assert parse_number(text) == want
+
+    @pytest.mark.parametrize(
+        "text",
+        ["9" * MAX_DIGITS, "-" + "9" * (MAX_DIGITS - 3) + f"e{MAX_EXPONENT}",
+         f"1e-{MAX_EXPONENT}", f"0.5E+{MAX_EXPONENT}", "1/" + "3" * (MAX_DIGITS - 1)],
+    )
+    def test_every_value_within_the_bound_prints(self, text):
+        value = parse_number(text)
+        assert value == Fraction(text)
+        float(value)
+        format_money(value * 10**6)
+        format_money(1 / value)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1" * (MAX_DIGITS + 1), f"1e{MAX_EXPONENT + 1}", f"1e-{MAX_EXPONENT + 1}",
+         "1e5000", "1e10000000", "1e-10000000", "0." + "0" * MAX_DIGITS + "1",
+         "1/" + "1" * MAX_DIGITS, "1e1_000"],
+    )
+    def test_beyond_the_bound_is_a_config_error(self, text):
+        with pytest.raises(ConfigError, match=f"at most {MAX_DIGITS} digits"):
+            parse_number(text)
 
 
 class TestTicks:
