@@ -16,6 +16,7 @@ from bessarb import __version__, cli, evaluation
 from bessarb._numeric import format_money
 from bessarb.battery import BatterySpec
 from bessarb.cli import main
+from bessarb.errors import ConfigError
 from bessarb.evaluation import (
     dp_optimal,
     dp_optimal_dual,
@@ -805,6 +806,7 @@ class TestUsageErrors:
             (("pf", "--config", {"out": "x"}), "--out"),
             (("pf", "--config", {"jobs": "2"}), "--jobs"),
             (("gen", "--config", {"battery": "b.json"}), "--battery"),
+            (("pf", "--config", {"out_format": "json"}), "(--format)"),
         ],
     )
     def test_common_option_the_command_does_not_read(
@@ -986,22 +988,12 @@ class TestOneSubcommandParser:
 
     COMMANDS = ("gen", "backtest", "sweep", "pf", "score", "econ")
 
-    @pytest.fixture()
-    def full(self, monkeypatch):
-        """Make every main call build all six subcommands, as a reference."""
+    def both(self, monkeypatch, read):
+        """read() as main parses, then with all six subcommands built."""
+        lazy = read()
         build = cli._build_parser
-
-        def full_build(command=None):
-            return build()
-
-        def use():
-            monkeypatch.setattr(cli, "_build_parser", full_build)
-        return use
-
-    def both(self, capsys, full, *argv):
-        lazy = outcome(capsys, *argv)
-        full()
-        return lazy, outcome(capsys, *argv)
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
+        return lazy, read()
 
     def test_builds_only_the_named_subcommand(self):
         assert list(cli._build_parser("pf")[1]) == ["pf"]
@@ -1009,26 +1001,26 @@ class TestOneSubcommandParser:
             assert list(cli._build_parser(command)[1]) == list(self.COMMANDS)
 
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_subcommand_help(self, capsys, full, command):
-        lazy, reference = self.both(capsys, full, command, "--help")
-        assert lazy == reference
+    def test_subcommand_help(self, capsys, monkeypatch, command):
+        lazy, full = self.both(monkeypatch, lambda: outcome(capsys, command, "--help"))
+        assert lazy == full
         assert lazy[0] == 0 and lazy[1].startswith(f"usage: bessarb {command} ")
 
     @pytest.mark.parametrize(
         "argv", [("--help",), ("-h", "pf"), ("--version",), (), ("nosuch",)]
     )
-    def test_top_level(self, capsys, full, argv):
-        lazy, reference = self.both(capsys, full, *argv)
-        assert lazy == reference
+    def test_top_level(self, capsys, monkeypatch, argv):
+        lazy, full = self.both(monkeypatch, lambda: outcome(capsys, *argv))
+        assert lazy == full
         assert lazy[0] in (0, 2)
 
     @pytest.mark.parametrize(
         "argv", [("--bogus", "pf"), ("pf", "--version"), ("pf", "--help", "x"),
                  ("gen", "--days"), ("econ", "--capex")]
     )
-    def test_awkward_argv(self, capsys, full, argv):
-        lazy, reference = self.both(capsys, full, *argv)
-        assert lazy == reference
+    def test_awkward_argv(self, capsys, monkeypatch, argv):
+        lazy, full = self.both(monkeypatch, lambda: outcome(capsys, *argv))
+        assert lazy == full
 
     @pytest.mark.parametrize(
         "argv, doc",
@@ -1040,17 +1032,16 @@ class TestOneSubcommandParser:
             (("econ",), {"capex": "1e201"}),
         ],
     )
-    def test_config_tokens(self, tmp_path, capsys, full, argv, doc):
+    def test_config_tokens(self, tmp_path, monkeypatch, argv, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         argv = (argv[0], "--config", str(cfg), *argv[1:])
-        try:
-            lazy = vars(cli._parse_args(argv))
-        except bessarb.errors.ConfigError as exc:
-            lazy = str(exc)
-        full()
-        try:
-            reference = vars(cli._parse_args(argv))
-        except bessarb.errors.ConfigError as exc:
-            reference = str(exc)
-        assert lazy == reference
+
+        def parsed():  # the namespace, or the usage error's text
+            try:
+                return vars(cli._parse_args(argv))
+            except ConfigError as exc:
+                return str(exc)
+
+        lazy, full = self.both(monkeypatch, parsed)
+        assert lazy == full
