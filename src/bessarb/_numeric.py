@@ -3,10 +3,11 @@
 Prices are carried as integers over one positive scale per series: a CSV
 cell is read straight into an integer numerator over a power of ten, and
 hot loops (strategy scans, settlement, the DP bound) add and compare those
-integers.  A Fraction is built only at the edges: one per settled unit, per
-order price and per value a caller reads back.  Energy is carried as
-integer milli-MWh ticks.  Rounding happens only at serialization boundaries
-(report CSVs round to cents).
+integers.  Energy is carried as integer milli-MWh ticks.  A sweep keeps its
+cash as integers up to the printed cent: `format_cents` rounds num/den
+half-even to cents.  A Fraction is built only for a value a caller reads
+back: SettleResult.cash, TradeOrder.expected_price and each BacktestReport
+field.  Rounding happens only at serialization boundaries.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from bessarb.errors import ConfigError, MalformedRow
 
 TICKS_PER_MWH = 1000
 
-# Bound on the text of a number in an option or a battery file: the value
-# then lies under 10**300 in size, so it converts to a float and prints.
+# Bound on the text of a number in an option, a battery file or a CSV cell:
+# within it, a value lies under 10**300, so it converts to a float and prints.
 MAX_DIGITS = 100
 MAX_EXPONENT = 200
 
@@ -33,15 +34,17 @@ def parse_ratio(text: str, *, line: int = 0) -> tuple[int, int]:
     """(n, d), d > 0, with n/d exactly the decimal text; MalformedRow on failure.
 
     Plain decimals, -?digits[.digits], are read by int() as their digits
-    over 10**k, k the digits after the point.  Any other text is read as
-    Fraction(text.strip()) reads it, so it parses or fails exactly as that
-    does.
+    over 10**k, k the digits after the point.  Any other text is read by
+    parse_number(text.strip()), so it parses or fails as Fraction does
+    within the bound, and text beyond it fails before Fraction runs.
     """
-    if _PLAIN_DECIMAL.fullmatch(text):
-        whole, _, part = text.partition(".")
-        return int(whole + part), 10 ** len(part)
     try:
-        return Fraction(text.strip()).as_integer_ratio()
+        if _PLAIN_DECIMAL.fullmatch(text):
+            whole, _, part = text.partition(".")
+            return int(whole + part), 10 ** len(part)  # ValueError past int's limit
+        return parse_number(text.strip()).as_integer_ratio()
+    except ConfigError as exc:
+        raise MalformedRow(line, f"{exc}: {text!r}") from None
     except (ValueError, ZeroDivisionError):
         raise MalformedRow(line, f"not a decimal number: {text!r}") from None
 
@@ -118,11 +121,6 @@ def pinball_sum(a: int, b: int, actual: Iterable[int], predicted: Iterable[int])
     return a * under + (b - a) * over
 
 
-def to_cents(value: Fraction) -> int:
-    """Round an exact euro amount to integer cents (half-even)."""
-    return round(value * 100)
-
-
 def format_decimal(value: Fraction) -> str:
     """Shortest exact decimal string; raises if the value is not decimal."""
     return format_ratio(*value.as_integer_ratio())
@@ -147,9 +145,14 @@ def format_ratio(num: int, den: int) -> str:
     return f"-{text}" if scaled < 0 else text
 
 
+def format_cents(num: int, den: int) -> str:
+    """Two-decimal euro string of num/den, den > 0, rounded half-even to cents."""
+    cents, rest = divmod(num * 100, den)
+    cents += 2 * rest > den or 2 * rest == den and cents & 1
+    whole, part = divmod(abs(cents), 100)
+    return f"{'-' * (cents < 0)}{whole}.{part:02d}"
+
+
 def format_money(value: Fraction) -> str:
-    """Fixed two-decimal euro string, rounding half-even to cents."""
-    cents = to_cents(value)
-    sign = "-" if cents < 0 else ""
-    cents = abs(cents)
-    return f"{sign}{cents // 100}.{cents % 100:02d}"
+    """format_cents of an exact euro amount."""
+    return format_cents(*value.as_integer_ratio())

@@ -43,6 +43,7 @@ from bessarb.economics import (
 from bessarb.errors import (
     BessArbError,
     ConfigError,
+    InvalidPair,
     LevelOutOfRange,
     MalformedRow,
     MissingRevenueSource,
@@ -82,6 +83,8 @@ from bessarb.strategies import (
 
 _MARKETS = {kind.value.lower(): kind for kind in MarketKind}
 _LEVELS_TEXT = ",".join(map(format_decimal, DEFAULT_LEVELS))
+# The range of each count that sizes a run; above it a run takes hours.
+_COUNTS = {"days": (1, 3660), "years": (1, 1000), "degradation_period": (1, 1000)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,6 +101,16 @@ def _decimal(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{exc}: {text!r}") from None
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
+def _pair(flag: str):
+    """QuantilePair.parse, its InvalidPair naming `flag` as argparse would."""
+    def parse(text: str) -> QuantilePair:
+        try:
+            return QuantilePair.parse(text)
+        except InvalidPair as exc:
+            raise InvalidPair(f"argument {flag}: {exc}") from None
+    return parse
 
 
 def _market(text: str) -> MarketKind:
@@ -146,7 +159,8 @@ _COMMON = {
 
 def _gen_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--days", type=int, default=1,
-                   help="days to generate (default %(default)s)")
+                   help=f"days to generate, at most {_COUNTS['days'][1]}"
+                        " (default %(default)s)")
     p.add_argument("--noise-sd", type=_decimal, default=0,
                    help="price noise level in EUR (default %(default)s)")
     p.add_argument("--markets", type=_Items(_market), default=tuple(MarketKind),
@@ -171,7 +185,7 @@ def _backtest_options(p: argparse.ArgumentParser) -> None:
     _market_file_options(p)
     p.add_argument("--market", choices=("dam", "bm", "dual"), default="dam")
     p.add_argument("--strategy", choices=STRATEGY_NAMES, default="TS3")
-    p.add_argument("--pair", type=QuantilePair.parse, default="0.5:0.5",
+    p.add_argument("--pair", type=_pair("--pair"), default="0.5:0.5",
                    help="quantile pair sell:buy (default %(default)s)")
     p.add_argument("--carry-state", action="store_true",
                    help="carry final charge into the next window")
@@ -179,7 +193,7 @@ def _backtest_options(p: argparse.ArgumentParser) -> None:
 
 def _sweep_options(p: argparse.ArgumentParser) -> None:
     _market_file_options(p)
-    p.add_argument("--pairs", type=_Items(QuantilePair.parse),
+    p.add_argument("--pairs", type=_Items(_pair("--pairs")),
                    default=DEFAULT_PAIRS, help="comma list of sell:buy pairs")
     p.add_argument("--strategies", type=_Items(str.upper), default=STRATEGY_NAMES,
                    help=f"comma list of {','.join(STRATEGY_NAMES)}")
@@ -209,10 +223,12 @@ def _econ_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fees", type=_decimal,
                    help=f"annual market fees, EUR (default {DEFAULT_ANNUAL_FEES})")
     p.add_argument("--years", type=int,
-                   help=f"projection years (default {DEFAULT_YEARS})")
+                   help=f"projection years, at most {_COUNTS['years'][1]}"
+                        f" (default {DEFAULT_YEARS})")
     p.add_argument("--degradation-kind", choices=DEGRADATION_KINDS)
     p.add_argument("--degradation-period", type=int,
-                   help="years per degradation step (default 1)")
+                   help="years per degradation step, at most"
+                        f" {_COUNTS['degradation_period'][1]} (default 1)")
     p.add_argument("--maintenance-kind", choices=MAINTENANCE_KINDS)
 
 
@@ -316,8 +332,6 @@ def _load_units(args: argparse.Namespace, prefix: str):
 # --- subcommands ------------------------------------------------------------
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.days < 1:
-        raise ConfigError("--days must be at least 1")
     if args.noise_sd < 0:
         raise ConfigError("--noise-sd must be non-negative")
     out = _out_dir(args) or Path(".")
@@ -519,6 +533,10 @@ def _parse_args(argv) -> argparse.Namespace:
         at = argv.index(args.command) + 1
         tokens = _config_tokens(commands[args.command], args.command, args.config)
         args = parser.parse_args(argv[:at] + tokens + argv[at:])
+    for key, (least, most) in _COUNTS.items():
+        value = getattr(args, key, None)
+        if value is not None and not least <= value <= most:
+            raise ConfigError(f"{_flag(key)} takes {least} to {most}")
     return args
 
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from bessarb._numeric import format_money, pinball_sum, scale_ratios, to_cents
+from bessarb._numeric import format_cents, format_money, pinball_sum, scale_ratios
 from bessarb.battery import BatterySpec, BatteryState, apply_trade, start_charge
 from bessarb.errors import (
     BessArbError,
@@ -89,12 +89,12 @@ def _settle(
     actuals: Sequence[PriceSeries],
     spec: BatterySpec,
     initial_charge: int | None,
-) -> SettleResult:
-    """Replay each window's orders in the horizon's wall-clock order and pay them.
+) -> tuple[int, int, int]:
+    """Replay each window's orders in the horizon's wall-clock order and pay
+    them: (cash, den, final charge), the cash being cash / den.
 
     Prices are integers over one scale.  Cash is summed as one integer over
-    scale * den, with the weights of BatterySpec.cash_weights, so one
-    Fraction is built per call.
+    scale * den, with the weights of BatterySpec.cash_weights.
     """
     prices, scale = _over_one_scale(actuals)
     # instants are distinct, so the legs sort on their instant alone
@@ -112,7 +112,11 @@ def _settle(
             cash += w_sell * price * order.volume_ticks
         else:
             cash -= w_buy * price * order.volume_ticks
-    return SettleResult(Fraction(cash, scale * den), state.charge)
+    return cash, scale * den, state.charge
+
+
+def _result(cash: int, den: int, charge: int) -> SettleResult:
+    return SettleResult(Fraction(cash, den), charge)
 
 
 def _trade(
@@ -194,7 +198,8 @@ def trade_unit(
     schedules = _trade(
         horizon, forecasts, strategy, pair, spec, allow_stock_buys, initial_charge
     )
-    return schedules, _settle(horizon, schedules, actuals, spec, initial_charge)
+    settled = _settle(horizon, schedules, actuals, spec, initial_charge)
+    return schedules, _result(*settled)
 
 
 def pf_unit(
@@ -282,9 +287,9 @@ def settle(
     """
     if schedule.window != actuals.window:
         raise WindowMismatch("schedule and prices cover different windows")
-    return _settle(
+    return _result(*_settle(
         Horizon((actuals.window,)), (schedule,), (actuals,), spec, initial_charge
-    )
+    ))
 
 
 def settle_dual(
@@ -301,10 +306,10 @@ def settle_dual(
     if bm_schedule.window != bm_actuals.window:
         raise WindowMismatch("balancing schedule and prices differ")
     horizon = build_dual_horizon(dam_schedule.window, bm_schedule.window)
-    return _settle(
+    return _result(*_settle(
         horizon, (dam_schedule, bm_schedule), (dam_actuals, bm_actuals), spec,
         initial_charge,
-    )
+    ))
 
 
 def degenerate_forecast(
@@ -437,7 +442,7 @@ class BacktestReport:
 def _run_item(payload: tuple, item: tuple):
     """One sweep item (market, strategy, pair): the market's DP total when
     strategy is None, its pf total when pair is None, else the cell's
-    per-window cash and trade count."""
+    per-window cash, as (numerator, denominator) integers, and trade count."""
     market, strategy, pair = item
     spec, allow_stock, by_market = payload
     units = by_market[market]
@@ -446,11 +451,11 @@ def _run_item(payload: tuple, item: tuple):
     if pair is None:
         return sum((pf_unit(u, spec, strategy, allow_stock) for u in units), Fraction(0))
     trades, per_window = 0, []
-    for unit in units:
-        schedules, result = trade_unit(unit, strategy, pair, spec, allow_stock)
-        per_window.append(result.cash)
+    for horizon, forecasts, actuals in units:
+        schedules = _trade(horizon, forecasts, strategy, pair, spec, allow_stock, None)
+        per_window.append(_settle(horizon, schedules, actuals, spec, None)[:2])
         trades += sum(s.trade_count for s in schedules)
-    return tuple(per_window), trades
+    return per_window, trades
 
 
 def _run_lane(payload: tuple, items: Sequence, lane: int, lanes: int, conn=None):
@@ -545,7 +550,8 @@ def run_sweep(
     work-list strategy, and every balancing window that opens together with
     a day-ahead window is also traded jointly with it.  Rows come back in a
     fixed order with one average row per (market, strategy) block, and are
-    identical for any number of jobs.
+    identical for any number of jobs.  A block's cash is summed and averaged
+    as integers over the lcm of its units' denominators.
     """
     for name in strategies:
         if name not in STRATEGY_NAMES:
@@ -570,20 +576,21 @@ def run_sweep(
     rows: list[BacktestReport] = []
     for market, strategy in blocks:
         pf, dp = result[market, strategy, None], result[market, None, None]
-        block = []
-        for pair in pairs:
-            per_window, trades = result[market, strategy, pair]
-            block.append(BacktestReport(
-                market, strategy, pair.label, sum(per_window, Fraction(0)),
-                Fraction(trades), pf, dp, len(per_window), per_window,
-            ))
-        rows += block
-        if include_average:
-            n = len(block)
+        cells = [result[market, strategy, pair] for pair in pairs]
+        den = math.lcm(*(d for per_window, _ in cells for _, d in per_window))
+        cash = [[n * (den // d) for n, d in per_window] for per_window, _ in cells]
+        for pair, nums, (_, trades) in zip(pairs, cash, cells):
             rows.append(BacktestReport(
-                market, strategy, "average", sum(r.realized for r in block) / n,
-                sum(r.trades for r in block) / n, pf, dp, block[0].windows,
-                tuple(sum(w) / n for w in zip(*(r.per_window for r in block))),
+                market, strategy, pair.label, Fraction(sum(nums), den),
+                Fraction(trades), pf, dp, len(nums),
+                tuple(Fraction(n, den) for n in nums),
+            ))
+        if include_average:
+            n = len(cells)
+            rows.append(BacktestReport(
+                market, strategy, "average", Fraction(sum(map(sum, cash)), den * n),
+                Fraction(sum(trades for _, trades in cells), n), pf, dp, len(cash[0]),
+                tuple(Fraction(sum(w), den * n) for w in zip(*cash)),
             ))
     return rows
 
@@ -592,31 +599,17 @@ def run_sweep(
 
 def _format_trades(trades: Fraction) -> str:
     """Whole counts verbatim; fractional averages rounded to 2 places."""
-    if trades.denominator == 1:
-        return str(trades.numerator)
-    cents = to_cents(trades)
-    whole, rem = divmod(abs(cents), 100)
-    text = f"{whole}.{rem:02d}".rstrip("0").rstrip(".")
-    return ("-" if cents < 0 else "") + text
+    return format_money(trades).rstrip("0").rstrip(".")
 
 
 def write_report_csv(path: str | Path, reports: Iterable[BacktestReport]) -> None:
     lines = ["market,strategy,pair,profit_eur,trades,pf_eur,dp_eur,windows"]
     for r in reports:
-        lines.append(
-            ",".join(
-                [
-                    r.market,
-                    r.strategy,
-                    r.pair_label,
-                    format_money(r.realized),
-                    _format_trades(r.trades),
-                    format_money(r.pf),
-                    format_money(r.dp),
-                    str(r.windows),
-                ]
-            )
-        )
+        lines.append(",".join([
+            r.market, r.strategy, r.pair_label, format_money(r.realized),
+            _format_trades(r.trades), format_money(r.pf), format_money(r.dp),
+            str(r.windows),
+        ]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -642,21 +635,13 @@ def write_plot_csv(path: str | Path, reports: Iterable[BacktestReport]) -> None:
     """Per-row window profit spread, for plotting profit against pair."""
     lines = ["market,strategy,pair,mean_eur,min_eur,max_eur"]
     for r in reports:
-        if r.per_window:
-            mean = r.realized / len(r.per_window)  # realized sums per_window
-            lo, hi = min(r.per_window), max(r.per_window)
-        else:
-            mean = lo = hi = Fraction(0)
-        lines.append(
-            ",".join(
-                [
-                    r.market,
-                    r.strategy,
-                    r.pair_label,
-                    format_money(mean),
-                    format_money(lo),
-                    format_money(hi),
-                ]
-            )
-        )
+        # min and max compare numerators over one scale; realized sums per_window
+        cash, den = scale_ratios([w.as_integer_ratio() for w in r.per_window])
+        num, scale = r.realized.as_integer_ratio() if cash else (0, 1)
+        lines.append(",".join([
+            r.market, r.strategy, r.pair_label,
+            format_cents(num, scale * (len(cash) or 1)),
+            format_cents(min(cash, default=0), den),
+            format_cents(max(cash, default=0), den),
+        ]))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -169,10 +169,10 @@ class QuantileForecast:
     levels: tuple[Fraction, ...]
     scaled: tuple[tuple[int, ...], ...]
     scale: int
-    # The columns of the repaired rows, one per level, filled by the first
+    # The columns of the repaired rows by level ratio, filled by the first
     # repaired_curve call.  Derived from the fields above, so it takes no
     # part in equality or hashing.
-    _repaired: tuple | None = field(compare=False, repr=False)
+    _repaired: dict | None = field(compare=False, repr=False)
 
     def __init__(
         self,
@@ -219,31 +219,25 @@ class QuantileForecast:
         scale = self.scale
         return tuple(tuple(Fraction(n, scale) for n in row) for row in self.scaled)
 
-    def _level_index(self, level) -> int:
-        lv = _coerce_level(level)
-        try:
-            return self.levels.index(lv)
-        except ValueError:
-            have = ", ".join(str(x) for x in self.levels)
-            raise LevelMissing(f"level {lv} not among [{have}]") from None
-
     def repaired_curve(self, level) -> tuple[int, ...]:
         """One level of the repaired rows, as integers over `scale`.
 
-        The rows are sorted once per forecast, on first use.  Integers over
-        one positive scale sort, order and subtract as the values do.
+        The rows are sorted once per forecast, on first use, into columns
+        keyed by their level's integer ratio.  Integers over one positive
+        scale sort, order and subtract as the values do.
         """
         if self._repaired is None:
             rows = [sorted(row) for row in self.scaled]
-            object.__setattr__(self, "_repaired", tuple(
-                tuple(row[j] for row in rows) for j in range(len(self.levels))
-            ))
-        try:
-            # a level equal to one held is found without coercing it
-            j = self.levels.index(level)
-        except ValueError:
-            j = self._level_index(level)
-        return self._repaired[j]
+            object.__setattr__(self, "_repaired", {
+                lv.as_integer_ratio(): tuple(row[j] for row in rows)
+                for j, lv in enumerate(self.levels)
+            })
+        lv = level if isinstance(level, Fraction) else _coerce_level(level)
+        curve = self._repaired.get(lv.as_integer_ratio())
+        if curve is None:
+            have = ", ".join(str(x) for x in self.levels)
+            raise LevelMissing(f"level {_coerce_level(lv)} not among [{have}]")
+        return curve
 
 
 def _checked_shape(window: TradingWindow, levels: Sequence, rows: Sequence) -> tuple:

@@ -798,6 +798,22 @@ class TestUsageErrors:
         assert stderr_error(err)["error"] == "ConfigError"
 
     @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("backtest", "--pair", "highlow"), "--pair"),
+            (("backtest", "--pair", "0.9:0.1"), "--pair"),
+            (("sweep", "--pairs", "0.5:0.5,bad", "--out", "o"), "--pairs"),
+        ],
+    )
+    def test_bad_pair_names_its_flag(self, tmp_path, capsys, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        doc = stderr_error(err)
+        assert doc["error"] == "InvalidPair"
+        assert doc["message"].startswith(f"argument {flag}: ")
+
+    @pytest.mark.parametrize(
         "argv, option",
         [
             (("pf", "--out", "x"), "--out"),
@@ -855,6 +871,56 @@ class TestNumberBound:
         doc = stderr_error(err)
         assert doc["error"] == "ConfigError"
         assert "capacity_mwh" in doc["message"]
+
+
+    @pytest.mark.parametrize("cell", ["1e10000000", "+" + "1" * 101, "1" * 5000])
+    def test_csv_cell(self, data_dir, tmp_path, capsys, cell):
+        lines = (data_dir / "dam_actuals.csv").read_text().splitlines()
+        stamp = lines[3].split(",")[0]
+        lines[3] = f"{stamp},{cell}"
+        actuals = tmp_path / "actuals.csv"
+        actuals.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "pf", "--actuals", str(actuals))
+        assert (code, out) == (3, "")
+        doc = stderr_error(err)
+        assert doc["error"] == "MalformedRow"
+        assert doc["message"].startswith("line 4: ")
+
+
+class TestCountBound:
+    """A count that sizes a run has an upper bound, named in its error."""
+
+    ECON = ("econ", "--capex", "1", "--revenue", "1", "--maintenance", "1")
+
+    @pytest.mark.parametrize(
+        "argv, flag, most",
+        [
+            (("gen", "--days", "3661"), "--days", 3660),
+            ((*ECON, "--years", "100000000"), "--years", 1000),
+            ((*ECON, "--degradation-period", "1001"), "--degradation-period", 1000),
+            ((*ECON, "--years", "0"), "--years", 1000),
+        ],
+    )
+    def test_outside_the_bound(self, tmp_path, capsys, monkeypatch, argv, flag, most):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert stderr_error(err) == {"error": "ConfigError",
+                                     "message": f"{flag} takes 1 to {most}"}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_value_above_the_bound(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"days": 3661}))
+        code, _, err = run(capsys, "gen", "--config", str(cfg))
+        assert code == 2
+        assert stderr_error(err)["message"] == "--days takes 1 to 3660"
+
+    def test_at_the_bound(self, capsys):
+        code, out, _ = run(capsys, *self.ECON, "--years", "1000",
+                           "--degradation-period", "1000")
+        assert code == 0 and out.startswith("breakeven=")
 
 
 class TestEconMoneyValues:

@@ -1,9 +1,12 @@
 """Settlement, perfect-foresight and DP benchmarks, scoring and sweeps."""
 
+import json
 import multiprocessing
 import pickle
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from bessarb.errors import (
     WindowMismatch,
 )
 from bessarb.evaluation import (
+    STRATEGY_NAMES,
     BacktestReport,
     SettleResult,
     degenerate_forecast,
@@ -800,6 +804,32 @@ class TestRunSweep:
         ]
         assert units[0].horizon == build_dual_horizon(dam_a[0].window, bm_a[0].window)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cell_cash_is_the_sum_of_its_settled_units(self, jobs):
+        # windows settle over cents, sevenths or thirds of them, and the
+        # battery's efficiencies put each unit's cash over its own denominator
+        dam_a, dam_f, bm_a, bm_f = self._data(days=3, noise="3")
+        dam_a = [PriceSeries(ps.window, [p / (1, 7, 3)[i % 3] for p in ps.prices])
+                 for i, ps in enumerate(dam_a)]
+        spec = BatterySpec.from_mwh("2", "1", charge_eff="0.95", discharge_eff="0.9")
+        pairs = (MEDIAN_PAIR, QuantilePair("0.1", "0.9"), QuantilePair("0.3", "0.7"))
+        rows = run_sweep(spec, dam_a, dam_f, bm_a, bm_f, pairs=pairs, jobs=jobs,
+                         allow_stock_buys=True, include_average=False)
+        dam = window_units(dam_f, dam_a, "day-ahead")
+        bm = window_units(bm_f, bm_a, "balancing")
+        units = {"DAM": dam, "BM": bm, "DAM+BM": dual_units(dam, bm)}
+        pair_of = {pair.label: pair for pair in pairs}
+        assert {r.market for r in rows} == set(units)
+        for row in rows:
+            cash = tuple(
+                trade_unit(u, row.strategy, pair_of[row.pair_label], spec, True)[1].cash
+                for u in units[row.market]
+            )
+            assert row.per_window == cash
+            assert row.realized == sum(cash)
+            assert row.windows == len(cash)
+        assert len({r.realized.denominator for r in rows}) > 1
+
     def test_realized_never_beats_dp(self):
         dam_a, dam_f, bm_a, bm_f = self._data(days=2, noise="4")
         for row in run_sweep(UNIT, dam_a, dam_f, bm_a, bm_f):
@@ -863,6 +893,77 @@ class TestSweepLanes:
         assert type(copy) is cls
         assert str(copy) == str(error)
         assert vars(copy) == vars(error)
+
+
+def _money(value: Fraction) -> str:
+    cents = round(value * 100)
+    return ("-" if cents < 0 else "") + f"{abs(cents) // 100}.{abs(cents) % 100:02d}"
+
+
+def _trades(value: Fraction) -> str:
+    if value.denominator == 1:
+        return str(value.numerator)
+    cents = round(value * 100)
+    text = f"{abs(cents) // 100}.{abs(cents) % 100:02d}".rstrip("0").rstrip(".")
+    return ("-" if cents < 0 else "") + text
+
+
+# Euro amounts over mixed denominators, with exact half cents planted.
+_cash = st.one_of(
+    st.builds(Fraction, st.integers(-10**9, 10**9),
+              st.sampled_from([1, 3, 49, 100, 4900, 7 * 10**5, 190000 * 343])),
+    st.builds(lambda k: Fraction(2 * k + 1, 200), st.integers(-10**6, 10**6)),
+)
+_reports = st.builds(
+    BacktestReport,
+    st.sampled_from(["DAM", "BM", "DAM+BM"]),
+    st.sampled_from(STRATEGY_NAMES),
+    st.sampled_from(["0.5-0.5", "0.1-0.9", "average"]),
+    _cash,
+    st.builds(Fraction, st.integers(0, 500), st.integers(1, 8)),
+    _cash,
+    _cash,
+    st.integers(0, 6),
+    st.lists(_cash, max_size=6).map(tuple),
+)
+
+
+class TestReportWritersOracle:
+    """The writers equal a formatter that rounds Fractions."""
+
+    @given(st.lists(_reports, max_size=6))
+    @settings(max_examples=150)
+    def test_every_writer_matches_the_fraction_formatter(self, reports):
+        report = ["market,strategy,pair,profit_eur,trades,pf_eur,dp_eur,windows"]
+        plot = ["market,strategy,pair,mean_eur,min_eur,max_eur"]
+        doc = []
+        for r in reports:
+            cells = [r.market, r.strategy, r.pair_label]
+            report.append(",".join(cells + [
+                _money(r.realized), _trades(r.trades), _money(r.pf), _money(r.dp),
+                str(r.windows)]))
+            if r.per_window:
+                spread = (r.realized / len(r.per_window), min(r.per_window),
+                          max(r.per_window))
+            else:
+                spread = (Fraction(0),) * 3
+            plot.append(",".join(cells + [_money(v) for v in spread]))
+            doc.append({
+                "market": r.market, "strategy": r.strategy, "pair": r.pair_label,
+                "profit_eur": _money(r.realized), "trades": _trades(r.trades),
+                "pf_eur": _money(r.pf), "dp_eur": _money(r.dp), "windows": r.windows,
+                "window_profits_eur": [_money(w) for w in r.per_window],
+            })
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            write_report_csv(out / "report.csv", reports)
+            write_plot_csv(out / "plot.csv", reports)
+            write_report_json(out / "report.json", reports)
+            assert (out / "report.csv").read_text() == "\n".join(report) + "\n"
+            assert (out / "plot.csv").read_text() == "\n".join(plot) + "\n"
+            assert (out / "report.json").read_text() == (
+                json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            )
 
 
 class TestReportWriters:

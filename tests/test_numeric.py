@@ -1,15 +1,17 @@
 """Exact arithmetic helpers: parsing, tick conversion, money formatting."""
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bessarb._numeric import (
     MAX_DIGITS,
     MAX_EXPONENT,
     TICKS_PER_MWH,
+    format_cents,
     format_decimal,
     format_money,
     format_ratio,
@@ -19,7 +21,6 @@ from bessarb._numeric import (
     parse_ratio,
     scale_to_integers,
     ticks_to_mwh,
-    to_cents,
 )
 from bessarb.errors import ConfigError, MalformedRow
 
@@ -44,6 +45,13 @@ texts = st.one_of(
 )
 
 
+def _within_bound(text: str) -> bool:
+    """At most MAX_DIGITS digits and an exponent of at most MAX_EXPONENT."""
+    exponent = re.search(r"[eE]([-+]?\d+)", text.replace("_", ""))
+    return (sum(map(str.isdecimal, text)) <= MAX_DIGITS
+            and not (exponent and abs(int(exponent[1])) > MAX_EXPONENT))
+
+
 class TestParseDecimal:
     def test_plain_decimal(self):
         assert parse_decimal("42.17") == Fraction("42.17")
@@ -66,7 +74,9 @@ class TestParseDecimal:
     @given(texts)
     @settings(max_examples=400)
     def test_matches_fraction_of_the_stripped_text(self, text):
-        # parse_decimal and parse_ratio accept exactly what Fraction accepts
+        # within the bound, parse_decimal and parse_ratio accept exactly what
+        # Fraction accepts
+        assume(_within_bound(text))
         try:
             want = Fraction(text.strip())
         except (ValueError, ZeroDivisionError):
@@ -92,6 +102,22 @@ class TestParseDecimal:
     )
     def test_ratio_examples(self, text, ratio):
         assert parse_ratio(text) == ratio
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"1e{MAX_EXPONENT + 1}", f" 1e-{MAX_EXPONENT + 1}", "1e10000000",
+         "+" + "1" * (MAX_DIGITS + 1), "1" * MAX_DIGITS + "e1",
+         "1/" + "1" * MAX_DIGITS, "1" * 5000],
+    )
+    def test_beyond_the_bound_is_a_malformed_row(self, text):
+        # checked before Fraction runs; a plain decimal is read by int(), and
+        # past int's digit limit it fails as a row too
+        with pytest.raises(MalformedRow, match="^line 7: "):
+            parse_ratio(text, line=7)
+
+    def test_plain_decimals_are_not_bounded(self):
+        text = "-" + "9" * (2 * MAX_DIGITS) + "." + "5" * MAX_DIGITS
+        assert Fraction(*parse_ratio(text)) == Fraction(text)
 
 
 class TestParseNumber:
@@ -148,19 +174,36 @@ class TestTicks:
         assert mwh_to_ticks(ticks_to_mwh(ticks)) == ticks
 
 
+# Euro amounts as (num, den): any sign and size, and exact half cents put in
+# terms up to 10**15 times too large.
+cash_ratios = st.one_of(
+    st.tuples(st.integers(-10**40, 10**40), st.integers(1, 10**30)),
+    st.builds(lambda k, m: ((2 * k + 1) * m, 200 * m),
+              st.integers(-10**12, 10**12), st.integers(1, 10**15)),
+)
+
+
 class TestCents:
+    @given(cash_ratios)
+    @settings(max_examples=400)
+    def test_format_cents_matches_a_fraction_formatter(self, ratio):
+        cents = round(Fraction(*ratio) * 100)
+        sign = "-" if cents < 0 else ""
+        want = f"{sign}{abs(cents) // 100}.{abs(cents) % 100:02d}"
+        assert format_cents(*ratio) == want == format_money(Fraction(*ratio))
+
     def test_exact_cents(self):
-        assert to_cents(Fraction("12.34")) == 1234
+        assert format_cents(1234, 100) == "12.34"
 
     def test_half_even_down(self):
         # 12.5 cents rounds to the even 12
-        assert to_cents(Fraction("0.125")) == 12
+        assert format_cents(125, 1000) == "0.12"
 
     def test_half_even_up(self):
-        assert to_cents(Fraction("0.135")) == 14
+        assert format_cents(135, 1000) == "0.14"
 
     def test_negative(self):
-        assert to_cents(Fraction("-1.01")) == -101
+        assert format_cents(-101, 100) == "-1.01"
 
 
 class TestFormatDecimal:
