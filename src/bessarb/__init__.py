@@ -16,14 +16,11 @@ from bessarb.market import (
     generate_synthetic,
     parse_forecast_csv,
     parse_price_csv,
-    validate_and_repair,
 )
 from bessarb.strategies import (
     QuantilePair,
     Schedule,
     TradeOrder,
-    best_ordered_pair,
-    best_unordered_pair,
     bottleneck_execute,
     ts1,
     ts2,
@@ -59,14 +56,11 @@ __all__ = [
     "QuantileForecast",
     "parse_price_csv",
     "parse_forecast_csv",
-    "validate_and_repair",
     "build_dual_horizon",
     "generate_synthetic",
     "QuantilePair",
     "TradeOrder",
     "Schedule",
-    "best_ordered_pair",
-    "best_unordered_pair",
     "bottleneck_execute",
     "ts1",
     "ts2",

@@ -67,10 +67,14 @@ def parse_decimal(text: str, *, line: int = 0) -> Fraction:
     return Fraction(*parse_ratio(text, line=line))
 
 
+def exact(value) -> Fraction:
+    """A Fraction as it is; any other value read as Fraction reads its text."""
+    return value if isinstance(value, Fraction) else Fraction(str(value))
+
+
 def mwh_to_ticks(value: Fraction | str | int | float) -> int:
     """Convert MWh to integer milli-MWh ticks; the value must be exact."""
-    frac = value if isinstance(value, Fraction) else Fraction(str(value))
-    ticks = frac * TICKS_PER_MWH
+    ticks = exact(value) * TICKS_PER_MWH
     if ticks.denominator != 1:
         raise ValueError(f"{value} MWh is not a whole number of milli-MWh")
     return int(ticks)

@@ -16,6 +16,7 @@ from typing import Iterable
 
 from bessarb._numeric import (
     TICKS_PER_MWH,
+    exact,
     format_decimal,
     mwh_to_ticks,
     parse_number,
@@ -83,8 +84,8 @@ class BatterySpec:
             ramp=mwh_to_ticks(ramp_mwh_per_period),
             min_charge=min_ticks,
             initial_charge=initial_ticks,
-            charge_eff=Fraction(str(charge_eff)),
-            discharge_eff=Fraction(str(discharge_eff)),
+            charge_eff=exact(charge_eff),
+            discharge_eff=exact(discharge_eff),
         )
 
     @classmethod

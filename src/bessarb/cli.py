@@ -85,6 +85,7 @@ _MARKETS = {kind.value.lower(): kind for kind in MarketKind}
 _LEVELS_TEXT = ",".join(map(format_decimal, DEFAULT_LEVELS))
 # The range of each count that sizes a run; above it a run takes hours.
 _COUNTS = {"days": (1, 3660), "years": (1, 1000), "degradation_period": (1, 1000)}
+_YEAR_10000 = 253402300800  # 10000-01-01T00:00:00Z; a timestamp names years 1 to 9999
 
 
 class _Parser(argparse.ArgumentParser):
@@ -334,6 +335,8 @@ def _load_units(args: argparse.Namespace, prefix: str):
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.noise_sd < 0:
         raise ConfigError("--noise-sd must be non-negative")
+    if args.start + args.days * 86400 > _YEAR_10000:
+        raise ConfigError("--start with --days runs past the year 9999")
     out = _out_dir(args) or Path(".")
     counts = {}
     for market in args.markets:

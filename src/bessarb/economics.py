@@ -19,6 +19,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Sequence
 
+from bessarb._numeric import exact
 from bessarb.battery import BatterySpec
 from bessarb.errors import ConfigError, MissingRevenueSource, ZeroSpan
 
@@ -29,10 +30,6 @@ DEFAULT_YEARS = 15
 
 DEGRADATION_KINDS = ("linear", "loss_compound")
 MAINTENANCE_KINDS = ("compound", "linear")
-
-
-def _money(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(str(value))
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,7 +56,7 @@ class EconScenario:
             "degradation_rate",
             "maintenance_escalation",
         ):
-            object.__setattr__(self, name, _money(getattr(self, name)))
+            object.__setattr__(self, name, exact(getattr(self, name)))
         if self.years < 1:
             raise ConfigError("projection needs at least one year")
         if self.degradation_period_years < 1:
@@ -121,16 +118,16 @@ def implied_base_revenue(
     """
     if len(curve) < 2:
         raise MissingRevenueSource("need at least years 0 and 1 to imply revenue")
-    step = _money(curve[1]) - _money(curve[0])
-    return step + _money(base_maintenance) + _money(annual_fees)
+    step = exact(curve[1]) - exact(curve[0])
+    return step + exact(base_maintenance) + exact(annual_fees)
 
 
 def annualize_backtest_revenue(total_cash, span_days) -> Fraction:
     """Scale a backtest's total profit to a 365-day year."""
-    days = span_days if isinstance(span_days, Fraction) else Fraction(str(span_days))
+    days = exact(span_days)
     if days <= 0:
         raise ZeroSpan("backtest span must cover at least part of a day")
-    return _money(total_cash) * 365 / days
+    return exact(total_cash) * 365 / days
 
 
 # --- asset catalog ----------------------------------------------------------
@@ -209,7 +206,7 @@ def scenario_for(
             battery.reference_curve, battery.base_maintenance, battery.annual_fees
         )
     else:
-        revenue = _money(base_revenue)
+        revenue = exact(base_revenue)
     return EconScenario(
         capex=battery.capex,
         base_revenue=revenue,

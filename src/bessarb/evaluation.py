@@ -35,7 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from bessarb._numeric import format_cents, format_money, pinball_sum, scale_ratios
+from bessarb._numeric import exact, format_cents, format_money, pinball_sum, scale_ratios
 from bessarb.battery import BatterySpec, BatteryState, apply_trade, start_charge
 from bessarb.errors import (
     BessArbError,
@@ -368,16 +368,12 @@ def dp_optimal_dual(
 
 # --- forecast scoring -------------------------------------------------------
 
-def _exact(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(str(value))
-
-
 def pinball(level, actual, predicted) -> Fraction:
     """Quantile regression loss for one prediction, exact."""
-    q = _exact(level)
+    q = exact(level)
     if not 0 < q < 1:
         raise LevelOutOfRange(f"quantile level {q} outside (0, 1)")
-    y, z = _exact(actual), _exact(predicted)
+    y, z = exact(actual), exact(predicted)
     if y >= z:
         return q * (y - z)
     return (1 - q) * (z - y)

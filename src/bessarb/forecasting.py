@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from bessarb._numeric import parse_decimal, pinball_sum, scale_to_integers
+from bessarb._numeric import exact, parse_decimal, pinball_sum, scale_to_integers
 from bessarb.errors import (
     EmptyTrainSet,
     InsufficientHistory,
@@ -134,9 +134,7 @@ class KnnQuantileForecaster:
             raise KTooLarge(f"k={self.k} with {len(feats)} training rows")
         self._mean, self._std = _standardizer(feats)
         self._train = (feats - self._mean) / self._std
-        self._targets, self._scale = scale_to_integers(
-            [t if isinstance(t, Fraction) else Fraction(str(t)) for t in targets]
-        )
+        self._targets, self._scale = scale_to_integers([exact(t) for t in targets])
         return self
 
     def _ranking(self, features) -> np.ndarray:

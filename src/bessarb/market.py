@@ -11,6 +11,9 @@ forecast: each CSV cell is read into an integer over a power of ten
 only when read.  Floats only appear inside the synthetic generator before
 rounding to cents.
 
+A forecast's rows may cross levels; QuantileForecast.repaired_curve reads
+one level of the rows sorted ascending, and that is the only repair.
+
 A Horizon holds the windows one settlement covers, one window or a
 day-ahead window with the balancing window that opens with it, and lists
 their trades in wall-clock order once.
@@ -30,6 +33,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from bessarb._numeric import (
+    exact,
     format_decimal,
     format_ratio,
     lowest_scale,
@@ -99,9 +103,16 @@ def parse_timestamp(text: str, *, line: int = 0) -> int:
     return int(moment.timestamp())
 
 
+# The Gregorian calendar repeats every 400 years (146097 days), so an instant
+# past the years datetime covers is named after its twin in 1970 to 2369.
+_CYCLE_S = 146097 * 86400
+
+
 def format_timestamp(epoch_s: int) -> str:
-    moment = datetime.fromtimestamp(epoch_s, tz=timezone.utc)
-    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
+    """Epoch seconds -> ISO-8601 UTC text, for year 10000 and later too."""
+    cycles, rest = divmod(epoch_s, _CYCLE_S)
+    moment = datetime.fromtimestamp(rest, tz=timezone.utc)
+    return f"{moment.year + 400 * cycles:04d}{moment:-%m-%dT%H:%M:%SZ}"
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -146,7 +157,7 @@ class PriceSeries:
 
 
 def _coerce_level(level) -> Fraction:
-    lv = level if isinstance(level, Fraction) else Fraction(str(level))
+    lv = exact(level)
     if not 0 < lv < 1:
         raise LevelOutOfRange(f"quantile level {lv} outside (0, 1)")
     return lv
@@ -161,8 +172,8 @@ class QuantileForecast:
     that keeps every value whole: values[t][i] == scaled[t][i] / scale.
     Build a forecast from exact values, or from integers with from_scaled;
     `values` builds the Fractions each time it is read.  Rows are not
-    required to be monotone in the level; use validate_and_repair to sort
-    them, or repaired_curve to read one level of the sorted rows.
+    required to be monotone in the level: repaired_curve reads one level
+    of the rows sorted ascending, which is how every strategy reads them.
     """
 
     window: TradingWindow
@@ -255,25 +266,6 @@ def _checked_shape(window: TradingWindow, levels: Sequence, rows: Sequence) -> t
                 f"forecast row has {len(row)} values for {len(checked)} levels"
             )
     return checked
-
-
-def validate_and_repair(forecast: QuantileForecast) -> tuple[QuantileForecast, int]:
-    """Sort each period's quantile row ascending; returns (fixed, n_changed)."""
-    repaired = []
-    changed = 0
-    for row in forecast.scaled:
-        fixed = tuple(sorted(row))
-        if fixed != row:
-            changed += 1
-        repaired.append(fixed)
-    if not changed:
-        return forecast, 0
-    return (
-        QuantileForecast.from_scaled(
-            forecast.window, forecast.levels, repaired, forecast.scale
-        ),
-        changed,
-    )
 
 
 # --- CSV ingest -----------------------------------------------------------

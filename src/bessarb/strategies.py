@@ -9,12 +9,15 @@ Volumes are clipped against a committed wall-clock charge trajectory, so a
 finished schedule always replays cleanly against the battery bounds no
 matter in which order the strategy discovered its trades.
 
-Pair scans compare plain integers.  A forecast holds its values as
-integers over one scale and repairs its curves once (QuantileForecast.
-repaired_curve); each strategy run weighs them by the battery's
-efficiencies, so a spread compares, ties and signs exactly as the exact
-fraction does.  Orders keep the exact forecast prices, built as Fractions
-only for the orders placed.
+Every strategy finds its pairs through one of two integer scans:
+_scan_ordered (buy before sell, for TS1 and TS2) and _scan_unordered
+(either order, for TS3 and the dual-market scheduler).  A forecast holds
+its values as integers over one scale and repairs its curves once
+(QuantileForecast.repaired_curve); each strategy run weighs them by the
+battery's efficiencies, so a spread compares, ties and signs exactly as
+the exact fraction does.  Orders keep the exact forecast prices, built as
+Fractions only for the orders placed.  schedule_to_dict formats a
+schedule's orders, for the JSON and CSV files alike.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from bessarb._numeric import format_decimal, parse_number, ticks_to_mwh
+from bessarb._numeric import exact, format_decimal, parse_number, ticks_to_mwh
 from bessarb.battery import BatterySpec, BatteryState, ChargeTimeline, start_charge
 from bessarb.errors import ConfigError, InvalidPair, WindowMismatch
 from bessarb.market import (
@@ -56,7 +59,7 @@ class QuantilePair:
     def __post_init__(self) -> None:
         for name in ("sell_level", "buy_level"):
             raw = getattr(self, name)
-            lv = raw if isinstance(raw, Fraction) else Fraction(str(raw))
+            lv = exact(raw)
             if not 0 < lv < 1:
                 raise InvalidPair(f"{name} {raw} outside (0, 1)")
             object.__setattr__(self, name, lv)
@@ -246,64 +249,6 @@ def _scan_unordered(curves: _Curves, lo: int, hi: int) -> tuple[int, int] | None
     if i_buy == i_sell or curves.w_sell * high <= curves.w_buy * low:
         return None
     return lo + i_buy, lo + i_sell
-
-
-def _bounded(forecast: QuantileForecast, lo: int, hi: int | None) -> tuple[int, int]:
-    n = forecast.window.period_count
-    hi = n - 1 if hi is None else hi
-    if not 0 <= lo < n or not 0 <= hi < n:
-        raise WindowMismatch(f"range [{lo}, {hi}] outside window of {n} periods")
-    return lo, hi
-
-
-def _candidate(spec: BatterySpec, curves: _Curves, t_buy: int, t_sell: int) -> CandidatePair:
-    return CandidatePair.of(
-        spec,
-        t_buy,
-        t_sell,
-        Fraction(curves.buy[t_buy], curves.scale),
-        Fraction(curves.sell[t_sell], curves.scale),
-    )
-
-
-def best_ordered_pair(
-    forecast: QuantileForecast,
-    pair: QuantilePair,
-    spec: BatterySpec,
-    lo: int = 0,
-    hi: int | None = None,
-) -> CandidatePair | None:
-    """Most profitable buy-before-sell period pair of a forecast range.
-
-    The buy leg is priced at the pair's upper quantile, the sell leg at the
-    lower one.  Returns None when the range holds fewer than two periods or
-    when even the best efficiency-adjusted spread is not positive.  Ties
-    prefer the earliest buy period, then the earliest sell period.
-    """
-    lo, hi = _bounded(forecast, lo, hi)
-    curves = _curves(forecast, pair, spec)
-    found = _scan_ordered(curves, lo, hi)
-    return None if found is None else _candidate(spec, curves, *found)
-
-
-def best_unordered_pair(
-    forecast: QuantileForecast,
-    pair: QuantilePair,
-    spec: BatterySpec,
-    lo: int = 0,
-    hi: int | None = None,
-) -> CandidatePair | None:
-    """Cheapest-buy / dearest-sell pair of a forecast range, either order.
-
-    The sell may precede the buy.  Returns None when the range holds fewer
-    than two periods, when the cheapest buy and dearest sell fall on the
-    same period, or when the spread is not positive.  Ties prefer the
-    earliest period on both legs.
-    """
-    lo, hi = _bounded(forecast, lo, hi)
-    curves = _curves(forecast, pair, spec)
-    found = _scan_unordered(curves, lo, hi)
-    return None if found is None else _candidate(spec, curves, *found)
 
 
 def bottleneck_execute(
@@ -579,24 +524,13 @@ def ts3_dual(
 
 # --- serialization ----------------------------------------------------------
 
-def schedule_to_rows(schedule: Schedule) -> list[list[str]]:
-    rows = []
-    for o in schedule.orders:
-        rows.append(
-            [
-                str(o.period),
-                format_timestamp(schedule.window.timestamp_of(o.period)),
-                o.side.value,
-                format_decimal(o.volume_mwh),
-                format_decimal(o.expected_price),
-            ]
-        )
-    return rows
-
-
 def write_schedule_csv(path: str | Path, schedule: Schedule) -> None:
+    """One row per order: the fields of schedule_to_dict, in its key order."""
     lines = ["period_index,timestamp,side,volume_mwh,expected_price"]
-    lines += [",".join(row) for row in schedule_to_rows(schedule)]
+    lines += [
+        ",".join(map(str, order.values()))
+        for order in schedule_to_dict(schedule)["orders"]
+    ]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

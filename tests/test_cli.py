@@ -1,15 +1,21 @@
 """Command line behavior: wiring, defaults, outputs and exit codes."""
 
+import contextlib
+import io
 import json
 import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import bessarb
 from bessarb import __version__, cli, evaluation
@@ -26,10 +32,13 @@ from bessarb.evaluation import (
     settle_dual,
 )
 from bessarb.market import (
+    IngestWarning,
     MarketKind,
     build_dual_horizon,
+    format_timestamp,
     parse_forecast_csv,
     parse_price_csv,
+    parse_timestamp,
 )
 from bessarb.strategies import (
     QuantilePair,
@@ -107,6 +116,20 @@ class TestGen:
         first = (out / "dam_actuals.csv").read_text().splitlines()[1]
         assert first.startswith("2025-06-01T00:00:00Z,")
 
+    def test_start_past_the_year_9999(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        code, _, err = run(capsys, "gen", "--out", str(out),
+                           "--start", "9999-12-31T00:00:00Z", "--days", "2")
+        assert code == 2
+        message = stderr_error(err)["message"]
+        assert "--start" in message and "--days" in message
+        assert not out.exists()
+        code, _, _ = run(capsys, "gen", "--out", str(out),
+                         "--start", "9999-12-31T00:00:00Z", "--days", "1")
+        assert code == 0
+        last = (out / "bm_actuals.csv").read_text().splitlines()[-1]
+        assert last.startswith("9999-12-31T23:30:00Z,")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -164,6 +187,61 @@ class TestBacktest:
         assert (out / "schedule_dam_000.csv").exists()
         doc = json.loads((out / "schedules.json").read_text())
         assert isinstance(doc, list) and doc[0]["strategy"] == "TS3"
+
+    def test_schedule_file_bytes(self, tmp_path, capsys):
+        # a 0.125 MWh ramp and a negative price, so every order field shows
+        stamps = [f"2024-01-01T{h // 2:02d}:{h % 2 * 30:02d}:00Z" for h in range(16)]
+        forecast = ["10"] * 16
+        forecast[3], forecast[9] = "-2.5", "40.75"
+        (tmp_path / "fc.csv").write_text(
+            "timestamp,q50\n" + "".join(f"{s},{p}\n" for s, p in zip(stamps, forecast))
+        )
+        (tmp_path / "px.csv").write_text(
+            "timestamp,price\n" + "".join(f"{s},20\n" for s in stamps)
+        )
+        (tmp_path / "battery.json").write_text(
+            '{"capacity_mwh": "1", "ramp_mwh_per_period": "0.125"}'
+        )
+        out = tmp_path / "bt"
+        code, _, _ = run(
+            capsys, "backtest", "--market", "bm", "--strategy", "TS1",
+            "--bm-actuals", str(tmp_path / "px.csv"),
+            "--bm-forecast", str(tmp_path / "fc.csv"),
+            "--battery", str(tmp_path / "battery.json"), "--out", str(out),
+        )
+        assert code == 0
+        assert (out / "schedule_bm_000.csv").read_text() == (
+            "period_index,timestamp,side,volume_mwh,expected_price\n"
+            "3,2024-01-01T01:30:00Z,buy,0.125,-2.5\n"
+            "9,2024-01-01T04:30:00Z,sell,0.125,40.75\n"
+        )
+        digest = BatterySpec.from_mwh("1", "0.125").digest()
+        assert (out / "schedules.json").read_text() == f"""[
+  {{
+    "battery_digest": "{digest}",
+    "market": "BM",
+    "orders": [
+      {{
+        "expected_price": "-2.5",
+        "period": 3,
+        "side": "buy",
+        "timestamp": "2024-01-01T01:30:00Z",
+        "volume_mwh": "0.125"
+      }},
+      {{
+        "expected_price": "40.75",
+        "period": 9,
+        "side": "sell",
+        "timestamp": "2024-01-01T04:30:00Z",
+        "volume_mwh": "0.125"
+      }}
+    ],
+    "pair": "0.5-0.5",
+    "strategy": "TS1",
+    "window_start": "2024-01-01T00:00:00Z"
+  }}
+]
+"""
 
     def test_dual_market(self, data_dir, capsys):
         code, stdout, _ = run(
@@ -513,6 +591,18 @@ class TestPf:
         code, _, err = run(capsys, "pf")
         assert code == 2
         assert "--actuals" in stderr_error(err)["message"]
+
+    def test_expected_instant_past_the_year_9999(self, tmp_path, capsys):
+        path = tmp_path / "late.csv"
+        path.write_text("timestamp,price\n" + "".join(
+            f"9999-12-31T23:00:{s:02d}Z,1\n" for s in range(24)
+        ))
+        code, _, err = run(capsys, "pf", "--actuals", str(path))
+        assert code == 3
+        assert stderr_error(err) == {
+            "error": "MissingPeriod",
+            "message": f"{path}:3: expected 10000-01-01T00:00:00Z, got 9999-12-31T23:00:01Z",
+        }
 
 
 class TestScore:
@@ -1111,3 +1201,156 @@ class TestOneSubcommandParser:
 
         lazy, full = self.both(monkeypatch, parsed)
         assert lazy == full
+
+
+# --- the exit contract for any input ----------------------------------------
+
+_LATE_PRICES = ("timestamp,price\n" + "".join(
+    f"9999-12-31T23:00:{s:02d}Z,1\n" for s in range(24)
+)).encode()
+
+# Option values: the input files, a missing one and the out directory by
+# placeholder, then text both good and bad.  No count exceeds 2, so no run
+# starts more than one lane or generates more than two days.
+_VALUES = (
+    "{prices}", "{forecast}", "{config}", "{battery}", "{missing}", "{out}",
+    "{dam_actuals}", "{dam_forecast}", "{bm_actuals}", "{bm_forecast}",
+    "-1", "0", "1", "2", "0.5", "1e3", "1e999", "x", "", "dam", "bm", "dual",
+    "dam,bm", "TS1", "ts3", "TS2,TS3", "0.3:0.7", "0.7:0.3", "0.1:0.3,0.5:0.9",
+    "highlow", "0.1,0.5,0.9", "json", "A", "C", "linear", "compound",
+    "2024-01-01T00:00:00Z", "9999-12-31T00:00:00Z", "0001-01-01T00:00:00Z",
+)
+_FILES = "{dam_actuals} {dam_forecast} {bm_actuals} {bm_forecast}".split()
+# Whole runs that reach the work, so drawn options can bend them.
+_BASES = (
+    (),
+    ("gen", "--out", "{out}"),
+    ("backtest", "--dam-actuals", "{prices}", "--dam-forecast", "{forecast}"),
+    ("backtest", "--dam-actuals", _FILES[0], "--dam-forecast", _FILES[1]),
+    ("backtest", "--market", "dual", "--dam-actuals", _FILES[0],
+     "--dam-forecast", _FILES[1], "--bm-actuals", _FILES[2], "--bm-forecast", _FILES[3]),
+    ("sweep", "--out", "{out}", "--dam-actuals", _FILES[0], "--dam-forecast", _FILES[1],
+     "--bm-actuals", "{prices}", "--bm-forecast", "{forecast}"),
+    ("pf", "--actuals", "{prices}"),
+    ("score", "--forecast", "{forecast}", "--actuals", "{prices}"),
+    ("econ", "--asset", "A"),
+    ("econ", "--revenue", "1", "--capex", "1", "--maintenance", "1"),
+    ("nosuch",),
+)
+
+
+def _options():
+    """Whether each option flag takes a value, the flags of each subcommand,
+    and every config key."""
+    parsers = cli._build_parser()[1]
+    takes, flags = {"--nosuch": True}, {}
+    for name, parser in parsers.items():
+        actions = [a for a in parser._actions if a.option_strings]
+        takes.update((a.option_strings[-1], a.nargs != 0) for a in actions)
+        flags[name] = sorted(a.option_strings[-1] for a in actions) + ["--nosuch"]
+    keys = {a.dest for p in parsers.values() for a in p._actions}
+    return takes, flags, sorted(keys) + ["nosuch"]
+
+
+_TAKES_VALUE, _COMMAND_FLAGS, _KEYS = _options()
+
+
+@st.composite
+def _csv(draw, header):
+    """A timestamped CSV, its cells and times drawn from good and bad ones."""
+    start = draw(st.sampled_from(["2024-01-01T00:00:00Z", "9999-12-31T22:00:00Z"]))
+    step = draw(st.sampled_from([3600, 1800, 1]))
+    cells = st.sampled_from(["1", "-2.5", "40.75", "0", "1e3", "x", "", "1/3", "9" * 120])
+    lines = [header]
+    for i in range(draw(st.integers(min_value=0, max_value=30))):
+        stamp = format_timestamp(parse_timestamp(start) + i * step)
+        lines.append(",".join([stamp] + [draw(cells) for _ in header.split(",")[1:]]))
+    text = "\n".join(lines) + "\n"
+    return draw(st.one_of(st.just(text.encode()), st.binary(max_size=40)))
+
+
+_json_values = st.one_of(
+    st.sampled_from(_VALUES), st.integers(min_value=-1, max_value=2),
+    st.sampled_from([0.5, 1e300, True, False, None]),
+    st.lists(st.sampled_from(_VALUES), max_size=3),
+)
+_configs = st.one_of(
+    st.dictionaries(st.sampled_from(_KEYS), _json_values, max_size=4).map(json.dumps),
+    st.binary(max_size=20).map(lambda b: b.decode("latin-1")),
+)
+_batteries = st.one_of(
+    st.dictionaries(
+        st.sampled_from(["capacity_mwh", "ramp_mwh_per_period", "min_charge_mwh",
+                         "charge_eff", "discharge_eff", "initial_charge_mwh", "x"]),
+        st.sampled_from(["2", "1", "0.5", "0.3", "0.125", "0", "-1", "x", 1, 0.98, None]),
+        max_size=6,
+    ).map(json.dumps),
+    st.sampled_from(["", "[]", "{"]),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A base run and up to four options: its subcommand's own, or any."""
+    base = draw(st.sampled_from(_BASES))
+    flags = _COMMAND_FLAGS.get(base[0] if base else None, sorted(_TAKES_VALUE))
+    argv = list(base)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        flag = draw(st.sampled_from(flags))
+        argv += [flag, draw(st.sampled_from(_VALUES))] if _TAKES_VALUE[flag] else [flag]
+    return argv
+
+
+def _fill(text, paths):
+    """text with each {name} placeholder replaced by its path."""
+    for name, path in paths.items():
+        text = text.replace("{" + name + "}", path)
+    return text
+
+
+class TestExitContract:
+    """Any argv, config file and CSV bytes end in exit 0, 2 or 3, with at
+    most one JSON object on stderr and no traceback (README: exit codes)."""
+
+    @pytest.fixture(scope="class")
+    def good(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("good")
+        assert main(["gen", "--out", str(out), "--noise-sd", "3"]) == 0
+        return out
+
+    @given(argv=_argvs(), prices=_csv("timestamp,price"),
+           forecast=_csv("timestamp,q10,q50,q90"), config=_configs, battery=_batteries)
+    @example(argv=["gen", "--start", "9999-12-31T00:00:00Z", "--days", "2",
+                   "--out", "{out}"], prices=b"", forecast=b"", config="", battery="")
+    @example(argv=["pf", "--actuals", "{prices}"], prices=_LATE_PRICES,
+             forecast=b"", config="", battery="")
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_input(self, good, tmp_path, monkeypatch, argv, prices, forecast,
+                       config, battery):
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        monkeypatch.chdir(work)  # gen without --out writes here
+        paths = {name: str(good / f"{name}.csv") for name in
+                 ("dam_actuals", "dam_forecast", "bm_actuals", "bm_forecast")}
+        for name in ("out", "missing.csv", "prices.csv", "forecast.csv",
+                     "config.json", "battery.json"):
+            paths[name.partition(".")[0]] = str(work / name)
+        Path(paths["prices"]).write_bytes(prices)
+        Path(paths["forecast"]).write_bytes(forecast)
+        Path(paths["config"]).write_text(_fill(config, paths), encoding="latin-1")
+        Path(paths["battery"]).write_text(_fill(battery, paths), encoding="latin-1")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", IngestWarning)  # plain text, not JSON
+            try:
+                code = main([_fill(token, paths) for token in argv])
+            except SystemExit as exc:  # help and version
+                code = exc.code
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        objects = [line for line in err.getvalue().splitlines() if line.startswith("{")]
+        assert len(objects) <= 1
+        for line in objects:
+            assert set(json.loads(line)) == {"error", "message"}
+

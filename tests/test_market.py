@@ -34,7 +34,6 @@ from bessarb.market import (
     parse_forecast_csv,
     parse_price_csv,
     parse_timestamp,
-    validate_and_repair,
     write_forecast_csv,
     write_price_csv,
 )
@@ -85,6 +84,13 @@ class TestTimestamps:
         text = format_timestamp(BASE_EPOCH + 5400)
         assert text == "2024-01-01T01:30:00Z"
         assert parse_timestamp(text) == BASE_EPOCH + 5400
+
+    def test_format_names_every_year(self):
+        first, last = "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z"
+        assert format_timestamp(parse_timestamp(first)) == first
+        assert format_timestamp(parse_timestamp(last)) == last
+        # past datetime's range, as the instant a data file expects next
+        assert format_timestamp(parse_timestamp(last) + 3601) == "10000-01-01T01:00:00Z"
 
 
 class TestContainers:
@@ -203,7 +209,16 @@ class TestScaledContainers:
             QuantileForecast.from_scaled(win, (Fraction(1, 2),), ((1, 2), (3, 4)), 1)
 
 
+def _repaired_rows(fc):
+    """Each level's repaired_curve, read back as the forecast's rows."""
+    curves = [fc.repaired_curve(lv) for lv in fc.levels]
+    return [tuple(Fraction(c[t], fc.scale) for c in curves)
+            for t in range(fc.window.period_count)]
+
+
 class TestRepair:
+    """repaired_curve reads one level of the rows sorted ascending."""
+
     def test_sorts_crossed_rows(self):
         win = TradingWindow(MarketKind.BM, BASE_EPOCH, 2)
         fc = QuantileForecast(
@@ -211,16 +226,16 @@ class TestRepair:
             (Fraction(3, 10), Fraction(7, 10)),
             ((Fraction(5), Fraction(2)), (Fraction(1), Fraction(4))),
         )
-        fixed, changed = validate_and_repair(fc)
-        assert changed == 1
-        assert fixed.values[0] == (Fraction(2), Fraction(5))
-        assert fixed.values[1] == (Fraction(1), Fraction(4))
+        assert _repaired_rows(fc) == [
+            (Fraction(2), Fraction(5)),
+            (Fraction(1), Fraction(4)),
+        ]
+        # the forecast itself keeps its crossed row
+        assert fc.values[0] == (Fraction(5), Fraction(2))
 
     def test_clean_forecast_untouched(self):
         fc = make_forecast({"0.3": [1, 2], "0.7": [3, 4]})
-        fixed, changed = validate_and_repair(fc)
-        assert changed == 0
-        assert fixed is fc
+        assert _repaired_rows(fc) == list(fc.values)
 
     @given(
         st.lists(
@@ -231,17 +246,13 @@ class TestRepair:
     )
     def test_repair_is_idempotent(self, raw_rows):
         win = TradingWindow(MarketKind.BM, BASE_EPOCH, len(raw_rows))
+        levels = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
         fc = QuantileForecast(
-            win,
-            (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)),
-            tuple(tuple(Fraction(v) for v in row) for row in raw_rows),
+            win, levels, tuple(tuple(Fraction(v, 4) for v in row) for row in raw_rows)
         )
-        fixed, _ = validate_and_repair(fc)
-        again, changed = validate_and_repair(fixed)
-        assert changed == 0
-        assert again.values == fixed.values
-        for row in again.values:
-            assert list(row) == sorted(row)
+        fixed = _repaired_rows(fc)
+        assert fixed == [tuple(sorted(row)) for row in fc.values]
+        assert _repaired_rows(QuantileForecast(win, levels, tuple(fixed))) == fixed
 
 
 def _price_lines(start, count, step, price_of=lambda i: f"{30 + i}"):

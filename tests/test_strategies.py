@@ -22,7 +22,6 @@ from bessarb.market import (
     TradingWindow,
     build_dual_horizon,
     generate_synthetic,
-    validate_and_repair,
 )
 from bessarb.strategies import (
     _curves,
@@ -35,11 +34,8 @@ from bessarb.strategies import (
     Schedule,
     Side,
     TradeOrder,
-    best_ordered_pair,
-    best_unordered_pair,
     bottleneck_execute,
     schedule_to_dict,
-    schedule_to_rows,
     ts1,
     ts2,
     ts3,
@@ -213,57 +209,70 @@ class TestSchedule:
         assert sched.trade_count == 2
 
 
+def _ordered(fc, pair=MEDIAN_PAIR, lo=0, hi=None):
+    """The (buy, sell) _scan_ordered finds in [lo, hi], the whole window by default."""
+    hi = fc.window.period_count - 1 if hi is None else hi
+    return _scan_ordered(_curves(fc, pair, UNIT), lo, hi)
+
+
+def _unordered(fc, pair=MEDIAN_PAIR, lo=0, hi=None):
+    """The (buy, sell) _scan_unordered finds in [lo, hi], the whole window by default."""
+    hi = fc.window.period_count - 1 if hi is None else hi
+    return _scan_unordered(_curves(fc, pair, UNIT), lo, hi)
+
+
+def _priced(schedule):
+    return [(o.period, o.side, o.expected_price) for o in schedule.orders]
+
+
 class TestBestOrderedPair:
+    """The best buy-before-sell pair, as _scan_ordered finds it for TS1 and TS2."""
+
     def test_reference_example(self):
         fc = make_forecast(
             {"0.3": [20, 10, 40, 30], "0.7": [22, 12, 42, 33]}
         )
-        cand = best_ordered_pair(fc, QuantilePair("0.3", "0.7"), UNIT)
-        assert (cand.buy_period, cand.sell_period) == (1, 2)
-        assert cand.buy_price == 12
-        assert cand.sell_price == 40
-        assert cand.expected_spread == Fraction(968, 49)  # 19.7551...
+        pair = QuantilePair("0.3", "0.7")
+        assert _ordered(fc, pair) == (1, 2)
+        assert _priced(ts1(fc, pair, UNIT)) == [
+            (1, Side.BUY, Fraction(12)),
+            (2, Side.SELL, Fraction(40)),
+        ]
 
     def test_none_when_no_positive_spread(self):
         fc = flat_forecast([50, 40, 30, 20])
-        assert best_ordered_pair(fc, MEDIAN_PAIR, UNIT) is None
+        assert _ordered(fc) is None
+        assert ts1(fc, MEDIAN_PAIR, UNIT).orders == ()
 
     def test_none_on_short_range(self):
-        assert best_ordered_pair(flat_forecast([10]), MEDIAN_PAIR, UNIT) is None
-        fc = flat_forecast([10, 50, 20])
-        assert best_ordered_pair(fc, MEDIAN_PAIR, UNIT, lo=1, hi=1) is None
+        assert _ordered(flat_forecast([10])) is None
+        assert _ordered(flat_forecast([10, 50, 20]), lo=1, hi=1) is None
 
     def test_subrange_restricts_search(self):
         fc = flat_forecast([1, 99, 30, 10, 45])
-        cand = best_ordered_pair(fc, MEDIAN_PAIR, UNIT, lo=2, hi=4)
-        assert (cand.buy_period, cand.sell_period) == (3, 4)
-
-    def test_range_outside_window_rejected(self):
-        fc = flat_forecast([10, 50])
-        with pytest.raises(WindowMismatch):
-            best_ordered_pair(fc, MEDIAN_PAIR, UNIT, lo=0, hi=2)
+        assert _ordered(fc, lo=2, hi=4) == (3, 4)
 
     def test_ties_prefer_earliest_buy_then_sell(self):
         fc = flat_forecast([10, 50, 10, 50])
-        cand = best_ordered_pair(fc, MEDIAN_PAIR, UNIT)
-        assert (cand.buy_period, cand.sell_period) == (0, 1)
+        assert _ordered(fc) == (0, 1)
+        assert [o.period for o in ts1(fc, MEDIAN_PAIR, UNIT).orders] == [0, 1]
 
     def test_crossed_rows_are_repaired_first(self):
         # raw rows are level-crossed; repair sorts them before pricing
         fc = make_forecast({"0.3": [25, 45], "0.7": [20, 40]})
-        cand = best_ordered_pair(fc, QuantilePair("0.3", "0.7"), UNIT)
-        assert cand.buy_price == 25  # upper level after repair
-        assert cand.sell_price == 40
+        assert _priced(ts1(fc, QuantilePair("0.3", "0.7"), UNIT)) == [
+            (0, Side.BUY, Fraction(25)),  # upper level after repair
+            (1, Side.SELL, Fraction(40)),
+        ]
 
     def test_missing_level_raises(self):
         fc = flat_forecast([10, 50], levels=("0.5",))
         with pytest.raises(LevelMissing):
-            best_ordered_pair(fc, QuantilePair("0.5", "0.9"), UNIT)
+            ts1(fc, QuantilePair("0.5", "0.9"), UNIT)
 
     @given(price_curves)
     def test_matches_brute_force(self, curve):
-        fc = flat_forecast(curve)
-        cand = best_ordered_pair(fc, MEDIAN_PAIR, UNIT)
+        found = _ordered(flat_forecast(curve))
         best = None
         for i in range(len(curve)):
             for j in range(i + 1, len(curve)):
@@ -274,37 +283,42 @@ class TestBestOrderedPair:
                 if best is None or spread > best[0]:
                     best = (spread, i, j)
         if best is None or best[0] <= 0:
-            assert cand is None
+            assert found is None
         else:
-            assert (cand.expected_spread, cand.buy_period, cand.sell_period) == best
+            assert found == best[1:]
 
 
 class TestBestUnorderedPair:
+    """The cheapest-buy / dearest-sell pair, as _scan_unordered finds it for TS3."""
+
     def test_reference_example(self):
-        curve = [30, 30, 50, 30, 30, 10]
-        cand = best_unordered_pair(flat_forecast(curve), MEDIAN_PAIR, UNIT)
-        assert (cand.buy_period, cand.sell_period) == (5, 2)
-        assert cand.expected_spread == Fraction(1460, 49)  # 29.7959...
+        fc = flat_forecast([30, 30, 50, 30, 30, 10])
+        assert _unordered(fc) == (5, 2)
+        # the sell comes first, from an empty battery: only a stock buy trades
+        assert ts3(fc, MEDIAN_PAIR, UNIT).orders == ()
+        assert _priced(ts3(fc, MEDIAN_PAIR, UNIT, allow_stock_buys=True)) == [
+            (5, Side.BUY, Fraction(10)),
+        ]
 
     def test_constant_curve_gives_none(self):
-        assert best_unordered_pair(flat_forecast([30] * 5), MEDIAN_PAIR, UNIT) is None
+        fc = flat_forecast([30] * 5)
+        assert _unordered(fc) is None
+        assert ts3(fc, MEDIAN_PAIR, UNIT, allow_stock_buys=True).orders == ()
 
     def test_extremes_on_same_period_give_none(self):
         # cheapest buy and dearest sell both at period 2
         fc = make_forecast({"0.5": [5, 5, 9, 5], "0.7": [6, 6, 1, 6]})
-        assert best_unordered_pair(fc, QuantilePair("0.5", "0.7"), UNIT) is None
+        assert _unordered(fc, QuantilePair("0.5", "0.7")) is None
 
     def test_nonpositive_spread_gives_none(self):
-        fc = flat_forecast([30, 31])
-        assert best_unordered_pair(fc, MEDIAN_PAIR, UNIT) is None
+        assert _unordered(flat_forecast([30, 31])) is None
 
     def test_short_range_gives_none(self):
-        assert best_unordered_pair(flat_forecast([10]), MEDIAN_PAIR, UNIT) is None
+        assert _unordered(flat_forecast([10])) is None
 
     @given(price_curves)
     def test_matches_argmin_argmax(self, curve):
-        fc = flat_forecast(curve)
-        cand = best_unordered_pair(fc, MEDIAN_PAIR, UNIT)
+        found = _unordered(flat_forecast(curve))
         t_buy = min(range(len(curve)), key=lambda t: (curve[t], t))
         t_sell = max(range(len(curve)), key=lambda t: (curve[t], -t))
         spread = (
@@ -312,10 +326,9 @@ class TestBestUnorderedPair:
             - frac(curve[t_buy]) / UNIT.charge_eff
         )
         if t_buy == t_sell or spread <= 0:
-            assert cand is None
+            assert found is None
         else:
-            assert (cand.buy_period, cand.sell_period) == (t_buy, t_sell)
-            assert cand.expected_spread == spread
+            assert found == (t_buy, t_sell)
 
 
 class TestIntegerScans:
@@ -334,7 +347,8 @@ class TestIntegerScans:
             assert found is None
         else:
             assert found == (want.buy_period, want.sell_period)
-        assert best_ordered_pair(fc, pair, spec, lo, hi) == want
+            assert Fraction(curves.buy[found[0]], curves.scale) == want.buy_price
+            assert Fraction(curves.sell[found[1]], curves.scale) == want.sell_price
 
     @given(scan_problems())
     @settings(max_examples=300)
@@ -347,12 +361,13 @@ class TestIntegerScans:
             assert found is None
         else:
             assert found == (want.buy_period, want.sell_period)
-        assert best_unordered_pair(fc, pair, spec, lo, hi) == want
+            assert Fraction(curves.buy[found[0]], curves.scale) == want.buy_price
+            assert Fraction(curves.sell[found[1]], curves.scale) == want.sell_price
 
     def test_zero_spread_is_not_traded(self):
         # 0.8 * 1000 == 784 / 0.98: the spread is exactly zero
-        assert best_ordered_pair(flat_forecast([784, 1000]), MEDIAN_PAIR, UNIT) is None
-        assert best_unordered_pair(flat_forecast([1000, 784]), MEDIAN_PAIR, UNIT) is None
+        assert _ordered(flat_forecast([784, 1000])) is None
+        assert _unordered(flat_forecast([1000, 784])) is None
         assert ts3(flat_forecast([1000, 784]), MEDIAN_PAIR, UNIT).orders == ()
         assert ts1(flat_forecast([784, 1000]), MEDIAN_PAIR, UNIT).orders == ()
 
@@ -360,8 +375,10 @@ class TestIntegerScans:
         # rows are level-crossed; the scans see them sorted, orders keep
         # the exact repaired prices
         fc = make_forecast({"0.3": ["25.5", "45", "9"], "0.7": ["20", "40.25", "30"]})
-        repaired, changed = validate_and_repair(fc)
-        assert changed == 2
+        repaired = QuantileForecast(
+            fc.window, fc.levels, tuple(tuple(sorted(row)) for row in fc.values)
+        )
+        assert repaired != fc
         pair = QuantilePair("0.3", "0.7")
         for strategy in (ts1, ts2, ts3):
             assert strategy(fc, pair, UNIT).orders == strategy(repaired, pair, UNIT).orders
@@ -407,7 +424,7 @@ class TestForecastReuse:
             lambda fc, pair: ts3(fc, pair, UNIT, allow_stock_buys=True),
         )
         shared = self._forecasts(MarketKind.BM)
-        assert all(validate_and_repair(fc)[1] for fc in shared)
+        assert all(any(list(row) != sorted(row) for row in fc.scaled) for fc in shared)
         for pair in DEFAULT_PAIRS:
             for run in runs:
                 for fc in shared:
@@ -736,19 +753,22 @@ class TestSerialization:
     def _schedule(self):
         return ts1(flat_forecast([30, 10, 50, 20]), MEDIAN_PAIR, UNIT)
 
-    def test_rows(self):
-        rows = schedule_to_rows(self._schedule())
-        assert rows == [
-            ["1", "2024-01-01T00:30:00Z", "buy", "1", "10"],
-            ["2", "2024-01-01T01:00:00Z", "sell", "1", "50"],
-        ]
-
-    def test_csv_layout(self, tmp_path):
+    def test_rows(self, tmp_path):
         path = tmp_path / "sched.csv"
         write_schedule_csv(path, self._schedule())
-        lines = path.read_text().splitlines()
-        assert lines[0] == "period_index,timestamp,side,volume_mwh,expected_price"
-        assert len(lines) == 3
+        assert path.read_text() == (
+            "period_index,timestamp,side,volume_mwh,expected_price\n"
+            "1,2024-01-01T00:30:00Z,buy,1,10\n"
+            "2,2024-01-01T01:00:00Z,sell,1,50\n"
+        )
+
+    def test_csv_layout(self, tmp_path):
+        # a schedule without orders is its header line alone
+        path = tmp_path / "sched.csv"
+        write_schedule_csv(path, ts1(flat_forecast([50, 10]), MEDIAN_PAIR, UNIT))
+        assert path.read_text() == (
+            "period_index,timestamp,side,volume_mwh,expected_price\n"
+        )
 
     def test_dict_with_digest(self):
         doc = schedule_to_dict(self._schedule(), UNIT)
