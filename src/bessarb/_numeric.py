@@ -84,17 +84,12 @@ def ticks_to_mwh(ticks: int) -> Fraction:
     return Fraction(ticks, TICKS_PER_MWH)
 
 
-def scale_to_integers(values: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
-    """(numerators, L): each value times L, L the lcm of their denominators.
+def scale_ratios(ratios: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """(numerators, L): each n/d of `ratios` times L, L the lcm of the d.
 
     Values scaled by one positive L compare, add and subtract exactly as
     the fractions do, so hot loops can run on plain integers.
     """
-    return scale_ratios([v.as_integer_ratio() for v in values])
-
-
-def scale_ratios(ratios: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
-    """(numerators, L): each n/d of `ratios` times L, L the lcm of the d."""
     lcm = math.lcm(*(d for _, d in ratios))
     return tuple(n * (lcm // d) for n, d in ratios), lcm
 

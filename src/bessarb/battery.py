@@ -111,12 +111,14 @@ class BatterySpec:
         return cls.from_dict(doc)
 
     def to_dict(self) -> dict:
+        """The spec as from_dict reads it: each value as decimal text, or as
+        exact fraction text (`"1/3"`) when it has no decimal form."""
         return {
             "capacity_mwh": format_decimal(ticks_to_mwh(self.capacity)),
             "ramp_mwh_per_period": format_decimal(ticks_to_mwh(self.ramp)),
             "min_charge_mwh": format_decimal(ticks_to_mwh(self.min_charge)),
-            "charge_eff": format_decimal(self.charge_eff),
-            "discharge_eff": format_decimal(self.discharge_eff),
+            "charge_eff": _exact_text(self.charge_eff),
+            "discharge_eff": _exact_text(self.discharge_eff),
             "initial_charge_mwh": format_decimal(ticks_to_mwh(self.initial_charge)),
         }
 
@@ -152,6 +154,13 @@ def _spec_number(key: str, value) -> Fraction:
     except (ValueError, ArithmeticError, ConfigError) as exc:
         raise ConfigError(f"battery spec {key} = {value!r}: {exc}") from None
     return number
+
+
+def _exact_text(value: Fraction) -> str:
+    try:
+        return format_decimal(value)
+    except ValueError:
+        return str(value)
 
 
 def unit_trading_spec() -> BatterySpec:

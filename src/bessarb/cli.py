@@ -337,6 +337,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise ConfigError("--noise-sd must be non-negative")
     if args.start + args.days * 86400 > _YEAR_10000:
         raise ConfigError("--start with --days runs past the year 9999")
+    for level in args.levels:  # each forecast column names its level in decimal
+        try:
+            format_decimal(level)
+        except ValueError:
+            raise ConfigError(f"--levels: {level} has no decimal form") from None
     out = _out_dir(args) or Path(".")
     counts = {}
     for market in args.markets:

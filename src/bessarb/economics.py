@@ -40,22 +40,13 @@ class EconScenario:
     base_revenue: Fraction
     base_maintenance: Fraction
     annual_fees: Fraction = DEFAULT_ANNUAL_FEES
-    degradation_rate: Fraction = DEGRADATION_RATE
-    maintenance_escalation: Fraction = MAINTENANCE_ESCALATION
     years: int = DEFAULT_YEARS
     degradation_kind: str = "linear"
     degradation_period_years: int = 1
     maintenance_kind: str = "compound"
 
     def __post_init__(self) -> None:
-        for name in (
-            "capex",
-            "base_revenue",
-            "base_maintenance",
-            "annual_fees",
-            "degradation_rate",
-            "maintenance_escalation",
-        ):
+        for name in ("capex", "base_revenue", "base_maintenance", "annual_fees"):
             object.__setattr__(self, name, exact(getattr(self, name)))
         if self.years < 1:
             raise ConfigError("projection needs at least one year")
@@ -75,15 +66,15 @@ def degradation_steps(scenario: EconScenario, year: int) -> int:
 def revenue_factor(scenario: EconScenario, year: int) -> Fraction:
     k = degradation_steps(scenario, year)
     if scenario.degradation_kind == "linear":
-        return 1 - scenario.degradation_rate * k
+        return 1 - DEGRADATION_RATE * k
     # capacity loss compounds, so the retained share is 1 - ((1+d)^k - 1)
-    return 2 - (1 + scenario.degradation_rate) ** k
+    return 2 - (1 + DEGRADATION_RATE) ** k
 
 
 def maintenance_factor(scenario: EconScenario, year: int) -> Fraction:
     if scenario.maintenance_kind == "compound":
-        return (1 + scenario.maintenance_escalation) ** (year - 1)
-    return 1 + scenario.maintenance_escalation * (year - 1)
+        return (1 + MAINTENANCE_ESCALATION) ** (year - 1)
+    return 1 + MAINTENANCE_ESCALATION * (year - 1)
 
 
 def annual_return_curve(scenario: EconScenario) -> list[Fraction]:

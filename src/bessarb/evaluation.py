@@ -318,7 +318,7 @@ def degenerate_forecast(
     """Forecast that pins every quantile level to the settled price."""
     levels = tuple(levels)
     rows = tuple((n,) * len(levels) for n in actuals.scaled)
-    return QuantileForecast.from_scaled(actuals.window, levels, rows, actuals.scale)
+    return QuantileForecast(actuals.window, levels, rows, actuals.scale)
 
 
 def perfect_foresight(

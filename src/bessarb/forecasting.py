@@ -4,10 +4,10 @@ Forecasts a period's price distribution from the target values of its k
 closest historical periods in feature space.  Distances are Euclidean over
 train-standardized features, in float64; each query row is ranked once with
 a stable sort, so the k nearest are a prefix of the ranking for every k.
-Targets are scaled to integers over one L at fit time.  A quantile at level
-a/b is read off the sorted neighbour targets by linear interpolation at rank
-(k - 1) * a/b, as an integer over b * L, and becomes a Fraction only in the
-returned rows.
+Targets are read as integers over one L when the feature CSV is read.  A
+quantile at level a/b is read off the sorted neighbour targets by linear
+interpolation at rank (k - 1) * a/b, as an integer over b * L, and becomes
+a Fraction only in the returned rows.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from bessarb._numeric import exact, parse_decimal, pinball_sum, scale_to_integers
+from bessarb._numeric import parse_ratio, pinball_sum, scale_ratios
 from bessarb.errors import (
     EmptyTrainSet,
     InsufficientHistory,
@@ -45,13 +45,18 @@ from bessarb.market import (
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Time-ordered feature rows with exact price targets."""
+    """Time-ordered feature rows with exact price targets.
+
+    Target t is targets[t] / scale, integers over one positive scale that
+    slices keep.
+    """
 
     market: MarketKind
     timestamps: tuple[int, ...]
     feature_names: tuple[str, ...]
     features: np.ndarray
-    targets: tuple[Fraction, ...]
+    targets: tuple[int, ...]
+    scale: int
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -62,6 +67,8 @@ class FeatureMatrix:
             raise MalformedRow(0, "feature block shape does not match names/rows")
         if len(self.targets) != n:
             raise MalformedRow(0, "target count does not match rows")
+        if self.scale <= 0:
+            raise MalformedRow(0, f"target scale {self.scale} is not positive")
         for prev, cur in zip(self.timestamps, self.timestamps[1:]):
             if cur <= prev:
                 raise NonMonotonicTimestamps(
@@ -81,6 +88,7 @@ class FeatureMatrix:
             self.feature_names,
             self.features[lo:hi],
             self.targets[lo:hi],
+            self.scale,
         )
 
     @classmethod
@@ -100,8 +108,8 @@ class FeatureMatrix:
             if not all(map(math.isfinite, row)):
                 raise MalformedRow(line, f"{path}: non-finite feature")
             feats.append(row)
-            targets.append(parse_decimal(cells[-1], line=line))
-        return cls(market, tuple(timestamps), names, np.array(feats), tuple(targets))
+            targets.append(parse_ratio(cells[-1], line=line))
+        return cls(market, tuple(timestamps), names, np.array(feats), *scale_ratios(targets))
 
 
 def _standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,17 +132,14 @@ class KnnQuantileForecaster:
             for lv in self.levels
         )
 
-    def fit(self, features, targets) -> "KnnQuantileForecaster":
-        feats = np.asarray(features, dtype=float)
-        if feats.ndim != 2 or len(feats) == 0:
-            raise EmptyTrainSet("training features must be a non-empty 2d block")
-        if len(targets) != len(feats):
-            raise EmptyTrainSet("feature and target counts differ")
-        if not 1 <= self.k <= len(feats):
-            raise KTooLarge(f"k={self.k} with {len(feats)} training rows")
-        self._mean, self._std = _standardizer(feats)
-        self._train = (feats - self._mean) / self._std
-        self._targets, self._scale = scale_to_integers([exact(t) for t in targets])
+    def fit(self, matrix: FeatureMatrix) -> "KnnQuantileForecaster":
+        if len(matrix) == 0:
+            raise EmptyTrainSet("no training rows")
+        if not 1 <= self.k <= len(matrix):
+            raise KTooLarge(f"k={self.k} with {len(matrix)} training rows")
+        self._mean, self._std = _standardizer(matrix.features)
+        self._train = (matrix.features - self._mean) / self._std
+        self._targets, self._scale = matrix.targets, matrix.scale
         return self
 
     def _ranking(self, features) -> np.ndarray:
@@ -219,17 +224,13 @@ def _choose_k(train: FeatureMatrix, plan: WalkForwardPlan, train_end_s: int) -> 
         raise InsufficientHistory(
             f"no k in {plan.k_grid} fits {len(fit)} training rows"
         )
-    model = KnnQuantileForecaster(max(ks), plan.levels).fit(fit.features, fit.targets)
+    model = KnnQuantileForecaster(max(ks), plan.levels).fit(fit)
     ranking = model._ranking(val.features)
-    # the fit targets are integers over model._scale; bring both sides to
-    # one common scale
-    val_targets, val_scale = scale_to_integers(val.targets)
-    scale = math.lcm(model._scale, val_scale)
-    neighbours = [y * (scale // model._scale) for y in model._targets]
-    actual = [y * (scale // val_scale) * model._level_lcm for y in val_targets]
+    # both slices keep the train slice's scale L; quantiles are over B * L
+    actual = [y * model._level_lcm for y in val.targets]
     best_k, best_loss = None, None
     for k in ks:
-        columns = zip(*_interpolate(ranking, k, neighbours, model._level_terms))
+        columns = zip(*_interpolate(ranking, k, fit.targets, model._level_terms))
         loss = sum(
             w * pinball_sum(a, b, actual, col)
             for (a, b, w), col in zip(model._level_terms, columns)
@@ -279,11 +280,10 @@ def walk_forward(
             chosen_k = _choose_k(train, plan, test_start)
             last_tune = test_start
             refits.append((test_start, chosen_k))
-        model = KnnQuantileForecaster(chosen_k, plan.levels)
-        model.fit(train.features, train.targets)
+        model = KnnQuantileForecaster(chosen_k, plan.levels).fit(train)
         rows = zip(count(1), test.timestamps, model.predict(test.features))
         for window, block in cut_windows(rows, market, "test span"):
-            forecasts.append(QuantileForecast(window, model.levels, block))
+            forecasts.append(QuantileForecast.from_values(window, model.levels, block))
         test_start += plan.step_s
     if not forecasts:
         raise InsufficientHistory(

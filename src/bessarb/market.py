@@ -7,9 +7,9 @@ Two market granularities are supported: hourly day-ahead windows of 24
 periods and half-hourly balancing windows of 16 periods.  Prices are exact
 EUR/MWh values, held as integers over one positive scale per series or
 forecast: each CSV cell is read into an integer over a power of ten
-(_numeric.parse_ratio), and the `prices` and `values` Fractions are built
-only when read.  Floats only appear inside the synthetic generator before
-rounding to cents.
+(_numeric.parse_ratio), the synthetic generator emits integer cents, and
+the `prices` and `values` Fractions are built only when read.  Floats only
+appear inside the synthetic generator before rounding to cents.
 
 A forecast's rows may cross levels; QuantileForecast.repaired_curve reads
 one level of the rows sorted ascending, and that is the only repair.
@@ -40,7 +40,6 @@ from bessarb._numeric import (
     parse_decimal,
     parse_ratio,
     scale_ratios,
-    scale_to_integers,
 )
 from bessarb.errors import (
     LevelMissing,
@@ -115,39 +114,26 @@ def format_timestamp(epoch_s: int) -> str:
     return f"{moment.year + 400 * cycles:04d}{moment:-%m-%dT%H:%M:%SZ}"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class PriceSeries:
     """Settlement prices for one window, EUR/MWh.
 
-    The prices are held as integers over one positive scale, the least
-    that keeps every price whole: prices[t] == scaled[t] / scale.  Build a
-    series from exact prices, or from integers with from_scaled; `prices`
-    builds the Fractions each time it is read.
+    The prices are held as integers over one positive scale, reduced on
+    construction to the least that keeps every price whole:
+    prices[t] == scaled[t] / scale.  `prices` builds the Fractions each
+    time it is read.
     """
 
     window: TradingWindow
     scaled: tuple[int, ...]
     scale: int
 
-    def __init__(self, window: TradingWindow, prices: Sequence[Fraction]) -> None:
-        self._set(window, *scale_to_integers(prices))
-
-    @classmethod
-    def from_scaled(
-        cls, window: TradingWindow, scaled: Sequence[int], scale: int
-    ) -> "PriceSeries":
-        """The series whose price t is scaled[t] / scale."""
-        series = cls.__new__(cls)
-        series._set(window, scaled, scale)
-        return series
-
-    def _set(self, window: TradingWindow, scaled: Sequence[int], scale: int) -> None:
-        if len(scaled) != window.period_count:
+    def __post_init__(self) -> None:
+        if len(self.scaled) != self.window.period_count:
             raise WindowMismatch(
-                f"{len(scaled)} prices for a {window.period_count}-period window"
+                f"{len(self.scaled)} prices for a {self.window.period_count}-period window"
             )
-        scaled, scale = lowest_scale(scaled, scale)
-        object.__setattr__(self, "window", window)
+        scaled, scale = lowest_scale(self.scaled, self.scale)
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "scale", scale)
 
@@ -163,17 +149,24 @@ def _coerce_level(level) -> Fraction:
     return lv
 
 
-@dataclass(frozen=True, slots=True, init=False)
+def _checked_levels(levels: Iterable) -> tuple[Fraction, ...]:
+    checked = tuple(_coerce_level(lv) for lv in levels)
+    if any(a >= b for a, b in zip(checked, checked[1:])):
+        raise LevelOutOfRange("quantile levels must be strictly ascending")
+    return checked
+
+
+@dataclass(frozen=True, slots=True)
 class QuantileForecast:
     """Per-period quantile price forecasts for one window.
 
-    values is period-major: values[t][i] is the forecast at levels[i].  The
-    values are held as integer rows over one positive scale, the least
-    that keeps every value whole: values[t][i] == scaled[t][i] / scale.
-    Build a forecast from exact values, or from integers with from_scaled;
-    `values` builds the Fractions each time it is read.  Rows are not
-    required to be monotone in the level: repaired_curve reads one level
-    of the rows sorted ascending, which is how every strategy reads them.
+    scaled is period-major integer rows over one positive scale, reduced
+    on construction to the least that keeps every value whole: the
+    forecast of period t at levels[i] is scaled[t][i] / scale.  Build a
+    forecast from exact values with from_values; `values` builds the
+    Fractions each time it is read.  Rows are not required to be monotone
+    in the level: repaired_curve reads one level of the rows sorted
+    ascending, which is how every strategy reads them.
     """
 
     window: TradingWindow
@@ -183,47 +176,36 @@ class QuantileForecast:
     # The columns of the repaired rows by level ratio, filled by the first
     # repaired_curve call.  Derived from the fields above, so it takes no
     # part in equality or hashing.
-    _repaired: dict | None = field(compare=False, repr=False)
+    _repaired: dict | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __init__(
-        self,
-        window: TradingWindow,
-        levels: Sequence,
-        values: Sequence[Sequence[Fraction]],
-    ) -> None:
-        levels = _checked_shape(window, levels, values)
-        self._set(window, levels, *scale_to_integers(v for row in values for v in row))
-
-    @classmethod
-    def from_scaled(
-        cls,
-        window: TradingWindow,
-        levels: Sequence,
-        scaled: Sequence[Sequence[int]],
-        scale: int,
-    ) -> "QuantileForecast":
-        """The forecast whose value t at levels[i] is scaled[t][i] / scale."""
-        forecast = cls.__new__(cls)
-        levels = _checked_shape(window, levels, scaled)
-        forecast._set(window, levels, (n for row in scaled for n in row), scale)
-        return forecast
-
-    def _set(
-        self,
-        window: TradingWindow,
-        levels: tuple[Fraction, ...],
-        flat: Iterable[int],
-        scale: int,
-    ) -> None:
-        flat, scale = lowest_scale(flat, scale)
+    def __post_init__(self) -> None:
+        levels = _checked_levels(self.levels)
+        rows = self.scaled
+        if len(rows) != self.window.period_count:
+            raise WindowMismatch(
+                f"{len(rows)} forecast rows for a {self.window.period_count}-period window"
+            )
         width = len(levels)
-        object.__setattr__(self, "window", window)
+        for row in rows:
+            if len(row) != width:
+                raise WindowMismatch(
+                    f"forecast row has {len(row)} values for {width} levels"
+                )
+        flat, scale = lowest_scale((n for row in rows for n in row), self.scale)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "scaled", tuple(
-            flat[t * width:(t + 1) * width] for t in range(window.period_count)
+            flat[t * width:(t + 1) * width] for t in range(len(rows))
         ))
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_repaired", None)
+
+    @classmethod
+    def from_values(
+        cls, window: TradingWindow, levels: Sequence, values: Sequence[Sequence[Fraction]]
+    ) -> "QuantileForecast":
+        """The forecast whose value t at levels[i] is the Fraction values[t][i]."""
+        scale = math.lcm(*(v.denominator for row in values for v in row))
+        scaled = [[v.numerator * (scale // v.denominator) for v in row] for row in values]
+        return cls(window, levels, scaled, scale)
 
     @property
     def values(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -249,23 +231,6 @@ class QuantileForecast:
             have = ", ".join(str(x) for x in self.levels)
             raise LevelMissing(f"level {_coerce_level(lv)} not among [{have}]")
         return curve
-
-
-def _checked_shape(window: TradingWindow, levels: Sequence, rows: Sequence) -> tuple:
-    """The levels, checked, once the rows fit the window and the levels."""
-    checked = tuple(_coerce_level(lv) for lv in levels)
-    if any(a >= b for a, b in zip(checked, checked[1:])):
-        raise LevelOutOfRange("quantile levels must be strictly ascending")
-    if len(rows) != window.period_count:
-        raise WindowMismatch(
-            f"{len(rows)} forecast rows for a {window.period_count}-period window"
-        )
-    for row in rows:
-        if len(row) != len(checked):
-            raise WindowMismatch(
-                f"forecast row has {len(row)} values for {len(checked)} levels"
-            )
-    return checked
 
 
 # --- CSV ingest -----------------------------------------------------------
@@ -355,7 +320,7 @@ def parse_price_csv(path: str | Path, market: MarketKind) -> list[PriceSeries]:
         raise UnknownColumn(f"{path}: expected header timestamp,price")
     prices = ((line, ts, parse_ratio(cells[0], line=line)) for line, ts, cells in rows)
     return [
-        PriceSeries.from_scaled(w, *scale_ratios(block))
+        PriceSeries(w, *scale_ratios(block))
         for w, block in cut_windows(prices, market, path)
     ]
 
@@ -391,7 +356,7 @@ def parse_forecast_csv(path: str | Path, market: MarketKind) -> list[QuantileFor
     for w, block in cut_windows(ratios, market, path):
         flat, scale = scale_ratios([ratio for row in block for ratio in row])
         rows = [flat[t:t + width] for t in range(0, len(flat), width)]
-        forecasts.append(QuantileForecast.from_scaled(w, levels, rows, scale))
+        forecasts.append(QuantileForecast(w, levels, rows, scale))
     return forecasts
 
 
@@ -498,10 +463,6 @@ def _daily_shape(hour: float) -> float:
     return 54.0 - 34.0 * bump(4.0, 2.3) + 7.0 * bump(9.0, 1.6) + 13.0 * bump(18.5, 2.1)
 
 
-def _to_cents(x: float) -> Fraction:
-    return Fraction(round(x * 100), 100)
-
-
 def generate_synthetic(
     seed: int,
     market: MarketKind,
@@ -518,9 +479,7 @@ def generate_synthetic(
     varies across periods.  With noise_sd == 0 the forecast equals the
     settled price at every level.
     """
-    lvls = tuple(_coerce_level(lv) for lv in levels)
-    if list(lvls) != sorted(set(lvls)):
-        raise LevelOutOfRange("quantile levels must be strictly ascending")
+    lvls = _checked_levels(levels)
     z = {lv: statistics.NormalDist().inv_cdf(float(lv)) for lv in lvls}
     rng = random.Random(f"{seed}:{market.value}")
     if market is MarketKind.DAM:
@@ -540,13 +499,10 @@ def generate_synthetic(
             center = _daily_shape(hour) + noise_sd * rng.gauss(0.0, 1.0)
             bias = rng.gauss(0.0, 1.0)
             scale = math.exp(0.35 * rng.gauss(0.0, 1.0))
-            prices.append(_to_cents(center))
+            prices.append(round(center * 100))
             rows.append(
-                tuple(
-                    _to_cents(center + noise_sd * (z[lv] * scale + bias))
-                    for lv in lvls
-                )
+                [round((center + noise_sd * (z[lv] * scale + bias)) * 100) for lv in lvls]
             )
-        actuals.append(PriceSeries(window, tuple(prices)))
-        forecasts.append(QuantileForecast(window, lvls, tuple(rows)))
+        actuals.append(PriceSeries(window, prices, 100))
+        forecasts.append(QuantileForecast(window, lvls, rows, 100))
     return actuals, forecasts

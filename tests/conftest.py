@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bessarb._numeric import scale_ratios
 from bessarb.battery import unit_trading_spec
 from bessarb.market import (
     BASE_EPOCH,
@@ -20,6 +21,11 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(str(x))
 
 
+def scaled(values) -> tuple[tuple[int, ...], int]:
+    """(integers, scale): exact values over the lcm of their denominators."""
+    return scale_ratios([frac(v).as_integer_ratio() for v in values])
+
+
 def make_window(market=MarketKind.BM, periods=None, start=BASE_EPOCH) -> TradingWindow:
     n = market.periods_per_window if periods is None else periods
     return TradingWindow(market, start, n)
@@ -27,7 +33,7 @@ def make_window(market=MarketKind.BM, periods=None, start=BASE_EPOCH) -> Trading
 
 def make_prices(curve, market=MarketKind.BM, start=BASE_EPOCH) -> PriceSeries:
     window = TradingWindow(market, start, len(curve))
-    return PriceSeries(window, tuple(frac(p) for p in curve))
+    return PriceSeries(window, *scaled(curve))
 
 
 def make_forecast(curves: dict, market=MarketKind.BM, start=BASE_EPOCH) -> QuantileForecast:
@@ -39,7 +45,7 @@ def make_forecast(curves: dict, market=MarketKind.BM, start=BASE_EPOCH) -> Quant
     rows = tuple(
         tuple(frac(curve[t]) for _, curve in items) for t in range(length)
     )
-    return QuantileForecast(window, levels, rows)
+    return QuantileForecast.from_values(window, levels, rows)
 
 
 def flat_forecast(curve, levels=("0.5",), market=MarketKind.BM, start=BASE_EPOCH):

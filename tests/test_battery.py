@@ -132,6 +132,25 @@ class TestBatterySpec:
         with pytest.raises(ConfigError, match=f"battery spec {key} = .*at most"):
             BatterySpec.from_json_file(path)
 
+    def test_efficiency_without_a_decimal_form_round_trips(self, tmp_path):
+        spec = BatterySpec.from_mwh("2", "1", charge_eff="1/3", discharge_eff="0.9")
+        doc = spec.to_dict()
+        assert (doc["charge_eff"], doc["discharge_eff"]) == ("1/3", "0.9")
+        assert BatterySpec.from_dict(doc) == spec
+        path = tmp_path / "battery.json"
+        path.write_text(json.dumps(doc))
+        assert BatterySpec.from_json_file(path) == spec
+        near = BatterySpec.from_mwh("2", "1", charge_eff="0.3333", discharge_eff="0.9")
+        assert len(spec.digest()) == 64 and spec.digest() != near.digest()
+        # decimal values print as they always did, so their digests stay put
+        assert unit_trading_spec().to_dict() == {
+            "capacity_mwh": "1", "ramp_mwh_per_period": "1", "min_charge_mwh": "0",
+            "charge_eff": "0.98", "discharge_eff": "0.8", "initial_charge_mwh": "0",
+        }
+        assert unit_trading_spec().digest() == (
+            "5b5c39a4bb8fb4b1f4303077580072c71c420bae740a476cea8e0d8b3d99ff8f"
+        )
+
     def test_digest_is_stable_and_distinct(self):
         a = unit_trading_spec()
         b = BatterySpec.from_mwh("2", "1")

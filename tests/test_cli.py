@@ -116,6 +116,16 @@ class TestGen:
         first = (out / "dam_actuals.csv").read_text().splitlines()[1]
         assert first.startswith("2025-06-01T00:00:00Z,")
 
+    def test_level_without_a_decimal_form(self, tmp_path, capsys):
+        # a forecast column names its level as a decimal percent
+        out = tmp_path / "g"
+        code, _, err = run(capsys, "gen", "--levels", "1/3,1/2", "--out", str(out))
+        assert code == 2
+        assert stderr_error(err) == {
+            "error": "ConfigError", "message": "--levels: 1/3 has no decimal form"
+        }
+        assert not out.exists()
+
     def test_start_past_the_year_9999(self, tmp_path, capsys):
         out = tmp_path / "g"
         code, _, err = run(capsys, "gen", "--out", str(out),
@@ -242,6 +252,23 @@ class TestBacktest:
   }}
 ]
 """
+
+    def test_efficiency_without_a_decimal_form(self, data_dir, tmp_path, capsys):
+        # the schedules' battery digest writes 1/3 as its fraction text
+        battery = tmp_path / "battery.json"
+        battery.write_text('{"capacity_mwh": "1", "ramp_mwh_per_period": "1",'
+                           ' "charge_eff": "1/3"}')
+        out = tmp_path / "bt"
+        code, _, _ = run(
+            capsys, "backtest",
+            "--dam-actuals", str(data_dir / "dam_actuals.csv"),
+            "--dam-forecast", str(data_dir / "dam_forecast.csv"),
+            "--battery", str(battery), "--out", str(out),
+        )
+        assert code == 0
+        digest = BatterySpec.from_json_file(battery).digest()
+        doc = json.loads((out / "schedules.json").read_text())
+        assert doc and all(s["battery_digest"] == digest for s in doc)
 
     def test_dual_market(self, data_dir, capsys):
         code, stdout, _ = run(
@@ -1324,6 +1351,12 @@ class TestExitContract:
                    "--out", "{out}"], prices=b"", forecast=b"", config="", battery="")
     @example(argv=["pf", "--actuals", "{prices}"], prices=_LATE_PRICES,
              forecast=b"", config="", battery="")
+    @example(argv=["gen", "--levels", "1/3,1/2", "--out", "{out}"], prices=b"",
+             forecast=b"", config="", battery="")
+    @example(argv=["backtest", "--dam-actuals", "{dam_actuals}", "--dam-forecast",
+                   "{dam_forecast}", "--battery", "{battery}", "--out", "{out}"],
+             prices=b"", forecast=b"", config="",
+             battery='{"capacity_mwh": "1", "ramp_mwh_per_period": "1", "charge_eff": "1/3"}')
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_input(self, good, tmp_path, monkeypatch, argv, prices, forecast,

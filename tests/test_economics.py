@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from bessarb.economics import (
     DEFAULT_ANNUAL_FEES,
+    DEGRADATION_RATE,
+    MAINTENANCE_ESCALATION,
     EconScenario,
     annual_return_curve,
     annualize_backtest_revenue,
@@ -33,8 +35,8 @@ def closed_form_cumulative(scenario: EconScenario, year: int) -> Fraction:
     assert scenario.degradation_period_years == 1
     y = year
     g, m = scenario.base_revenue, scenario.base_maintenance
-    revenue = g * y - g * scenario.degradation_rate * y * (y - 1) / 2
-    e = scenario.maintenance_escalation
+    revenue = g * y - g * DEGRADATION_RATE * y * (y - 1) / 2
+    e = MAINTENANCE_ESCALATION
     if scenario.maintenance_kind == "compound":
         maint = m * ((1 + e) ** y - 1) / e
     else:

@@ -67,7 +67,7 @@ from bessarb.strategies import (
     ts3_dual,
 )
 
-from conftest import flat_forecast, frac, make_prices, merged_events
+from conftest import flat_forecast, frac, make_prices, merged_events, scaled
 
 UNIT = unit_trading_spec()
 
@@ -205,7 +205,7 @@ def _series(draw, window, label):
     den = draw(st.sampled_from([1, 3, 8, 100, 1000]), label=f"{label} scale")
     units = draw(st.lists(st.integers(-10**6, 10**6), min_size=window.period_count,
                           max_size=window.period_count), label=f"{label} prices")
-    return PriceSeries(window, tuple(Fraction(u, den) for u in units))
+    return PriceSeries(window, units, den)
 
 
 def _clipped_orders(draw, spec, slots):
@@ -519,9 +519,7 @@ def _unit_forecast(draw, window, label):
         min_size=window.period_count, max_size=window.period_count,
     ), label=f"{label} forecast")
     levels = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
-    return QuantileForecast(
-        window, levels, tuple(tuple(Fraction(v, den) for v in row) for row in rows)
-    )
+    return QuantileForecast(window, levels, rows, den)
 
 
 class TestUnitPathBounds:
@@ -604,11 +602,7 @@ class TestScoreForecasts:
 
     def test_mean_over_all_cells(self):
         actuals = make_prices([10, 20])
-        fc = QuantileForecast(
-            actuals.window,
-            (Fraction(1, 2),),
-            ((Fraction(14),), (Fraction(20),)),
-        )
+        fc = QuantileForecast(actuals.window, (Fraction(1, 2),), ((14,), (20,)), 1)
         report = score_forecasts([fc], [actuals])
         assert report.per_level[Fraction(1, 2)] == 1  # (2 + 0) / 2
         assert report.mean == 1
@@ -642,8 +636,8 @@ class TestScoreForecasts:
             window = TradingWindow(MarketKind.BM, BASE_EPOCH + w * 86400, n)
             prices = tuple(data.draw(value) for _ in range(n))
             rows = tuple(tuple(data.draw(value) for _ in levels) for _ in range(n))
-            actuals.append(PriceSeries(window, prices))
-            forecasts.append(QuantileForecast(window, levels, rows))
+            actuals.append(PriceSeries(window, *scaled(prices)))
+            forecasts.append(QuantileForecast.from_values(window, levels, rows))
         sums, counts = {}, {}
         for fc, ps in zip(forecasts, actuals):
             for y, row in zip(ps.prices, fc.values):
@@ -673,7 +667,7 @@ class TestScoreForecasts:
                     for p in ps.prices
                 )
                 forecasts.append(
-                    QuantileForecast(ps.window, DEFAULT_LEVELS, rows)
+                    QuantileForecast.from_values(ps.window, DEFAULT_LEVELS, rows)
                 )
             means.append(score_forecasts(forecasts, actuals).mean)
         assert means[0] == 0
@@ -809,7 +803,7 @@ class TestRunSweep:
         # windows settle over cents, sevenths or thirds of them, and the
         # battery's efficiencies put each unit's cash over its own denominator
         dam_a, dam_f, bm_a, bm_f = self._data(days=3, noise="3")
-        dam_a = [PriceSeries(ps.window, [p / (1, 7, 3)[i % 3] for p in ps.prices])
+        dam_a = [PriceSeries(ps.window, ps.scaled, ps.scale * (1, 7, 3)[i % 3])
                  for i, ps in enumerate(dam_a)]
         spec = BatterySpec.from_mwh("2", "1", charge_eff="0.95", discharge_eff="0.9")
         pairs = (MEDIAN_PAIR, QuantilePair("0.1", "0.9"), QuantilePair("0.3", "0.7"))

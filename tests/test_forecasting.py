@@ -32,9 +32,9 @@ from bessarb.market import (
     PriceSeries,
     format_timestamp,
 )
-from bessarb._numeric import format_decimal
+from bessarb._numeric import format_ratio
 
-from conftest import frac
+from conftest import frac, scaled
 
 BM_STEP = MarketKind.BM.period_seconds
 WINDOW_SPAN = BM_STEP * MarketKind.BM.periods_per_window
@@ -54,8 +54,24 @@ def bm_matrix(targets, feature_of=None, timestamps=None):
         tuple(timestamps),
         ("slot", "window"),
         feats,
-        tuple(frac(t) for t in targets),
+        *scaled(targets),
     )
+
+
+def train_matrix(features, targets):
+    """Training rows and exact targets as a FeatureMatrix, one period apart."""
+    feats = np.asarray(features, dtype=float)
+    return FeatureMatrix(
+        MarketKind.BM,
+        tuple(BASE_EPOCH + i * BM_STEP for i in range(len(feats))),
+        tuple(f"f{j}" for j in range(feats.shape[1])),
+        feats,
+        *scaled(targets),
+    )
+
+
+def exact_targets(m):
+    return [Fraction(t, m.scale) for t in m.targets]
 
 
 # --- Fraction oracles: per-row ranking, quantiles and losses in Fractions ----
@@ -99,10 +115,11 @@ def fraction_choose_k(train, plan, train_end_s):
     for k in plan.k_grid:
         if k > len(fit):
             continue
-        rows = fraction_predict(fit.features, fit.targets, k, plan.levels, val.features)
+        rows = fraction_predict(fit.features, exact_targets(fit), k, plan.levels,
+                                val.features)
         loss = sum(
             (pinball(lv, actual, pred)
-             for actual, row in zip(val.targets, rows)
+             for actual, row in zip(exact_targets(val), rows)
              for lv, pred in zip(plan.levels, row)),
             Fraction(0),
         )
@@ -174,7 +191,8 @@ class TestFractionOracles:
         targets = data.draw(st.lists(targets_st, min_size=len(train), max_size=len(train)))
         k = data.draw(st.integers(min_value=1, max_value=len(train)))
         levels = data.draw(levels_st)
-        got = KnnQuantileForecaster(k, levels).fit(train, targets).predict(queries)
+        model = KnnQuantileForecaster(k, levels).fit(train_matrix(train, targets))
+        got = model.predict(queries)
         assert got == fraction_predict(train, targets, k, levels, queries)
         assert all(type(v) is Fraction for row in got for v in row)
 
@@ -192,7 +210,7 @@ class TestFractionOracles:
         want = [_row_ranking(train_std, q).tolist() for q in query_std]
         for k in range(1, len(train) + 1):
             model = KnnQuantileForecaster(k, _levels_reading_every_rank(k))
-            rows = model.fit(train, targets).predict(queries)
+            rows = model.fit(train_matrix(train, targets)).predict(queries)
             for row, ranking in zip(rows, want):
                 total = sum(_sorted_neighbours(row, k))
                 assert total.denominator == 1
@@ -211,7 +229,7 @@ class TestFractionOracles:
             tuple(BASE_EPOCH + i * BM_STEP for i in range(32)),
             tuple(f"f{j}" for j in range(train.shape[1])),
             train,
-            tuple(targets),
+            *scaled(targets),
         )
         plan = WalkForwardPlan(2 * WINDOW_SPAN, WINDOW_SPAN, WINDOW_SPAN,
                                WINDOW_SPAN, k_grid=tuple(grid), levels=levels)
@@ -231,13 +249,31 @@ class TestFractionOracles:
         end = BASE_EPOCH + 2 * WINDOW_SPAN
         assert _choose_k(m, plan, end) == fraction_choose_k(m, plan, end) == grid[0]
 
+    @given(feature_tables(rows=32), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_a_common_factor_in_the_scale_changes_nothing(self, table, data):
+        """Targets over any common scale, not only the least, choose and
+        predict alike, as they do when a feature CSV mixes decimal places."""
+        train, queries = table
+        targets = data.draw(st.lists(targets_st, min_size=32, max_size=32))
+        factor = data.draw(st.sampled_from((2, 10, 1000)))
+        least = train_matrix(train, targets)
+        wide = FeatureMatrix(least.market, least.timestamps, least.feature_names,
+                             least.features, tuple(t * factor for t in least.targets),
+                             least.scale * factor)
+        plan = WalkForwardPlan(2 * WINDOW_SPAN, WINDOW_SPAN, WINDOW_SPAN, WINDOW_SPAN)
+        end = BASE_EPOCH + 2 * WINDOW_SPAN
+        assert _choose_k(wide, plan, end) == _choose_k(least, plan, end)
+        model = KnnQuantileForecaster(3)
+        assert model.fit(wide).predict(queries) == model.fit(least).predict(queries)
+
 
 def write_feature_csv(m, path):
     """A feature matrix in the CSV layout `FeatureMatrix.from_csv` reads."""
     lines = ["timestamp," + ",".join(m.feature_names) + ",target"]
     for ts, row, target in zip(m.timestamps, m.features, m.targets):
         feats = ",".join(repr(float(x)) for x in row)
-        lines.append(f"{format_timestamp(ts)},{feats},{format_decimal(target)}")
+        lines.append(f"{format_timestamp(ts)},{feats},{format_ratio(target, m.scale)}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -247,8 +283,13 @@ class TestFeatureMatrix:
             bm_matrix([1, 2], feature_of=lambda i: (float(i),))  # one name short
         with pytest.raises(MalformedRow):
             FeatureMatrix(
-                MarketKind.BM, (BASE_EPOCH,), ("a",), np.array([[1.0]]), ()
+                MarketKind.BM, (BASE_EPOCH,), ("a",), np.array([[1.0]]), (), 1
             )
+        for bad in (0, -10):
+            with pytest.raises(MalformedRow):
+                FeatureMatrix(
+                    MarketKind.BM, (BASE_EPOCH,), ("a",), np.array([[1.0]]), (5,), bad
+                )
 
     def test_rows_must_advance_in_time(self):
         with pytest.raises(NonMonotonicTimestamps):
@@ -257,7 +298,7 @@ class TestFeatureMatrix:
     def test_slice_by_time(self):
         m = bm_matrix(range(10))
         mid = m.slice_by_time(BASE_EPOCH + 2 * BM_STEP, BASE_EPOCH + 5 * BM_STEP)
-        assert mid.targets == (2, 3, 4)
+        assert (mid.targets, mid.scale) == ((2, 3, 4), 1)
         assert len(m.slice_by_time(0, BASE_EPOCH)) == 0
 
     @given(st.integers(min_value=0, max_value=12), st.data())
@@ -270,6 +311,7 @@ class TestFeatureMatrix:
         got = m.slice_by_time(start, end)
         assert got.timestamps == tuple(m.timestamps[i] for i in keep)
         assert got.targets == tuple(m.targets[i] for i in keep)
+        assert got.scale == m.scale
         assert got.features.shape == (len(keep), 2)
         assert np.array_equal(got.features, m.features[keep])
         assert (got.market, got.feature_names) == (m.market, m.feature_names)
@@ -282,8 +324,23 @@ class TestFeatureMatrix:
         assert text.splitlines()[0] == "timestamp,slot,window,target"
         back = FeatureMatrix.from_csv(path, MarketKind.BM)
         assert back.timestamps == m.timestamps
-        assert back.targets == m.targets
+        assert exact_targets(back) == exact_targets(m) == [frac("10.5"), frac("-3.25"), 7]
         assert np.array_equal(back.features, m.features)
+
+    def test_csv_targets_share_one_scale_that_slices_keep(self, tmp_path):
+        path = tmp_path / "features.csv"
+        cells = ["1.5", "2.25", "3", "-0.125", "4.00"]
+        path.write_text("timestamp,a,target\n" + "".join(
+            f"{format_timestamp(BASE_EPOCH + i * BM_STEP)},{i},{c}\n"
+            for i, c in enumerate(cells)
+        ))
+        m = FeatureMatrix.from_csv(path, MarketKind.BM)
+        # the lcm of the cells' powers of ten, not reduced to the least scale 8
+        assert (m.targets, m.scale) == ((1500, 2250, 3000, -125, 4000), 1000)
+        assert exact_targets(m) == [Fraction(c) for c in cells]
+        head = m.slice_by_time(BASE_EPOCH, BASE_EPOCH + 2 * BM_STEP)
+        assert (head.targets, head.scale) == ((1500, 2250), 1000)
+        assert m.slice_by_time(0, BASE_EPOCH).scale == 1000
 
     def test_csv_guards(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -324,41 +381,41 @@ class TestFeatureMatrix:
 class TestKnnForecaster:
     def fit3(self, targets=(10, 20, 30), k=3):
         feats = [[0.0], [1.0], [2.0]]
-        return KnnQuantileForecaster(k, DEFAULT_LEVELS).fit(feats, targets)
+        return KnnQuantileForecaster(k, DEFAULT_LEVELS).fit(train_matrix(feats, targets))
 
     def test_interpolated_quantiles(self):
         model = KnnQuantileForecaster(3, ("0.5", "0.9")).fit(
-            [[0.0], [0.0], [0.0]], (10, 20, 30)
+            train_matrix([[0.0], [0.0], [0.0]], (10, 20, 30))
         )
         row = model.predict([[0.0]])[0]
         assert row == (Fraction(20), Fraction(28))  # rank 1.8 splits 20..30
 
     def test_single_neighbour_is_constant_across_levels(self):
-        model = KnnQuantileForecaster(1, DEFAULT_LEVELS).fit([[0.0]], (frac("7.31"),))
+        model = KnnQuantileForecaster(1, DEFAULT_LEVELS).fit(train_matrix([[0.0]], ("7.31",)))
         assert set(model.predict([[5.0]])[0]) == {frac("7.31")}
 
     def test_exact_fraction_arithmetic(self):
         model = KnnQuantileForecaster(2, ("0.25",)).fit(
-            [[0.0], [0.0]], (Fraction(1, 3), Fraction(2, 3))
+            train_matrix([[0.0], [0.0]], (Fraction(1, 3), Fraction(2, 3)))
         )
         assert model.predict([[0.0]])[0][0] == Fraction(5, 12)
 
     def test_distance_ties_prefer_older_rows(self):
         model = KnnQuantileForecaster(1, ("0.5",)).fit(
-            [[4.0], [4.0]], (111, 222)
+            train_matrix([[4.0], [4.0]], (111, 222))
         )
         assert model.predict([[4.0]])[0][0] == 111
 
     def test_standardization_weighs_features_equally(self):
         # raw scale says row 0 is closer; per-feature standardization says row 1
-        model = KnnQuantileForecaster(1, ("0.5",)).fit(
+        model = KnnQuantileForecaster(1, ("0.5",)).fit(train_matrix(
             [[0.0, 0.0], [1000.0, 1.0], [2000.0, 2.0], [500.0, 9.0]], (1, 2, 3, 4)
-        )
+        ))
         assert model.predict([[1100.0, 1.1]])[0][0] == 2
 
     def test_constant_feature_column_is_harmless(self):
         model = KnnQuantileForecaster(1, ("0.5",)).fit(
-            [[5.0, 1.0], [5.0, 2.0]], (10, 20)
+            train_matrix([[5.0, 1.0], [5.0, 2.0]], (10, 20))
         )
         assert model.predict([[5.0, 1.9]])[0][0] == 20
 
@@ -371,19 +428,19 @@ class TestKnnForecaster:
         if k > len(targets):
             k = len(targets)
         feats = [[float(i)] for i in range(len(targets))]
-        model = KnnQuantileForecaster(k, DEFAULT_LEVELS).fit(feats, targets)
+        model = KnnQuantileForecaster(k, DEFAULT_LEVELS).fit(train_matrix(feats, targets))
         row = model.predict([[0.0]])[0]
         assert all(a <= b for a, b in zip(row, row[1:]))
 
     def test_fit_guards(self):
         with pytest.raises(EmptyTrainSet):
-            KnnQuantileForecaster(1).fit(np.empty((0, 2)), ())
-        with pytest.raises(EmptyTrainSet):
-            KnnQuantileForecaster(1).fit([[1.0]], (1, 2))
+            KnnQuantileForecaster(1).fit(train_matrix(np.empty((0, 2)), ()))
+        with pytest.raises(MalformedRow):  # the matrix holds one target per row
+            train_matrix([[1.0]], (1, 2))
         with pytest.raises(KTooLarge):
-            KnnQuantileForecaster(4).fit([[1.0], [2.0]], (1, 2))
+            KnnQuantileForecaster(4).fit(train_matrix([[1.0], [2.0]], (1, 2)))
         with pytest.raises(KTooLarge):
-            KnnQuantileForecaster(0).fit([[1.0]], (1,))
+            KnnQuantileForecaster(0).fit(train_matrix([[1.0]], (1,)))
         with pytest.raises(EmptyTrainSet):
             KnnQuantileForecaster(1).predict([[1.0]])
 
@@ -435,7 +492,7 @@ class TestWalkForward:
             bm_matrix(targets), self.plan(k_grid=(1,), levels=("0.5",))
         )
         actuals = [
-            PriceSeries(fc.window, tuple(frac(10 + s) for s in range(16)))
+            PriceSeries(fc.window, tuple(10 + s for s in range(16)), 1)
             for fc in result.forecasts
         ]
         assert score_forecasts(list(result.forecasts), actuals).mean == 0

@@ -39,7 +39,7 @@ from bessarb.market import (
 )
 from bessarb._numeric import format_decimal
 
-from conftest import frac, make_forecast, make_prices, merged_events
+from conftest import frac, make_forecast, make_prices, merged_events, scaled
 
 
 class TestWindows:
@@ -97,26 +97,22 @@ class TestContainers:
     def test_price_series_length_guard(self):
         win = TradingWindow(MarketKind.BM, BASE_EPOCH, 16)
         with pytest.raises(WindowMismatch):
-            PriceSeries(win, (Fraction(1),) * 15)
+            PriceSeries(win, (1,) * 15, 1)
 
     def test_forecast_row_width_guard(self):
         win = TradingWindow(MarketKind.BM, BASE_EPOCH, 2)
         with pytest.raises(WindowMismatch):
-            QuantileForecast(win, (Fraction(1, 2),), ((Fraction(1), Fraction(2)),) * 2)
+            QuantileForecast(win, (Fraction(1, 2),), ((1, 2),) * 2, 1)
 
     def test_forecast_levels_must_ascend(self):
         win = TradingWindow(MarketKind.BM, BASE_EPOCH, 1)
         with pytest.raises(LevelOutOfRange):
-            QuantileForecast(
-                win,
-                (Fraction(7, 10), Fraction(3, 10)),
-                ((Fraction(1), Fraction(2)),),
-            )
+            QuantileForecast(win, (Fraction(7, 10), Fraction(3, 10)), ((1, 2),), 1)
 
     def test_level_outside_unit_interval(self):
         win = TradingWindow(MarketKind.BM, BASE_EPOCH, 1)
         with pytest.raises(LevelOutOfRange):
-            QuantileForecast(win, (Fraction(0),), ((Fraction(1),),))
+            QuantileForecast(win, (Fraction(0),), ((1,),), 1)
 
     def test_level_curve_lookup(self):
         fc = make_forecast({"0.3": [1, 2], "0.7": [3, 4]})
@@ -155,7 +151,7 @@ class TestScaledContainers:
         path.write_text(_price_lines(BASE_EPOCH, 16, 1800, lambda i: cells[i]))
         [parsed] = parse_price_csv(path, MarketKind.BM)
         prices = tuple(Fraction(c) for c in cells)
-        built = PriceSeries(parsed.window, prices)
+        built = PriceSeries(parsed.window, *scaled(prices))
         assert parsed == built and hash(parsed) == hash(built)
         assert parsed.prices == built.prices == prices
         assert all(type(p) is Fraction for p in parsed.prices)
@@ -169,7 +165,7 @@ class TestScaledContainers:
             path = Path(tmp) / "p.csv"
             path.write_text(_price_lines(BASE_EPOCH, 16, 1800, lambda i: cells[i]))
             [parsed] = parse_price_csv(path, MarketKind.BM)
-        built = PriceSeries(parsed.window, tuple(Fraction(c) for c in cells))
+        built = PriceSeries(parsed.window, *scaled(Fraction(c) for c in cells))
         assert parsed == built
         assert parsed.prices == built.prices
 
@@ -186,7 +182,7 @@ class TestScaledContainers:
             path.write_text("\n".join(lines) + "\n")
             [parsed] = parse_forecast_csv(path, MarketKind.BM)
         values = tuple(tuple(Fraction(c) for c in row) for row in rows)
-        built = QuantileForecast(parsed.window, parsed.levels, values)
+        built = QuantileForecast.from_values(parsed.window, parsed.levels, values)
         assert parsed == built and hash(parsed) == hash(built)
         assert parsed.values == built.values == values
         assert parsed.levels == (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
@@ -195,18 +191,39 @@ class TestScaledContainers:
 
     def test_scaled_constructors_keep_the_least_scale(self):
         win = TradingWindow(MarketKind.BM, BASE_EPOCH, 2)
-        series = PriceSeries.from_scaled(win, (250, -500), 1000)
+        series = PriceSeries(win, (250, -500), 1000)
         assert (series.scaled, series.scale) == ((1, -2), 4)
-        assert series == PriceSeries(win, (Fraction(1, 4), Fraction(-1, 2)))
-        zero = PriceSeries.from_scaled(win, (0, 0), 100)
+        assert series == PriceSeries(win, (1, -2), 4)
+        assert series.prices == (Fraction(1, 4), Fraction(-1, 2))
+        zero = PriceSeries(win, [0, 0], 100)
         assert (zero.scaled, zero.scale) == ((0, 0), 1)
-        fc = QuantileForecast.from_scaled(win, (Fraction(1, 2),), ((30,), (45,)), 10)
-        assert (fc.scaled, fc.scale) == (((6,), (9,)), 2)
+        fc = QuantileForecast(win, ("0.5",), [[30], [45]], 10)
+        assert (fc.levels, fc.scaled, fc.scale) == ((Fraction(1, 2),), ((6,), (9,)), 2)
         assert fc.values == ((Fraction(3),), (Fraction(9, 2),))
         with pytest.raises(WindowMismatch):
-            PriceSeries.from_scaled(win, (1,), 1)
+            PriceSeries(win, (1,), 1)
         with pytest.raises(WindowMismatch):
-            QuantileForecast.from_scaled(win, (Fraction(1, 2),), ((1, 2), (3, 4)), 1)
+            QuantileForecast(win, (Fraction(1, 2),), ((1, 2), (3, 4)), 1)
+        for bad in (0, -4):
+            with pytest.raises(ValueError):
+                PriceSeries(win, (1, 2), bad)
+            with pytest.raises(ValueError):
+                QuantileForecast(win, (Fraction(1, 2),), ((1,), (2,)), bad)
+
+    @given(
+        st.lists(st.lists(st.fractions(max_denominator=1000), min_size=3, max_size=3),
+                 min_size=1, max_size=6)
+    )
+    def test_from_values_is_the_constructor_on_the_scaled_rows(self, rows):
+        win = TradingWindow(MarketKind.BM, BASE_EPOCH, len(rows))
+        levels = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
+        flat, scale = scaled(v for row in rows for v in row)
+        plain = QuantileForecast(
+            win, levels, [flat[i:i + 3] for i in range(0, len(flat), 3)], scale
+        )
+        fc = QuantileForecast.from_values(win, levels, rows)
+        assert fc == plain and hash(fc) == hash(plain)
+        assert fc.values == tuple(map(tuple, rows))
 
 
 def _repaired_rows(fc):
@@ -221,11 +238,7 @@ class TestRepair:
 
     def test_sorts_crossed_rows(self):
         win = TradingWindow(MarketKind.BM, BASE_EPOCH, 2)
-        fc = QuantileForecast(
-            win,
-            (Fraction(3, 10), Fraction(7, 10)),
-            ((Fraction(5), Fraction(2)), (Fraction(1), Fraction(4))),
-        )
+        fc = QuantileForecast(win, (Fraction(3, 10), Fraction(7, 10)), ((5, 2), (1, 4)), 1)
         assert _repaired_rows(fc) == [
             (Fraction(2), Fraction(5)),
             (Fraction(1), Fraction(4)),
@@ -247,12 +260,10 @@ class TestRepair:
     def test_repair_is_idempotent(self, raw_rows):
         win = TradingWindow(MarketKind.BM, BASE_EPOCH, len(raw_rows))
         levels = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
-        fc = QuantileForecast(
-            win, levels, tuple(tuple(Fraction(v, 4) for v in row) for row in raw_rows)
-        )
+        fc = QuantileForecast(win, levels, raw_rows, 4)
         fixed = _repaired_rows(fc)
         assert fixed == [tuple(sorted(row)) for row in fc.values]
-        assert _repaired_rows(QuantileForecast(win, levels, tuple(fixed))) == fixed
+        assert _repaired_rows(QuantileForecast.from_values(win, levels, fixed)) == fixed
 
 
 def _price_lines(start, count, step, price_of=lambda i: f"{30 + i}"):
@@ -413,7 +424,7 @@ def _table(reader, rows=16, spoil=lambda row: row):
 
 def _comparable(parsed):
     if isinstance(parsed, FeatureMatrix):
-        return parsed.timestamps, parsed.targets, parsed.features.tolist()
+        return parsed.timestamps, parsed.targets, parsed.scale, parsed.features.tolist()
     return parsed
 
 

@@ -19,7 +19,7 @@ from bessarb._numeric import (
     parse_decimal,
     parse_number,
     parse_ratio,
-    scale_to_integers,
+    scale_ratios,
     ticks_to_mwh,
 )
 from bessarb.errors import ConfigError, MalformedRow
@@ -263,14 +263,14 @@ class TestFormatMoney:
 class TestScaleToIntegers:
     @given(st.lists(st.fractions(max_denominator=1000), max_size=12))
     def test_integers_are_values_times_the_lcm(self, values):
-        scaled, lcm = scale_to_integers(values)
+        scaled, lcm = scale_ratios([v.as_integer_ratio() for v in values])
         assert lcm >= 1
         assert all(lcm % v.denominator == 0 for v in values)
         assert [Fraction(n, lcm) for n in scaled] == values
 
     def test_mixed_denominators(self):
         values = [Fraction("0.5"), Fraction("-1.25"), Fraction(3)]
-        assert scale_to_integers(values) == ((2, -5, 12), 4)
+        assert scale_ratios([v.as_integer_ratio() for v in values]) == ((2, -5, 12), 4)
 
     def test_empty(self):
-        assert scale_to_integers([]) == ((), 1)
+        assert scale_ratios([]) == ((), 1)

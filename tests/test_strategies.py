@@ -111,7 +111,8 @@ def scan_problems(draw):
         min_size=n, max_size=n,
     ))
     levels = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
-    fc = QuantileForecast(TradingWindow(MarketKind.BM, BASE_EPOCH, n), levels, tuple(rows))
+    window = TradingWindow(MarketKind.BM, BASE_EPOCH, n)
+    fc = QuantileForecast.from_values(window, levels, rows)
     sell_level = draw(st.sampled_from(levels))
     buy_level = draw(st.sampled_from([lv for lv in levels if lv >= sell_level]))
     spec = BatterySpec(1000, 1000, 0, 0, draw(efficiencies), draw(efficiencies))
@@ -376,7 +377,7 @@ class TestIntegerScans:
         # the exact repaired prices
         fc = make_forecast({"0.3": ["25.5", "45", "9"], "0.7": ["20", "40.25", "30"]})
         repaired = QuantileForecast(
-            fc.window, fc.levels, tuple(tuple(sorted(row)) for row in fc.values)
+            fc.window, fc.levels, [sorted(row) for row in fc.scaled], fc.scale
         )
         assert repaired != fc
         pair = QuantilePair("0.3", "0.7")
@@ -406,15 +407,15 @@ class TestForecastReuse:
         """Noisy forecasts with every third row level-crossed."""
         _, forecasts = generate_synthetic(11, market, days=2, noise_sd=6)
         return [
-            QuantileForecast(fc.window, fc.levels, tuple(
-                row[::-1] if t % 3 == 0 else row for t, row in enumerate(fc.values)
-            ))
+            QuantileForecast(fc.window, fc.levels, [
+                row[::-1] if t % 3 == 0 else row for t, row in enumerate(fc.scaled)
+            ], fc.scale)
             for fc in forecasts
         ]
 
     @staticmethod
     def _fresh(fc):
-        return QuantileForecast(fc.window, fc.levels, fc.values)
+        return QuantileForecast(fc.window, fc.levels, fc.scaled, fc.scale)
 
     def test_shared_object_matches_fresh_copies(self):
         runs = (
