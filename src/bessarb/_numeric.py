@@ -125,6 +125,14 @@ def format_decimal(value: Fraction) -> str:
     return format_ratio(*value.as_integer_ratio())
 
 
+def exact_text(value: Fraction) -> str:
+    """format_decimal's text, or the fraction's (`1/3`) when it has none."""
+    try:
+        return format_decimal(value)
+    except ValueError:
+        return str(value)
+
+
 def format_ratio(num: int, den: int) -> str:
     """format_decimal of num/den, den > 0, without building a Fraction."""
     g = math.gcd(num, den)

@@ -3,6 +3,11 @@
 Energy is held as integer milli-MWh ticks so clip comparisons are exact.
 Efficiencies affect cash flows only, never the stored energy, so a buy of
 x ticks raises the charge by exactly x ticks.
+
+A run starts from its spec's initial_charge.  A caller that starts a run
+elsewhere, say where the last run ended, passes
+`dataclasses.replace(spec, initial_charge=ticks)`, range-checked like any
+spec.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from typing import Iterable
 from bessarb._numeric import (
     TICKS_PER_MWH,
     exact,
+    exact_text,
     format_decimal,
     mwh_to_ticks,
     parse_number,
@@ -41,7 +47,10 @@ _JSON_KEYS = (
 
 @dataclass(frozen=True, slots=True)
 class BatterySpec:
-    """Physical battery parameters, energy quantities in milli-MWh ticks."""
+    """Physical battery parameters, energy quantities in milli-MWh ticks.
+
+    initial_charge is where every run on the spec starts.
+    """
 
     capacity: int
     ramp: int
@@ -117,8 +126,8 @@ class BatterySpec:
             "capacity_mwh": format_decimal(ticks_to_mwh(self.capacity)),
             "ramp_mwh_per_period": format_decimal(ticks_to_mwh(self.ramp)),
             "min_charge_mwh": format_decimal(ticks_to_mwh(self.min_charge)),
-            "charge_eff": _exact_text(self.charge_eff),
-            "discharge_eff": _exact_text(self.discharge_eff),
+            "charge_eff": exact_text(self.charge_eff),
+            "discharge_eff": exact_text(self.discharge_eff),
             "initial_charge_mwh": format_decimal(ticks_to_mwh(self.initial_charge)),
         }
 
@@ -156,13 +165,6 @@ def _spec_number(key: str, value) -> Fraction:
     return number
 
 
-def _exact_text(value: Fraction) -> str:
-    try:
-        return format_decimal(value)
-    except ValueError:
-        return str(value)
-
-
 def unit_trading_spec() -> BatterySpec:
     """1 MWh battery, full-swing ramp, 80%/98% discharge/charge efficiency."""
     return BatterySpec.from_mwh("1", "1", "0", charge_eff="0.98", discharge_eff="0.8")
@@ -173,18 +175,6 @@ class BatteryState:
     """Stored energy in ticks."""
 
     charge: int
-
-
-def start_charge(spec: BatterySpec, initial_charge: int | None) -> int:
-    """The charge a run starts from: the given one, or the spec's default."""
-    if initial_charge is None:
-        return spec.initial_charge
-    if not spec.min_charge <= initial_charge <= spec.capacity:
-        raise ConfigError(
-            f"initial charge {initial_charge} outside "
-            f"[{spec.min_charge}, {spec.capacity}]"
-        )
-    return initial_charge
 
 
 def apply_trade(state: BatteryState, spec: BatterySpec, signed_ticks: int) -> BatteryState:
@@ -199,15 +189,14 @@ def apply_trade(state: BatteryState, spec: BatterySpec, signed_ticks: int) -> Ba
     return BatteryState(charge)
 
 
-def replay(trades: Iterable[tuple[int, int]], spec: BatterySpec,
-           state: BatteryState | None = None) -> BatteryState:
-    """Replay (instant, signed_ticks) trades in wall-clock order.
+def replay(trades: Iterable[tuple[int, int]], spec: BatterySpec) -> BatteryState:
+    """Replay (instant, signed_ticks) trades in wall-clock order from the
+    spec's initial charge.
 
     Raises Ramp/Capacity/FloorViolation if any step breaks a bound.  Ties on
     the instant keep the given order.
     """
-    if state is None:
-        state = BatteryState(spec.initial_charge)
+    state = BatteryState(spec.initial_charge)
     for _, signed in sorted(trades, key=lambda t: t[0]):
         state = apply_trade(state, spec, signed)
     return state
@@ -220,15 +209,14 @@ class ChargeTimeline:
     against the whole committed future so the finished schedule replays
     cleanly in wall-clock order.  soc(i) is the charge after slot i's trade.
     A commit updates the charge of every later slot, so each headroom query
-    is one min or max over a slice of the stored path.
+    is one min or max over a slice of the stored path.  Every slot starts at
+    the spec's initial charge.
     """
 
-    def __init__(self, spec: BatterySpec, n_slots: int,
-                 initial: int | None = None):
+    def __init__(self, spec: BatterySpec, n_slots: int):
         self.spec = spec
         self.n_slots = n_slots
-        self.initial = spec.initial_charge if initial is None else initial
-        self._path = [self.initial] * n_slots
+        self._path = [spec.initial_charge] * n_slots
 
     def path(self) -> list[int]:
         return list(self._path)

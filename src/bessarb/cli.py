@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -372,18 +373,18 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
         units = _load_units(args, args.market)
     profit, trades, pf, dp = Fraction(0), 0, Fraction(0), Fraction(0)
     schedules = []
-    init = None
+    unit_spec = spec  # schedules.json names the spec read, not a carried one
     for unit in units:
         unit_schedules, result = trade_unit(
-            unit, args.strategy, args.pair, spec, args.allow_stock_buys, init
+            unit, args.strategy, args.pair, unit_spec, args.allow_stock_buys
         )
         profit += result.cash
         trades += sum(s.trade_count for s in unit_schedules)
-        pf += pf_unit(unit, spec, args.strategy, args.allow_stock_buys, init)
-        dp += dp_unit(unit, spec, init)
+        pf += pf_unit(unit, unit_spec, args.strategy, args.allow_stock_buys)
+        dp += dp_unit(unit, unit_spec)
         schedules.extend(unit_schedules)
         if args.carry_state:
-            init = result.final_charge
+            unit_spec = replace(unit_spec, initial_charge=result.final_charge)
     if out is not None:
         for i, schedule in enumerate(schedules):
             name = f"schedule_{schedule.window.market.value.lower()}_{i:03d}.csv"

@@ -35,12 +35,18 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from bessarb._numeric import exact, format_cents, format_money, pinball_sum, scale_ratios
-from bessarb.battery import BatterySpec, BatteryState, apply_trade, start_charge
+from bessarb._numeric import (
+    exact,
+    exact_text,
+    format_cents,
+    format_money,
+    pinball_sum,
+    scale_ratios,
+)
+from bessarb.battery import BatterySpec, BatteryState, apply_trade
 from bessarb.errors import (
     BessArbError,
     ConfigError,
-    LevelOutOfRange,
     NonCommensurateRamp,
     WindowMismatch,
 )
@@ -48,6 +54,7 @@ from bessarb.market import (
     Horizon,
     PriceSeries,
     QuantileForecast,
+    _coerce_level,
     build_dual_horizon,
 )
 from bessarb.strategies import (
@@ -88,7 +95,6 @@ def _settle(
     schedules: Sequence[Schedule],
     actuals: Sequence[PriceSeries],
     spec: BatterySpec,
-    initial_charge: int | None,
 ) -> tuple[int, int, int]:
     """Replay each window's orders in the horizon's wall-clock order and pay
     them: (cash, den, final charge), the cash being cash / den.
@@ -104,7 +110,7 @@ def _settle(
         for order in schedule.orders
     )
     w_buy, w_sell, den = spec.cash_weights()
-    state = BatteryState(start_charge(spec, initial_charge))
+    state = BatteryState(spec.initial_charge)
     cash = 0
     for _, order, price in legs:
         state = apply_trade(state, spec, order.signed_ticks)
@@ -126,22 +132,19 @@ def _trade(
     pair: QuantilePair,
     spec: BatterySpec,
     allow_stock_buys: bool,
-    initial_charge: int | None,
 ) -> tuple[Schedule, ...]:
     """The strategy's schedules over a horizon, one per window."""
     if len(forecasts) > 1:
         if strategy != "TS3":
             raise ConfigError("dual-market backtests use strategy TS3")
-        return ts3_dual(
-            horizon, *forecasts, pair, spec, allow_stock_buys, initial_charge
-        )
+        return ts3_dual(horizon, *forecasts, pair, spec, allow_stock_buys)
     (forecast,) = forecasts
     if strategy == "TS3":
-        return (ts3(forecast, pair, spec, allow_stock_buys, initial_charge),)
+        return (ts3(forecast, pair, spec, allow_stock_buys),)
     if strategy not in ("TS1", "TS2"):
         raise ConfigError(f"unknown strategy {strategy!r}")
     run = ts1 if strategy == "TS1" else ts2
-    return (run(forecast, pair, spec, initial_charge),)
+    return (run(forecast, pair, spec),)
 
 
 # --- units ------------------------------------------------------------------
@@ -191,14 +194,11 @@ def trade_unit(
     pair: QuantilePair,
     spec: BatterySpec,
     allow_stock_buys: bool = False,
-    initial_charge: int | None = None,
 ) -> tuple[tuple[Schedule, ...], SettleResult]:
     """Run a strategy over one unit and settle it: (schedules, result)."""
     horizon, forecasts, actuals = unit
-    schedules = _trade(
-        horizon, forecasts, strategy, pair, spec, allow_stock_buys, initial_charge
-    )
-    settled = _settle(horizon, schedules, actuals, spec, initial_charge)
+    schedules = _trade(horizon, forecasts, strategy, pair, spec, allow_stock_buys)
+    settled = _settle(horizon, schedules, actuals, spec)
     return schedules, _result(*settled)
 
 
@@ -207,21 +207,18 @@ def pf_unit(
     spec: BatterySpec,
     strategy: str = "TS3",
     allow_stock_buys: bool = False,
-    initial_charge: int | None = None,
 ) -> Fraction:
     """Profit of the strategy over one unit when its forecasts equal the
     settled prices (perfect foresight)."""
     forecasts = tuple(degenerate_forecast(ps) for ps in unit.actuals)
     _, result = trade_unit(
         unit._replace(forecasts=forecasts), strategy, MEDIAN_PAIR, spec,
-        allow_stock_buys, initial_charge,
+        allow_stock_buys,
     )
     return result.cash
 
 
-def dp_unit(
-    unit: _Unit, spec: BatterySpec, initial_charge: int | None = None
-) -> Fraction:
+def dp_unit(unit: _Unit, spec: BatterySpec) -> Fraction:
     """Best possible profit over one unit, by ramp-lattice recursion.
 
     The recursion reads the settled prices along the horizon's events.
@@ -240,7 +237,7 @@ def dp_unit(
     Fraction is built at the end.  Prices of any size stay exact: Python
     integers do not overflow.
     """
-    initial = start_charge(spec, initial_charge)
+    initial = spec.initial_charge
     span = spec.capacity - spec.min_charge
     if span % spec.ramp:
         raise NonCommensurateRamp(
@@ -278,7 +275,6 @@ def settle(
     schedule: Schedule,
     actuals: PriceSeries,
     spec: BatterySpec,
-    initial_charge: int | None = None,
 ) -> SettleResult:
     """Replay a schedule against settled prices.
 
@@ -287,9 +283,7 @@ def settle(
     """
     if schedule.window != actuals.window:
         raise WindowMismatch("schedule and prices cover different windows")
-    return _result(*_settle(
-        Horizon((actuals.window,)), (schedule,), (actuals,), spec, initial_charge
-    ))
+    return _result(*_settle(Horizon((actuals.window,)), (schedule,), (actuals,), spec))
 
 
 def settle_dual(
@@ -298,7 +292,6 @@ def settle_dual(
     dam_actuals: PriceSeries,
     bm_actuals: PriceSeries,
     spec: BatterySpec,
-    initial_charge: int | None = None,
 ) -> SettleResult:
     """Jointly replay one day-ahead and one balancing schedule."""
     if dam_schedule.window != dam_actuals.window:
@@ -307,8 +300,7 @@ def settle_dual(
         raise WindowMismatch("balancing schedule and prices differ")
     horizon = build_dual_horizon(dam_schedule.window, bm_schedule.window)
     return _result(*_settle(
-        horizon, (dam_schedule, bm_schedule), (dam_actuals, bm_actuals), spec,
-        initial_charge,
+        horizon, (dam_schedule, bm_schedule), (dam_actuals, bm_actuals), spec
     ))
 
 
@@ -326,11 +318,10 @@ def perfect_foresight(
     spec: BatterySpec,
     strategy: str = "TS3",
     allow_stock_buys: bool = False,
-    initial_charge: int | None = None,
 ) -> Fraction:
     """Profit of the strategy when the forecast equals the settled prices."""
     unit = _Unit(Horizon((actuals.window,)), (), (actuals,))
-    return pf_unit(unit, spec, strategy, allow_stock_buys, initial_charge)
+    return pf_unit(unit, spec, strategy, allow_stock_buys)
 
 
 def perfect_foresight_dual(
@@ -339,18 +330,15 @@ def perfect_foresight_dual(
     bm_actuals: PriceSeries,
     spec: BatterySpec,
     allow_stock_buys: bool = False,
-    initial_charge: int | None = None,
 ) -> Fraction:
     unit = _Unit(horizon, (), (dam_actuals, bm_actuals))
-    return pf_unit(unit, spec, "TS3", allow_stock_buys, initial_charge)
+    return pf_unit(unit, spec, "TS3", allow_stock_buys)
 
 
-def dp_optimal(
-    actuals: PriceSeries, spec: BatterySpec, initial_charge: int | None = None
-) -> Fraction:
+def dp_optimal(actuals: PriceSeries, spec: BatterySpec) -> Fraction:
     """Best possible profit for the window given the settled prices."""
     unit = _Unit(Horizon((actuals.window,)), (), (actuals,))
-    return dp_unit(unit, spec, initial_charge)
+    return dp_unit(unit, spec)
 
 
 def dp_optimal_dual(
@@ -358,21 +346,18 @@ def dp_optimal_dual(
     dam_actuals: PriceSeries,
     bm_actuals: PriceSeries,
     spec: BatterySpec,
-    initial_charge: int | None = None,
 ) -> Fraction:
     """Best possible profit trading both markets of one dual horizon."""
     if (dam_actuals.window, bm_actuals.window) != horizon.windows:
         raise WindowMismatch("price windows do not match the horizon")
-    return dp_unit(_Unit(horizon, (), (dam_actuals, bm_actuals)), spec, initial_charge)
+    return dp_unit(_Unit(horizon, (), (dam_actuals, bm_actuals)), spec)
 
 
 # --- forecast scoring -------------------------------------------------------
 
 def pinball(level, actual, predicted) -> Fraction:
     """Quantile regression loss for one prediction, exact."""
-    q = exact(level)
-    if not 0 < q < 1:
-        raise LevelOutOfRange(f"quantile level {q} outside (0, 1)")
+    q = _coerce_level(level)
     y, z = exact(actual), exact(predicted)
     if y >= z:
         return q * (y - z)
@@ -413,8 +398,8 @@ def score_forecasts(
         per_level[lv] = Fraction(loss, lv.denominator * scale * n)
         sums.append((loss, lv.denominator * scale))
     total_cells = sum(len(ys) for ys, _ in cells.values())
-    den = math.lcm(*(d for _, d in sums))
-    mean = Fraction(sum(loss * (den // d) for loss, d in sums), den * total_cells)
+    losses, den = scale_ratios(sums)
+    mean = Fraction(sum(losses), den * total_cells)
     return PinballReport(per_level, mean, total_cells)
 
 
@@ -448,8 +433,8 @@ def _run_item(payload: tuple, item: tuple):
         return sum((pf_unit(u, spec, strategy, allow_stock) for u in units), Fraction(0))
     trades, per_window = 0, []
     for horizon, forecasts, actuals in units:
-        schedules = _trade(horizon, forecasts, strategy, pair, spec, allow_stock, None)
-        per_window.append(_settle(horizon, schedules, actuals, spec, None)[:2])
+        schedules = _trade(horizon, forecasts, strategy, pair, spec, allow_stock)
+        per_window.append(_settle(horizon, schedules, actuals, spec)[:2])
         trades += sum(s.trade_count for s in schedules)
     return per_window, trades
 
@@ -554,6 +539,12 @@ def run_sweep(
             raise ConfigError(f"unknown strategy {name!r}")
     if not pairs:
         raise ConfigError("a sweep needs at least one quantile pair")
+    # a repeated pair or strategy would count twice in its block's average
+    names = [f"strategy {name}" for name in strategies]
+    names += [f"pair {exact_text(p.sell_level)}:{exact_text(p.buy_level)}" for p in pairs]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"sweep repeats {name}")
     units = {"DAM": window_units(dam_forecasts, dam_actuals, "day-ahead")}
     blocks = [("DAM", s) for s in strategies]
     if bm_actuals is not None:
@@ -598,30 +589,30 @@ def _format_trades(trades: Fraction) -> str:
     return format_money(trades).rstrip("0").rstrip(".")
 
 
+def _report_row(r: BacktestReport) -> dict:
+    """One report row's columns, for the CSV and JSON files alike."""
+    return {
+        "market": r.market,
+        "strategy": r.strategy,
+        "pair": r.pair_label,
+        "profit_eur": format_money(r.realized),
+        "trades": _format_trades(r.trades),
+        "pf_eur": format_money(r.pf),
+        "dp_eur": format_money(r.dp),
+        "windows": r.windows,
+    }
+
+
 def write_report_csv(path: str | Path, reports: Iterable[BacktestReport]) -> None:
+    """One line per row: the fields of _report_row, in its key order."""
     lines = ["market,strategy,pair,profit_eur,trades,pf_eur,dp_eur,windows"]
-    for r in reports:
-        lines.append(",".join([
-            r.market, r.strategy, r.pair_label, format_money(r.realized),
-            _format_trades(r.trades), format_money(r.pf), format_money(r.dp),
-            str(r.windows),
-        ]))
+    lines += [",".join(map(str, _report_row(r).values())) for r in reports]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_report_json(path: str | Path, reports: Iterable[BacktestReport]) -> None:
     doc = [
-        {
-            "market": r.market,
-            "strategy": r.strategy,
-            "pair": r.pair_label,
-            "profit_eur": format_money(r.realized),
-            "trades": _format_trades(r.trades),
-            "pf_eur": format_money(r.pf),
-            "dp_eur": format_money(r.dp),
-            "windows": r.windows,
-            "window_profits_eur": [format_money(x) for x in r.per_window],
-        }
+        {**_report_row(r), "window_profits_eur": [format_money(x) for x in r.per_window]}
         for r in reports
     ]
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -7,7 +7,8 @@ positive under that pessimistic pricing.
 
 Volumes are clipped against a committed wall-clock charge trajectory, so a
 finished schedule always replays cleanly against the battery bounds no
-matter in which order the strategy discovered its trades.
+matter in which order the strategy discovered its trades.  Every strategy
+starts from the spec's initial_charge.
 
 Every strategy finds its pairs through one of two integer scans:
 _scan_ordered (buy before sell, for TS1 and TS2) and _scan_unordered
@@ -30,7 +31,7 @@ from pathlib import Path
 from typing import Callable
 
 from bessarb._numeric import exact, format_decimal, parse_number, ticks_to_mwh
-from bessarb.battery import BatterySpec, BatteryState, ChargeTimeline, start_charge
+from bessarb.battery import BatterySpec, BatteryState, ChargeTimeline
 from bessarb.errors import ConfigError, InvalidPair, WindowMismatch
 from bessarb.market import (
     Horizon,
@@ -401,16 +402,14 @@ def ts1(
     forecast: QuantileForecast,
     pair: QuantilePair,
     spec: BatterySpec,
-    initial_charge: int | None = None,
 ) -> Schedule:
     """Trade only the single best buy-before-sell pair of the window."""
     curves = _curves(forecast, pair, spec)
-    start = start_charge(spec, initial_charge)
     out = _Emitted(curves)
     found = _scan_ordered(curves, 0, forecast.window.period_count - 1)
     if found is not None:
         t_buy, t_sell = found
-        volume = min(spec.ramp, spec.capacity - start)
+        volume = min(spec.ramp, spec.capacity - spec.initial_charge)
         out.add(t_buy, Side.BUY, volume)
         out.add(t_sell, Side.SELL, volume)
     return Schedule(forecast.window, "TS1", pair, out.sorted())
@@ -420,7 +419,6 @@ def ts2(
     forecast: QuantileForecast,
     pair: QuantilePair,
     spec: BatterySpec,
-    initial_charge: int | None = None,
 ) -> Schedule:
     """Recursively stack best ordered pairs outside each chosen span.
 
@@ -429,7 +427,7 @@ def ts2(
     and each one returns the battery to its starting charge.
     """
     curves = _curves(forecast, pair, spec)
-    volume = min(spec.ramp, spec.capacity - start_charge(spec, initial_charge))
+    volume = min(spec.ramp, spec.capacity - spec.initial_charge)
     out = _Emitted(curves)
 
     def recurse(lo: int, hi: int) -> None:
@@ -451,12 +449,11 @@ def ts3(
     pair: QuantilePair,
     spec: BatterySpec,
     allow_stock_buys: bool = False,
-    initial_charge: int | None = None,
 ) -> Schedule:
     """Work-list strategy: bottleneck-execute min/max pairs range by range."""
     curves = _curves(forecast, pair, spec)
     n = forecast.window.period_count
-    timeline = ChargeTimeline(spec, n, start_charge(spec, initial_charge))
+    timeline = ChargeTimeline(spec, n)
     out = _Emitted(curves)
     _run_worklist(timeline, curves, 0, n - 1, lambda t: t, out, allow_stock_buys)
     return Schedule(forecast.window, "TS3", pair, out.sorted())
@@ -469,7 +466,6 @@ def ts3_dual(
     pair: QuantilePair,
     spec: BatterySpec,
     allow_stock_buys: bool = False,
-    initial_charge: int | None = None,
 ) -> tuple[Schedule, Schedule]:
     """Work-list strategy across a day-ahead window and its balancing slots.
 
@@ -485,9 +481,7 @@ def ts3_dual(
     dam_curves = _curves(dam_forecast, pair, spec)
     bm_curves = _curves(bm_forecast, pair, spec)
     dam_instant, bm_instant = (ix.__getitem__ for ix in horizon.instants)
-    timeline = ChargeTimeline(
-        spec, len(horizon.events), start_charge(spec, initial_charge)
-    )
+    timeline = ChargeTimeline(spec, len(horizon.events))
     dam_out, bm_out = _Emitted(dam_curves), _Emitted(bm_curves)
     n_bm = bm.period_count
 

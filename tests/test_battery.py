@@ -1,6 +1,7 @@
 """Battery spec validation, clipped trades, replay and the charge timeline."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -57,7 +58,7 @@ class _RebuildTimeline:
 
 def charge_before(tl, slot):
     """Charge of a timeline before slot's trade."""
-    return tl.path()[slot - 1] if slot > 0 else tl.initial
+    return tl.path()[slot - 1] if slot > 0 else tl.spec.initial_charge
 
 
 class TestBatterySpec:
@@ -161,17 +162,17 @@ class TestBatterySpec:
 
 class TestTradeBounds:
     def test_max_buy_clips_to_headroom(self):
-        spec = BatterySpec.from_mwh("3", "2")
-        assert ChargeTimeline(spec, 1, 2500).max_buy_from(0) == 500
+        spec = replace(BatterySpec.from_mwh("3", "2"), initial_charge=2500)
+        assert ChargeTimeline(spec, 1).max_buy_from(0) == 500
 
     def test_max_buy_clips_to_ramp(self):
         spec = BatterySpec.from_mwh("3", "2")
-        assert ChargeTimeline(spec, 1, 0).max_buy_from(0) == 2000
+        assert ChargeTimeline(spec, 1).max_buy_from(0) == 2000
 
     def test_max_sell_respects_floor(self):
         spec = BatterySpec.from_mwh("3", "2", min_charge_mwh="1")
-        assert ChargeTimeline(spec, 1, 1500).max_sell_from(0) == 500
-        assert ChargeTimeline(spec, 1, 1000).max_sell_from(0) == 0
+        assert ChargeTimeline(replace(spec, initial_charge=1500), 1).max_sell_from(0) == 500
+        assert ChargeTimeline(spec, 1).max_sell_from(0) == 0
 
     def test_apply_trade_moves_charge(self):
         spec = unit_trading_spec()
@@ -221,8 +222,8 @@ class TestReplay:
             replay([(5, 1000), (2, -1000)], spec)
 
     def test_starts_from_given_state(self):
-        spec = BatterySpec.from_mwh("2", "1")
-        final = replay([(0, -1000)], spec, BatteryState(1500))
+        spec = replace(BatterySpec.from_mwh("2", "1"), initial_charge=1500)
+        final = replay([(0, -1000)], spec)
         assert final.charge == 500
 
     def test_empty_is_initial(self):
@@ -259,16 +260,16 @@ class TestChargeTimeline:
         assert tl.max_buy_from(0) == 0
 
     def test_sell_from_clips_to_future_minimum(self):
-        spec = unit_trading_spec()
-        tl = ChargeTimeline(spec, 6, initial=1000)
+        spec = replace(unit_trading_spec(), initial_charge=1000)
+        tl = ChargeTimeline(spec, 6)
         tl.commit(3, -1000)
         # anything sold at slot 0 would drive slot 3's sell below the floor
         assert tl.max_sell_from(0) == 0
         assert tl.max_sell_from(4) == 0
 
     def test_initial_override(self):
-        spec = BatterySpec.from_mwh("2", "1")
-        tl = ChargeTimeline(spec, 3, initial=2000)
+        spec = replace(BatterySpec.from_mwh("2", "1"), initial_charge=2000)
+        tl = ChargeTimeline(spec, 3)
         assert tl.max_buy_from(0) == 0
         assert tl.max_sell_from(0) == 1000
 
@@ -278,7 +279,7 @@ class TestChargeTimeline:
         spec = BatterySpec.from_mwh("3", "1", min_charge_mwh="0.5")
         n = data.draw(st.integers(min_value=1, max_value=10))
         initial = data.draw(st.integers(min_value=spec.min_charge, max_value=spec.capacity))
-        tl = ChargeTimeline(spec, n, initial)
+        tl = ChargeTimeline(replace(spec, initial_charge=initial), n)
         ref = _RebuildTimeline(spec, n, initial)
         for _ in range(data.draw(st.integers(min_value=0, max_value=8))):
             slot = data.draw(st.integers(min_value=0, max_value=n - 1))
@@ -314,7 +315,7 @@ class TestChargeTimeline:
             free.remove(i)
             free.remove(j)
         path = tl.path()
-        before = [tl.initial] + path[:-1]
+        before = [spec.initial_charge] + path[:-1]
         trades = [(s, b - a) for s, (a, b) in enumerate(zip(before, path)) if b != a]
         final = replay(trades, spec)  # raises on any bound violation
         assert spec.min_charge <= final.charge <= spec.capacity

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -362,7 +363,7 @@ class TestBacktestOracle:
         }
         profit = pf = dp = Fraction(0)
         trades, schedules, finals = 0, [], []
-        init = None
+        carried = spec  # each window's spec; schedules name the file's spec
         if market == "dual":
             (dam_a, dam_f), (bm_a, bm_f) = loaded["dam"], loaded["bm"]
             for di, ps in enumerate(dam_a):
@@ -371,30 +372,32 @@ class TestBacktestOracle:
                     continue
                 bi = starts.index(ps.window.start_epoch_s)
                 horizon = build_dual_horizon(ps.window, bm_a[bi].window)
-                scheds = ts3_dual(horizon, dam_f[di], bm_f[bi], pair, spec,
-                                  allow_stock_buys=allow_stock, initial_charge=init)
-                result = settle_dual(*scheds, ps, bm_a[bi], spec, init)
-                pf += perfect_foresight_dual(horizon, ps, bm_a[bi], spec,
-                                             allow_stock, init)
-                dp += dp_optimal_dual(horizon, ps, bm_a[bi], spec, init)
+                scheds = ts3_dual(horizon, dam_f[di], bm_f[bi], pair, carried,
+                                  allow_stock_buys=allow_stock)
+                result = settle_dual(*scheds, ps, bm_a[bi], carried)
+                pf += perfect_foresight_dual(horizon, ps, bm_a[bi], carried,
+                                             allow_stock)
+                dp += dp_optimal_dual(horizon, ps, bm_a[bi], carried)
                 profit += result.cash
                 trades += sum(s.trade_count for s in scheds)
                 schedules.extend(scheds)
                 finals.append(result.final_charge)
-                init = result.final_charge if carry else None
+                if carry:
+                    carried = replace(spec, initial_charge=result.final_charge)
         else:
             fn = {"TS1": ts1, "TS2": ts2, "TS3": ts3}[strategy]
             kwargs = {"allow_stock_buys": allow_stock} if strategy == "TS3" else {}
             for ps, fc in zip(*loaded[market]):
-                sched = fn(fc, pair, spec, initial_charge=init, **kwargs)
-                result = settle(sched, ps, spec, init)
-                pf += perfect_foresight(ps, spec, strategy, allow_stock, init)
-                dp += dp_optimal(ps, spec, init)
+                sched = fn(fc, pair, carried, **kwargs)
+                result = settle(sched, ps, carried)
+                pf += perfect_foresight(ps, carried, strategy, allow_stock)
+                dp += dp_optimal(ps, carried)
                 profit += result.cash
                 trades += sched.trade_count
                 schedules.append(sched)
                 finals.append(result.final_charge)
-                init = result.final_charge if carry else None
+                if carry:
+                    carried = replace(spec, initial_charge=result.final_charge)
         line = (f"profit={format_money(profit)} trades={trades} "
                 f"pf={format_money(pf)} dp={format_money(dp)}\n")
         return line, [schedule_to_dict(s, spec) for s in schedules], finals
@@ -517,6 +520,21 @@ class TestSweep:
         )
         assert code == 2
         assert "--bm-forecast" in stderr_error(err)["message"]
+
+    @pytest.mark.parametrize("option,items,repeated", [
+        ("--pairs", "0.5:0.5,0.5:0.5,0.1:0.9", "pair 0.5:0.5"),
+        ("--pairs", "1/3:1/2,0.1:0.9,1/3:0.5", "pair 1/3:0.5"),
+        ("--strategies", "ts1,TS1", "strategy TS1"),
+    ])
+    def test_repeated_pair_or_strategy(self, data_dir, tmp_path, capsys, option, items,
+                                       repeated):
+        out = tmp_path / "x"
+        code, _, err = self.sweep(capsys, data_dir, out, option, items)
+        assert code == 2
+        assert stderr_error(err) == {
+            "error": "ConfigError", "message": f"sweep repeats {repeated}"
+        }
+        assert not (out / "report.csv").exists()
 
     def test_jobs_must_be_positive(self, data_dir, tmp_path, capsys):
         code, *_ = self.sweep(capsys, data_dir, tmp_path / "x", "--jobs", "0")

@@ -5,6 +5,7 @@ import multiprocessing
 import pickle
 import random
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -141,7 +142,7 @@ class TestSettle:
         actuals = make_prices([10, 20])
         sched = _schedule(actuals.window, [])
         with pytest.raises(ConfigError):
-            settle(sched, actuals, UNIT, initial_charge=1500)
+            settle(sched, actuals, replace(UNIT, initial_charge=1500))
 
 
 class TestSettleDual:
@@ -379,7 +380,7 @@ class TestDpOptimal:
     def test_initial_must_sit_on_lattice(self):
         spec = BatterySpec.from_mwh("2", "1")
         with pytest.raises(NonCommensurateRamp):
-            dp_optimal(make_prices([10, 50]), spec, initial_charge=500)
+            dp_optimal(make_prices([10, 50]), replace(spec, initial_charge=500))
 
     @given(
         st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=6),
@@ -390,7 +391,7 @@ class TestDpOptimal:
         spec = BatterySpec.from_mwh("3", "1")
         prices = make_prices(curve)
         initial = k0 * spec.ramp
-        assert dp_optimal(prices, spec, initial_charge=initial) == (
+        assert dp_optimal(prices, replace(spec, initial_charge=initial)) == (
             _brute_lattice_best(prices.prices, spec, initial)
         )
 
@@ -412,10 +413,10 @@ class TestDpOptimal:
             floor = capacity = ramp
         initial = floor + data.draw(st.integers(0, steps), label="k0") * ramp
         spec = BatterySpec(
-            capacity, ramp, floor, floor, charge_eff, discharge_eff
+            capacity, ramp, floor, initial, charge_eff, discharge_eff
         )
         prices = make_prices(curve)
-        assert dp_optimal(prices, spec, initial_charge=initial) == (
+        assert dp_optimal(prices, spec) == (
             _fraction_dp(prices.prices, spec, initial)
         )
 
@@ -427,7 +428,7 @@ class TestDpOptimal:
         (unit,) = window_units([flat_forecast(curve)], [make_prices(curve)], "BM")
         assert spec.initial_charge == spec.min_charge
         assert dp_unit(unit, spec) == 0
-        assert dp_unit(unit, spec, spec.capacity) == Fraction(56)
+        assert dp_unit(unit, replace(spec, initial_charge=spec.capacity)) == Fraction(56)
 
     def test_zero_steps_is_idle(self):
         spec = BatterySpec.from_mwh("2", "1", min_charge_mwh="2",
@@ -559,13 +560,12 @@ class TestUnitPathBounds:
         buy = data.draw(st.sampled_from([lv for lv in levels if lv >= sell]))
         pair = QuantilePair(sell, buy)
         allow = data.draw(st.booleans(), label="allow stock buys")
-        init = None
         for unit in units:
-            _, result = trade_unit(unit, strategy, pair, spec, allow, init)
-            dp = dp_unit(unit, spec, init)
+            _, result = trade_unit(unit, strategy, pair, spec, allow)
+            dp = dp_unit(unit, spec)
             assert result.cash <= dp
-            assert pf_unit(unit, spec, strategy, allow, init) <= dp
-            init = result.final_charge
+            assert pf_unit(unit, spec, strategy, allow) <= dp
+            spec = replace(spec, initial_charge=result.final_charge)
 
 
 class TestPinball:
@@ -784,6 +784,17 @@ class TestRunSweep:
         dam_a, dam_f, _, _ = self._data()
         with pytest.raises(ConfigError):
             run_sweep(UNIT, dam_a, dam_f, pairs=(), include_average=include_average)
+
+    @pytest.mark.parametrize("pairs,strategies,repeated", [
+        ((MEDIAN_PAIR, QuantilePair("0.1", "0.9"), QuantilePair("0.50", "0.5")),
+         ("TS1",), "pair 0.5:0.5"),
+        ((MEDIAN_PAIR,), ("TS1", "TS3", "TS1"), "strategy TS1"),
+    ])
+    def test_repeated_pair_or_strategy_is_config_error(self, pairs, strategies, repeated):
+        # a repeat would be counted twice in its block's average row
+        dam_a, dam_f, *_ = self._data()
+        with pytest.raises(ConfigError, match=f"repeats {repeated}$"):
+            run_sweep(UNIT, dam_a, dam_f, pairs=pairs, strategies=strategies)
 
     def test_dual_units_pair_windows_that_open_together(self):
         dam_a, dam_f, _, _ = self._data(days=2)

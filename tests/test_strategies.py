@@ -1,6 +1,7 @@
 """Pair selection, clipped execution and the four scheduling strategies."""
 
 import pickle
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -515,13 +516,13 @@ class TestTs1:
         assert sched.orders == ()
 
     def test_volume_respects_initial_charge(self):
-        spec = BatterySpec.from_mwh("2", "2")
-        sched = ts1(flat_forecast([10, 50]), MEDIAN_PAIR, spec, initial_charge=1500)
+        spec = replace(BatterySpec.from_mwh("2", "2"), initial_charge=1500)
+        sched = ts1(flat_forecast([10, 50]), MEDIAN_PAIR, spec)
         assert sched.orders[0].volume_ticks == 500
 
     def test_initial_charge_out_of_range(self):
         with pytest.raises(ConfigError):
-            ts1(flat_forecast([10, 50]), MEDIAN_PAIR, UNIT, initial_charge=2000)
+            ts1(flat_forecast([10, 50]), MEDIAN_PAIR, replace(UNIT, initial_charge=2000))
 
     @given(price_curves, st.integers(min_value=1, max_value=20))
     def test_scaling_prices_never_moves_the_pair(self, curve, scale):
@@ -624,15 +625,10 @@ class TestTs3:
 
     @given(price_curves, st.booleans(), st.integers(min_value=0, max_value=1000))
     def test_schedules_always_replay(self, curve, allow, initial):
-        sched = ts3(
-            flat_forecast(curve),
-            MEDIAN_PAIR,
-            UNIT,
-            allow_stock_buys=allow,
-            initial_charge=initial,
-        )
+        spec = replace(UNIT, initial_charge=initial)
+        sched = ts3(flat_forecast(curve), MEDIAN_PAIR, spec, allow_stock_buys=allow)
         trades = [(o.period, o.signed_ticks) for o in sched.orders]
-        final = replay(trades, UNIT, BatteryState(initial))
+        final = replay(trades, spec)
         assert 0 <= final.charge <= UNIT.capacity
 
     @given(price_curves)
