@@ -382,11 +382,11 @@ def score_forecasts(
     """
     cells: dict[Fraction, tuple[list, list]] = {}
     for _, (fc,), (ps,) in window_units(forecasts, actuals, "score"):
-        for y, row in zip(ps.scaled, fc.scaled):
-            for lv, z in zip(fc.levels, row):
-                ys, zs = cells.setdefault(lv, ([], []))
-                ys.append((y, ps.scale))
-                zs.append((z, fc.scale))
+        actual = [(y, ps.scale) for y in ps.scaled]
+        for lv, column in zip(fc.levels, zip(*fc.scaled)):
+            ys, zs = cells.setdefault(lv, ([], []))
+            ys += actual
+            zs += [(z, fc.scale) for z in column]
     if not cells:
         raise WindowMismatch("nothing to score")
     per_level, sums = {}, []

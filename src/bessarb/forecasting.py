@@ -2,12 +2,17 @@
 
 Forecasts a period's price distribution from the target values of its k
 closest historical periods in feature space.  Distances are Euclidean over
-train-standardized features, in float64; each query row is ranked once with
-a stable sort, so the k nearest are a prefix of the ranking for every k.
+train-standardized features, in float64, summed one feature column at a
+time from left to right.  Each query row ranks only its k nearest training
+rows: every row farther than the k-th smallest distance drops out before a
+stable sort, so the ranking is the k-prefix of a stable sort of all rows,
+and a smaller k reads a prefix of it.  Below 8 features the column sum
+rounds as numpy's sum over the feature axis does; from 8 on numpy sums in
+pairs, so there the two can break a near-tie differently.
 Targets are read as integers over one L when the feature CSV is read.  A
 quantile at level a/b is read off the sorted neighbour targets by linear
-interpolation at rank (k - 1) * a/b, as an integer over b * L, and becomes
-a Fraction only in the returned rows.
+interpolation at rank (k - 1) * a/b, as an integer over b * L.  The
+walk-forward forecasts keep those integers; `predict` returns Fractions.
 """
 
 from __future__ import annotations
@@ -142,20 +147,38 @@ class KnnQuantileForecaster:
         self._targets, self._scale = matrix.targets, matrix.scale
         return self
 
-    def _ranking(self, features) -> np.ndarray:
-        """Training rows by distance to each query, nearest first.
+    def _ranking(self, features, k: int) -> np.ndarray:
+        """The k training rows nearest each query, nearest first.
 
-        The sort is stable, so older rows come first on distance ties.
+        Equal to the first k columns of a stable sort of all rows by
+        distance, so older rows come first on distance ties.  Rows farther
+        than the k-th smallest distance are set to inf before the sort;
+        a NaN distance sorts last, and a NaN k-th distance masks nothing.
         """
         if not hasattr(self, "_train"):
             raise EmptyTrainSet("fit before predict")
-        queries = (np.asarray(features, dtype=float) - self._mean) / self._std
-        d2 = ((self._train[None] - queries[:, None]) ** 2).sum(axis=2)
-        return np.argsort(d2, axis=1, kind="stable")
+        queries = np.asarray(features, dtype=float)
+        width = self._train.shape[1]
+        if queries.ndim != 2 or queries.shape[1] != width:
+            raise MalformedRow(
+                0, f"query block shape {queries.shape} does not hold {width} features per row"
+            )
+        queries = (queries - self._mean) / self._std
+        d2 = np.zeros((len(queries), len(self._train)))
+        for q, t in zip(queries.T, self._train.T):
+            d2 += (t - q[:, None]) ** 2
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        near = np.where(d2 > kth, np.inf, d2)
+        return np.argsort(near, axis=1, kind="stable")[:, :k]
+
+    def _predict_scaled(self, features) -> tuple[list[list[int]], int]:
+        """predict's rows as integers, and the one scale they are over."""
+        ranking = self._ranking(features, self.k)
+        rows = _interpolate(ranking, self.k, self._targets, self._level_terms)
+        return rows, self._level_lcm * self._scale
 
     def predict(self, features) -> list[tuple[Fraction, ...]]:
-        rows = _interpolate(self._ranking(features), self.k, self._targets, self._level_terms)
-        den = self._level_lcm * self._scale
+        rows, den = self._predict_scaled(features)
         return [tuple(Fraction(v, den) for v in row) for row in rows]
 
 
@@ -167,12 +190,12 @@ def _interpolate(ranking: np.ndarray, k: int, targets: Sequence[int],
     level a/b, B the lcm of the level denominators.  Rank (k - 1) * a/b
     splits into lo + rem/b, so each quantile is an integer over B * L.
     """
+    splits = [(*divmod((k - 1) * a, b), b, w) for a, b, w in terms]
     out = []
     for row in ranking[:, :k].tolist():
         nb = sorted(targets[i] for i in row)
         cells = []
-        for a, b, w in terms:
-            lo, rem = divmod((k - 1) * a, b)
+        for lo, rem, b, w in splits:
             value = nb[lo] * b
             if rem:
                 value += rem * (nb[lo + 1] - nb[lo])
@@ -210,9 +233,9 @@ class WalkForwardResult:
 def _choose_k(train: FeatureMatrix, plan: WalkForwardPlan, train_end_s: int) -> int:
     """First k of the grid with the least pinball loss on the train slice's tail.
 
-    The validation rows are ranked once; each k takes its neighbours from
-    the prefix of that ranking.  Every k's loss is an integer over one
-    common denominator, so the losses compare as integers.
+    The validation rows are ranked once, to the largest k; each k takes its
+    neighbours from the prefix of that ranking.  Every k's loss is an
+    integer over one common denominator, so the losses compare as integers.
     """
     val_start = train_end_s - plan.test_span_s
     fit = train.slice_by_time(train.timestamps[0], val_start)
@@ -225,7 +248,7 @@ def _choose_k(train: FeatureMatrix, plan: WalkForwardPlan, train_end_s: int) -> 
             f"no k in {plan.k_grid} fits {len(fit)} training rows"
         )
     model = KnnQuantileForecaster(max(ks), plan.levels).fit(fit)
-    ranking = model._ranking(val.features)
+    ranking = model._ranking(val.features, model.k)
     # both slices keep the train slice's scale L; quantiles are over B * L
     actual = [y * model._level_lcm for y in val.targets]
     best_k, best_loss = None, None
@@ -281,9 +304,10 @@ def walk_forward(
             last_tune = test_start
             refits.append((test_start, chosen_k))
         model = KnnQuantileForecaster(chosen_k, plan.levels).fit(train)
-        rows = zip(count(1), test.timestamps, model.predict(test.features))
+        scaled, scale = model._predict_scaled(test.features)
+        rows = zip(count(1), test.timestamps, scaled)
         for window, block in cut_windows(rows, market, "test span"):
-            forecasts.append(QuantileForecast.from_values(window, model.levels, block))
+            forecasts.append(QuantileForecast(window, model.levels, block, scale))
         test_start += plan.step_s
     if not forecasts:
         raise InsufficientHistory(

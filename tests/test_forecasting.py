@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bessarb.errors import (
@@ -30,6 +30,7 @@ from bessarb.market import (
     DEFAULT_LEVELS,
     MarketKind,
     PriceSeries,
+    QuantileForecast,
     format_timestamp,
 )
 from bessarb._numeric import format_ratio
@@ -131,6 +132,10 @@ def fraction_choose_k(train, plan, train_end_s):
 # Feature values with exact duplicates (exact distance ties) and values whose
 # standardized squares land within rounding of each other (near-ties).
 GRID = (0.0, 1.0, 2.0, 0.1, 0.2, 0.3, -1.5, 1e-9, 1 / 3)
+# Finite values that overflow the standardizer: a column holding them can
+# standardize to NaN for some rows, and a query holding them lies an inf
+# distance from every row.
+HUGE = (1.7e308, -1e308, 1e308, 1e300)
 LEVEL_POOL = tuple(
     Fraction(a, b) for b in (2, 3, 4, 10) for a in range(1, b) if math.gcd(a, b) == 1
 )
@@ -143,10 +148,14 @@ levels_st = st.lists(st.sampled_from(LEVEL_POOL), min_size=1, max_size=6, unique
 
 
 @st.composite
-def feature_tables(draw, rows=None):
-    """(train, queries): some rows repeated, some queries equal to a row."""
-    cols = draw(st.integers(min_value=1, max_value=3))
-    row = st.lists(st.sampled_from(GRID), min_size=cols, max_size=cols)
+def feature_tables(draw, rows=None, grid=GRID):
+    """(train, queries): some rows repeated, some queries equal to a row.
+
+    Up to 7 columns, the widths at which the column-by-column distance sum
+    rounds as the oracles' numpy sum over the feature axis does.
+    """
+    cols = draw(st.integers(min_value=1, max_value=7))
+    row = st.lists(st.sampled_from(grid), min_size=cols, max_size=cols)
     if rows is None:
         train = draw(st.lists(row, min_size=1, max_size=10))
         for i in draw(st.lists(st.integers(0, len(train) - 1), max_size=3)):
@@ -216,6 +225,24 @@ class TestFractionOracles:
                 assert total.denominator == 1
                 assert {i for i in range(len(train)) if int(total) >> i & 1} == set(ranking[:k])
 
+    # Row 0 overflows the standardizer: NaN distances beside three finite
+    # ties that straddle k = 2, and beside inf distances from a query's 1e300.
+    @example((np.array([[1.7e308, 0.0, 0.0], [-1e308, 1.0, 1.0], [-1e308, 1.0, 1.0],
+                        [-1e308, 2.0, 0.0], [0.0, 1.0, 1.0]]),
+              np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 1e300]])))
+    @given(feature_tables(grid=GRID + HUGE))
+    @settings(max_examples=150, deadline=None)
+    def test_k_prefix_ranking_matches_full_stable_argsort(self, table):
+        """_ranking(q, k) is the k-prefix of the full per-row stable argsort
+        for every k: with ties across the k-th slot, and inf or NaN distances."""
+        train, queries = table
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = KnnQuantileForecaster(1).fit(train_matrix(train, [0] * len(train)))
+            train_std, query_std = _standardized(train, queries)
+            want = np.array([_row_ranking(train_std, q) for q in query_std])
+            for k in range(1, len(train) + 1):
+                assert np.array_equal(model._ranking(queries, k), want[:, :k])
+
     @given(feature_tables(rows=32), st.data())
     @settings(max_examples=60, deadline=None)
     def test_choose_k_matches_per_k_fraction_loop(self, table, data):
@@ -239,6 +266,30 @@ class TestFractionOracles:
                 _choose_k(m, plan, end)
         else:
             assert _choose_k(m, plan, end) == fraction_choose_k(m, plan, end)
+
+    @given(feature_tables(rows=64), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_walk_forward_forecasts_are_predict_rows(self, table, data):
+        """Each walk-forward forecast is the one from_values builds from
+        predict's Fraction rows, for the k chosen at the last refit."""
+        train, _ = table
+        targets = data.draw(st.lists(targets_st, min_size=64, max_size=64))
+        grid = data.draw(st.lists(st.integers(min_value=1, max_value=16),
+                                  min_size=1, max_size=4))
+        levels = tuple(sorted(data.draw(levels_st)))
+        m = train_matrix(train, targets)
+        plan = WalkForwardPlan(2 * WINDOW_SPAN, WINDOW_SPAN, WINDOW_SPAN,
+                               2 * WINDOW_SPAN, k_grid=tuple(grid), levels=levels)
+        result = walk_forward(m, plan)
+        assert len(result.forecasts) == 2
+        for fc in result.forecasts:
+            start = fc.window.start_epoch_s
+            k = [k for s, k in result.refits if s <= start][-1]
+            model = KnnQuantileForecaster(k, levels).fit(
+                m.slice_by_time(start - plan.train_span_s, start))
+            test = m.slice_by_time(start, start + WINDOW_SPAN)
+            assert fc == QuantileForecast.from_values(
+                fc.window, levels, model.predict(test.features))
 
     @pytest.mark.parametrize("grid", [(3, 5, 9, 15), (9, 3, 5), (5, 5, 3)])
     def test_choose_k_ties_go_to_the_first_k_of_the_grid(self, grid):
@@ -443,6 +494,16 @@ class TestKnnForecaster:
             KnnQuantileForecaster(0).fit(train_matrix([[1.0]], (1,)))
         with pytest.raises(EmptyTrainSet):
             KnnQuantileForecaster(1).predict([[1.0]])
+
+    @pytest.mark.parametrize("query", [[[1.0]], [1.0, 2.0, 3.0], [[1.0, 2.0, 3.0, 4.0]],
+                                       np.empty((2, 0))])
+    def test_query_width_must_match_the_features(self, query):
+        # checked before the column-by-column distance loop, whose zip would
+        # drop a wide query's extra columns
+        model = KnnQuantileForecaster(1).fit(
+            train_matrix([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]], (1, 2)))
+        with pytest.raises(MalformedRow):
+            model.predict(query)
 
 
 class TestWalkForwardPlan:
