@@ -8,6 +8,12 @@ cash as integers up to the printed cent: `format_cents` rounds num/den
 half-even to cents.  A Fraction is built only for a value a caller reads
 back: SettleResult.cash, TradeOrder.expected_price and each BacktestReport
 field.  Rounding happens only at serialization boundaries.
+
+Writers print n/scale by a decimal plan worked out once per scale
+(decimal_formatter): the part of the scale coprime to 10, the multiplier
+that brings the rest up to 10**k, and k.  A plan lives as long as the
+writer call that made it; nothing caches plans between calls, so a
+long-lived process pays for each file as a one-shot run does.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from bessarb.errors import ConfigError, MalformedRow
 
@@ -26,7 +32,9 @@ TICKS_PER_MWH = 1000
 MAX_DIGITS = 100
 MAX_EXPONENT = 200
 
-_PLAIN_DECIMAL = re.compile(r"-?\d+(?:\.\d+)?", re.ASCII)
+_PLAIN = r"-?\d+(?:\.\d+)?"
+_PLAIN_DECIMAL = re.compile(_PLAIN, re.ASCII)
+_PLAIN_ROW = re.compile(f"{_PLAIN}(?:,{_PLAIN})*", re.ASCII)  # cells joined by commas
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 
 
@@ -47,6 +55,21 @@ def parse_ratio(text: str, *, line: int = 0) -> tuple[int, int]:
         raise MalformedRow(line, f"{exc}: {text!r}") from None
     except (ValueError, ZeroDivisionError):
         raise MalformedRow(line, f"not a decimal number: {text!r}") from None
+
+
+def parse_ratios(cells: Sequence[str], *, line: int = 0) -> list[tuple[int, int]]:
+    """parse_ratio of each cell.  A row of plain decimals is checked once
+    and read in one pass; any other row is read cell by cell."""
+    if _PLAIN_ROW.fullmatch(",".join(cells)):
+        ratios = []
+        try:
+            for cell in cells:
+                whole, _, part = cell.partition(".")
+                ratios.append((int(whole + part), 10 ** len(part)))
+            return ratios
+        except ValueError:  # past int's limit: parse_ratio says so
+            pass
+    return [parse_ratio(cell, line=line) for cell in cells]
 
 
 def parse_number(text: str) -> Fraction:
@@ -133,23 +156,44 @@ def exact_text(value: Fraction) -> str:
         return str(value)
 
 
+def decimal_formatter(den: int) -> Callable[[int], str]:
+    """format_ratio(·, den), with den's decimal plan worked out once.
+
+    The plan is (c, m, k): c is den's part coprime to 10, and m brings the
+    rest, 2**a * 5**b, up to 10**k, k = max(a, b).  num/den has a decimal
+    form exactly when c divides num; it is then num // c * m over 10**k,
+    printed to k places and stripped of trailing zeros.  So each value
+    costs one divmod, one multiply and one format.
+    """
+    if den <= 0:
+        raise ValueError(f"denominator {den} is not positive")
+    twos = (den & -den).bit_length() - 1
+    c, fives = den >> twos, 0
+    while c % 5 == 0:
+        c //= 5
+        fives += 1
+    k = max(twos, fives)
+    m = 2 ** (k - twos) * 5 ** (k - fives)
+    spec = f"0{k + 1}d"
+
+    def fmt(num: int) -> str:
+        q, r = divmod(num, c)
+        if r:
+            g = math.gcd(num, den)
+            raise ValueError(f"{num // g}/{den // g} has no exact decimal representation")
+        v = q * m
+        if not k:
+            return str(v)
+        text = format(-v if v < 0 else v, spec)
+        text = f"{text[:-k]}.{text[-k:]}".rstrip("0").rstrip(".")
+        return f"-{text}" if v < 0 else text
+
+    return fmt
+
+
 def format_ratio(num: int, den: int) -> str:
     """format_decimal of num/den, den > 0, without building a Fraction."""
-    g = math.gcd(num, den)
-    num, den = num // g, den // g
-    scale = 0
-    d = den
-    for p in (2, 5):
-        while d % p == 0:
-            d //= p
-            scale += 1
-    if d != 1:
-        raise ValueError(f"{num}/{den} has no exact decimal representation")
-    scaled = num * 10**scale // den
-    text = f"{abs(scaled):0{scale + 1}d}"
-    if scale:
-        text = f"{text[:-scale]}.{text[-scale:]}".rstrip("0").rstrip(".")
-    return f"-{text}" if scaled < 0 else text
+    return decimal_formatter(den)(num)
 
 
 def format_cents(num: int, den: int) -> str:

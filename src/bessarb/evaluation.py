@@ -22,8 +22,10 @@ the DP reads prices along its events, so one body serves every shape.
 one market or one dual horizon, and run on the same bodies.
 
 A sweep runs one work list: DP per market, pf per (market, strategy), as
-neither depends on the quantile pair, then one item per cell.  Its reports
-are built once every lane of the list is back, so they do not depend on jobs.
+neither depends on the quantile pair, then one item per cell.  Each
+window's pf forecast is built once per sweep, and the dual units share
+those of their two windows.  Its reports are built once every lane of the
+list is back, so they do not depend on jobs.
 """
 
 from __future__ import annotations
@@ -210,12 +212,13 @@ def pf_unit(
 ) -> Fraction:
     """Profit of the strategy over one unit when its forecasts equal the
     settled prices (perfect foresight)."""
-    forecasts = tuple(degenerate_forecast(ps) for ps in unit.actuals)
-    _, result = trade_unit(
-        unit._replace(forecasts=forecasts), strategy, MEDIAN_PAIR, spec,
-        allow_stock_buys,
-    )
+    _, result = trade_unit(_foresight(unit), strategy, MEDIAN_PAIR, spec, allow_stock_buys)
     return result.cash
+
+
+def _foresight(unit: _Unit) -> _Unit:
+    """The unit with each window's forecast pinned to its settled prices."""
+    return unit._replace(forecasts=tuple(degenerate_forecast(ps) for ps in unit.actuals))
 
 
 def dp_unit(unit: _Unit, spec: BatterySpec) -> Fraction:
@@ -425,12 +428,15 @@ def _run_item(payload: tuple, item: tuple):
     strategy is None, its pf total when pair is None, else the cell's
     per-window cash, as (numerator, denominator) integers, and trade count."""
     market, strategy, pair = item
-    spec, allow_stock, by_market = payload
+    spec, allow_stock, by_market, pinned = payload
     units = by_market[market]
     if strategy is None:
         return sum((dp_unit(u, spec) for u in units), Fraction(0))
     if pair is None:
-        return sum((pf_unit(u, spec, strategy, allow_stock) for u in units), Fraction(0))
+        return sum((
+            trade_unit(u, strategy, MEDIAN_PAIR, spec, allow_stock)[1].cash
+            for u in pinned[market]
+        ), Fraction(0))
     trades, per_window = 0, []
     for horizon, forecasts, actuals in units:
         schedules = _trade(horizon, forecasts, strategy, pair, spec, allow_stock)
@@ -558,7 +564,11 @@ def run_sweep(
     items = [(market, None, None) for market in dict.fromkeys(m for m, _ in blocks)]
     items += [(market, strategy, None) for market, strategy in blocks]
     items += [(market, strategy, pair) for market, strategy in blocks for pair in pairs]
-    payload = (spec, allow_stock_buys, units)
+    # each window's pf forecast is built once, and the dual units share them
+    pinned = {m: [_foresight(u) for u in units[m]] for m in ("DAM", "BM") if m in units}
+    if "DAM+BM" in units:
+        pinned["DAM+BM"] = dual_units(pinned["DAM"], pinned["BM"])
+    payload = (spec, allow_stock_buys, units, pinned)
     result = dict(zip(items, _run_lanes(payload, items, jobs)))
     rows: list[BacktestReport] = []
     for market, strategy in blocks:

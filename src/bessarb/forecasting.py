@@ -48,6 +48,9 @@ from bessarb.market import (
 )
 
 
+_FEATURE_BOUND = 1e100  # the largest feature magnitude from_csv takes
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Time-ordered feature rows with exact price targets.
@@ -98,23 +101,40 @@ class FeatureMatrix:
 
     @classmethod
     def from_csv(cls, path: str | Path, market: MarketKind) -> "FeatureMatrix":
+        """Read `timestamp,<features...>,target` rows.
+
+        A feature cell must be finite and at most B = _FEATURE_BOUND in
+        magnitude, or MalformedRow names its file and line.  Over n rows
+        within B, the column sum behind the mean stays within n * B, and
+        the variance sums n squares of |x - mean| <= 2B, within 4 * n * B**2.
+        With B = 1e100 both stay below the largest float, about 1.8e308, for
+        every n below 4e107, more rows than any array can hold: no column
+        read here overflows the mean or the std.  The cells are checked
+        once every row has parsed, so another fault in the file is named
+        first.  A matrix built directly is not checked.
+        """
         rows = read_table(path)
         _, header = next(rows)
         if len(header) < 3 or header[0].lower() != "timestamp" or header[-1].lower() != "target":
             raise UnknownColumn(f"{path}: expected header timestamp,<features...>,target")
         names = tuple(header[1:-1])
-        timestamps, feats, targets = [], [], []
+        timestamps, lines, feats, targets = [], [], [], []
         for line, ts, cells in rows:
             timestamps.append(ts)
+            lines.append(line)
             try:
-                row = [float(c) for c in cells[:-1]]
+                feats.append([float(c) for c in cells[:-1]])
             except ValueError:
                 raise MalformedRow(line, f"{path}: non-numeric feature") from None
-            if not all(map(math.isfinite, row)):
-                raise MalformedRow(line, f"{path}: non-finite feature")
-            feats.append(row)
             targets.append(parse_ratio(cells[-1], line=line))
-        return cls(market, tuple(timestamps), names, np.array(feats), *scale_ratios(targets))
+        features = np.array(feats)
+        # NaN fails every comparison, so this finds non-finite cells too
+        beyond = np.flatnonzero(~(np.abs(features) <= _FEATURE_BOUND).all(axis=-1))
+        if beyond.size:
+            raise MalformedRow(
+                lines[beyond[0]], f"{path}: feature not finite or beyond {_FEATURE_BOUND:g}"
+            )
+        return cls(market, tuple(timestamps), names, features, *scale_ratios(targets))
 
 
 def _standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,9 @@ EUR/MWh values, held as integers over one positive scale per series or
 forecast: each CSV cell is read into an integer over a power of ten
 (_numeric.parse_ratio), the synthetic generator emits integer cents, and
 the `prices` and `values` Fractions are built only when read.  Floats only
-appear inside the synthetic generator before rounding to cents.
+appear inside the synthetic generator before rounding to cents.  Writers
+print a window's cells by its scale's decimal plan and each timestamp from
+one date text per calendar day, both worked out within the call.
 
 A forecast's rows may cross levels; QuantileForecast.repaired_curve reads
 one level of the rows sorted ascending, and that is the only repair.
@@ -26,19 +28,20 @@ import random
 import statistics
 import warnings
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import date, datetime
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from bessarb._numeric import (
+    decimal_formatter,
     exact,
     format_decimal,
-    format_ratio,
     lowest_scale,
     parse_decimal,
     parse_ratio,
+    parse_ratios,
     scale_ratios,
 )
 from bessarb.errors import (
@@ -102,16 +105,53 @@ def parse_timestamp(text: str, *, line: int = 0) -> int:
     return int(moment.timestamp())
 
 
-# The Gregorian calendar repeats every 400 years (146097 days), so an instant
+# The Gregorian calendar repeats every 400 years (146097 days), so a day
 # past the years datetime covers is named after its twin in 1970 to 2369.
-_CYCLE_S = 146097 * 86400
+_CYCLE_DAYS = 146097
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+def _date_text(day: int) -> str:
+    """ISO date of the day `day` days after 1970-01-01, for any year."""
+    cycles, rest = divmod(day, _CYCLE_DAYS)
+    moment = date.fromordinal(_EPOCH_ORDINAL + rest)
+    return f"{moment.year + 400 * cycles:04d}-{moment.month:02d}-{moment.day:02d}"
+
+
+def _time_text(second: int) -> str:
+    """`T%H:%M:%SZ` of the second of a day."""
+    hour, rest = divmod(second, 3600)
+    return f"T{hour:02d}:{rest // 60:02d}:{rest % 60:02d}Z"
 
 
 def format_timestamp(epoch_s: int) -> str:
     """Epoch seconds -> ISO-8601 UTC text, for year 10000 and later too."""
-    cycles, rest = divmod(epoch_s, _CYCLE_S)
-    moment = datetime.fromtimestamp(rest, tz=timezone.utc)
-    return f"{moment.year + 400 * cycles:04d}{moment:-%m-%dT%H:%M:%SZ}"
+    day, second = divmod(epoch_s, 86400)
+    return _date_text(day) + _time_text(second)
+
+
+def timestamp_formatter() -> Callable[[int], str]:
+    """format_timestamp for one writer call: the text of each calendar day
+    and of each time of day is worked out once, on first use."""
+    dates: dict[int, str] = {}
+    times: dict[int, str] = {}
+
+    def stamp(epoch_s: int) -> str:
+        day, second = divmod(epoch_s, 86400)
+        date_text = dates.get(day)
+        if date_text is None:
+            date_text = dates[day] = _date_text(day)
+        time_text = times.get(second)
+        if time_text is None:
+            time_text = times[second] = _time_text(second)
+        return date_text + time_text
+
+    return stamp
+
+
+def _epochs(window: TradingWindow) -> range:
+    """The epoch seconds of a window's periods."""
+    return range(window.start_epoch_s, window.end_epoch_s, window.market.period_seconds)
 
 
 @dataclass(frozen=True, slots=True)
@@ -348,10 +388,7 @@ def parse_forecast_csv(path: str | Path, market: MarketKind) -> list[QuantileFor
     if list(levels) != sorted(set(levels)):
         raise LevelOutOfRange(f"{path}: quantile columns must ascend strictly")
     width = len(levels)
-    ratios = (
-        (line, ts, [parse_ratio(cell, line=line) for cell in cells])
-        for line, ts, cells in rows
-    )
+    ratios = ((line, ts, parse_ratios(cells, line=line)) for line, ts, cells in rows)
     forecasts = []
     for w, block in cut_windows(ratios, market, path):
         flat, scale = scale_ratios([ratio for row in block for ratio in row])
@@ -361,11 +398,11 @@ def parse_forecast_csv(path: str | Path, market: MarketKind) -> list[QuantileFor
 
 
 def write_price_csv(path: str | Path, series: Iterable[PriceSeries]) -> None:
+    stamp = timestamp_formatter()
     lines = ["timestamp,price"]
     for ps in series:
-        for t, price in enumerate(ps.scaled):
-            stamp = format_timestamp(ps.window.timestamp_of(t))
-            lines.append(f"{stamp},{format_ratio(price, ps.scale)}")
+        fmt = decimal_formatter(ps.scale)
+        lines += [f"{stamp(ts)},{fmt(n)}" for ts, n in zip(_epochs(ps.window), ps.scaled)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -374,6 +411,8 @@ def _level_column(level: Fraction) -> str:
 
 
 def write_forecast_csv(path: str | Path, forecasts: Iterable[QuantileForecast]) -> None:
+    """Every forecast's rows; a value with no decimal form raises before the
+    file is opened.  Each window works out its scale's decimal plan once."""
     forecasts = list(forecasts)
     if not forecasts:
         raise WindowMismatch("nothing to write")
@@ -381,13 +420,14 @@ def write_forecast_csv(path: str | Path, forecasts: Iterable[QuantileForecast]) 
     for fc in forecasts:
         if fc.levels != levels:
             raise WindowMismatch("forecast windows disagree on quantile levels")
+    stamp = timestamp_formatter()
     lines = ["timestamp," + ",".join(_level_column(lv) for lv in levels)]
     for fc in forecasts:
-        for t, row in enumerate(fc.scaled):
-            stamp = format_timestamp(fc.window.timestamp_of(t))
-            lines.append(
-                stamp + "," + ",".join(format_ratio(n, fc.scale) for n in row)
-            )
+        fmt = decimal_formatter(fc.scale)
+        lines += [
+            f"{stamp(ts)},{','.join(map(fmt, row))}"
+            for ts, row in zip(_epochs(fc.window), fc.scaled)
+        ]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

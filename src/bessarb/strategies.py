@@ -30,14 +30,21 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from bessarb._numeric import exact, format_decimal, parse_number, ticks_to_mwh
+from bessarb._numeric import (
+    TICKS_PER_MWH,
+    decimal_formatter,
+    exact,
+    format_decimal,
+    parse_number,
+    ticks_to_mwh,
+)
 from bessarb.battery import BatterySpec, BatteryState, ChargeTimeline
 from bessarb.errors import ConfigError, InvalidPair, WindowMismatch
 from bessarb.market import (
     Horizon,
     QuantileForecast,
     TradingWindow,
-    format_timestamp,
+    timestamp_formatter,
 )
 
 
@@ -529,17 +536,20 @@ def write_schedule_csv(path: str | Path, schedule: Schedule) -> None:
 
 
 def schedule_to_dict(schedule: Schedule, spec: BatterySpec | None = None) -> dict:
+    window = schedule.window
+    stamp = timestamp_formatter()
+    volume = decimal_formatter(TICKS_PER_MWH)
     doc = {
-        "market": schedule.window.market.value,
-        "window_start": format_timestamp(schedule.window.start_epoch_s),
+        "market": window.market.value,
+        "window_start": stamp(window.start_epoch_s),
         "strategy": schedule.strategy,
         "pair": schedule.pair.label,
         "orders": [
             {
                 "period": o.period,
-                "timestamp": format_timestamp(schedule.window.timestamp_of(o.period)),
+                "timestamp": stamp(window.timestamp_of(o.period)),
                 "side": o.side.value,
-                "volume_mwh": format_decimal(o.volume_mwh),
+                "volume_mwh": volume(o.volume_ticks),
                 "expected_price": format_decimal(o.expected_price),
             }
             for o in schedule.orders

@@ -712,6 +712,23 @@ class TestRunSweep:
         rows = run_sweep(UNIT, dam_a, dam_f, pairs=pairs, strategies=("TS3",))
         assert len(rows) == 3  # two pair rows plus one average
 
+    def test_each_window_pins_its_pf_forecast_once_per_call(self, monkeypatch):
+        # the benchmark sweep's input: seed 1, 3 days, 3 DAM and 9 BM windows
+        dam_a, dam_f = generate_synthetic(1, MarketKind.DAM, days=3, noise_sd=3.0)
+        bm_a, bm_f = generate_synthetic(1, MarketKind.BM, days=3, noise_sd=3.0)
+        built = []
+
+        def counting(actuals, *levels):
+            built.append(actuals.window)
+            return degenerate_forecast(actuals, *levels)
+
+        monkeypatch.setattr(evaluation, "degenerate_forecast", counting)
+        rows = run_sweep(UNIT, dam_a, dam_f, bm_a, bm_f)
+        assert len(built) == len(set(built)) == 12
+        # no pinned forecast outlives its call
+        assert run_sweep(UNIT, dam_a, dam_f, bm_a, bm_f) == rows
+        assert len(built) == 24
+
     def test_degenerate_forecasts_collapse_pairs_to_pf(self):
         dam_a, _, bm_a, _ = self._data()
         dam_f = [degenerate_forecast(ps, DEFAULT_LEVELS) for ps in dam_a]

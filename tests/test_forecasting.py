@@ -22,7 +22,9 @@ from bessarb.forecasting import (
     FeatureMatrix,
     KnnQuantileForecaster,
     WalkForwardPlan,
+    _FEATURE_BOUND,
     _choose_k,
+    _standardizer,
     walk_forward,
 )
 from bessarb.market import (
@@ -427,6 +429,43 @@ class TestFeatureMatrix:
         with pytest.raises(MalformedRow) as err:
             FeatureMatrix.from_csv(path, MarketKind.BM)
         assert "line 3" in str(err.value)
+
+
+    def _one_column(self, path, cells):
+        path.write_text("timestamp,a,target\n" + "".join(
+            f"{format_timestamp(BASE_EPOCH + i * BM_STEP)},{cell},{i}\n"
+            for i, cell in enumerate(cells)
+        ))
+
+    def test_huge_feature_names_its_file_and_line(self, tmp_path):
+        # this column overflows the mean: row 0 would standardize to NaN
+        path = tmp_path / "features.csv"
+        self._one_column(path, ["0", "1.7e308", "-1e308", "-1e308", "-1e308", "0"])
+        with pytest.raises(MalformedRow) as err:
+            FeatureMatrix.from_csv(path, MarketKind.BM)
+        assert f"line 3: {path}: " in str(err.value)
+
+    def test_bound_is_inclusive(self, tmp_path):
+        path = tmp_path / "features.csv"
+        self._one_column(path, ["1e100", "-1e100", "0"])
+        assert FeatureMatrix.from_csv(path, MarketKind.BM).features[:, 0].tolist() == [
+            1e100, -1e100, 0.0]
+        self._one_column(path, ["1e100", "-1.0000000000000002e100", "0"])
+        with pytest.raises(MalformedRow, match="line 3"):
+            FeatureMatrix.from_csv(path, MarketKind.BM)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.sampled_from([_FEATURE_BOUND, -_FEATURE_BOUND, 0.0, 1.0, 5e99]),
+                 min_size=1, max_size=40),
+        st.integers(1, 1000),
+    )
+    def test_columns_within_the_bound_standardize_finitely(self, column, repeat):
+        # the derivation bounds |sum| by n * B and the squares by 4 * n * B**2
+        features = np.tile(np.array(column)[:, None], (repeat, 1))
+        mean, std = _standardizer(features)
+        assert np.isfinite(mean).all() and np.isfinite(std).all()
+        assert np.isfinite((features[:len(column)] - mean) / std).all()
 
 
 class TestKnnForecaster:

@@ -2,6 +2,7 @@
 
 import pickle
 import tempfile
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
 
@@ -91,6 +92,61 @@ class TestTimestamps:
         assert format_timestamp(parse_timestamp(last)) == last
         # past datetime's range, as the instant a data file expects next
         assert format_timestamp(parse_timestamp(last) + 3601) == "10000-01-01T01:00:00Z"
+
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_CYCLE_S = 146097 * 86400  # 400 Gregorian years
+_LAST_S = parse_timestamp("9999-12-31T23:59:59Z")
+
+
+def _datetime_stamp(epoch_s: int) -> str:
+    """The instant as datetime names it; past 9999-12-31, as it names the
+    instant fewest 400-year cycles earlier, with the years added back."""
+    cycles = max(0, -((_LAST_S - epoch_s) // _CYCLE_S))
+    moment = _EPOCH + timedelta(seconds=epoch_s - cycles * _CYCLE_S)
+    return f"{moment.year + 400 * cycles:04d}{moment:-%m-%dT%H:%M:%SZ}"
+
+
+# from 0001-01-01 to past the year 300000
+_instants = st.one_of(
+    st.integers(parse_timestamp("0001-01-01T00:00:00Z"), 10**13),
+    st.integers(-86400 * 3, 86400 * 3),
+    st.integers(_LAST_S - 86400 * 3, _LAST_S + 86400 * 3),
+)
+
+
+class TestTimestampText:
+    """format_timestamp and the writers' stamps against datetime."""
+
+    @given(_instants)
+    def test_format_matches_datetime(self, epoch_s):
+        assert format_timestamp(epoch_s) == _datetime_stamp(epoch_s)
+
+    def test_oracle_examples(self):
+        assert _datetime_stamp(_LAST_S + 1) == "10000-01-01T00:00:00Z"
+        assert _datetime_stamp(-1) == "1969-12-31T23:59:59Z"
+
+    @settings(max_examples=40, deadline=None)
+    @given(_instants, st.sampled_from(MarketKind), st.integers(1, 4))
+    def test_writer_stamps_match_datetime(self, start, market, count):
+        # windows back to back from any second, so days turn inside them
+        step = market.period_seconds * market.periods_per_window
+        series = [
+            PriceSeries(TradingWindow(market, start + i * step, market.periods_per_window),
+                        [i] * market.periods_per_window, 1)
+            for i in range(count)
+        ]
+        forecasts = [QuantileForecast(ps.window, DEFAULT_LEVELS[:2],
+                                      [(n, n) for n in ps.scaled], 1) for ps in series]
+        want = [_datetime_stamp(ps.window.timestamp_of(t))
+                for ps in series for t in range(ps.window.period_count)]
+        with tempfile.TemporaryDirectory() as tmp:
+            prices, quantiles = Path(tmp) / "p.csv", Path(tmp) / "f.csv"
+            write_price_csv(prices, series)
+            write_forecast_csv(quantiles, forecasts)
+            for path in (prices, quantiles):
+                rows = path.read_text().splitlines()[1:]
+                assert [row.split(",")[0] for row in rows] == want
 
 
 class TestContainers:
@@ -360,6 +416,41 @@ class TestForecastCsv:
         header = path.read_text().splitlines()[0]
         assert header == "timestamp,q10,q50,q90"
         assert parse_forecast_csv(path, MarketKind.BM) == [fc]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.integers(0, 9), st.integers(0, 9), st.sampled_from([1, 3, 7]),
+            st.lists(st.integers(-10**9, 10**9), min_size=16, max_size=16),
+        ),
+        min_size=1, max_size=3,
+    ))
+    def test_rewrite_is_byte_identical_over_any_scale(self, windows):
+        forecasts = []
+        for i, (twos, fives, odd, values) in enumerate(windows):
+            window = TradingWindow(MarketKind.BM, BASE_EPOCH + i * 8 * 3600, 16)
+            rows = [(v * odd, (v + 1) * odd) for v in values]  # odd divides each value
+            forecasts.append(QuantileForecast(window, (Fraction(1, 4), Fraction(3, 4)),
+                                              rows, 2**twos * 5**fives * odd))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+            write_forecast_csv(first, forecasts)
+            parsed = parse_forecast_csv(first, MarketKind.BM)
+            assert parsed == forecasts
+            write_forecast_csv(second, parsed)
+            assert second.read_bytes() == first.read_bytes()
+
+    def test_value_without_a_decimal_form_raises_before_the_file(self, tmp_path):
+        window = TradingWindow(MarketKind.BM, BASE_EPOCH, 16)
+        rows = [(3,)] * 15 + [(1,)]  # the last value is 1/3
+        thirds = QuantileForecast(window, (Fraction(1, 2),), rows, 3)
+        path = tmp_path / "f.csv"
+        with pytest.raises(ValueError, match="1/3 has no exact decimal"):
+            write_forecast_csv(path, [thirds])
+        assert not path.exists()
+        with pytest.raises(ValueError, match="1/3 has no exact decimal"):
+            write_price_csv(path, [PriceSeries(window, [r[0] for r in rows], 3)])
+        assert not path.exists()
 
     def test_levels_must_ascend(self, tmp_path):
         path = tmp_path / "f.csv"

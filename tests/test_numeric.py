@@ -1,16 +1,18 @@
 """Exact arithmetic helpers: parsing, tick conversion, money formatting."""
 
+import math
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bessarb._numeric import (
     MAX_DIGITS,
     MAX_EXPONENT,
     TICKS_PER_MWH,
+    decimal_formatter,
     format_cents,
     format_decimal,
     format_money,
@@ -19,6 +21,7 @@ from bessarb._numeric import (
     parse_decimal,
     parse_number,
     parse_ratio,
+    parse_ratios,
     scale_ratios,
     ticks_to_mwh,
 )
@@ -114,6 +117,26 @@ class TestParseDecimal:
         # past int's digit limit it fails as a row too
         with pytest.raises(MalformedRow, match="^line 7: "):
             parse_ratio(text, line=7)
+
+    @given(st.one_of(
+        st.lists(texts, max_size=6),
+        st.lists(st.from_regex(r"-?[0-9]{1,4}(\.[0-9]{1,4})?", fullmatch=True), max_size=6),
+    ))
+    def test_row_reads_as_each_cell(self, cells):
+        cells = [cell.strip() for cell in cells if "," not in cell]
+        try:
+            want = [parse_ratio(cell, line=7) for cell in cells]
+        except MalformedRow as exc:
+            with pytest.raises(MalformedRow) as err:
+                parse_ratios(cells, line=7)
+            assert str(err.value) == str(exc)
+        else:
+            assert parse_ratios(cells, line=7) == want
+
+    def test_row_past_the_int_limit_names_its_cell(self):
+        cells = ["1.5", "9" * 5000]
+        with pytest.raises(MalformedRow, match="not a decimal number"):
+            parse_ratios(cells, line=3)
 
     def test_plain_decimals_are_not_bounded(self):
         text = "-" + "9" * (2 * MAX_DIGITS) + "." + "5" * MAX_DIGITS
@@ -243,6 +266,75 @@ class TestFormatDecimal:
     def test_parse_inverts_format(self, units, scale):
         value = Fraction(units, 10**scale)
         assert parse_decimal(format_decimal(value)) == value
+
+
+def _reduce_then_count(num: int, den: int) -> str:
+    """format_ratio's first algorithm: reduce num/den, count den's factors
+    of 2 and 5, and print num * 10**count // den to that many places."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    scale, d = 0, den
+    for p in (2, 5):
+        while d % p == 0:
+            d //= p
+            scale += 1
+    if d != 1:
+        raise ValueError(f"{num}/{den} has no exact decimal representation")
+    scaled = num * 10**scale // den
+    text = f"{abs(scaled):0{scale + 1}d}"
+    if scale:
+        text = f"{text[:-scale]}.{text[-scale:]}".rstrip("0").rstrip(".")
+    return f"-{text}" if scaled < 0 else text
+
+
+def _outcome(fmt, num: int, den: int):
+    """The text, or the ValueError's message."""
+    try:
+        return fmt(num, den)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+class TestDecimalPlan:
+    """format_ratio and decimal_formatter against _reduce_then_count."""
+
+    @given(
+        st.one_of(st.integers(-10**100, 10**100), st.sampled_from([0, -1, 1])),
+        st.integers(0, 14),
+        st.integers(0, 14),
+        st.sampled_from([1, 1, 3, 7, 9, 11, 21, 49, 10**9 + 7]),
+        st.booleans(),
+    )
+    @example(-(10**100) + 1, 3, 0, 1, False)
+    @example(10**100, 0, 7, 21, True)
+    @example(0, 0, 0, 3, False)
+    def test_plan_matches_the_reduce_then_count_oracle(self, num, twos, fives, odd, multiple):
+        den = 2**twos * 5**fives * odd
+        if multiple:  # odd divides num, so num/den has a decimal form
+            num *= odd
+        want = _outcome(_reduce_then_count, num, den)
+        assert _outcome(format_ratio, num, den) == want
+        assert _outcome(lambda n, d: decimal_formatter(d)(n), num, den) == want
+
+    @given(st.integers(-10**100, 10**100), st.integers(1, 10**30))
+    def test_any_denominator_matches_the_oracle(self, num, den):
+        assert _outcome(format_ratio, num, den) == _outcome(_reduce_then_count, num, den)
+
+    def test_error_names_the_reduced_ratio(self):
+        with pytest.raises(ValueError, match=r"^1/3 has no exact decimal representation$"):
+            format_ratio(6, 18)
+        with pytest.raises(ValueError, match=r"^-7/30 has no exact"):
+            decimal_formatter(60)(-14)
+
+    @pytest.mark.parametrize("den", [0, -1, -10])
+    def test_denominator_must_be_positive(self, den):
+        with pytest.raises(ValueError):
+            decimal_formatter(den)
+
+    def test_one_plan_serves_every_numerator(self):
+        fmt = decimal_formatter(40)  # 40 = 2**3 * 5: k = 3, multiplier 25
+        assert [fmt(n) for n in (0, 1, -2, 40, 400, -41)] == [
+            "0", "0.025", "-0.05", "1", "10", "-1.025"]
 
 
 class TestFormatMoney:
