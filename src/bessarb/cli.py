@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from bessarb import __version__
-from bessarb._numeric import format_decimal, format_money, parse_number
+from bessarb._numeric import exact_text, format_decimal, format_money, parse_number
 from bessarb.battery import BatterySpec, unit_trading_spec
 from bessarb.economics import (
     DEFAULT_ANNUAL_FEES,
@@ -450,7 +450,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     if out is not None:
         lines = ["level,mean_pinball"]
         for lv, loss in report.per_level.items():
-            lines.append(f"{format_decimal(lv)},{float(loss):.6f}")
+            lines.append(f"{exact_text(lv)},{float(loss):.6f}")
         lines.append(f"all,{float(report.mean):.6f}")
         (out / "score.csv").write_text("\n".join(lines) + "\n")
     print(f"pinball={float(report.mean):.6f} cells={report.cells}")

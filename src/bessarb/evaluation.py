@@ -359,12 +359,13 @@ def dp_optimal_dual(
 # --- forecast scoring -------------------------------------------------------
 
 def pinball(level, actual, predicted) -> Fraction:
-    """Quantile regression loss for one prediction, exact."""
-    q = _coerce_level(level)
-    y, z = exact(actual), exact(predicted)
-    if y >= z:
-        return q * (y - z)
-    return (1 - q) * (z - y)
+    """Quantile regression loss for one prediction, exact: `pinball_sum`,
+    as score_forecasts runs it, on one cell."""
+    a, b = _coerce_level(level).as_integer_ratio()
+    (y, z), scale = scale_ratios(
+        (exact(actual).as_integer_ratio(), exact(predicted).as_integer_ratio())
+    )
+    return Fraction(pinball_sum(a, b, (y,), (z,)), b * scale)
 
 
 @dataclass(frozen=True, slots=True)

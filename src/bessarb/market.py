@@ -279,16 +279,17 @@ def read_table(path: str | Path):
     """Yield a timestamped CSV's (line, header cells), then each row.
 
     Rows come as (line, epoch seconds, value cells), blank lines skipped.
-    The file must be UTF-8, and every row must have as many cells as the
-    header and open with a timestamp after the one before; a fault raises
-    with the file and line.
+    The file must be UTF-8, after an optional byte-order mark, and every
+    row must have as many cells as the header and open with a timestamp
+    after the one before; a fault raises with the file and line.
     """
-    data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # count lines as splitlines does, so every fault names the same line
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        # exc.start counts in exc.object, the bytes after any byte-order
+        # mark; count lines as splitlines does, so every fault names the
+        # same line
+        line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
         raise MalformedRow(line, f"{path}: not UTF-8 text") from None
     header = prev = None
     for line, raw in enumerate(text.splitlines(), start=1):

@@ -8,7 +8,9 @@ positive under that pessimistic pricing.
 Volumes are clipped against a committed wall-clock charge trajectory, so a
 finished schedule always replays cleanly against the battery bounds no
 matter in which order the strategy discovered its trades.  Every strategy
-starts from the spec's initial_charge.
+starts from the spec's initial_charge.  TS3 and the dual-market scheduler
+size each pair with one rule, _execute_pair; bottleneck_execute runs that
+rule on a two-slot timeline.
 
 Every strategy finds its pairs through one of two integer scans:
 _scan_ordered (buy before sell, for TS1 and TS2) and _scan_unordered
@@ -24,17 +26,17 @@ schedule's orders, for the JSON and CSV files alike.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Sequence
 
 from bessarb._numeric import (
     TICKS_PER_MWH,
     decimal_formatter,
     exact,
-    format_decimal,
+    exact_text,
     parse_number,
     ticks_to_mwh,
 )
@@ -91,7 +93,7 @@ class QuantilePair:
 
     @property
     def label(self) -> str:
-        return f"{format_decimal(self.sell_level)}-{format_decimal(self.buy_level)}"
+        return f"{exact_text(self.sell_level)}-{exact_text(self.buy_level)}"
 
 
 MEDIAN_PAIR = QuantilePair(Fraction(1, 2), Fraction(1, 2))
@@ -264,26 +266,19 @@ def bottleneck_execute(
     state: BatteryState,
     spec: BatterySpec,
 ) -> tuple[TradeOrder | None, TradeOrder | None, BatteryState]:
-    """Clip a two-leg trade against battery bounds in wall-clock order.
+    """Size a two-leg trade from `state` as the strategies size their pairs.
 
-    The earlier leg is sized first from the given state, the later leg from
-    the charge the first leg leaves behind.  Legs clip independently to the
-    ramp, the capacity and the floor, so one leg may come out larger than
-    the other or drop to nothing; a clipped-away leg is returned as None.
+    This is _execute_pair on a two-slot timeline that starts at `state`,
+    slots in period order, with stock buys allowed: the earlier leg is
+    sized first, the later one from the charge it leaves behind, each
+    within the ramp, the capacity and the floor.  A leg sized to nothing
+    is returned as None.
     """
     if candidate.buy_period == candidate.sell_period:
         raise InvalidPair("buy and sell must use different periods")
-    charge = state.charge
-    if candidate.buy_period < candidate.sell_period:
-        x_buy = min(spec.ramp, spec.capacity - charge)
-        charge += x_buy
-        x_sell = min(spec.ramp, charge - spec.min_charge)
-        charge -= x_sell
-    else:
-        x_sell = min(spec.ramp, charge - spec.min_charge)
-        charge -= x_sell
-        x_buy = min(spec.ramp, spec.capacity - charge)
-        charge += x_buy
+    timeline = ChargeTimeline(replace(spec, initial_charge=state.charge), 2)
+    buy_first = candidate.buy_period < candidate.sell_period
+    x_buy, x_sell = _execute_pair(timeline, int(not buy_first), int(buy_first), True)
     buy = (
         TradeOrder(candidate.buy_period, Side.BUY, x_buy, candidate.buy_price)
         if x_buy > 0
@@ -294,7 +289,7 @@ def bottleneck_execute(
         if x_sell > 0
         else None
     )
-    return buy, sell, BatteryState(charge)
+    return buy, sell, BatteryState(state.charge + x_buy - x_sell)
 
 
 # --- strategy internals ----------------------------------------------------
@@ -322,45 +317,32 @@ class _Emitted:
 
 def _execute_pair(
     timeline: ChargeTimeline,
-    t_buy: int,
-    t_sell: int,
     i_buy: int,
     i_sell: int,
-    out: _Emitted,
     allow_stock_buys: bool,
-) -> bool:
-    """Clip and commit one candidate pair; False when nothing tradeable.
+) -> tuple[int, int]:
+    """Size and commit one candidate pair; its (buy, sell) ticks.
 
     Legs are sized against the committed trajectory in wall-clock order.  A
     buy that a later sell of the same pair undoes only needs headroom until
-    that sell; every other leg must clear the whole committed future.
+    that sell; every other leg must clear the whole committed future.  A
+    sell-first pair with nothing to sell trades nothing, unless stock buys
+    are allowed.  (0, 0) when nothing trades: a buy-first pair's sell is
+    never smaller than its buy.
     """
     if i_buy < i_sell:
         x_buy = timeline.max_buy_between(i_buy, i_sell)
         timeline.commit(i_buy, x_buy)
         x_sell = timeline.max_sell_from(i_sell)
-        if x_sell <= 0:
-            timeline.commit(i_buy, -x_buy)
-            return False
         timeline.commit(i_sell, -x_sell)
-        out.add(t_buy, Side.BUY, x_buy)
-        out.add(t_sell, Side.SELL, x_sell)
-        return True
+        return x_buy, x_sell
     x_sell = timeline.max_sell_from(i_sell)
-    if x_sell <= 0:
-        if allow_stock_buys:
-            x_buy = timeline.max_buy_from(i_buy)
-            if x_buy > 0:
-                timeline.commit(i_buy, x_buy)
-                out.add(t_buy, Side.BUY, x_buy)
-                return True
-        return False
+    if x_sell == 0 and not allow_stock_buys:
+        return 0, 0
     timeline.commit(i_sell, -x_sell)
     x_buy = timeline.max_buy_from(i_buy)
     timeline.commit(i_buy, x_buy)
-    out.add(t_sell, Side.SELL, x_sell)
-    out.add(t_buy, Side.BUY, x_buy)
-    return True
+    return x_buy, x_sell
 
 
 def _run_worklist(
@@ -368,7 +350,7 @@ def _run_worklist(
     curves: _Curves,
     lo: int,
     hi: int,
-    instant_of: Callable[[int], int],
+    instants: Sequence[int],
     out: _Emitted,
     allow_stock_buys: bool,
 ) -> None:
@@ -377,7 +359,8 @@ def _run_worklist(
     Pops a range, trades its cheapest-buy/dearest-sell pair if one exists,
     then requeues the sub-ranges either side of and between the two consumed
     periods.  A range without a candidate is dropped whole: every sub-range
-    of an unprofitable range is itself unprofitable.
+    of an unprofitable range is itself unprofitable.  instants[t] is period
+    t's slot on the timeline.
     """
     work = deque()
     if lo <= hi:
@@ -388,15 +371,11 @@ def _run_worklist(
         if found is None:
             continue
         t_buy, t_sell = found
-        _execute_pair(
-            timeline,
-            t_buy,
-            t_sell,
-            instant_of(t_buy),
-            instant_of(t_sell),
-            out,
-            allow_stock_buys,
+        x_buy, x_sell = _execute_pair(
+            timeline, instants[t_buy], instants[t_sell], allow_stock_buys
         )
+        out.add(t_buy, Side.BUY, x_buy)
+        out.add(t_sell, Side.SELL, x_sell)
         first, second = min(t_buy, t_sell), max(t_buy, t_sell)
         work.append((a, first - 1))
         work.append((first + 1, second - 1))
@@ -462,7 +441,7 @@ def ts3(
     n = forecast.window.period_count
     timeline = ChargeTimeline(spec, n)
     out = _Emitted(curves)
-    _run_worklist(timeline, curves, 0, n - 1, lambda t: t, out, allow_stock_buys)
+    _run_worklist(timeline, curves, 0, n - 1, range(n), out, allow_stock_buys)
     return Schedule(forecast.window, "TS3", pair, out.sorted())
 
 
@@ -487,24 +466,26 @@ def ts3_dual(
         raise WindowMismatch("forecast windows do not match the horizon")
     dam_curves = _curves(dam_forecast, pair, spec)
     bm_curves = _curves(bm_forecast, pair, spec)
-    dam_instant, bm_instant = (ix.__getitem__ for ix in horizon.instants)
+    dam_instants, bm_instants = horizon.instants
     timeline = ChargeTimeline(spec, len(horizon.events))
     dam_out, bm_out = _Emitted(dam_curves), _Emitted(bm_curves)
     n_bm = bm.period_count
 
     def run_bm(lo: int, hi: int) -> None:
         _run_worklist(
-            timeline, bm_curves, lo, hi, bm_instant, bm_out, allow_stock_buys
+            timeline, bm_curves, lo, hi, bm_instants, bm_out, allow_stock_buys
         )
 
     anchor = _scan_unordered(dam_curves, 0, dam.period_count - 1)
     executed = False
     if anchor is not None:
         t_buy, t_sell = anchor
-        executed = _execute_pair(
-            timeline, t_buy, t_sell, dam_instant(t_buy), dam_instant(t_sell),
-            dam_out, allow_stock_buys,
+        x_buy, x_sell = _execute_pair(
+            timeline, dam_instants[t_buy], dam_instants[t_sell], allow_stock_buys
         )
+        dam_out.add(t_buy, Side.BUY, x_buy)
+        dam_out.add(t_sell, Side.SELL, x_sell)
+        executed = x_buy > 0 or x_sell > 0
         if executed:
             span_lo, span_hi = min(t_buy, t_sell), max(t_buy, t_sell)
             # balancing slot s falls inside day-ahead hour s // r
@@ -512,7 +493,7 @@ def ts3_dual(
             run_bm(0, min(span_lo * r, n_bm) - 1)
             run_bm((span_hi + 1) * r, n_bm - 1)
             _run_worklist(
-                timeline, dam_curves, span_lo + 1, span_hi - 1, dam_instant,
+                timeline, dam_curves, span_lo + 1, span_hi - 1, dam_instants,
                 dam_out, allow_stock_buys,
             )
     if not executed:
@@ -550,7 +531,7 @@ def schedule_to_dict(schedule: Schedule, spec: BatterySpec | None = None) -> dic
                 "timestamp": stamp(window.timestamp_of(o.period)),
                 "side": o.side.value,
                 "volume_mwh": volume(o.volume_ticks),
-                "expected_price": format_decimal(o.expected_price),
+                "expected_price": exact_text(o.expected_price),
             }
             for o in schedule.orders
         ],

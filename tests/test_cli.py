@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import bessarb
 from bessarb import __version__, cli, evaluation
-from bessarb._numeric import format_money
+from bessarb._numeric import format_money, parse_ratio
 from bessarb.battery import BatterySpec
 from bessarb.cli import main
 from bessarb.errors import ConfigError
@@ -1254,6 +1254,18 @@ _LATE_PRICES = ("timestamp,price\n" + "".join(
     f"9999-12-31T23:00:{s:02d}Z,1\n" for s in range(24)
 )).encode()
 
+# One day-ahead window with a level, 1/3, that has no decimal form.  Hour 2
+# is priced 1/3 at every level, so the median pair buys there.
+_THIRDS_PRICES = ("timestamp,price\n" + "".join(
+    f"2024-01-01T{h:02d}:00:00Z,{40 + h}\n" for h in range(24)
+)).encode()
+_THIRDS_FORECAST = ("timestamp,q10,q100/3,q50,q90\n" + "".join(
+    f"2024-01-01T{h:02d}:00:00Z," + (",".join(["1/3"] * 4) if h == 2 else
+                                     f"{38 + h}.25,{39 + h}.5,{40 + h}.5,{42 + h}.75") + "\n"
+    for h in range(24)
+)).encode()
+_THIRDS_MARKET = ["--dam-actuals", "{prices}", "--dam-forecast", "{forecast}"]
+
 # Option values: the input files, a missing one and the out directory by
 # placeholder, then text both good and bad.  No count exceeds 2, so no run
 # starts more than one lane or generates more than two days.
@@ -1375,6 +1387,15 @@ class TestExitContract:
                    "{dam_forecast}", "--battery", "{battery}", "--out", "{out}"],
              prices=b"", forecast=b"", config="",
              battery='{"capacity_mwh": "1", "ramp_mwh_per_period": "1", "charge_eff": "1/3"}')
+    @example(argv=["score", "--forecast", "{forecast}", "--actuals", "{prices}",
+                   "--out", "{out}"],
+             prices=_THIRDS_PRICES, forecast=_THIRDS_FORECAST, config="", battery="")
+    @example(argv=["sweep", "--pairs", "1/3:1/2", *_THIRDS_MARKET, "--out", "{out}"],
+             prices=_THIRDS_PRICES, forecast=_THIRDS_FORECAST, config="", battery="")
+    @example(argv=["backtest", "--pair", "1/3:1/2", *_THIRDS_MARKET, "--out", "{out}"],
+             prices=_THIRDS_PRICES, forecast=_THIRDS_FORECAST, config="", battery="")
+    @example(argv=["backtest", *_THIRDS_MARKET, "--out", "{out}"],
+             prices=_THIRDS_PRICES, forecast=_THIRDS_FORECAST, config="", battery="")
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_input(self, good, tmp_path, monkeypatch, argv, prices, forecast,
@@ -1405,3 +1426,54 @@ class TestExitContract:
         for line in objects:
             assert set(json.loads(line)) == {"error", "message"}
 
+
+
+class TestFractionText:
+    """A level or price without a decimal form is written as a fraction
+    (`1/3`), which the readers read back exactly."""
+
+    @pytest.fixture
+    def thirds(self, tmp_path):
+        (tmp_path / "prices.csv").write_bytes(_THIRDS_PRICES)
+        (tmp_path / "forecast.csv").write_bytes(_THIRDS_FORECAST)
+        return tmp_path
+
+    @staticmethod
+    def _market(thirds):
+        return ["--dam-actuals", str(thirds / "prices.csv"),
+                "--dam-forecast", str(thirds / "forecast.csv")]
+
+    @staticmethod
+    def _read(text):
+        return Fraction(*parse_ratio(text))
+
+    def test_score_level_reads_back(self, thirds, capsys):
+        code, _, _ = run(capsys, "score", "--forecast", str(thirds / "forecast.csv"),
+                         "--actuals", str(thirds / "prices.csv"), "--out", str(thirds / "o"))
+        assert code == 0
+        levels = [line.split(",")[0]
+                  for line in (thirds / "o" / "score.csv").read_text().splitlines()[1:-1]]
+        assert levels == ["0.1", "1/3", "0.5", "0.9"]
+        assert [self._read(lv) for lv in levels] == [
+            Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)]
+
+    def test_report_pair_reads_back(self, thirds, capsys):
+        code, _, _ = run(capsys, "sweep", "--pairs", "1/3:1/2", *self._market(thirds),
+                         "--out", str(thirds / "o"))
+        assert code == 0
+        rows = (thirds / "o" / "report.csv").read_text().splitlines()[1:]
+        pairs = {row.split(",")[2] for row in rows} - {"average"}
+        assert pairs == {"1/3-0.5"}
+        sell, buy = pairs.pop().split("-")
+        assert (self._read(sell), self._read(buy)) == (Fraction(1, 3), Fraction(1, 2))
+
+    def test_schedule_pair_and_price_read_back(self, thirds, capsys):
+        code, _, _ = run(capsys, "backtest", "--pair", "1/3:1/2", *self._market(thirds),
+                         "--out", str(thirds / "o"))
+        assert code == 0
+        (schedule,) = json.loads((thirds / "o" / "schedules.json").read_text())
+        sell, buy = schedule["pair"].split("-")
+        assert (self._read(sell), self._read(buy)) == (Fraction(1, 3), Fraction(1, 2))
+        orders = [(o["period"], o["side"], o["expected_price"]) for o in schedule["orders"]]
+        assert orders == [(2, "buy", "1/3"), (23, "sell", "62.5")]
+        assert self._read(orders[0][2]) == Fraction(1, 3)

@@ -568,7 +568,30 @@ class TestUnitPathBounds:
             spec = replace(spec, initial_charge=result.final_charge)
 
 
+def _pinball_formula(q, y, z):
+    """The pinball loss from its definition, in Fractions."""
+    return q * (y - z) if y >= z else (1 - q) * (z - y)
+
+
+# interior quantile levels a/b, most of them without a decimal form
+_levels = st.integers(min_value=2, max_value=10**6).flatmap(
+    lambda b: st.integers(min_value=1, max_value=b - 1).map(lambda a: Fraction(a, b))
+)
+
+
+# values as pinball takes them: Fractions, integers and decimal text
+_values = st.one_of(
+    st.fractions(max_denominator=10**9),
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.decimals(allow_nan=False, allow_infinity=False, places=4).map(str),
+)
+
+
 class TestPinball:
+    @given(_levels, _values, _values)
+    def test_matches_the_formula(self, q, y, z):
+        assert pinball(q, y, z) == _pinball_formula(q, Fraction(y), Fraction(z))
+
     def test_reference_value(self):
         assert pinball("0.9", 100, 80) == 18
 

@@ -552,6 +552,26 @@ class TestSharedReader:
             READERS[reader][2](path, MarketKind.BM)
         assert err.value.line == 5
 
+    @pytest.mark.parametrize("reader", READERS)
+    def test_byte_order_mark_is_skipped(self, reader, tmp_path):
+        parse = READERS[reader][2]
+        path, clean = tmp_path / "bom.csv", tmp_path / "clean.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + _table(reader))
+        clean.write_bytes(_table(reader))
+        assert _comparable(parse(path, MarketKind.BM)) == _comparable(
+            parse(clean, MarketKind.BM)
+        )
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_bad_byte_after_a_byte_order_mark_names_its_line(self, reader, tmp_path):
+        # the bad byte opens line 5: counted from the file's first byte
+        # rather than the mark's end, the line break before it is missed
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + _table(reader, spoil=lambda row: b"\xff" + row))
+        with pytest.raises(MalformedRow) as err:
+            READERS[reader][2](path, MarketKind.BM)
+        assert err.value.line == 5
+
     @pytest.mark.parametrize("reader", ["prices", "forecasts"])
     def test_short_tail_warning_points_at_the_caller(self, reader, tmp_path):
         path = tmp_path / "tail.csv"

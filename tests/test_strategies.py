@@ -451,6 +451,23 @@ class TestForecastReuse:
         assert ts3(copy, DEFAULT_PAIRS[2], UNIT) == ts3(fresh, DEFAULT_PAIRS[2], UNIT)
 
 
+def _independent_clip(buy_first, charge, spec):
+    """Reference sizing of one two-leg trade from `charge`: (buy, sell, end
+    charge), each leg clipped on its own to the ramp, the capacity and the
+    floor, the earlier leg first."""
+    if buy_first:
+        x_buy = min(spec.ramp, spec.capacity - charge)
+        charge += x_buy
+        x_sell = min(spec.ramp, charge - spec.min_charge)
+        charge -= x_sell
+    else:
+        x_sell = min(spec.ramp, charge - spec.min_charge)
+        charge -= x_sell
+        x_buy = min(spec.ramp, spec.capacity - charge)
+        charge += x_buy
+    return x_buy, x_sell, charge
+
+
 class TestBottleneckExecute:
     def test_charge_then_discharge_from_empty(self):
         cand = CandidatePair.of(UNIT, 2, 5, Fraction(10), Fraction(50))
@@ -500,6 +517,25 @@ class TestBottleneckExecute:
         for order in (buy, sell):
             if order is not None:
                 assert 0 < order.volume_ticks <= spec.ramp
+
+
+    @given(st.data())
+    def test_matches_independent_clip(self, data):
+        capacity = data.draw(st.integers(min_value=1, max_value=12), label="capacity")
+        floor = data.draw(st.integers(min_value=0, max_value=capacity), label="floor")
+        charge = data.draw(st.integers(min_value=floor, max_value=capacity), label="charge")
+        ramp = data.draw(st.integers(min_value=1, max_value=15), label="ramp")
+        buy_first = data.draw(st.booleans(), label="buy first")
+        spec = BatterySpec(capacity, ramp, floor, floor, Fraction(49, 50), Fraction(4, 5))
+        periods = (3, 7) if buy_first else (7, 3)
+        cand = CandidatePair.of(spec, *periods, Fraction(10), Fraction(50))
+        x_buy, x_sell, end = _independent_clip(buy_first, charge, spec)
+        buy, sell, state = bottleneck_execute(cand, BatteryState(charge), spec)
+        assert buy == (TradeOrder(cand.buy_period, Side.BUY, x_buy, Fraction(10))
+                       if x_buy > 0 else None)
+        assert sell == (TradeOrder(cand.sell_period, Side.SELL, x_sell, Fraction(50))
+                        if x_sell > 0 else None)
+        assert state == BatteryState(end)
 
 
 class TestTs1:
