@@ -5,9 +5,11 @@ cell is read straight into an integer numerator over a power of ten, and
 hot loops (strategy scans, settlement, the DP bound) add and compare those
 integers.  Energy is carried as integer milli-MWh ticks.  A sweep keeps its
 cash as integers up to the printed cent: `format_cents` rounds num/den
-half-even to cents.  A Fraction is built only for a value a caller reads
-back: SettleResult.cash, TradeOrder.expected_price and each BacktestReport
-field.  Rounding happens only at serialization boundaries.
+half-even to cents.  Strategies hand settlement integer legs, so a sweep
+builds no order price.  A Fraction is built only for a value a caller
+reads back: SettleResult.cash, each BacktestReport field, and the
+TradeOrder.expected_price of a schedule that the public strategies or
+backtest return.  Rounding happens only at serialization boundaries.
 
 Writers print n/scale by a decimal plan worked out once per scale
 (decimal_formatter): the part of the scale coprime to 10, the multiplier

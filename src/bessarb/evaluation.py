@@ -1,7 +1,11 @@
 """Settlement, benchmarks and backtest reports.
 
-Settlement replays every schedule through the battery bounds before paying
-it, so an infeasible schedule raises instead of producing a number.  Two
+Settlement replays every window's legs, (period, signed ticks) integer
+pairs, through the battery bounds before paying them, so an infeasible
+schedule raises instead of producing a number.  A sweep settles the legs a
+strategy returns, and builds no order or Schedule; `trade_unit` builds the
+Schedules backtest writes from the same legs, and `settle` and
+`settle_dual` read a Schedule's orders as legs.  Two
 benchmarks frame each result: the same strategy run on a forecast that
 equals the settled prices (perfect foresight, pf), and an exact dynamic
 program over the ramp lattice (DP, the best any feasible schedule could have
@@ -64,11 +68,8 @@ from bessarb.strategies import (
     MEDIAN_PAIR,
     QuantilePair,
     Schedule,
-    Side,
-    ts1,
-    ts2,
-    ts3,
-    ts3_dual,
+    _schedule,
+    _trade_legs,
 )
 
 STRATEGY_NAMES = ("TS1", "TS2", "TS3")
@@ -94,59 +95,47 @@ def _over_one_scale(
 
 def _settle(
     horizon: Horizon,
-    schedules: Sequence[Schedule],
+    legs: Sequence[Sequence[tuple[int, int]]],
     actuals: Sequence[PriceSeries],
     spec: BatterySpec,
 ) -> tuple[int, int, int]:
-    """Replay each window's orders in the horizon's wall-clock order and pay
-    them: (cash, den, final charge), the cash being cash / den.
+    """Replay each window's (period, signed ticks) legs in the horizon's
+    wall-clock order and pay them: (cash, den, final charge), the cash being
+    cash / den.
 
-    Prices are integers over one scale.  Cash is summed as one integer over
-    scale * den, with the weights of BatterySpec.cash_weights.
+    The battery bounds are compared as integers; a leg that breaks one goes
+    to apply_trade, which raises the named violation.  Prices are integers
+    over one scale.  Cash is summed as one integer over scale * den, with
+    the weights of BatterySpec.cash_weights.
     """
     prices, scale = _over_one_scale(actuals)
+    instants = horizon.instants
     # instants are distinct, so the legs sort on their instant alone
-    legs = sorted(
-        (horizon.instants[w][order.period], order, prices[w][order.period])
-        for w, schedule in enumerate(schedules)
-        for order in schedule.orders
+    ordered = sorted(
+        (instants[w][period], signed, prices[w][period])
+        for w, window_legs in enumerate(legs)
+        for period, signed in window_legs
     )
     w_buy, w_sell, den = spec.cash_weights()
-    state = BatteryState(spec.initial_charge)
+    ramp, floor, capacity = spec.ramp, spec.min_charge, spec.capacity
+    charge = spec.initial_charge
     cash = 0
-    for _, order, price in legs:
-        state = apply_trade(state, spec, order.signed_ticks)
-        if order.side is Side.SELL:
-            cash += w_sell * price * order.volume_ticks
-        else:
-            cash -= w_buy * price * order.volume_ticks
-    return cash, scale * den, state.charge
+    for _, signed, price in ordered:
+        after = charge + signed
+        if not (-ramp <= signed <= ramp and floor <= after <= capacity):
+            apply_trade(BatteryState(charge), spec, signed)
+        charge = after
+        # a buy (signed > 0) pays, a sell (signed < 0) earns
+        cash -= (w_buy if signed > 0 else w_sell) * price * signed
+    return cash, scale * den, charge
 
 
 def _result(cash: int, den: int, charge: int) -> SettleResult:
     return SettleResult(Fraction(cash, den), charge)
 
 
-def _trade(
-    horizon: Horizon,
-    forecasts: Sequence[QuantileForecast],
-    strategy: str,
-    pair: QuantilePair,
-    spec: BatterySpec,
-    allow_stock_buys: bool,
-) -> tuple[Schedule, ...]:
-    """The strategy's schedules over a horizon, one per window."""
-    if len(forecasts) > 1:
-        if strategy != "TS3":
-            raise ConfigError("dual-market backtests use strategy TS3")
-        return ts3_dual(horizon, *forecasts, pair, spec, allow_stock_buys)
-    (forecast,) = forecasts
-    if strategy == "TS3":
-        return (ts3(forecast, pair, spec, allow_stock_buys),)
-    if strategy not in ("TS1", "TS2"):
-        raise ConfigError(f"unknown strategy {strategy!r}")
-    run = ts1 if strategy == "TS1" else ts2
-    return (run(forecast, pair, spec),)
+def _legs_of(schedule: Schedule) -> tuple[tuple[int, int], ...]:
+    return tuple((o.period, o.signed_ticks) for o in schedule.orders)
 
 
 # --- units ------------------------------------------------------------------
@@ -190,6 +179,20 @@ def dual_units(dam_units: Sequence[_Unit], bm_units: Sequence[_Unit]) -> list[_U
     return units
 
 
+def _trade_and_settle(
+    unit: _Unit,
+    strategy: str,
+    pair: QuantilePair,
+    spec: BatterySpec,
+    allow_stock_buys: bool,
+) -> tuple[tuple, tuple[int, int, int]]:
+    """The strategy's checked legs over one unit, one tuple per window, and
+    their settlement, (cash, den, final charge)."""
+    horizon, forecasts, actuals = unit
+    legs = _trade_legs(horizon, forecasts, strategy, pair, spec, allow_stock_buys)
+    return legs, _settle(horizon, legs, actuals, spec)
+
+
 def trade_unit(
     unit: _Unit,
     strategy: str,
@@ -198,9 +201,11 @@ def trade_unit(
     allow_stock_buys: bool = False,
 ) -> tuple[tuple[Schedule, ...], SettleResult]:
     """Run a strategy over one unit and settle it: (schedules, result)."""
-    horizon, forecasts, actuals = unit
-    schedules = _trade(horizon, forecasts, strategy, pair, spec, allow_stock_buys)
-    settled = _settle(horizon, schedules, actuals, spec)
+    legs, settled = _trade_and_settle(unit, strategy, pair, spec, allow_stock_buys)
+    schedules = tuple(
+        _schedule(forecast, strategy, pair, window_legs)
+        for forecast, window_legs in zip(unit.forecasts, legs)
+    )
     return schedules, _result(*settled)
 
 
@@ -212,8 +217,13 @@ def pf_unit(
 ) -> Fraction:
     """Profit of the strategy over one unit when its forecasts equal the
     settled prices (perfect foresight)."""
-    _, result = trade_unit(_foresight(unit), strategy, MEDIAN_PAIR, spec, allow_stock_buys)
-    return result.cash
+    return _pf_cash(_foresight(unit), spec, strategy, allow_stock_buys)
+
+
+def _pf_cash(pinned: _Unit, spec: BatterySpec, strategy: str, allow_stock_buys: bool) -> Fraction:
+    """Profit of the strategy over a unit whose forecasts are pinned already."""
+    _, (cash, den, _) = _trade_and_settle(pinned, strategy, MEDIAN_PAIR, spec, allow_stock_buys)
+    return Fraction(cash, den)
 
 
 def _foresight(unit: _Unit) -> _Unit:
@@ -286,7 +296,8 @@ def settle(
     """
     if schedule.window != actuals.window:
         raise WindowMismatch("schedule and prices cover different windows")
-    return _result(*_settle(Horizon((actuals.window,)), (schedule,), (actuals,), spec))
+    horizon = Horizon((actuals.window,))
+    return _result(*_settle(horizon, (_legs_of(schedule),), (actuals,), spec))
 
 
 def settle_dual(
@@ -302,9 +313,8 @@ def settle_dual(
     if bm_schedule.window != bm_actuals.window:
         raise WindowMismatch("balancing schedule and prices differ")
     horizon = build_dual_horizon(dam_schedule.window, bm_schedule.window)
-    return _result(*_settle(
-        horizon, (dam_schedule, bm_schedule), (dam_actuals, bm_actuals), spec
-    ))
+    legs = (_legs_of(dam_schedule), _legs_of(bm_schedule))
+    return _result(*_settle(horizon, legs, (dam_actuals, bm_actuals), spec))
 
 
 def degenerate_forecast(
@@ -434,15 +444,14 @@ def _run_item(payload: tuple, item: tuple):
     if strategy is None:
         return sum((dp_unit(u, spec) for u in units), Fraction(0))
     if pair is None:
-        return sum((
-            trade_unit(u, strategy, MEDIAN_PAIR, spec, allow_stock)[1].cash
-            for u in pinned[market]
-        ), Fraction(0))
+        return sum(
+            (_pf_cash(u, spec, strategy, allow_stock) for u in pinned[market]), Fraction(0)
+        )
     trades, per_window = 0, []
-    for horizon, forecasts, actuals in units:
-        schedules = _trade(horizon, forecasts, strategy, pair, spec, allow_stock)
-        per_window.append(_settle(horizon, schedules, actuals, spec)[:2])
-        trades += sum(s.trade_count for s in schedules)
+    for unit in units:
+        legs, (cash, den, _) = _trade_and_settle(unit, strategy, pair, spec, allow_stock)
+        per_window.append((cash, den))
+        trades += sum(map(len, legs))
     return per_window, trades
 
 

@@ -11,7 +11,8 @@ forecast: each CSV cell is read into an integer over a power of ten
 the `prices` and `values` Fractions are built only when read.  Floats only
 appear inside the synthetic generator before rounding to cents.  Writers
 print a window's cells by its scale's decimal plan and each timestamp from
-one date text per calendar day, both worked out within the call.
+one date text per calendar day, both worked out within the call; the
+reader likewise parses each date text and time of day once per call.
 
 A forecast's rows may cross levels; QuantileForecast.repaired_curve reads
 one level of the rows sorted ascending, and that is the only repair.
@@ -149,6 +150,11 @@ def timestamp_formatter() -> Callable[[int], str]:
     return stamp
 
 
+# The times of day of the half-hour grid both markets trade on, as
+# format_timestamp names them.  Each read_table call starts from a copy.
+_GRID_SECONDS = {_time_text(s): s for s in range(0, 86400, 1800)}
+
+
 def _epochs(window: TradingWindow) -> range:
     """The epoch seconds of a window's periods."""
     return range(window.start_epoch_s, window.end_epoch_s, window.market.period_seconds)
@@ -282,6 +288,14 @@ def read_table(path: str | Path):
     The file must be UTF-8, after an optional byte-order mark, and every
     row must have as many cells as the header and open with a timestamp
     after the one before; a fault raises with the file and line.
+
+    As timestamp_formatter does for writers, each call keeps one table
+    from date text to the day's epoch seconds and one from time-of-day text
+    to seconds, the latter starting with the half-hour grid.  A stamp enters
+    them only when format_timestamp gives back its exact text, so both
+    halves are ten characters; any other stamp (a `+00:00` offset, a space
+    for the `T`) goes through parse_timestamp every time, and so does every
+    fault.
     """
     try:
         text = Path(path).read_bytes().decode("utf-8-sig")
@@ -292,6 +306,8 @@ def read_table(path: str | Path):
         line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
         raise MalformedRow(line, f"{path}: not UTF-8 text") from None
     header = prev = None
+    days: dict[str, int] = {}
+    seconds = dict(_GRID_SECONDS)
     for line, raw in enumerate(text.splitlines(), start=1):
         if raw.strip() == "":
             continue
@@ -304,7 +320,15 @@ def read_table(path: str | Path):
             raise MalformedRow(
                 line, f"{path}: expected {len(header)} columns, got {len(cells)}"
             )
-        ts = parse_timestamp(cells[0], line=line)
+        stamp = cells[0]
+        day, second = days.get(stamp[:10]), seconds.get(stamp[10:])
+        if day is not None and second is not None:
+            ts = day + second
+        else:
+            ts = parse_timestamp(stamp, line=line)
+            if format_timestamp(ts) == stamp:
+                second = ts % 86400
+                days[stamp[:10]], seconds[stamp[10:]] = ts - second, second
         if prev is not None and ts <= prev:
             raise NonMonotonicTimestamps(
                 f"{path}:{line}: timestamp {format_timestamp(ts)} not after "

@@ -18,15 +18,23 @@ _scan_ordered (buy before sell, for TS1 and TS2) and _scan_unordered
 its values as integers over one scale and repairs its curves once
 (QuantileForecast.repaired_curve); each strategy run weighs them by the
 battery's efficiencies, so a spread compares, ties and signs exactly as
-the exact fraction does.  Orders keep the exact forecast prices, built as
-Fractions only for the orders placed.  schedule_to_dict formats a
-schedule's orders, for the JSON and CSV files alike.
+the exact fraction does.
+
+Each strategy body returns a window's legs: (period, signed ticks)
+integer pairs in period order, positive for a buy and negative for a sell.
+A sweep checks and settles those legs as they are (_trade_legs).  Only
+where a reader wants orders (the public ts1, ts2, ts3 and ts3_dual, and the
+schedules backtest writes) does _schedule turn legs into TradeOrders, each
+priced at its curve's exact forecast: that is where a Fraction is built.
+Schedule checks its orders with the rule that checks a sweep's legs
+(_check_legs).  schedule_to_dict formats a schedule's orders, for the JSON
+and CSV files alike.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -138,25 +146,12 @@ class Schedule:
     orders: tuple[TradeOrder, ...]
 
     def __post_init__(self) -> None:
-        last = -1
-        for order in self.orders:
-            if not 0 <= order.period < self.window.period_count:
-                raise WindowMismatch(
-                    f"order period {order.period} outside window"
-                )
-            if order.period <= last:
-                raise WindowMismatch("orders must have strictly ascending periods")
-            if order.volume_ticks <= 0:
-                raise WindowMismatch("orders must have positive volume")
-            last = order.period
-        if self.strategy in ("TS1", "TS2"):
-            # pair-stacking strategies always alternate buy, sell, buy, ...
-            for i, order in enumerate(self.orders):
-                want = Side.BUY if i % 2 == 0 else Side.SELL
-                if order.side is not want:
-                    raise WindowMismatch(
-                        f"{self.strategy} orders must alternate buy/sell"
-                    )
+        # a non-positive volume goes in as an empty leg, which the check refuses
+        _check_legs(
+            [(o.period, o.signed_ticks if o.volume_ticks > 0 else 0) for o in self.orders],
+            self.window.period_count,
+            self.strategy,
+        )
 
     @property
     def trade_count(self) -> int:
@@ -293,26 +288,57 @@ def bottleneck_execute(
 
 
 # --- strategy internals ----------------------------------------------------
+# A leg is (period, signed ticks): a buy of that many ticks when positive, a
+# sell when negative.  Each body below returns a window's legs in period order.
 
-@dataclass
-class _Emitted:
-    """Orders on one pair of curves, accumulated against one shared timeline.
+def _check_legs(legs: Sequence[tuple[int, int]], period_count: int, strategy: str) -> None:
+    """Raise WindowMismatch unless the legs form one window's schedule.
 
-    Each order carries its exact curve price, built when the order is placed.
+    Each period lies inside the window, periods strictly ascend, and no leg
+    is empty; then TS1 and TS2 legs must alternate buy, sell, buy, ...
+    Schedule checks its orders with this rule, and the sweep its legs.
     """
+    last = -1
+    for period, signed in legs:
+        if not 0 <= period < period_count:
+            raise WindowMismatch(f"order period {period} outside window")
+        if period <= last:
+            raise WindowMismatch("orders must have strictly ascending periods")
+        if not signed:
+            raise WindowMismatch("orders must have positive volume")
+        last = period
+    # pair-stacking strategies always alternate buy, sell, buy, ...
+    if strategy in ("TS1", "TS2") and (
+        any(signed < 0 for _, signed in legs[::2])
+        or any(signed > 0 for _, signed in legs[1::2])
+    ):
+        raise WindowMismatch(f"{strategy} orders must alternate buy/sell")
 
-    curves: _Curves
-    orders: list = field(default_factory=list)
 
-    def add(self, period: int, side: Side, ticks: int) -> None:
-        if ticks > 0:
-            curves = self.curves
-            curve = curves.buy if side is Side.BUY else curves.sell
-            price = Fraction(curve[period], curves.scale)
-            self.orders.append(TradeOrder(period, side, ticks, price))
+def _schedule(
+    forecast: QuantileForecast,
+    strategy: str,
+    pair: QuantilePair,
+    legs: Sequence[tuple[int, int]],
+) -> Schedule:
+    """The window's legs as orders, each priced at its curve's exact forecast."""
+    buy = forecast.repaired_curve(pair.buy_level)
+    sell = forecast.repaired_curve(pair.sell_level)
+    scale = forecast.scale
+    return Schedule(forecast.window, strategy, pair, tuple(
+        TradeOrder(period, Side.BUY, signed, Fraction(buy[period], scale))
+        if signed > 0
+        else TradeOrder(period, Side.SELL, -signed, Fraction(sell[period], scale))
+        for period, signed in legs
+    ))
 
-    def sorted(self) -> tuple[TradeOrder, ...]:
-        return tuple(sorted(self.orders, key=lambda o: o.period))
+
+def _emit(legs: list, t_buy: int, x_buy: int, t_sell: int, x_sell: int) -> None:
+    """Append a sized pair's legs, leaving out a leg sized to nothing."""
+    if x_buy:
+        legs.append((t_buy, x_buy))
+    if x_sell:
+        legs.append((t_sell, -x_sell))
 
 
 def _execute_pair(
@@ -351,7 +377,7 @@ def _run_worklist(
     lo: int,
     hi: int,
     instants: Sequence[int],
-    out: _Emitted,
+    legs: list,
     allow_stock_buys: bool,
 ) -> None:
     """Breadth-first pair extraction over index ranges of one curve pair.
@@ -360,7 +386,7 @@ def _run_worklist(
     then requeues the sub-ranges either side of and between the two consumed
     periods.  A range without a candidate is dropped whole: every sub-range
     of an unprofitable range is itself unprofitable.  instants[t] is period
-    t's slot on the timeline.
+    t's slot on the timeline.  Legs are appended in the order they trade.
     """
     work = deque()
     if lo <= hi:
@@ -374,12 +400,138 @@ def _run_worklist(
         x_buy, x_sell = _execute_pair(
             timeline, instants[t_buy], instants[t_sell], allow_stock_buys
         )
-        out.add(t_buy, Side.BUY, x_buy)
-        out.add(t_sell, Side.SELL, x_sell)
+        _emit(legs, t_buy, x_buy, t_sell, x_sell)
         first, second = min(t_buy, t_sell), max(t_buy, t_sell)
         work.append((a, first - 1))
         work.append((first + 1, second - 1))
         work.append((second + 1, b))
+
+
+def _ts1_legs(forecast: QuantileForecast, pair: QuantilePair, spec: BatterySpec) -> tuple:
+    found = _scan_ordered(
+        _curves(forecast, pair, spec), 0, forecast.window.period_count - 1
+    )
+    volume = min(spec.ramp, spec.capacity - spec.initial_charge)
+    if found is None or not volume:
+        return ()
+    t_buy, t_sell = found
+    return (t_buy, volume), (t_sell, -volume)
+
+
+def _ts2_legs(forecast: QuantileForecast, pair: QuantilePair, spec: BatterySpec) -> tuple:
+    curves = _curves(forecast, pair, spec)
+    volume = min(spec.ramp, spec.capacity - spec.initial_charge)
+    legs: list = []
+
+    def recurse(lo: int, hi: int) -> None:
+        # the periods before a pair's buy, the pair, then those after its
+        # sell: the legs come out in period order
+        found = _scan_ordered(curves, lo, hi)
+        if found is None:
+            return
+        t1, t2 = found
+        recurse(lo, t1 - 1)
+        legs.append((t1, volume))
+        legs.append((t2, -volume))
+        recurse(t2 + 1, hi)
+
+    if volume:
+        recurse(0, forecast.window.period_count - 1)
+    return tuple(legs)
+
+
+def _ts3_legs(
+    forecast: QuantileForecast,
+    pair: QuantilePair,
+    spec: BatterySpec,
+    allow_stock_buys: bool,
+) -> tuple:
+    n = forecast.window.period_count
+    legs: list = []
+    _run_worklist(
+        ChargeTimeline(spec, n), _curves(forecast, pair, spec), 0, n - 1, range(n),
+        legs, allow_stock_buys,
+    )
+    return tuple(sorted(legs))
+
+
+def _ts3_dual_legs(
+    horizon: Horizon,
+    dam_forecast: QuantileForecast,
+    bm_forecast: QuantileForecast,
+    pair: QuantilePair,
+    spec: BatterySpec,
+    allow_stock_buys: bool,
+) -> tuple[tuple, tuple]:
+    dam, bm = horizon.windows
+    if dam_forecast.window != dam or bm_forecast.window != bm:
+        raise WindowMismatch("forecast windows do not match the horizon")
+    dam_curves = _curves(dam_forecast, pair, spec)
+    bm_curves = _curves(bm_forecast, pair, spec)
+    dam_instants, bm_instants = horizon.instants
+    timeline = ChargeTimeline(spec, len(horizon.events))
+    dam_legs: list = []
+    bm_legs: list = []
+    n_bm = bm.period_count
+
+    def run_bm(lo: int, hi: int) -> None:
+        _run_worklist(
+            timeline, bm_curves, lo, hi, bm_instants, bm_legs, allow_stock_buys
+        )
+
+    anchor = _scan_unordered(dam_curves, 0, dam.period_count - 1)
+    executed = False
+    if anchor is not None:
+        t_buy, t_sell = anchor
+        x_buy, x_sell = _execute_pair(
+            timeline, dam_instants[t_buy], dam_instants[t_sell], allow_stock_buys
+        )
+        _emit(dam_legs, t_buy, x_buy, t_sell, x_sell)
+        executed = x_buy > 0 or x_sell > 0
+        if executed:
+            span_lo, span_hi = min(t_buy, t_sell), max(t_buy, t_sell)
+            # balancing slot s falls inside day-ahead hour s // r
+            r = dam.market.period_seconds // bm.market.period_seconds
+            run_bm(0, min(span_lo * r, n_bm) - 1)
+            run_bm((span_hi + 1) * r, n_bm - 1)
+            _run_worklist(
+                timeline, dam_curves, span_lo + 1, span_hi - 1, dam_instants,
+                dam_legs, allow_stock_buys,
+            )
+    if not executed:
+        run_bm(0, n_bm - 1)
+    return tuple(sorted(dam_legs)), tuple(sorted(bm_legs))
+
+
+def _trade_legs(
+    horizon: Horizon,
+    forecasts: Sequence[QuantileForecast],
+    strategy: str,
+    pair: QuantilePair,
+    spec: BatterySpec,
+    allow_stock_buys: bool,
+) -> tuple[tuple, ...]:
+    """The strategy's legs over a horizon, one checked tuple per window.
+
+    One forecast trades TS1, TS2 or TS3; a day-ahead and a balancing
+    forecast trade the dual-market scheduler, TS3.
+    """
+    if len(forecasts) > 1:
+        if strategy != "TS3":
+            raise ConfigError("dual-market backtests use strategy TS3")
+        legs = _ts3_dual_legs(horizon, *forecasts, pair, spec, allow_stock_buys)
+    else:
+        (forecast,) = forecasts
+        if strategy == "TS3":
+            legs = (_ts3_legs(forecast, pair, spec, allow_stock_buys),)
+        elif strategy in ("TS1", "TS2"):
+            run = _ts1_legs if strategy == "TS1" else _ts2_legs
+            legs = (run(forecast, pair, spec),)
+        else:
+            raise ConfigError(f"unknown strategy {strategy!r}")
+    for forecast, window_legs in zip(forecasts, legs):
+        _check_legs(window_legs, forecast.window.period_count, strategy)
+    return legs
 
 
 # --- public strategies ------------------------------------------------------
@@ -390,15 +542,7 @@ def ts1(
     spec: BatterySpec,
 ) -> Schedule:
     """Trade only the single best buy-before-sell pair of the window."""
-    curves = _curves(forecast, pair, spec)
-    out = _Emitted(curves)
-    found = _scan_ordered(curves, 0, forecast.window.period_count - 1)
-    if found is not None:
-        t_buy, t_sell = found
-        volume = min(spec.ramp, spec.capacity - spec.initial_charge)
-        out.add(t_buy, Side.BUY, volume)
-        out.add(t_sell, Side.SELL, volume)
-    return Schedule(forecast.window, "TS1", pair, out.sorted())
+    return _schedule(forecast, "TS1", pair, _ts1_legs(forecast, pair, spec))
 
 
 def ts2(
@@ -412,22 +556,7 @@ def ts2(
     strictly after its sell are searched again, so all spans are disjoint
     and each one returns the battery to its starting charge.
     """
-    curves = _curves(forecast, pair, spec)
-    volume = min(spec.ramp, spec.capacity - spec.initial_charge)
-    out = _Emitted(curves)
-
-    def recurse(lo: int, hi: int) -> None:
-        found = _scan_ordered(curves, lo, hi)
-        if found is None:
-            return
-        t1, t2 = found
-        out.add(t1, Side.BUY, volume)
-        out.add(t2, Side.SELL, volume)
-        recurse(lo, t1 - 1)
-        recurse(t2 + 1, hi)
-
-    recurse(0, forecast.window.period_count - 1)
-    return Schedule(forecast.window, "TS2", pair, out.sorted())
+    return _schedule(forecast, "TS2", pair, _ts2_legs(forecast, pair, spec))
 
 
 def ts3(
@@ -437,12 +566,8 @@ def ts3(
     allow_stock_buys: bool = False,
 ) -> Schedule:
     """Work-list strategy: bottleneck-execute min/max pairs range by range."""
-    curves = _curves(forecast, pair, spec)
-    n = forecast.window.period_count
-    timeline = ChargeTimeline(spec, n)
-    out = _Emitted(curves)
-    _run_worklist(timeline, curves, 0, n - 1, range(n), out, allow_stock_buys)
-    return Schedule(forecast.window, "TS3", pair, out.sorted())
+    legs = _ts3_legs(forecast, pair, spec, allow_stock_buys)
+    return _schedule(forecast, "TS3", pair, legs)
 
 
 def ts3_dual(
@@ -461,46 +586,12 @@ def ts3_dual(
     trajectory so the combined schedule replays cleanly.  Without a
     profitable anchor the balancing window is traded alone.
     """
-    dam, bm = horizon.windows
-    if dam_forecast.window != dam or bm_forecast.window != bm:
-        raise WindowMismatch("forecast windows do not match the horizon")
-    dam_curves = _curves(dam_forecast, pair, spec)
-    bm_curves = _curves(bm_forecast, pair, spec)
-    dam_instants, bm_instants = horizon.instants
-    timeline = ChargeTimeline(spec, len(horizon.events))
-    dam_out, bm_out = _Emitted(dam_curves), _Emitted(bm_curves)
-    n_bm = bm.period_count
-
-    def run_bm(lo: int, hi: int) -> None:
-        _run_worklist(
-            timeline, bm_curves, lo, hi, bm_instants, bm_out, allow_stock_buys
-        )
-
-    anchor = _scan_unordered(dam_curves, 0, dam.period_count - 1)
-    executed = False
-    if anchor is not None:
-        t_buy, t_sell = anchor
-        x_buy, x_sell = _execute_pair(
-            timeline, dam_instants[t_buy], dam_instants[t_sell], allow_stock_buys
-        )
-        dam_out.add(t_buy, Side.BUY, x_buy)
-        dam_out.add(t_sell, Side.SELL, x_sell)
-        executed = x_buy > 0 or x_sell > 0
-        if executed:
-            span_lo, span_hi = min(t_buy, t_sell), max(t_buy, t_sell)
-            # balancing slot s falls inside day-ahead hour s // r
-            r = dam.market.period_seconds // bm.market.period_seconds
-            run_bm(0, min(span_lo * r, n_bm) - 1)
-            run_bm((span_hi + 1) * r, n_bm - 1)
-            _run_worklist(
-                timeline, dam_curves, span_lo + 1, span_hi - 1, dam_instants,
-                dam_out, allow_stock_buys,
-            )
-    if not executed:
-        run_bm(0, n_bm - 1)
+    dam_legs, bm_legs = _ts3_dual_legs(
+        horizon, dam_forecast, bm_forecast, pair, spec, allow_stock_buys
+    )
     return (
-        Schedule(dam, "TS3", pair, dam_out.sorted()),
-        Schedule(bm, "TS3", pair, bm_out.sorted()),
+        _schedule(dam_forecast, "TS3", pair, dam_legs),
+        _schedule(bm_forecast, "TS3", pair, bm_legs),
     )
 
 

@@ -13,14 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bessarb import errors, evaluation
+from bessarb import errors, evaluation, strategies
 from bessarb._numeric import ticks_to_mwh
-from bessarb.battery import BatterySpec, BatteryState, apply_trade, unit_trading_spec
+from bessarb.battery import (
+    BatterySpec,
+    BatteryState,
+    apply_trade,
+    replay,
+    unit_trading_spec,
+)
 from bessarb.errors import (
+    CapacityViolation,
     ConfigError,
     FloorViolation,
     LevelOutOfRange,
     NonCommensurateRamp,
+    RampViolation,
     WindowMismatch,
 )
 from bessarb.evaluation import (
@@ -143,6 +151,66 @@ class TestSettle:
         sched = _schedule(actuals.window, [])
         with pytest.raises(ConfigError):
             settle(sched, actuals, replace(UNIT, initial_charge=1500))
+
+
+# (legs as (market, period, signed ticks), violation, apply_trade's message)
+# on a 2 MWh battery with a 0.5 MWh ramp and floor, starting at 1 MWh
+_VIOLATIONS = [
+    ([("BM", 2, 501)], RampViolation, "|501| ticks exceeds ramp 500"),
+    ([("DAM", 0, -500), ("BM", 3, -501)], RampViolation, "|-501| ticks exceeds ramp 500"),
+    ([("DAM", 0, 500), ("BM", 2, 500), ("BM", 3, -501)], RampViolation,
+     "|-501| ticks exceeds ramp 500"),
+    ([("DAM", 0, 500), ("BM", 2, 500), ("BM", 3, 1)], CapacityViolation,
+     "charge 2001 exceeds capacity 2000"),
+    ([("DAM", 0, -500), ("BM", 2, -1)], FloorViolation, "charge 499 below floor 500"),
+    ([("BM", 0, 300), ("DAM", 1, -500), ("BM", 3, -301)], FloorViolation,
+     "charge 499 below floor 500"),
+]
+_BOUNDED = BatterySpec.from_mwh("2", "0.5", "0.5", initial_charge_mwh="1")
+
+
+def _orders(legs, market):
+    return [
+        TradeOrder(period, Side.BUY if signed > 0 else Side.SELL, abs(signed), Fraction(1))
+        for m, period, signed in legs if m == market
+    ]
+
+
+class TestSettleViolations:
+    """A schedule that breaks a bound raises apply_trade's named violation,
+    with its message, through settle and settle_dual alike."""
+
+    @pytest.mark.parametrize("legs, error, message", _VIOLATIONS)
+    def test_settle(self, legs, error, message):
+        # every leg on the balancing window, in period order
+        bm = TradingWindow(MarketKind.BM, BASE_EPOCH, 16)
+        legs = [("BM", 2 * i, signed) for i, (_, _, signed) in enumerate(legs)]
+        with pytest.raises(error) as err:
+            settle(_schedule(bm, _orders(legs, "BM")), make_prices([10] * 16), _BOUNDED)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("legs, error, message", _VIOLATIONS)
+    def test_settle_dual(self, legs, error, message):
+        # hour 1 trades after slots 0-1 and before slots 2-3
+        dam = TradingWindow(MarketKind.DAM, BASE_EPOCH, 24)
+        bm = TradingWindow(MarketKind.BM, BASE_EPOCH, 16)
+        with pytest.raises(error) as err:
+            settle_dual(
+                _schedule(dam, _orders(legs, "DAM")), _schedule(bm, _orders(legs, "BM")),
+                make_prices([10] * 24, market=MarketKind.DAM), make_prices([10] * 16),
+                _BOUNDED,
+            )
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_bounds_are_inclusive(self):
+        # a full ramp to the capacity, then a full ramp to the floor and back
+        bm = TradingWindow(MarketKind.BM, BASE_EPOCH, 16)
+        legs = [("BM", 0, 500), ("BM", 1, 500), ("BM", 2, -500), ("BM", 3, -500),
+                ("BM", 4, -500), ("BM", 5, 500)]
+        result = settle(_schedule(bm, _orders(legs, "BM")), make_prices([10] * 16), _BOUNDED)
+        assert result.final_charge == 1000
 
 
 class TestSettleDual:
@@ -752,6 +820,49 @@ class TestRunSweep:
         assert run_sweep(UNIT, dam_a, dam_f, bm_a, bm_f) == rows
         assert len(built) == 24
 
+    def test_sweep_builds_no_orders_or_schedules(self, monkeypatch):
+        # the benchmark sweep's input: a sweep settles integer legs
+        dam_a, dam_f = generate_synthetic(1, MarketKind.DAM, days=3, noise_sd=3.0)
+        bm_a, bm_f = generate_synthetic(1, MarketKind.BM, days=3, noise_sd=3.0)
+        built = {"orders": 0, "schedules": 0}
+        order_init, schedule_check = TradeOrder.__init__, Schedule.__post_init__
+
+        def counted_order(self, *args, **kwargs):
+            built["orders"] += 1
+            order_init(self, *args, **kwargs)
+
+        def counted_schedule(self):
+            built["schedules"] += 1
+            schedule_check(self)
+
+        monkeypatch.setattr(TradeOrder, "__init__", counted_order)
+        monkeypatch.setattr(Schedule, "__post_init__", counted_schedule)
+        rows = run_sweep(UNIT, dam_a, dam_f, bm_a, bm_f)
+        assert built == {"orders": 0, "schedules": 0}
+        assert sum(r.trades for r in rows if r.pair_label != "average") > 0
+        # the counters see what the public strategies build
+        sched = ts3(dam_f[0], MEDIAN_PAIR, UNIT)
+        assert built == {"orders": sched.trade_count, "schedules": 1} and sched.orders
+
+    @pytest.mark.parametrize("body, legs, message", [
+        ("_ts3_legs", ((24, 1000),), "order period 24 outside window"),
+        ("_ts3_legs", ((3, 1000), (2, -1000)), "orders must have strictly ascending periods"),
+        ("_ts3_legs", ((3, 0),), "orders must have positive volume"),
+        ("_ts1_legs", ((2, -1000), (3, 1000)), "TS1 orders must alternate buy/sell"),
+        ("_ts2_legs", ((2, 1000), (3, 1000)), "TS2 orders must alternate buy/sell"),
+    ])
+    def test_sweep_legs_are_checked_as_schedules_are(self, monkeypatch, body, legs, message):
+        dam_a, dam_f, *_ = self._data()
+        monkeypatch.setattr(strategies, body, lambda *args: legs)
+        with pytest.raises(WindowMismatch) as err:
+            run_sweep(UNIT, dam_a, dam_f, pairs=(MEDIAN_PAIR,))
+        assert str(err.value) == message
+        # backtest's path refuses them with the same message
+        (unit,) = window_units(dam_f, dam_a, "day-ahead")
+        with pytest.raises(WindowMismatch) as err:
+            trade_unit(unit, f"TS{body[3]}", MEDIAN_PAIR, UNIT)
+        assert str(err.value) == message
+
     def test_degenerate_forecasts_collapse_pairs_to_pf(self):
         dam_a, _, bm_a, _ = self._data()
         dam_f = [degenerate_forecast(ps, DEFAULT_LEVELS) for ps in dam_a]
@@ -938,6 +1049,106 @@ class TestSweepLanes:
         assert type(copy) is cls
         assert str(copy) == str(error)
         assert vars(copy) == vars(error)
+
+
+_PAIR_LEVELS = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
+
+
+@st.composite
+def sweep_batteries(draw):
+    """lattice_batteries, with 1/3 and the usual decimals among the efficiencies."""
+    spec = draw(lattice_batteries())
+    usual = st.sampled_from([Fraction(1, 3), Fraction(1), Fraction("0.98"), Fraction("0.8")])
+    eff = st.one_of(usual, efficiencies)
+    return replace(spec, charge_eff=draw(eff), discharge_eff=draw(eff))
+
+
+def _public_cell(spec, market, strategy, pair, allow, dam, bm):
+    """(per-window cash, trades) of one sweep cell through the public
+    strategies and settle or settle_dual; dam and bm are (forecast, prices)."""
+    run = {"TS1": ts1, "TS2": ts2, "TS3": ts3}[strategy]
+    cash, trades = [], 0
+    if market == "DAM+BM":
+        for (dam_fc, dam_ps), (bm_fc, bm_ps) in zip(dam, bm):
+            horizon = build_dual_horizon(dam_fc.window, bm_fc.window)
+            scheds = ts3_dual(horizon, dam_fc, bm_fc, pair, spec, allow)
+            cash.append(settle_dual(*scheds, dam_ps, bm_ps, spec).cash)
+            trades += sum(s.trade_count for s in scheds)
+        return tuple(cash), trades
+    for fc, ps in dam if market == "DAM" else bm:
+        sched = run(fc, pair, spec, allow) if strategy == "TS3" else run(fc, pair, spec)
+        cash.append(settle(sched, ps, spec).cash)
+        trades += sched.trade_count
+    return tuple(cash), trades
+
+
+class TestLegsMatchSchedules:
+    """The sweep settles integer legs, backtest settles Schedules: the two
+    carriers give the same cash, trade counts and final charges."""
+
+    def _draw_market(self, data, kind, days):
+        windows = [
+            TradingWindow(kind, BASE_EPOCH + d * 86400, kind.periods_per_window)
+            for d in range(days)
+        ]
+        return [
+            (_unit_forecast(data.draw, w, kind.value), _series(data.draw, w, kind.value))
+            for w in windows
+        ]
+
+    @given(sweep_batteries(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_rows_equal_public_strategies(self, spec, data):
+        days = data.draw(st.integers(min_value=1, max_value=2), label="days")
+        with_bm = data.draw(st.booleans(), label="balancing market")
+        allow = data.draw(st.booleans(), label="allow stock buys")
+        candidates = [QuantilePair(a, b) for a in _PAIR_LEVELS for b in _PAIR_LEVELS if a <= b]
+        pairs = data.draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=3,
+                                   unique=True), label="pairs")
+        dam = self._draw_market(data, MarketKind.DAM, days)
+        bm = self._draw_market(data, MarketKind.BM, days) if with_bm else None
+        rows = run_sweep(
+            spec, [ps for _, ps in dam], [fc for fc, _ in dam],
+            bm and [ps for _, ps in bm], bm and [fc for fc, _ in bm],
+            pairs=pairs, allow_stock_buys=allow, include_average=False,
+        )
+        markets = ("DAM", "BM", "DAM+BM") if with_bm else ("DAM",)
+        assert {r.market for r in rows} == set(markets)
+        by_label = {p.label: p for p in pairs}
+        for row in rows:
+            want = _public_cell(
+                spec, row.market, row.strategy, by_label[row.pair_label], allow, dam, bm
+            )
+            assert (row.per_window, row.trades) == want
+
+    @given(sweep_batteries(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_trade_unit_schedules_replay_to_its_final_charge(self, spec, data):
+        market = data.draw(st.sampled_from(["DAM", "BM", "DAM+BM"]), label="market")
+        dam = self._draw_market(data, MarketKind.DAM, 1)
+        bm = self._draw_market(data, MarketKind.BM, 1)
+        units = {
+            kind: window_units([fc for fc, _ in rows], [ps for _, ps in rows], kind)
+            for kind, rows in (("DAM", dam), ("BM", bm))
+        }
+        (unit,) = dual_units(units["DAM"], units["BM"]) if market == "DAM+BM" else units[market]
+        strategies = ["TS3"] if market == "DAM+BM" else ["TS1", "TS2", "TS3"]
+        strategy = data.draw(st.sampled_from(strategies), label="strategy")
+        sell = data.draw(st.sampled_from(_PAIR_LEVELS), label="sell level")
+        buy = data.draw(st.sampled_from([lv for lv in _PAIR_LEVELS if lv >= sell]))
+        allow = data.draw(st.booleans(), label="allow stock buys")
+        schedules, result = trade_unit(unit, strategy, QuantilePair(sell, buy), spec, allow)
+        instants = unit.horizon.instants
+        trades = [
+            (instants[w][o.period], o.signed_ticks)
+            for w, schedule in enumerate(schedules)
+            for o in schedule.orders
+        ]
+        assert replay(trades, spec).charge == result.final_charge
+        if market == "DAM+BM":
+            assert settle_dual(*schedules, *unit.actuals, spec) == result
+        else:
+            assert settle(*schedules, *unit.actuals, spec) == result
 
 
 def _money(value: Fraction) -> str:

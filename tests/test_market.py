@@ -35,6 +35,7 @@ from bessarb.market import (
     parse_forecast_csv,
     parse_price_csv,
     parse_timestamp,
+    read_table,
     write_forecast_csv,
     write_price_csv,
 )
@@ -580,6 +581,62 @@ class TestSharedReader:
             windows = READERS[reader][2](path, MarketKind.BM)
         assert len(windows) == 1
         assert caught[0].filename == __file__
+
+
+def _stamp_text(epoch_s: int, form: str) -> str:
+    """The instant as a data file may name it: `Z`, a space for the `T`,
+    or a UTC offset with the local time."""
+    if form == "Z":
+        return format_timestamp(epoch_s)
+    if form == " ":
+        text = format_timestamp(epoch_s)
+        return f"{text[:10]} {text[11:]}"
+    sign = 1 if form[0] == "+" else -1
+    local = format_timestamp(epoch_s + sign * int(form[1:3]) * 3600)
+    return local[:-1] + form
+
+
+_STAMP_FORMS = st.sampled_from(["Z", "Z", " ", "+00:00", "+01:00", "-05:00", "+14:00"])
+_STEPS = st.one_of(st.sampled_from([1800, 3600, 84600, 86400]), st.integers(1, 2 * 86400))
+
+
+class TestReadTableStamps:
+    """read_table's date and time tables read every stamp as parse_timestamp does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.integers(-9000, 9000).map(lambda k: BASE_EPOCH + k * 1800),
+                     st.integers(BASE_EPOCH - 400 * 86400, BASE_EPOCH + 400 * 86400)),
+           st.lists(st.tuples(_STEPS, _STAMP_FORMS), min_size=1, max_size=40))
+    def test_stamps_read_as_parse_timestamp_reads_them(self, start, steps):
+        epoch, stamps = start, []
+        for step, form in steps:
+            epoch += step
+            stamps.append(_stamp_text(epoch, form))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.csv"
+            path.write_text("timestamp,price\n" + "".join(f"{t},1\n" for t in stamps))
+            rows = list(read_table(path))[1:]
+        assert [ts for _, ts, _ in rows] == [parse_timestamp(t) for t in stamps]
+
+    @pytest.mark.parametrize("bad", [
+        "2024-01-01T02:00:00",
+        "2024-01-01T02:00:00.500Z",
+        "2024-01-01T02:00:00Zx",
+        "2024-01-01T24:00:00Z",
+        "2024-13-01T00:00:00Z",
+    ])
+    def test_bad_stamp_after_known_ones_fails_as_parse_timestamp(self, bad, tmp_path):
+        # lines 2 and 3 enter the tables; line 4 shares a date or time text
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "timestamp,price\n2024-01-01T00:00:00Z,1\n2024-01-01T01:00:00Z,1\n"
+            f"{bad},1\n"
+        )
+        with pytest.raises(MalformedRow) as want:
+            parse_timestamp(bad, line=4)
+        with pytest.raises(MalformedRow) as err:
+            list(read_table(path))
+        assert (err.value.line, str(err.value)) == (4, str(want.value))
 
 
 class TestDualHorizon:

@@ -199,6 +199,25 @@ class TestSchedule:
         # the same orders are fine for the work-list strategy
         Schedule(self._win(), "TS3", MEDIAN_PAIR, orders)
 
+    @pytest.mark.parametrize("strategy, orders, message", [
+        ("TS3", [(4, Side.BUY, 100)], "order period 4 outside window"),
+        ("TS3", [(-1, Side.BUY, 100)], "order period -1 outside window"),
+        ("TS3", [(1, Side.BUY, 100), (1, Side.SELL, 100)],
+         "orders must have strictly ascending periods"),
+        ("TS3", [(0, Side.SELL, 0)], "orders must have positive volume"),
+        ("TS3", [(0, Side.BUY, -100)], "orders must have positive volume"),
+        ("TS1", [(0, Side.SELL, 100), (1, Side.BUY, 100)], "TS1 orders must alternate buy/sell"),
+        ("TS2", [(0, Side.BUY, 100), (1, Side.SELL, 100), (2, Side.SELL, 100)],
+         "TS2 orders must alternate buy/sell"),
+        # the window checks run over every order before the alternation check
+        ("TS1", [(0, Side.SELL, 100), (4, Side.BUY, 100)], "order period 4 outside window"),
+    ])
+    def test_messages(self, strategy, orders, message):
+        orders = tuple(TradeOrder(p, side, ticks, Fraction(10)) for p, side, ticks in orders)
+        with pytest.raises(WindowMismatch) as err:
+            Schedule(self._win(4), strategy, MEDIAN_PAIR, orders)
+        assert str(err.value) == message
+
     def test_expected_cash(self):
         orders = (
             TradeOrder(0, Side.BUY, 1000, Fraction(10)),
