@@ -6,8 +6,10 @@ econ (multi-year return projection).
 
 Each option is declared once, with its type, choices and default: the
 common ones in `_COMMON`, the rest in one `_<command>_options` function per
-subcommand; handlers read the typed values. `_build_parser` builds the
-subcommand that argv names, or all six when argv names none. A `--config`
+subcommand; `_declare` puts one subcommand's options on a parser, and
+handlers read the typed values. An argv that starts with a subcommand name
+is read by that subcommand's parser alone (`bessarb <name>`); any other
+argv by the six-command parser of `_build_parser`. A `--config`
 JSON file stands for command-line tokens: each key is an option of the
 chosen subcommand, named by its underscore form (`noise_sd`, `out_format`),
 and its value is that option's text. Those tokens go before the real ones
@@ -234,24 +236,27 @@ def _econ_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--maintenance-kind", choices=MAINTENANCE_KINDS)
 
 
-def _build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, and its subcommand parsers by name: only `command`'s when
-    it names a subcommand, else all six.  Each subcommand takes --config and
-    only the common options it reads."""
+def _declare(p: argparse.ArgumentParser, command: str) -> None:
+    """Declare `command`'s options on `p`: --config, the common options it
+    reads, then its own.  Both hosts of a subcommand run this one declaration:
+    its parser alone, or its subparser in the six-command parser."""
+    _, _, common, declare = _COMMANDS[command]
+    p.add_argument("--config", help="JSON file with default option values")
+    for option in common:
+        p.add_argument(option, **_COMMON[option])
+    declare(p)
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The six-command parser, and its subcommand parsers by name."""
     parser = _Parser(
         prog="bessarb",
         description="Backtest battery arbitrage on quantile price forecasts.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, summary, common, declare) in _COMMANDS.items():
-        if command in _COMMANDS and name != command:
-            continue
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--config", help="JSON file with default option values")
-        for option in common:
-            p.add_argument(option, **_COMMON[option])
-        declare(p)
+    for name, (_, summary, _, _) in _COMMANDS.items():
+        _declare(sub.add_parser(name, help=summary), name)
     return parser, sub.choices
 
 
@@ -527,21 +532,34 @@ _COMMANDS = {
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """Parse argv and its --config tokens; the parser is freed on return.
+    """Parse argv and its --config tokens; the parser is freed on return, so
+    the lanes of `sweep --jobs 2` do not fork with it.
 
-    When argv starts with a subcommand name, the parser holds that one
-    subcommand only: the top-level parser then hands every later token to
-    it, so nothing reads differently.  Any other argv (help, version, a
-    missing or unknown name, or an option before the name) gets all six,
-    so the help text and the error list every subcommand.
+    When argv starts with a subcommand name, that subcommand's parser alone
+    reads the tokens after the name, as `bessarb <name>`, into a namespace
+    whose `command` is set first: what the six-command parser would hand it
+    and make of it, so nothing reads differently.  Any other argv (help,
+    version, a missing or unknown name, or an option before the name) gets
+    the six-command parser, so the help text and the error list every
+    subcommand.  Either way the config tokens go right after the name.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        command = argv[0]
+        parser = _Parser(prog=f"bessarb {command}")
+        _declare(parser, command)
+        commands = {command: parser}
+
+        def parse(tokens):  # the name, then the tokens its parser reads
+            return parser.parse_args(tokens[1:], argparse.Namespace(command=command))
+    else:
+        parser, commands = _build_parser()
+        parse = parser.parse_args
+    args = parse(argv)
     if args.config is not None:
         at = argv.index(args.command) + 1
         tokens = _config_tokens(commands[args.command], args.command, args.config)
-        args = parser.parse_args(argv[:at] + tokens + argv[at:])
+        args = parse(argv[:at] + tokens + argv[at:])
     for key, (least, most) in _COUNTS.items():
         value = getattr(args, key, None)
         if value is not None and not least <= value <= most:

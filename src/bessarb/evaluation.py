@@ -574,10 +574,12 @@ def run_sweep(
     items = [(market, None, None) for market in dict.fromkeys(m for m, _ in blocks)]
     items += [(market, strategy, None) for market, strategy in blocks]
     items += [(market, strategy, pair) for market, strategy in blocks for pair in pairs]
-    # each window's pf forecast is built once, and the dual units share them
-    pinned = {m: [_foresight(u) for u in units[m]] for m in ("DAM", "BM") if m in units}
-    if "DAM+BM" in units:
-        pinned["DAM+BM"] = dual_units(pinned["DAM"], pinned["BM"])
+    # each window's pf forecast is built once; the pinned units keep the
+    # horizons of their units, so a dual horizon is built once too
+    foresight = {ps: degenerate_forecast(ps) for m in ("DAM", "BM") if m in units
+                 for u in units[m] for ps in u.actuals}
+    pinned = {m: [u._replace(forecasts=tuple(foresight[ps] for ps in u.actuals)) for u in us]
+              for m, us in units.items()}
     payload = (spec, allow_stock_buys, units, pinned)
     result = dict(zip(items, _run_lanes(payload, items, jobs)))
     rows: list[BacktestReport] = []

@@ -188,17 +188,24 @@ class PriceSeries:
         return tuple(Fraction(n, self.scale) for n in self.scaled)
 
 
+# Both level checks compare the integers of each n/d (d > 0): every forecast
+# checks its levels, and Fraction's own comparisons cost several times more.
+
 def _coerce_level(level) -> Fraction:
     lv = exact(level)
-    if not 0 < lv < 1:
+    n, d = lv.as_integer_ratio()
+    if not 0 < n < d:
         raise LevelOutOfRange(f"quantile level {lv} outside (0, 1)")
     return lv
 
 
 def _checked_levels(levels: Iterable) -> tuple[Fraction, ...]:
-    checked = tuple(_coerce_level(lv) for lv in levels)
-    if any(a >= b for a, b in zip(checked, checked[1:])):
-        raise LevelOutOfRange("quantile levels must be strictly ascending")
+    checked = tuple(map(_coerce_level, levels))
+    n, d = 0, 1  # below every level, as each lies in (0, 1)
+    for m, e in map(Fraction.as_integer_ratio, checked):
+        if m * d <= n * e:
+            raise LevelOutOfRange("quantile levels must be strictly ascending")
+        n, d = m, e
     return checked
 
 

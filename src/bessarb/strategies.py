@@ -127,6 +127,10 @@ class TradeOrder:
     volume_ticks: int
     expected_price: Fraction
 
+    def __post_init__(self) -> None:
+        # "buy" is Side.BUY; a side that is neither raises ValueError
+        object.__setattr__(self, "side", Side(self.side))
+
     @property
     def volume_mwh(self) -> Fraction:
         return ticks_to_mwh(self.volume_ticks)

@@ -23,7 +23,7 @@ from bessarb import __version__, cli, evaluation
 from bessarb._numeric import format_money, parse_ratio
 from bessarb.battery import BatterySpec
 from bessarb.cli import main
-from bessarb.errors import ConfigError
+from bessarb.errors import BessArbError, ConfigError
 from bessarb.evaluation import (
     dp_optimal,
     dp_optimal_dual,
@@ -1183,71 +1183,6 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == __version__
 
 
-class TestOneSubcommandParser:
-    """argv that starts with a subcommand name is parsed by a parser that
-    holds that subcommand alone; it must read argv as the full one does."""
-
-    COMMANDS = ("gen", "backtest", "sweep", "pf", "score", "econ")
-
-    def both(self, monkeypatch, read):
-        """read() as main parses, then with all six subcommands built."""
-        lazy = read()
-        build = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
-        return lazy, read()
-
-    def test_builds_only_the_named_subcommand(self):
-        assert list(cli._build_parser("pf")[1]) == ["pf"]
-        for command in (None, "nosuch", "--help"):
-            assert list(cli._build_parser(command)[1]) == list(self.COMMANDS)
-
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_subcommand_help(self, capsys, monkeypatch, command):
-        lazy, full = self.both(monkeypatch, lambda: outcome(capsys, command, "--help"))
-        assert lazy == full
-        assert lazy[0] == 0 and lazy[1].startswith(f"usage: bessarb {command} ")
-
-    @pytest.mark.parametrize(
-        "argv", [("--help",), ("-h", "pf"), ("--version",), (), ("nosuch",)]
-    )
-    def test_top_level(self, capsys, monkeypatch, argv):
-        lazy, full = self.both(monkeypatch, lambda: outcome(capsys, *argv))
-        assert lazy == full
-        assert lazy[0] in (0, 2)
-
-    @pytest.mark.parametrize(
-        "argv", [("--bogus", "pf"), ("pf", "--version"), ("pf", "--help", "x"),
-                 ("gen", "--days"), ("econ", "--capex")]
-    )
-    def test_awkward_argv(self, capsys, monkeypatch, argv):
-        lazy, full = self.both(monkeypatch, lambda: outcome(capsys, *argv))
-        assert lazy == full
-
-    @pytest.mark.parametrize(
-        "argv, doc",
-        [
-            (("pf",), {"jobs": "2"}),
-            (("pf",), {"market": "bm", "battery": "b.json"}),
-            (("gen", "--seed", "3"), {"days": 2, "levels": ["0.1", "0.9"]}),
-            (("sweep", "--jobs", "1"), {"jobs": 2, "no_average": True}),
-            (("econ",), {"capex": "1e201"}),
-        ],
-    )
-    def test_config_tokens(self, tmp_path, monkeypatch, argv, doc):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        argv = (argv[0], "--config", str(cfg), *argv[1:])
-
-        def parsed():  # the namespace, or the usage error's text
-            try:
-                return vars(cli._parse_args(argv))
-            except ConfigError as exc:
-                return str(exc)
-
-        lazy, full = self.both(monkeypatch, parsed)
-        assert lazy == full
-
-
 # --- the exit contract for any input ----------------------------------------
 
 _LATE_PRICES = ("timestamp,price\n" + "".join(
@@ -1426,6 +1361,166 @@ class TestExitContract:
         for line in objects:
             assert set(json.loads(line)) == {"error", "message"}
 
+
+# --- one parser per named subcommand ----------------------------------------
+
+class _NoName(dict):
+    """The subcommand table, taking no argv[0] for a subcommand name: with it
+    `_parse_args` reads every argv with the six-command parser."""
+
+    def __contains__(self, key):
+        return False
+
+
+def _six_command(read):
+    """read() with every argv read by the six-command parser."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_COMMANDS", _NoName(cli._COMMANDS))
+        return read()
+
+
+# The config keys of each subcommand.
+_COMMAND_KEYS = {
+    name: sorted(a.dest for a in parser._actions if a.dest not in ("help", "config"))
+    for name, parser in cli._build_parser()[1].items()
+}
+
+
+@st.composite
+def _named_runs(draw):
+    """argv and a config file's text.  argv is a subcommand name, then up to
+    five flags of it (`--help` and `--config` among them) or of any
+    subcommand, each with a good or bad value, a missing value, or its value
+    after `=`; half the time `--config` and the file go in among them.  The
+    config holds keys of the subcommand, or any text."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = draw(st.sampled_from([_COMMAND_FLAGS[command], sorted(_TAKES_VALUE)]))
+    argv = [command]
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        flag = draw(st.sampled_from(flags))
+        if not _TAKES_VALUE[flag]:
+            argv.append(flag)
+            continue
+        values = ("{config}", "{missing}") if flag == "--config" else _VALUES
+        value = draw(st.sampled_from(values))
+        form = draw(st.sampled_from(("split", "joined", "bare")))
+        argv += {"split": [flag, value], "joined": [f"{flag}={value}"], "bare": [flag]}[form]
+    if draw(st.booleans()):
+        at = draw(st.integers(min_value=1, max_value=len(argv)))
+        argv[at:at] = ["--config", "{config}"]
+    own = st.dictionaries(st.sampled_from(_COMMAND_KEYS[command]), _json_values, max_size=2)
+    return argv, draw(st.one_of(own.map(json.dumps), _configs))
+
+
+def _parsed(argv):
+    """_parse_args(argv) as main reports it: exit code, stdout, stderr and the
+    namespace's repr."""
+    out, err = io.StringIO(), io.StringIO()
+    code, namespace = 0, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = repr(cli._parse_args(argv))
+        except SystemExit as exc:  # help
+            code = exc.code
+        except (BessArbError, OSError) as exc:
+            code = 2 if isinstance(exc, ConfigError) else 3
+            cli._print_error(exc)
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+class TestOneSubcommandParser:
+    """argv that starts with a subcommand name is parsed by that subcommand's
+    parser alone; it must read argv as the six-command parser does."""
+
+    COMMANDS = ("gen", "backtest", "sweep", "pf", "score", "econ")
+
+    def both(self, read):
+        """read() as main parses, then with the six-command parser."""
+        return read(), _six_command(read)
+
+    def test_a_named_subcommand_builds_its_parser_alone(self, tmp_path, monkeypatch,
+                                                        capsys, data_dir):
+        progs = []
+        init = cli._Parser.__init__
+
+        def spy(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", spy)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"market": "dam"}))
+        actuals = str(data_dir / "dam_actuals.csv")
+        for argv in (["pf", "--actuals", actuals],
+                     ["pf", "--config", str(cfg), "--actuals", actuals]):
+            progs.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert progs == ["bessarb pf"]
+        progs.clear()
+        assert outcome(capsys, "--help")[0] == 0
+        assert progs == ["bessarb"] + [f"bessarb {c}" for c in self.COMMANDS]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_help(self, capsys, command):
+        lazy, full = self.both(lambda: outcome(capsys, command, "--help"))
+        assert lazy == full
+        assert lazy[0] == 0 and lazy[1].startswith(f"usage: bessarb {command} ")
+
+    @pytest.mark.parametrize(
+        "argv", [("--help",), ("-h", "pf"), ("--version",), (), ("nosuch",)]
+    )
+    def test_top_level(self, capsys, argv):
+        lazy, full = self.both(lambda: outcome(capsys, *argv))
+        assert lazy == full
+        assert lazy[0] in (0, 2)
+
+    @pytest.mark.parametrize(
+        "argv", [("--bogus", "pf"), ("pf", "--version"), ("pf", "--help", "x"),
+                 ("gen", "--days"), ("econ", "--capex")]
+    )
+    def test_awkward_argv(self, capsys, argv):
+        lazy, full = self.both(lambda: outcome(capsys, *argv))
+        assert lazy == full
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (("pf",), {"jobs": "2"}),
+            (("pf",), {"market": "bm", "battery": "b.json"}),
+            (("gen", "--seed", "3"), {"days": 2, "levels": ["0.1", "0.9"]}),
+            (("sweep", "--jobs", "1"), {"jobs": 2, "no_average": True}),
+            (("econ",), {"capex": "1e201"}),
+        ],
+    )
+    def test_config_tokens(self, tmp_path, argv, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = (argv[0], "--config", str(cfg), *argv[1:])
+
+        def parsed():  # the namespace, or the usage error's text
+            try:
+                return vars(cli._parse_args(argv))
+            except ConfigError as exc:
+                return str(exc)
+
+        lazy, full = self.both(parsed)
+        assert lazy == full
+
+    @given(run=_named_runs())
+    @example(run=(["pf", "--config", "{config}", "--market", "bm"],
+                  '{"battery": "b.json", "strategy": "TS1", "market": "dam"}'))
+    @example(run=(["sweep", "--jobs", "1", "--config", "{config}"], '{"jobs": 2}'))
+    @example(run=(["sweep", "--config", "{missing}"], "{}"))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_reads_as_the_six_command_parser(self, tmp_path, run):
+        argv, config = run
+        paths = {"config": str(tmp_path / "config.json"),
+                 "missing": str(tmp_path / "missing.json")}
+        Path(paths["config"]).write_text(_fill(config, paths), encoding="latin-1")
+        argv = [_fill(token, paths) for token in argv]
+        lazy, full = self.both(lambda: _parsed(argv))
+        assert lazy == full
 
 
 class TestFractionText:

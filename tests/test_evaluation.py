@@ -57,6 +57,7 @@ from bessarb.evaluation import (
 from bessarb.market import (
     BASE_EPOCH,
     DEFAULT_LEVELS,
+    Horizon,
     MarketKind,
     PriceSeries,
     QuantileForecast,
@@ -151,6 +152,19 @@ class TestSettle:
         sched = _schedule(actuals.window, [])
         with pytest.raises(ConfigError):
             settle(sched, actuals, replace(UNIT, initial_charge=1500))
+
+    def test_side_given_as_text(self):
+        # "buy" is a buy: it charges the battery and is paid as one
+        order = TradeOrder(0, "buy", 500, Fraction(10))
+        assert order.side is Side.BUY
+        bm = TradingWindow(MarketKind.BM, BASE_EPOCH, 16)
+        result = settle(_schedule(bm, [order]), make_prices([10] * 16), _BOUNDED)
+        assert result.final_charge == 1500
+        assert result.cash == Fraction(-250, 49)
+
+    def test_unknown_side_raises(self):
+        with pytest.raises(ValueError):
+            TradeOrder(0, "hold", 500, Fraction(10))
 
 
 # (legs as (market, period, signed ticks), violation, apply_trade's message)
@@ -819,6 +833,25 @@ class TestRunSweep:
         # no pinned forecast outlives its call
         assert run_sweep(UNIT, dam_a, dam_f, bm_a, bm_f) == rows
         assert len(built) == 24
+
+    def test_each_dual_horizon_is_built_once(self, monkeypatch, tmp_path):
+        # the benchmark sweep's input: 3 DAM, 9 BM and 3 dual horizons
+        dam_a, dam_f = generate_synthetic(1, MarketKind.DAM, days=3, noise_sd=3.0)
+        bm_a, bm_f = generate_synthetic(1, MarketKind.BM, days=3, noise_sd=3.0)
+        parallel = run_sweep(UNIT, dam_a, dam_f, bm_a, bm_f, jobs=2)
+        built = []
+        derive = Horizon.__post_init__
+
+        def counting(self):
+            built.append(len(self.windows))
+            derive(self)
+
+        monkeypatch.setattr(Horizon, "__post_init__", counting)
+        serial = run_sweep(UNIT, dam_a, dam_f, bm_a, bm_f)
+        assert (len(built), built.count(2)) == (15, 3)
+        write_report_csv(tmp_path / "serial.csv", serial)
+        write_report_csv(tmp_path / "parallel.csv", parallel)
+        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "parallel.csv").read_bytes()
 
     def test_sweep_builds_no_orders_or_schedules(self, monkeypatch):
         # the benchmark sweep's input: a sweep settles integer legs

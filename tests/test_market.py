@@ -171,6 +171,32 @@ class TestContainers:
         with pytest.raises(LevelOutOfRange):
             QuantileForecast(win, (Fraction(0),), ((1,),), 1)
 
+    @given(st.lists(
+        st.one_of(
+            st.sampled_from([0, 1, -1, "0.5", Fraction(1, 2), Fraction(-1, 3), "1/3",
+                             Fraction(1, 10), Fraction(9, 10), 0.25, Fraction(3, 2)]),
+            st.fractions(min_value=-1, max_value=2, max_denominator=12),
+        ),
+        min_size=1, max_size=5,
+    ))
+    def test_level_check_reads_as_fraction_comparisons(self, levels):
+        # zero, one, negatives, equal and descending neighbours, and text
+        want = tuple(Fraction(str(lv)) for lv in levels)
+        outside = [lv for lv in want if not 0 < lv < 1]
+        if outside:
+            message = f"quantile level {outside[0]} outside (0, 1)"
+        elif any(a >= b for a, b in zip(want, want[1:])):
+            message = "quantile levels must be strictly ascending"
+        else:
+            message = None
+        win = TradingWindow(MarketKind.BM, BASE_EPOCH, 1)
+        try:
+            fc = QuantileForecast(win, tuple(levels), ((0,) * len(levels),), 1)
+        except LevelOutOfRange as exc:
+            assert str(exc) == message
+        else:
+            assert message is None and fc.levels == want
+
     def test_level_curve_lookup(self):
         fc = make_forecast({"0.3": [1, 2], "0.7": [3, 4]})
         assert fc.scale == 1
