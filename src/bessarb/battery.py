@@ -219,6 +219,8 @@ class ChargeTimeline:
         self._path = [spec.initial_charge] * n_slots
 
     def path(self) -> list[int]:
+        """A copy of the charge per slot.  Only tests and the benchmark's
+        tracer, bench/tracing.py, call it, so it can go once the tracer stops."""
         return list(self._path)
 
     def max_buy_between(self, slot: int, end: int) -> int:

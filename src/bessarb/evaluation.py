@@ -337,6 +337,13 @@ def perfect_foresight(
     return pf_unit(unit, spec, strategy, allow_stock_buys)
 
 
+def _dual_unit(horizon: Horizon, dam_actuals: PriceSeries, bm_actuals: PriceSeries) -> _Unit:
+    """The forecast-free unit of a dual horizon and the prices of its windows."""
+    if (dam_actuals.window, bm_actuals.window) != horizon.windows:
+        raise WindowMismatch("price windows do not match the horizon")
+    return _Unit(horizon, (), (dam_actuals, bm_actuals))
+
+
 def perfect_foresight_dual(
     horizon: Horizon,
     dam_actuals: PriceSeries,
@@ -344,8 +351,7 @@ def perfect_foresight_dual(
     spec: BatterySpec,
     allow_stock_buys: bool = False,
 ) -> Fraction:
-    unit = _Unit(horizon, (), (dam_actuals, bm_actuals))
-    return pf_unit(unit, spec, "TS3", allow_stock_buys)
+    return pf_unit(_dual_unit(horizon, dam_actuals, bm_actuals), spec, "TS3", allow_stock_buys)
 
 
 def dp_optimal(actuals: PriceSeries, spec: BatterySpec) -> Fraction:
@@ -360,10 +366,12 @@ def dp_optimal_dual(
     bm_actuals: PriceSeries,
     spec: BatterySpec,
 ) -> Fraction:
-    """Best possible profit trading both markets of one dual horizon."""
-    if (dam_actuals.window, bm_actuals.window) != horizon.windows:
-        raise WindowMismatch("price windows do not match the horizon")
-    return dp_unit(_Unit(horizon, (), (dam_actuals, bm_actuals)), spec)
+    """Best possible profit trading both markets of one dual horizon.
+
+    Only tests and the benchmark's tracer, bench/tracing.py, call it, so
+    it can go once the tracer stops.
+    """
+    return dp_unit(_dual_unit(horizon, dam_actuals, bm_actuals), spec)
 
 
 # --- forecast scoring -------------------------------------------------------

@@ -8,7 +8,9 @@ rows: every row farther than the k-th smallest distance drops out before a
 stable sort, so the ranking is the k-prefix of a stable sort of all rows,
 and a smaller k reads a prefix of it.  Below 8 features the column sum
 rounds as numpy's sum over the feature axis does; from 8 on numpy sums in
-pairs, so there the two can break a near-tie differently.
+pairs, so there the two can break a near-tie differently.  When a query's
+k-th float distance is inf or NaN, and the query and every training
+feature are finite, that query is ranked in exact integer arithmetic.
 Targets are read as integers over one L when the feature CSV is read.  A
 quantile at level a/b is read off the sorted neighbour targets by linear
 interpolation at rank (k - 1) * a/b, as an integer over b * L.  The
@@ -164,6 +166,7 @@ class KnnQuantileForecaster:
             raise KTooLarge(f"k={self.k} with {len(matrix)} training rows")
         self._mean, self._std = _standardizer(matrix.features)
         self._train = (matrix.features - self._mean) / self._std
+        self._features = matrix.features
         self._targets, self._scale = matrix.targets, matrix.scale
         return self
 
@@ -174,6 +177,13 @@ class KnnQuantileForecaster:
         distance, so older rows come first on distance ties.  Rows farther
         than the k-th smallest distance are set to inf before the sort;
         a NaN distance sorts last, and a NaN k-th distance masks nothing.
+
+        A query whose k-th distance overflows to inf, or is NaN, while it
+        and every training feature are finite, is ranked exactly instead
+        (_exact_ranking).  A row at an inf float distance is truly farther
+        than any row at a finite one, so a finite k-th distance leaves
+        nothing for the exact ranking to change.  An overflow lands in such
+        a row or in a query ranked exactly, so numpy's warning is not shown.
         """
         if not hasattr(self, "_train"):
             raise EmptyTrainSet("fit before predict")
@@ -183,13 +193,18 @@ class KnnQuantileForecaster:
             raise MalformedRow(
                 0, f"query block shape {queries.shape} does not hold {width} features per row"
             )
-        queries = (queries - self._mean) / self._std
         d2 = np.zeros((len(queries), len(self._train)))
-        for q, t in zip(queries.T, self._train.T):
-            d2 += (t - q[:, None]) ** 2
+        with np.errstate(over="ignore"):
+            for q, t in zip(((queries - self._mean) / self._std).T, self._train.T):
+                d2 += (t - q[:, None]) ** 2
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
         near = np.where(d2 > kth, np.inf, d2)
-        return np.argsort(near, axis=1, kind="stable")[:, :k]
+        ranking = np.argsort(near, axis=1, kind="stable")[:, :k]
+        if not np.isfinite(kth).all() and np.isfinite(self._features).all():
+            finite = np.isfinite(queries).all(axis=1)
+            for i in np.flatnonzero(~np.isfinite(kth[:, 0]) & finite):
+                ranking[i] = _exact_ranking(self._features, queries[i].tolist(), k)
+        return ranking
 
     def _predict_scaled(self, features) -> tuple[list[list[int]], int]:
         """predict's rows as integers, and the one scale they are over."""
@@ -200,6 +215,39 @@ class KnnQuantileForecaster:
     def predict(self, features) -> list[tuple[Fraction, ...]]:
         rows, den = self._predict_scaled(features)
         return [tuple(Fraction(v, den) for v in row) for row in rows]
+
+
+def _exact_ranking(features: np.ndarray, query: list[float], k: int) -> list[int]:
+    """The k training rows nearest one finite query, in exact arithmetic.
+
+    The squared standardized distance to row x is the sum of (q - x)**2 / var
+    over the columns of non-zero population variance var; a zero-variance
+    column adds the same to every row, so it is left out.  The sum reads no
+    standardized query, so nothing in it overflows.  Ties go to the older row.
+
+    Floats are dyadic.  A column's values are integers X over its largest
+    denominator c, and n**2 c**2 var = n*sum(X**2) - sum(X)**2 = V.  Over
+    d = max(c, the query's denominator) and s = d / c, the query is an
+    integer Q and each term is n**2 (Q - s*X)**2 / (s**2 V).  So the sum,
+    times the lcm L of the s**2 V over n**2, is the integer sum of
+    (Q - s*X)**2 * L / (s**2 V), and it ranks as the sum does.
+    """
+    n = len(features)
+    terms = []
+    for value, column in zip(query, features.T.tolist()):
+        ratios = [x.as_integer_ratio() for x in column]
+        c = max(b for _, b in ratios)
+        xs = [a * (c // b) for a, b in ratios]
+        v = n * sum(x * x for x in xs) - sum(xs) ** 2
+        if v:
+            a, b = value.as_integer_ratio()
+            s = max(b, c) // c  # both are powers of two
+            q = a * (s * c // b)
+            terms.append((s * s * v, [(q - s * x) ** 2 for x in xs]))
+    lcm = math.lcm(*(den for den, _ in terms))
+    weighted = [(lcm // den, squares) for den, squares in terms]
+    dist = [sum(w * squares[i] for w, squares in weighted) for i in range(n)]
+    return sorted(range(n), key=dist.__getitem__)[:k]
 
 
 def _interpolate(ranking: np.ndarray, k: int, targets: Sequence[int],

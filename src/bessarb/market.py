@@ -7,12 +7,14 @@ Two market granularities are supported: hourly day-ahead windows of 24
 periods and half-hourly balancing windows of 16 periods.  Prices are exact
 EUR/MWh values, held as integers over one positive scale per series or
 forecast: each CSV cell is read into an integer over a power of ten
-(_numeric.parse_ratio), the synthetic generator emits integer cents, and
-the `prices` and `values` Fractions are built only when read.  Floats only
-appear inside the synthetic generator before rounding to cents.  Writers
-print a window's cells by its scale's decimal plan and each timestamp from
-one date text per calendar day, both worked out within the call; the
-reader likewise parses each date text and time of day once per call.
+(_numeric.parse_ratio), and the synthetic generator emits integer cents.
+Integer rows over one scale are the only constructor of either container;
+no package code reads the `prices` and `values` Fraction views, which are
+built only when read.  Floats only appear inside the synthetic
+generator before rounding to cents.  Writers print a window's cells by its
+scale's decimal plan and each timestamp from one date text per calendar
+day, both worked out within the call; the reader likewise parses each date
+text and time of day once per call.
 
 A forecast's rows may cross levels; QuantileForecast.repaired_curve reads
 one level of the rows sorted ascending, and that is the only repair.
@@ -185,6 +187,8 @@ class PriceSeries:
 
     @property
     def prices(self) -> tuple[Fraction, ...]:
+        """The prices as Fractions.  Only tests and the benchmark's tracer,
+        bench/tracing.py, read them, so they can go once the tracer stops."""
         return tuple(Fraction(n, self.scale) for n in self.scaled)
 
 
@@ -215,11 +219,10 @@ class QuantileForecast:
 
     scaled is period-major integer rows over one positive scale, reduced
     on construction to the least that keeps every value whole: the
-    forecast of period t at levels[i] is scaled[t][i] / scale.  Build a
-    forecast from exact values with from_values; `values` builds the
-    Fractions each time it is read.  Rows are not required to be monotone
-    in the level: repaired_curve reads one level of the rows sorted
-    ascending, which is how every strategy reads them.
+    forecast of period t at levels[i] is scaled[t][i] / scale.  Those
+    integer rows are the one way to build a forecast.  Rows are not
+    required to be monotone in the level: repaired_curve reads one level
+    of the rows sorted ascending, which is how every strategy reads them.
     """
 
     window: TradingWindow
@@ -251,17 +254,10 @@ class QuantileForecast:
         ))
         object.__setattr__(self, "scale", scale)
 
-    @classmethod
-    def from_values(
-        cls, window: TradingWindow, levels: Sequence, values: Sequence[Sequence[Fraction]]
-    ) -> "QuantileForecast":
-        """The forecast whose value t at levels[i] is the Fraction values[t][i]."""
-        scale = math.lcm(*(v.denominator for row in values for v in row))
-        scaled = [[v.numerator * (scale // v.denominator) for v in row] for row in values]
-        return cls(window, levels, scaled, scale)
-
     @property
     def values(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows as Fractions.  Only tests and the benchmark's tracer,
+        bench/tracing.py, read them, so they can go once the tracer stops."""
         scale = self.scale
         return tuple(tuple(Fraction(n, scale) for n in row) for row in self.scaled)
 

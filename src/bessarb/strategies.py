@@ -46,7 +46,6 @@ from bessarb._numeric import (
     exact,
     exact_text,
     parse_number,
-    ticks_to_mwh,
 )
 from bessarb.battery import BatterySpec, BatteryState, ChargeTimeline
 from bessarb.errors import ConfigError, InvalidPair, WindowMismatch
@@ -132,10 +131,6 @@ class TradeOrder:
         object.__setattr__(self, "side", Side(self.side))
 
     @property
-    def volume_mwh(self) -> Fraction:
-        return ticks_to_mwh(self.volume_ticks)
-
-    @property
     def signed_ticks(self) -> int:
         return self.volume_ticks if self.side is Side.BUY else -self.volume_ticks
 
@@ -201,7 +196,6 @@ class _Curves:
 
     buy: tuple[int, ...]
     sell: tuple[int, ...]
-    scale: int
     w_buy: int
     w_sell: int
 
@@ -212,7 +206,6 @@ def _curves(forecast: QuantileForecast, pair: QuantilePair, spec: BatterySpec) -
     return _Curves(
         forecast.repaired_curve(pair.buy_level),
         forecast.repaired_curve(pair.sell_level),
-        forecast.scale,
         w_buy,
         w_sell,
     )

@@ -36,16 +36,23 @@ def make_prices(curve, market=MarketKind.BM, start=BASE_EPOCH) -> PriceSeries:
     return PriceSeries(window, *scaled(curve))
 
 
+def exact_forecast(window: TradingWindow, levels, rows) -> QuantileForecast:
+    """The forecast whose value t at levels[i] is exactly rows[t][i]."""
+    flat, scale = scaled(v for row in rows for v in row)
+    width = len(levels)
+    return QuantileForecast(
+        window, levels, [flat[t * width:(t + 1) * width] for t in range(len(rows))], scale
+    )
+
+
 def make_forecast(curves: dict, market=MarketKind.BM, start=BASE_EPOCH) -> QuantileForecast:
     """Forecast from {level: curve}; curves must share one length."""
     items = sorted((frac(lv), curve) for lv, curve in curves.items())
     levels = tuple(lv for lv, _ in items)
     length = len(items[0][1])
     window = TradingWindow(market, start, length)
-    rows = tuple(
-        tuple(frac(curve[t]) for _, curve in items) for t in range(length)
-    )
-    return QuantileForecast.from_values(window, levels, rows)
+    rows = tuple(tuple(curve[t] for _, curve in items) for t in range(length))
+    return exact_forecast(window, levels, rows)
 
 
 def flat_forecast(curve, levels=("0.5",), market=MarketKind.BM, start=BASE_EPOCH):

@@ -293,6 +293,26 @@ class TestBacktest:
         assert code == 2
         assert stderr_error(err)["error"] == "ConfigError"
 
+    def test_dual_needs_a_balancing_window_at_a_day_ahead_start(self, data_dir, tmp_path,
+                                                                 capsys):
+        # keep only the balancing window that opens at 08:00 on day one
+        for name in ("bm_actuals", "bm_forecast"):
+            lines = (data_dir / f"{name}.csv").read_text().splitlines()
+            (tmp_path / f"{name}.csv").write_text("\n".join([lines[0], *lines[17:33]]) + "\n")
+        assert lines[17].startswith("2024-01-01T08:00:00")
+        code, _, err = run(
+            capsys, "backtest", "--market", "dual",
+            "--dam-actuals", str(data_dir / "dam_actuals.csv"),
+            "--dam-forecast", str(data_dir / "dam_forecast.csv"),
+            "--bm-actuals", str(tmp_path / "bm_actuals.csv"),
+            "--bm-forecast", str(tmp_path / "bm_forecast.csv"),
+        )
+        assert code == 2
+        assert stderr_error(err) == {
+            "error": "ConfigError",
+            "message": "no balancing window opens with a day-ahead window",
+        }
+
     def test_carry_state_runs(self, tmp_path, capsys):
         out = tmp_path / "two"
         run(capsys, "gen", "--out", str(out), "--days", "2", "--markets", "dam",
@@ -678,6 +698,18 @@ class TestScore:
         assert lines[1].startswith("0.1,")
         assert lines[-1].startswith("all,")
 
+    def test_forecast_without_a_level_column_is_data_error(self, data_dir, tmp_path,
+                                                            capsys):
+        path = tmp_path / "f.csv"
+        path.write_text("timestamp\n2024-01-01T00:00:00Z\n")
+        code, _, err = run(capsys, "score", "--forecast", str(path),
+                           "--actuals", str(data_dir / "dam_actuals.csv"))
+        assert code == 3
+        assert stderr_error(err) == {
+            "error": "UnknownColumn",
+            "message": f"{path}: expected header timestamp,q<level>,...",
+        }
+
 
 class TestEcon:
     def test_catalog_asset_projection(self, tmp_path, capsys):
@@ -756,6 +788,15 @@ class TestConfigFile:
         code, stdout, _ = run(capsys, "gen", "--config", str(cfg), "--days", "1")
         assert code == 0
         assert "days=1" in stdout
+
+    def test_null_leaves_the_default(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": None, "days": 1, "out": str(tmp_path / "cfg")}))
+        assert run(capsys, "gen", "--config", str(cfg))[0] == 0
+        assert run(capsys, "gen", "--days", "1", "--out", str(tmp_path / "plain"))[0] == 0
+        for name in ("dam_actuals.csv", "bm_forecast.csv"):
+            plain = (tmp_path / "plain" / name).read_bytes()
+            assert (tmp_path / "cfg" / name).read_bytes() == plain
 
     def test_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -77,7 +77,7 @@ from bessarb.strategies import (
     ts3_dual,
 )
 
-from conftest import flat_forecast, frac, make_prices, merged_events, scaled
+from conftest import exact_forecast, flat_forecast, frac, make_prices, merged_events, scaled
 
 UNIT = unit_trading_spec()
 
@@ -243,6 +243,20 @@ class TestSettleDual:
         assert result.cash == Fraction(1460, 49)
         assert result.final_charge == 0
 
+    @pytest.mark.parametrize("late, message", [
+        (MarketKind.DAM, "day-ahead schedule and prices differ"),
+        (MarketKind.BM, "balancing schedule and prices differ"),
+    ])
+    def test_schedules_and_prices_share_windows(self, late, message):
+        dam, bm = self._windows()
+        prices = [
+            make_prices([10] * w.period_count, market=w.market,
+                        start=BASE_EPOCH + 86400 * (w.market is late))
+            for w in (dam, bm)
+        ]
+        with pytest.raises(WindowMismatch, match=f"^{message}$"):
+            settle_dual(_schedule(dam, []), _schedule(bm, []), *prices, UNIT)
+
     def test_wall_clock_order_is_enforced(self):
         dam, bm = self._windows()
         dam_prices = make_prices([10] * 24, market=MarketKind.DAM)
@@ -267,7 +281,7 @@ def _fraction_settle(events, spec):
     cash = Fraction(0)
     for order, price in events:
         state = apply_trade(state, spec, order.signed_ticks)
-        cash += _leg_cash(spec, order.side, price, order.volume_mwh)
+        cash += _leg_cash(spec, order.side, price, ticks_to_mwh(order.volume_ticks))
     return SettleResult(cash, state.charge)
 
 
@@ -553,12 +567,17 @@ class TestDpOptimalDual:
         assert joint > dp_optimal(bm, UNIT)
 
     def test_window_mismatch(self):
+        """Both dual adapters refuse prices off the horizon's windows."""
         dam = make_prices([10] * 24, market=MarketKind.DAM)
         bm = make_prices([10] * 16, market=MarketKind.BM)
         horizon = build_dual_horizon(dam.window, bm.window)
-        other = make_prices([10] * 16, market=MarketKind.BM, start=BASE_EPOCH + 3600)
-        with pytest.raises(WindowMismatch):
-            dp_optimal_dual(horizon, dam, other, UNIT)
+        next_dam = make_prices([10] * 24, market=MarketKind.DAM, start=BASE_EPOCH + 86400)
+        other_bm = make_prices([10] * 16, market=MarketKind.BM, start=BASE_EPOCH + 3600)
+        for adapter in (dp_optimal_dual, perfect_foresight_dual):
+            for prices in ((next_dam, bm), (dam, other_bm)):
+                with pytest.raises(WindowMismatch,
+                                   match="^price windows do not match the horizon$"):
+                    adapter(horizon, *prices, UNIT)
 
     @given(
         st.lists(st.integers(min_value=1, max_value=99), min_size=4, max_size=4),
@@ -742,7 +761,7 @@ class TestScoreForecasts:
             prices = tuple(data.draw(value) for _ in range(n))
             rows = tuple(tuple(data.draw(value) for _ in levels) for _ in range(n))
             actuals.append(PriceSeries(window, *scaled(prices)))
-            forecasts.append(QuantileForecast.from_values(window, levels, rows))
+            forecasts.append(exact_forecast(window, levels, rows))
         sums, counts = {}, {}
         for fc, ps in zip(forecasts, actuals):
             for y, row in zip(ps.prices, fc.values):
@@ -771,9 +790,7 @@ class TestScoreForecasts:
                     )
                     for p in ps.prices
                 )
-                forecasts.append(
-                    QuantileForecast.from_values(ps.window, DEFAULT_LEVELS, rows)
-                )
+                forecasts.append(exact_forecast(ps.window, DEFAULT_LEVELS, rows))
             means.append(score_forecasts(forecasts, actuals).mean)
         assert means[0] == 0
         assert means[0] < means[1] < means[2]

@@ -1,6 +1,7 @@
 """Neighbour-based quantile forecasting and the walk-forward loop."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -32,12 +33,11 @@ from bessarb.market import (
     DEFAULT_LEVELS,
     MarketKind,
     PriceSeries,
-    QuantileForecast,
     format_timestamp,
 )
 from bessarb._numeric import format_ratio
 
-from conftest import frac, scaled
+from conftest import exact_forecast, frac, scaled
 
 BM_STEP = MarketKind.BM.period_seconds
 WINDOW_SPAN = BM_STEP * MarketKind.BM.periods_per_window
@@ -89,6 +89,23 @@ def _standardized(train, queries):
 def _row_ranking(train_std, query_std):
     # one query at a time; the stable sort keeps older rows first on ties
     return np.argsort(((train_std - query_std) ** 2).sum(axis=1), kind="stable")
+
+
+def _exact_row_ranking(train, query):
+    """Every row by its exact squared standardized distance to the query,
+    older rows first on ties: the sum over columns of non-zero Fraction
+    population variance of (q - x)**2 / variance."""
+    n = len(train)
+    dist = [Fraction(0)] * n
+    for j, column in enumerate(np.asarray(train, dtype=float).T.tolist()):
+        xs = [Fraction(x) for x in column]
+        mean = sum(xs) / n
+        var = sum((x - mean) ** 2 for x in xs) / n
+        if var:
+            q = Fraction(float(query[j]))
+            for i, x in enumerate(xs):
+                dist[i] += (q - x) ** 2 / var
+    return sorted(range(n), key=lambda i: (dist[i], i))
 
 
 def _fraction_quantile(sorted_targets, level):
@@ -236,14 +253,43 @@ class TestFractionOracles:
     @settings(max_examples=150, deadline=None)
     def test_k_prefix_ranking_matches_full_stable_argsort(self, table):
         """_ranking(q, k) is the k-prefix of the full per-row stable argsort
-        for every k: with ties across the k-th slot, and inf or NaN distances."""
+        for every k: with ties across the k-th slot, and inf or NaN distances
+        beyond it.  A query whose k-th distance is inf or NaN, all inputs
+        being finite, takes the k-prefix of the exact ranking instead."""
         train, queries = table
+        exact = [_exact_row_ranking(train, q) for q in queries]
         with np.errstate(over="ignore", invalid="ignore"):
             model = KnnQuantileForecaster(1).fit(train_matrix(train, [0] * len(train)))
             train_std, query_std = _standardized(train, queries)
-            want = np.array([_row_ranking(train_std, q) for q in query_std])
+            dists = [((train_std - q) ** 2).sum(axis=1) for q in query_std]
+            floats = [_row_ranking(train_std, q) for q in query_std]
             for k in range(1, len(train) + 1):
-                assert np.array_equal(model._ranking(queries, k), want[:, :k])
+                want = [(f if np.isfinite(np.sort(d)[k - 1]) else e)[:k]
+                        for d, f, e in zip(dists, floats, exact)]
+                assert model._ranking(queries, k).tolist() == [list(w) for w in want]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_overflowing_queries_rank_exactly(self, data):
+        """Huge queries over a column of spread near 1e-60 overflow every
+        float distance; the ranking is then the exact one, ties to the older
+        row, with no overflow warning shown."""
+        cols = data.draw(st.integers(min_value=0, max_value=3))
+        tiny = st.sampled_from((0.0, 1e-60, 2e-60, -1e-60))
+        row = st.lists(st.sampled_from(GRID), min_size=cols, max_size=cols)
+        train = [[0.0, *data.draw(row)], [1e-60, *data.draw(row)]]
+        train += [[data.draw(tiny), *data.draw(row)]
+                  for _ in range(data.draw(st.integers(0, 6)))]
+        for i in data.draw(st.lists(st.integers(0, len(train) - 1), max_size=3)):
+            train.append(list(train[i]))
+        queries = [[data.draw(st.sampled_from((1e100, -1e100, 3e99))), *data.draw(row)]
+                   for _ in range(data.draw(st.integers(1, 3)))]
+        model = KnnQuantileForecaster(1).fit(train_matrix(train, [0] * len(train)))
+        exact = [_exact_row_ranking(train, q) for q in queries]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(1, len(train) + 1):
+                assert model._ranking(np.array(queries), k).tolist() == [e[:k] for e in exact]
 
     @given(feature_tables(rows=32), st.data())
     @settings(max_examples=60, deadline=None)
@@ -272,8 +318,8 @@ class TestFractionOracles:
     @given(feature_tables(rows=64), st.data())
     @settings(max_examples=30, deadline=None)
     def test_walk_forward_forecasts_are_predict_rows(self, table, data):
-        """Each walk-forward forecast is the one from_values builds from
-        predict's Fraction rows, for the k chosen at the last refit."""
+        """Each walk-forward forecast is the one built from predict's
+        Fraction rows, for the k chosen at the last refit."""
         train, _ = table
         targets = data.draw(st.lists(targets_st, min_size=64, max_size=64))
         grid = data.draw(st.lists(st.integers(min_value=1, max_value=16),
@@ -290,8 +336,7 @@ class TestFractionOracles:
             model = KnnQuantileForecaster(k, levels).fit(
                 m.slice_by_time(start - plan.train_span_s, start))
             test = m.slice_by_time(start, start + WINDOW_SPAN)
-            assert fc == QuantileForecast.from_values(
-                fc.window, levels, model.predict(test.features))
+            assert fc == exact_forecast(fc.window, levels, model.predict(test.features))
 
     @pytest.mark.parametrize("grid", [(3, 5, 9, 15), (9, 3, 5), (5, 5, 3)])
     def test_choose_k_ties_go_to_the_first_k_of_the_grid(self, grid):
@@ -503,6 +548,18 @@ class TestKnnForecaster:
         ))
         assert model.predict([[1100.0, 1.1]])[0][0] == 2
 
+    def test_query_that_overflows_every_distance_ranks_exactly(self):
+        # a's spread of 1e-60 standardizes the query's 1e100 past the float
+        # range; exactly, rows 1 and 3 lie nearer in a, and row 3 in b
+        model = KnnQuantileForecaster(1, ("0.5",)).fit(train_matrix(
+            [[0.0, 0.0], [1e-60, 1.0], [0.0, 2.0], [1e-60, 3.0]], (10, 20, 30, 40)
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model.predict([[1e100, 2.9]]) == [(Fraction(40),)]
+            # a NaN query keeps the float ranking: all NaN, the oldest row first
+            assert model.predict([[math.nan, 2.9]]) == [(Fraction(10),)]
+
     def test_constant_feature_column_is_harmless(self):
         model = KnnQuantileForecaster(1, ("0.5",)).fit(
             train_matrix([[5.0, 1.0], [5.0, 2.0]], (10, 20))
@@ -612,6 +669,15 @@ class TestWalkForward:
     def test_empty_matrix(self):
         with pytest.raises(EmptyTrainSet):
             walk_forward(bm_matrix([]), self.plan())
+
+    def test_empty_training_slice(self):
+        # rows fill windows 0-3 and 21-22; the second step tests window 21,
+        # and its training span, windows 19-20, holds no row
+        ts = [BASE_EPOCH + i * BM_STEP for i in (*range(4 * 16), *range(21 * 16, 23 * 16))]
+        m = bm_matrix([1] * len(ts), timestamps=ts)
+        plan = self.plan(step_s=19 * WINDOW_SPAN, retune_every_s=100 * WINDOW_SPAN)
+        with pytest.raises(EmptyTrainSet, match="^training slice is empty$"):
+            walk_forward(m, plan)
 
     def test_gap_in_test_slice(self):
         ts = [BASE_EPOCH + i * BM_STEP for i in range(80)]

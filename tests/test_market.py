@@ -41,7 +41,7 @@ from bessarb.market import (
 )
 from bessarb._numeric import format_decimal
 
-from conftest import frac, make_forecast, make_prices, merged_events, scaled
+from conftest import exact_forecast, frac, make_forecast, make_prices, merged_events, scaled
 
 
 class TestWindows:
@@ -265,7 +265,7 @@ class TestScaledContainers:
             path.write_text("\n".join(lines) + "\n")
             [parsed] = parse_forecast_csv(path, MarketKind.BM)
         values = tuple(tuple(Fraction(c) for c in row) for row in rows)
-        built = QuantileForecast.from_values(parsed.window, parsed.levels, values)
+        built = exact_forecast(parsed.window, parsed.levels, values)
         assert parsed == built and hash(parsed) == hash(built)
         assert parsed.values == built.values == values
         assert parsed.levels == (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
@@ -287,26 +287,13 @@ class TestScaledContainers:
             PriceSeries(win, (1,), 1)
         with pytest.raises(WindowMismatch):
             QuantileForecast(win, (Fraction(1, 2),), ((1, 2), (3, 4)), 1)
+        with pytest.raises(WindowMismatch, match="1 forecast rows for a 2-period window"):
+            QuantileForecast(win, (Fraction(1, 2),), ((1,),), 1)
         for bad in (0, -4):
             with pytest.raises(ValueError):
                 PriceSeries(win, (1, 2), bad)
             with pytest.raises(ValueError):
                 QuantileForecast(win, (Fraction(1, 2),), ((1,), (2,)), bad)
-
-    @given(
-        st.lists(st.lists(st.fractions(max_denominator=1000), min_size=3, max_size=3),
-                 min_size=1, max_size=6)
-    )
-    def test_from_values_is_the_constructor_on_the_scaled_rows(self, rows):
-        win = TradingWindow(MarketKind.BM, BASE_EPOCH, len(rows))
-        levels = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
-        flat, scale = scaled(v for row in rows for v in row)
-        plain = QuantileForecast(
-            win, levels, [flat[i:i + 3] for i in range(0, len(flat), 3)], scale
-        )
-        fc = QuantileForecast.from_values(win, levels, rows)
-        assert fc == plain and hash(fc) == hash(plain)
-        assert fc.values == tuple(map(tuple, rows))
 
 
 def _repaired_rows(fc):
@@ -346,7 +333,7 @@ class TestRepair:
         fc = QuantileForecast(win, levels, raw_rows, 4)
         fixed = _repaired_rows(fc)
         assert fixed == [tuple(sorted(row)) for row in fc.values]
-        assert _repaired_rows(QuantileForecast.from_values(win, levels, fixed)) == fixed
+        assert _repaired_rows(exact_forecast(win, levels, fixed)) == fixed
 
 
 def _price_lines(start, count, step, price_of=lambda i: f"{30 + i}"):
@@ -466,6 +453,16 @@ class TestForecastCsv:
             assert parsed == forecasts
             write_forecast_csv(second, parsed)
             assert second.read_bytes() == first.read_bytes()
+
+    def test_forecasts_must_share_levels(self, tmp_path):
+        path = tmp_path / "f.csv"
+        with pytest.raises(WindowMismatch, match="^nothing to write$"):
+            write_forecast_csv(path, [])
+        first = make_forecast({"0.1": [1] * 16, "0.9": [2] * 16})
+        second = make_forecast({"0.5": [1] * 16}, start=BASE_EPOCH + 8 * 3600)
+        with pytest.raises(WindowMismatch, match="disagree on quantile levels"):
+            write_forecast_csv(path, [first, second])
+        assert not path.exists()
 
     def test_value_without_a_decimal_form_raises_before_the_file(self, tmp_path):
         window = TradingWindow(MarketKind.BM, BASE_EPOCH, 16)

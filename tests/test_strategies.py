@@ -44,7 +44,9 @@ from bessarb.strategies import (
     write_schedule_csv,
 )
 
-from conftest import flat_forecast, frac, make_forecast, make_prices, merged_events
+from conftest import (
+    exact_forecast, flat_forecast, frac, make_forecast, make_prices, merged_events,
+)
 
 UNIT = unit_trading_spec()
 
@@ -113,7 +115,7 @@ def scan_problems(draw):
     ))
     levels = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
     window = TradingWindow(MarketKind.BM, BASE_EPOCH, n)
-    fc = QuantileForecast.from_values(window, levels, rows)
+    fc = exact_forecast(window, levels, rows)
     sell_level = draw(st.sampled_from(levels))
     buy_level = draw(st.sampled_from([lv for lv in levels if lv >= sell_level]))
     spec = BatterySpec(1000, 1000, 0, 0, draw(efficiencies), draw(efficiencies))
@@ -368,8 +370,8 @@ class TestIntegerScans:
             assert found is None
         else:
             assert found == (want.buy_period, want.sell_period)
-            assert Fraction(curves.buy[found[0]], curves.scale) == want.buy_price
-            assert Fraction(curves.sell[found[1]], curves.scale) == want.sell_price
+            assert Fraction(curves.buy[found[0]], fc.scale) == want.buy_price
+            assert Fraction(curves.sell[found[1]], fc.scale) == want.sell_price
 
     @given(scan_problems())
     @settings(max_examples=300)
@@ -382,8 +384,8 @@ class TestIntegerScans:
             assert found is None
         else:
             assert found == (want.buy_period, want.sell_period)
-            assert Fraction(curves.buy[found[0]], curves.scale) == want.buy_price
-            assert Fraction(curves.sell[found[1]], curves.scale) == want.sell_price
+            assert Fraction(curves.buy[found[0]], fc.scale) == want.buy_price
+            assert Fraction(curves.sell[found[1]], fc.scale) == want.sell_price
 
     def test_zero_spread_is_not_traded(self):
         # 0.8 * 1000 == 784 / 0.98: the spread is exactly zero
