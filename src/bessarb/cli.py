@@ -275,10 +275,10 @@ def _config_tokens(subparser: argparse.ArgumentParser, command: str,
     for key, value in doc.items():
         action = None if key in ("config", "help") else actions.get(key)
         if action is None:
-            flags = {a.dest: a.option_strings[-1]
-                     for p in _build_parser()[1].values() for a in p._actions}
+            # only --format names its dest apart from its flag
+            named = {kw["dest"]: option for option, kw in _COMMON.items() if "dest" in kw}
             raise ConfigError(
-                f"{command} takes no config key {key!r} ({flags.get(key, _flag(key))})"
+                f"{command} takes no config key {key!r} ({named.get(key, _flag(key))})"
             )
         flag = action.option_strings[-1]
         if value is None:

@@ -164,8 +164,11 @@ class KnnQuantileForecaster:
             raise EmptyTrainSet("no training rows")
         if not 1 <= self.k <= len(matrix):
             raise KTooLarge(f"k={self.k} with {len(matrix)} training rows")
-        self._mean, self._std = _standardizer(matrix.features)
-        self._train = (matrix.features - self._mean) / self._std
+        # a column can overflow its mean or std only in a matrix built directly
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._mean, self._std = _standardizer(matrix.features)
+            self._train = (matrix.features - self._mean) / self._std
+        self._fit_finite = bool(np.isfinite(self._mean).all() and np.isfinite(self._std).all())
         self._features = matrix.features
         self._targets, self._scale = matrix.targets, matrix.scale
         return self
@@ -182,8 +185,12 @@ class KnnQuantileForecaster:
         and every training feature are finite, is ranked exactly instead
         (_exact_ranking).  A row at an inf float distance is truly farther
         than any row at a finite one, so a finite k-th distance leaves
-        nothing for the exact ranking to change.  An overflow lands in such
-        a row or in a query ranked exactly, so numpy's warning is not shown.
+        nothing for the exact ranking to change.  When the fitted mean or
+        std is not finite (a directly built column that overflows its
+        standardizer), the standardized rows hold nothing to rank by, so
+        every finite query is ranked exactly.  An overflow or an inf minus
+        inf lands in such a query or in a row a NaN or inf distance already
+        places, so numpy's warning is not shown.
         """
         if not hasattr(self, "_train"):
             raise EmptyTrainSet("fit before predict")
@@ -194,15 +201,16 @@ class KnnQuantileForecaster:
                 0, f"query block shape {queries.shape} does not hold {width} features per row"
             )
         d2 = np.zeros((len(queries), len(self._train)))
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             for q, t in zip(((queries - self._mean) / self._std).T, self._train.T):
                 d2 += (t - q[:, None]) ** 2
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
         near = np.where(d2 > kth, np.inf, d2)
         ranking = np.argsort(near, axis=1, kind="stable")[:, :k]
-        if not np.isfinite(kth).all() and np.isfinite(self._features).all():
+        inexact = ~np.isfinite(kth[:, 0]) | (not self._fit_finite)
+        if inexact.any() and np.isfinite(self._features).all():
             finite = np.isfinite(queries).all(axis=1)
-            for i in np.flatnonzero(~np.isfinite(kth[:, 0]) & finite):
+            for i in np.flatnonzero(inexact & finite):
                 ranking[i] = _exact_ranking(self._features, queries[i].tolist(), k)
         return ranking
 

@@ -8,17 +8,23 @@ positive under that pessimistic pricing.
 Volumes are clipped against a committed wall-clock charge trajectory, so a
 finished schedule always replays cleanly against the battery bounds no
 matter in which order the strategy discovered its trades.  Every strategy
-starts from the spec's initial_charge.  TS3 and the dual-market scheduler
-size each pair with one rule, _execute_pair; bottleneck_execute runs that
-rule on a two-slot timeline.
+starts from the spec's initial_charge.
+
+TS3 is one body over a horizon (_ts3_legs): a work list over an ordered
+list of index ranges, on one timeline of the horizon's events.  On one
+window the list is the window, whole.  On a day-ahead window and its
+balancing window (the dual-market scheduler) it is the balancing window
+alone, or, once the best day-ahead pair has traded, the balancing slots
+outside that pair's span and the day-ahead hours inside it.  TS3 sizes
+each pair with one rule, _execute_pair; bottleneck_execute runs that rule
+on a two-slot timeline.
 
 Every strategy finds its pairs through one of two integer scans:
 _scan_ordered (buy before sell, for TS1 and TS2) and _scan_unordered
-(either order, for TS3 and the dual-market scheduler).  A forecast holds
-its values as integers over one scale and repairs its curves once
-(QuantileForecast.repaired_curve); each strategy run weighs them by the
-battery's efficiencies, so a spread compares, ties and signs exactly as
-the exact fraction does.
+(either order, for TS3).  A forecast holds its values as integers over one
+scale and repairs its curves once (QuantileForecast.repaired_curve); each
+strategy run weighs them by the battery's efficiencies, so a spread
+compares, ties and signs exactly as the exact fraction does.
 
 Each strategy body returns a window's legs: (period, signed ticks)
 integer pairs in period order, positive for a buy and negative for a sell.
@@ -438,66 +444,54 @@ def _ts2_legs(forecast: QuantileForecast, pair: QuantilePair, spec: BatterySpec)
 
 
 def _ts3_legs(
-    forecast: QuantileForecast,
-    pair: QuantilePair,
-    spec: BatterySpec,
-    allow_stock_buys: bool,
-) -> tuple:
-    n = forecast.window.period_count
-    legs: list = []
-    _run_worklist(
-        ChargeTimeline(spec, n), _curves(forecast, pair, spec), 0, n - 1, range(n),
-        legs, allow_stock_buys,
-    )
-    return tuple(sorted(legs))
-
-
-def _ts3_dual_legs(
     horizon: Horizon,
-    dam_forecast: QuantileForecast,
-    bm_forecast: QuantileForecast,
+    forecasts: Sequence[QuantileForecast],
     pair: QuantilePair,
     spec: BatterySpec,
     allow_stock_buys: bool,
-) -> tuple[tuple, tuple]:
-    dam, bm = horizon.windows
-    if dam_forecast.window != dam or bm_forecast.window != bm:
+) -> tuple[tuple, ...]:
+    """TS3 over a horizon: one sorted leg tuple per window.
+
+    Every window's pairs clip against one timeline over the horizon's
+    events.  The work list runs over an ordered list of (window, lo, hi)
+    ranges: the last window, whole, unless a dual horizon's best day-ahead
+    pair (the anchor) trades.  Then the balancing slots before the anchor
+    span come first, those after it next, and the day-ahead hours inside it
+    last.
+    """
+    if len(forecasts) > 1 and tuple(f.window for f in forecasts) != horizon.windows:
         raise WindowMismatch("forecast windows do not match the horizon")
-    dam_curves = _curves(dam_forecast, pair, spec)
-    bm_curves = _curves(bm_forecast, pair, spec)
-    dam_instants, bm_instants = horizon.instants
     timeline = ChargeTimeline(spec, len(horizon.events))
-    dam_legs: list = []
-    bm_legs: list = []
-    n_bm = bm.period_count
-
-    def run_bm(lo: int, hi: int) -> None:
-        _run_worklist(
-            timeline, bm_curves, lo, hi, bm_instants, bm_legs, allow_stock_buys
-        )
-
-    anchor = _scan_unordered(dam_curves, 0, dam.period_count - 1)
-    executed = False
-    if anchor is not None:
-        t_buy, t_sell = anchor
-        x_buy, x_sell = _execute_pair(
-            timeline, dam_instants[t_buy], dam_instants[t_sell], allow_stock_buys
-        )
-        _emit(dam_legs, t_buy, x_buy, t_sell, x_sell)
-        executed = x_buy > 0 or x_sell > 0
-        if executed:
-            span_lo, span_hi = min(t_buy, t_sell), max(t_buy, t_sell)
+    runs = [
+        (_curves(forecast, pair, spec), instants, [])
+        for forecast, instants in zip(forecasts, horizon.instants)
+    ]
+    last = len(runs) - 1
+    ranges = [(last, 0, horizon.windows[last].period_count - 1)]
+    if last:
+        dam, bm = horizon.windows
+        curves, instants, legs = runs[0]
+        anchor = _scan_unordered(curves, 0, dam.period_count - 1)
+        if anchor is not None:
+            t_buy, t_sell = anchor
+            x_buy, x_sell = _execute_pair(
+                timeline, instants[t_buy], instants[t_sell], allow_stock_buys
+            )
+            _emit(legs, t_buy, x_buy, t_sell, x_sell)
+        if legs:  # the anchor traded
+            lo, hi = sorted(anchor)
             # balancing slot s falls inside day-ahead hour s // r
             r = dam.market.period_seconds // bm.market.period_seconds
-            run_bm(0, min(span_lo * r, n_bm) - 1)
-            run_bm((span_hi + 1) * r, n_bm - 1)
-            _run_worklist(
-                timeline, dam_curves, span_lo + 1, span_hi - 1, dam_instants,
-                dam_legs, allow_stock_buys,
-            )
-    if not executed:
-        run_bm(0, n_bm - 1)
-    return tuple(sorted(dam_legs)), tuple(sorted(bm_legs))
+            n = bm.period_count
+            ranges = [
+                (1, 0, min(lo * r, n) - 1),
+                (1, (hi + 1) * r, n - 1),
+                (0, lo + 1, hi - 1),
+            ]
+    for w, lo, hi in ranges:
+        curves, instants, legs = runs[w]
+        _run_worklist(timeline, curves, lo, hi, instants, legs, allow_stock_buys)
+    return tuple(tuple(sorted(legs)) for _, _, legs in runs)
 
 
 def _trade_legs(
@@ -510,22 +504,17 @@ def _trade_legs(
 ) -> tuple[tuple, ...]:
     """The strategy's legs over a horizon, one checked tuple per window.
 
-    One forecast trades TS1, TS2 or TS3; a day-ahead and a balancing
-    forecast trade the dual-market scheduler, TS3.
+    TS3 trades any horizon; TS1 and TS2 trade one window's forecast.
     """
-    if len(forecasts) > 1:
-        if strategy != "TS3":
-            raise ConfigError("dual-market backtests use strategy TS3")
-        legs = _ts3_dual_legs(horizon, *forecasts, pair, spec, allow_stock_buys)
+    if strategy == "TS3":
+        legs = _ts3_legs(horizon, forecasts, pair, spec, allow_stock_buys)
+    elif len(forecasts) > 1:
+        raise ConfigError("dual-market backtests use strategy TS3")
+    elif strategy in ("TS1", "TS2"):
+        run = _ts1_legs if strategy == "TS1" else _ts2_legs
+        legs = (run(forecasts[0], pair, spec),)
     else:
-        (forecast,) = forecasts
-        if strategy == "TS3":
-            legs = (_ts3_legs(forecast, pair, spec, allow_stock_buys),)
-        elif strategy in ("TS1", "TS2"):
-            run = _ts1_legs if strategy == "TS1" else _ts2_legs
-            legs = (run(forecast, pair, spec),)
-        else:
-            raise ConfigError(f"unknown strategy {strategy!r}")
+        raise ConfigError(f"unknown strategy {strategy!r}")
     for forecast, window_legs in zip(forecasts, legs):
         _check_legs(window_legs, forecast.window.period_count, strategy)
     return legs
@@ -563,7 +552,7 @@ def ts3(
     allow_stock_buys: bool = False,
 ) -> Schedule:
     """Work-list strategy: bottleneck-execute min/max pairs range by range."""
-    legs = _ts3_legs(forecast, pair, spec, allow_stock_buys)
+    (legs,) = _ts3_legs(Horizon((forecast.window,)), (forecast,), pair, spec, allow_stock_buys)
     return _schedule(forecast, "TS3", pair, legs)
 
 
@@ -583,8 +572,8 @@ def ts3_dual(
     trajectory so the combined schedule replays cleanly.  Without a
     profitable anchor the balancing window is traded alone.
     """
-    dam_legs, bm_legs = _ts3_dual_legs(
-        horizon, dam_forecast, bm_forecast, pair, spec, allow_stock_buys
+    dam_legs, bm_legs = _ts3_legs(
+        horizon, (dam_forecast, bm_forecast), pair, spec, allow_stock_buys
     )
     return (
         _schedule(dam_forecast, "TS3", pair, dam_legs),

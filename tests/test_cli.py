@@ -1402,6 +1402,27 @@ class TestExitContract:
         for line in objects:
             assert set(json.loads(line)) == {"error", "message"}
 
+    def test_module_entry_point_without_numpy(self):
+        # The command line imports no numpy: numpy's import alone takes
+        # longer than the rest of a `bessarb` call's start-up.  `python -m
+        # bessarb` keeps the contract: --version exits 0, a usage error 2.
+        src = str(Path(bessarb.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+
+        def python(*args):
+            return subprocess.run([sys.executable, *args], capture_output=True,
+                                  text=True, env=env, timeout=120)
+
+        done = python("-c", "import sys, bessarb.cli; print('numpy' in sys.modules)")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+        done = python("-m", "bessarb", "--version")
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"{__version__}\n", "")
+        done = python("-m", "bessarb", "nosuch")
+        assert (done.returncode, done.stdout) == (2, "")
+        (line,) = done.stderr.splitlines()
+        assert json.loads(line)["error"] == "ConfigError"
+
 
 # --- one parser per named subcommand ----------------------------------------
 

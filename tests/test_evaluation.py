@@ -895,9 +895,10 @@ class TestRunSweep:
         assert built == {"orders": sched.trade_count, "schedules": 1} and sched.orders
 
     @pytest.mark.parametrize("body, legs, message", [
-        ("_ts3_legs", ((24, 1000),), "order period 24 outside window"),
-        ("_ts3_legs", ((3, 1000), (2, -1000)), "orders must have strictly ascending periods"),
-        ("_ts3_legs", ((3, 0),), "orders must have positive volume"),
+        # TS3's body returns one leg tuple per window of the horizon
+        ("_ts3_legs", (((24, 1000),),), "order period 24 outside window"),
+        ("_ts3_legs", (((3, 1000), (2, -1000)),), "orders must have strictly ascending periods"),
+        ("_ts3_legs", (((3, 0),),), "orders must have positive volume"),
         ("_ts1_legs", ((2, -1000), (3, 1000)), "TS1 orders must alternate buy/sell"),
         ("_ts2_legs", ((2, 1000), (3, 1000)), "TS2 orders must alternate buy/sell"),
     ])

@@ -244,8 +244,9 @@ class TestFractionOracles:
                 assert total.denominator == 1
                 assert {i for i in range(len(train)) if int(total) >> i & 1} == set(ranking[:k])
 
-    # Row 0 overflows the standardizer: NaN distances beside three finite
-    # ties that straddle k = 2, and beside inf distances from a query's 1e300.
+    # Row 0 overflows the standardizer, so both queries rank exactly; in
+    # floats, NaN distances sit beside three finite ties that straddle k = 2,
+    # and beside inf distances from a query's 1e300.
     @example((np.array([[1.7e308, 0.0, 0.0], [-1e308, 1.0, 1.0], [-1e308, 1.0, 1.0],
                         [-1e308, 2.0, 0.0], [0.0, 1.0, 1.0]]),
               np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 1e300]])))
@@ -254,17 +255,19 @@ class TestFractionOracles:
     def test_k_prefix_ranking_matches_full_stable_argsort(self, table):
         """_ranking(q, k) is the k-prefix of the full per-row stable argsort
         for every k: with ties across the k-th slot, and inf or NaN distances
-        beyond it.  A query whose k-th distance is inf or NaN, all inputs
-        being finite, takes the k-prefix of the exact ranking instead."""
+        beyond it.  All inputs being finite, a query whose k-th distance is
+        inf or NaN takes the k-prefix of the exact ranking instead, and so
+        does every query when a column overflows the fitted mean or std."""
         train, queries = table
         exact = [_exact_row_ranking(train, q) for q in queries]
         with np.errstate(over="ignore", invalid="ignore"):
             model = KnnQuantileForecaster(1).fit(train_matrix(train, [0] * len(train)))
+            overflowed = not np.isfinite([np.mean(train, axis=0), np.std(train, axis=0)]).all()
             train_std, query_std = _standardized(train, queries)
             dists = [((train_std - q) ** 2).sum(axis=1) for q in query_std]
             floats = [_row_ranking(train_std, q) for q in query_std]
             for k in range(1, len(train) + 1):
-                want = [(f if np.isfinite(np.sort(d)[k - 1]) else e)[:k]
+                want = [(f if not overflowed and np.isfinite(np.sort(d)[k - 1]) else e)[:k]
                         for d, f, e in zip(dists, floats, exact)]
                 assert model._ranking(queries, k).tolist() == [list(w) for w in want]
 
@@ -559,6 +562,20 @@ class TestKnnForecaster:
             assert model.predict([[1e100, 2.9]]) == [(Fraction(40),)]
             # a NaN query keeps the float ranking: all NaN, the oldest row first
             assert model.predict([[math.nan, 2.9]]) == [(Fraction(10),)]
+
+    def test_column_that_overflows_its_standardizer_ranks_exactly(self):
+        # the std overflows: in floats every finite row standardizes to 0
+        # and row 0 to NaN; exactly, row 4 (0) lies nearest 1e300
+        model = KnnQuantileForecaster(1, ("0.5",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model.fit(train_matrix(
+                [[1.7e308], [-1e308], [-1e308], [-1e308], [0.0]], (10, 20, 30, 40, 50)
+            ))
+            assert model.predict([[1e300]]) == [(Fraction(50),)]
+            # the mean overflows too: 1e300 lies nearest 0, 1e308 nearest 1.7e308
+            model.fit(train_matrix([[1.7e308], [1.7e308], [0.0]], (10, 20, 30)))
+            assert model.predict([[1e300], [1e308]]) == [(Fraction(30),), (Fraction(10),)]
 
     def test_constant_feature_column_is_harmless(self):
         model = KnnQuantileForecaster(1, ("0.5",)).fit(

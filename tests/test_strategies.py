@@ -18,6 +18,7 @@ from bessarb.errors import ConfigError, InvalidPair, LevelMissing, WindowMismatc
 from bessarb.evaluation import settle
 from bessarb.market import (
     BASE_EPOCH,
+    Horizon,
     MarketKind,
     QuantileForecast,
     TradingWindow,
@@ -776,6 +777,22 @@ class TestTs3Dual:
             (9, Side.SELL),
         ]
 
+    @pytest.mark.parametrize("dam, bm, start, want_dam, want_bm", [
+        # balancing slots before the span trade first: had slots 6..7 gone
+        # first, their sell would leave the sell at slot 0 no stock
+        ([82, 37, 88, 44, 64, 88], [25, 21, 48, 72, 46, 92, 57, 51], "1",
+         [(1, 1000), (2, -1000)], [(0, -1000), (1, 1000), (6, -1000), (7, 1000)]),
+        # the hours inside the span trade last: the sell at slot 3 takes the
+        # stock that a sell at hour 3 would have needed
+        ([76, 80, 1, 14, 4, 88], [12, 3, 22, 65, 5, 62, 7, 25], "2",
+         [(5, -1000)], [(3, -1000)]),
+    ])
+    def test_ranges_trade_in_order(self, dam, bm, start, want_dam, want_bm):
+        spec = BatterySpec.from_mwh("2", "1", "0", "1", "1", start)
+        _, (dam_sched, bm_sched) = self._setup(dam, bm, spec)
+        assert [(o.period, o.signed_ticks) for o in dam_sched.orders] == want_dam
+        assert [(o.period, o.signed_ticks) for o in bm_sched.orders] == want_bm
+
     def test_forecast_window_mismatch_rejected(self):
         dam_fc = flat_forecast([50] * 24, market=MarketKind.DAM)
         bm_fc = flat_forecast([40] * 16, market=MarketKind.BM)
@@ -785,6 +802,18 @@ class TestTs3Dual:
         )
         with pytest.raises(WindowMismatch):
             ts3_dual(horizon, dam_fc, shifted, MEDIAN_PAIR, UNIT)
+
+    @pytest.mark.parametrize("window", ["dam", "bm"])
+    def test_one_window_horizon_rejected(self, window):
+        # a window mismatch, not a failed unpacking of the horizon
+        fcs = {
+            "dam": flat_forecast([50] * 24, market=MarketKind.DAM),
+            "bm": flat_forecast([40] * 16, market=MarketKind.BM),
+        }
+        horizon = Horizon((fcs[window].window,))
+        with pytest.raises(WindowMismatch) as err:
+            ts3_dual(horizon, fcs["dam"], fcs["bm"], MEDIAN_PAIR, UNIT)
+        assert str(err.value) == "forecast windows do not match the horizon"
 
     @given(
         st.lists(st.integers(min_value=1, max_value=99), min_size=6, max_size=6),
