@@ -203,40 +203,17 @@ def replay(trades: Iterable[tuple[int, int]], spec: BatterySpec) -> BatteryState
 
 
 class ChargeTimeline:
-    """Committed charge trajectory over a fixed slot grid.
+    """The charge per slot of a run before any trade: every slot at the
+    spec's initial charge.
 
-    Mutable builder used while constructing schedules: volumes are clipped
-    against the whole committed future so the finished schedule replays
-    cleanly in wall-clock order.  soc(i) is the charge after slot i's trade.
-    A commit updates the charge of every later slot, so each headroom query
-    is one min or max over a slice of the stored path.  Every slot starts at
-    the spec's initial charge.
+    path() gives it as a plain list, path[i] being the charge after slot
+    i's trade, for strategies._execute_pair to size pairs against and
+    commit them to.
     """
 
     def __init__(self, spec: BatterySpec, n_slots: int):
-        self.spec = spec
-        self.n_slots = n_slots
         self._path = [spec.initial_charge] * n_slots
 
     def path(self) -> list[int]:
-        """A copy of the charge per slot.  Only tests and the benchmark's
-        tracer, bench/tracing.py, call it, so it can go once the tracer stops."""
+        """A copy of the charge per slot, for the caller to commit to."""
         return list(self._path)
-
-    def max_buy_between(self, slot: int, end: int) -> int:
-        """Buy headroom at `slot` whose effect is undone before `end`."""
-        segment = self._path[slot:end] if end > slot else self._path[slot:slot + 1]
-        return min(self.spec.ramp, self.spec.capacity - max(segment))
-
-    def max_buy_from(self, slot: int) -> int:
-        """Buy headroom at `slot` that persists to the horizon end."""
-        return min(self.spec.ramp, self.spec.capacity - max(self._path[slot:]))
-
-    def max_sell_from(self, slot: int) -> int:
-        """Sell volume available at `slot` against the committed future."""
-        return min(self.spec.ramp, min(self._path[slot:]) - self.spec.min_charge)
-
-    def commit(self, slot: int, signed_ticks: int) -> None:
-        path = self._path
-        for i in range(slot, self.n_slots):
-            path[i] += signed_ticks

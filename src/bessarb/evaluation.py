@@ -18,7 +18,8 @@ the true prices (22 of 4200 sweep rows over 40 seeds did).
 Everything runs on units.  A unit is what one settlement covers: a
 market.Horizon (one window of one market, or a day-ahead window and the
 balancing window that opens with it), with a forecast and the settled
-prices of each window.  `window_units` and `dual_units` build units;
+prices of each window, and those prices over one scale, worked out once
+per unit.  `window_units` and `dual_units` build units;
 `trade_unit` runs a strategy over a unit and settles it, and `pf_unit` and
 `dp_unit` give its benchmarks.  Settlement walks the horizon's instants and
 the DP reads prices along its events, so one body serves every shape.
@@ -28,7 +29,8 @@ one market or one dual horizon, and run on the same bodies.
 A sweep runs one work list: DP per market, pf per (market, strategy), as
 neither depends on the quantile pair, then one item per cell.  Each
 window's pf forecast is built once per sweep, and the dual units share
-those of their two windows.  Its reports are built once every lane of the
+those of their two windows.  The battery's cash weights are worked out
+once per sweep too.  Its reports are built once every lane of the
 list is back, so they do not depend on jobs.
 """
 
@@ -94,29 +96,28 @@ def _over_one_scale(
 
 
 def _settle(
-    horizon: Horizon,
+    unit: _Unit,
     legs: Sequence[Sequence[tuple[int, int]]],
-    actuals: Sequence[PriceSeries],
     spec: BatterySpec,
+    weights: tuple[int, int, int],
 ) -> tuple[int, int, int]:
-    """Replay each window's (period, signed ticks) legs in the horizon's
+    """Replay each window's (period, signed ticks) legs in the unit's
     wall-clock order and pay them: (cash, den, final charge), the cash being
     cash / den.
 
     The battery bounds are compared as integers; a leg that breaks one goes
-    to apply_trade, which raises the named violation.  Prices are integers
-    over one scale.  Cash is summed as one integer over scale * den, with
-    the weights of BatterySpec.cash_weights.
+    to apply_trade, which raises the named violation.  Prices are the
+    unit's integers over one scale.  Cash is summed as one integer over
+    scale * den, with the spec's cash_weights, (w_buy, w_sell, den).
     """
-    prices, scale = _over_one_scale(actuals)
-    instants = horizon.instants
+    prices, instants = unit.prices, unit.horizon.instants
     # instants are distinct, so the legs sort on their instant alone
     ordered = sorted(
         (instants[w][period], signed, prices[w][period])
         for w, window_legs in enumerate(legs)
         for period, signed in window_legs
     )
-    w_buy, w_sell, den = spec.cash_weights()
+    w_buy, w_sell, den = weights
     ramp, floor, capacity = spec.ramp, spec.min_charge, spec.capacity
     charge = spec.initial_charge
     cash = 0
@@ -127,7 +128,7 @@ def _settle(
         charge = after
         # a buy (signed > 0) pays, a sell (signed < 0) earns
         cash -= (w_buy if signed > 0 else w_sell) * price * signed
-    return cash, scale * den, charge
+    return cash, unit.scale * den, charge
 
 
 def _result(cash: int, den: int, charge: int) -> SettleResult:
@@ -141,24 +142,47 @@ def _legs_of(schedule: Schedule) -> tuple[tuple[int, int], ...]:
 # --- units ------------------------------------------------------------------
 
 class _Unit(NamedTuple):
-    """One settlement: its horizon, and a forecast and prices per window."""
+    """One settlement: its horizon, and a forecast and prices per window.
+
+    prices and scale are the windows' prices as integers over one scale
+    (_over_one_scale), worked out once per unit: settlement and the DP
+    read them.
+    """
 
     horizon: Horizon
     forecasts: tuple[QuantileForecast, ...]
     actuals: tuple[PriceSeries, ...]
+    prices: tuple[tuple[int, ...], ...]
+    scale: int
+
+
+def _unit(
+    horizon: Horizon,
+    forecasts: tuple[QuantileForecast, ...],
+    actuals: tuple[PriceSeries, ...],
+) -> _Unit:
+    """The unit of a horizon, with its prices over one scale."""
+    return _Unit(horizon, forecasts, actuals, *_over_one_scale(actuals))
+
+
+def _check_windows(
+    forecasts: Sequence[QuantileForecast], actuals: Sequence[PriceSeries], what: str
+) -> None:
+    """Raise WindowMismatch unless forecasts and prices cover the same windows."""
+    if len(forecasts) != len(actuals):
+        raise WindowMismatch(f"{what}: forecast and price window counts differ")
+    for fc, ps in zip(forecasts, actuals):
+        if fc.window != ps.window:
+            raise WindowMismatch(f"{what}: forecast and price windows differ")
 
 
 def window_units(
     forecasts: Sequence[QuantileForecast], actuals: Sequence[PriceSeries], what: str
 ) -> list[_Unit]:
     """One unit per window; forecasts and prices must cover the same windows."""
-    if len(forecasts) != len(actuals):
-        raise WindowMismatch(f"{what}: forecast and price window counts differ")
-    for fc, ps in zip(forecasts, actuals):
-        if fc.window != ps.window:
-            raise WindowMismatch(f"{what}: forecast and price windows differ")
+    _check_windows(forecasts, actuals, what)
     return [
-        _Unit(Horizon((ps.window,)), (fc,), (ps,))
+        _unit(Horizon((ps.window,)), (fc,), (ps,))
         for fc, ps in zip(forecasts, actuals)
     ]
 
@@ -171,7 +195,7 @@ def dual_units(dam_units: Sequence[_Unit], bm_units: Sequence[_Unit]) -> list[_U
         (window,) = dam.horizon.windows
         bm = bm_by_start.get(window.start_epoch_s)
         if bm is not None:
-            units.append(_Unit(
+            units.append(_unit(
                 build_dual_horizon(window, *bm.horizon.windows),
                 dam.forecasts + bm.forecasts,
                 dam.actuals + bm.actuals,
@@ -185,12 +209,15 @@ def _trade_and_settle(
     pair: QuantilePair,
     spec: BatterySpec,
     allow_stock_buys: bool,
+    weights: tuple[int, int, int],
 ) -> tuple[tuple, tuple[int, int, int]]:
     """The strategy's checked legs over one unit, one tuple per window, and
-    their settlement, (cash, den, final charge)."""
-    horizon, forecasts, actuals = unit
-    legs = _trade_legs(horizon, forecasts, strategy, pair, spec, allow_stock_buys)
-    return legs, _settle(horizon, legs, actuals, spec)
+    their settlement, (cash, den, final charge).  weights are the spec's
+    cash_weights."""
+    legs = _trade_legs(
+        unit.horizon, unit.forecasts, strategy, pair, spec, allow_stock_buys, weights
+    )
+    return legs, _settle(unit, legs, spec, weights)
 
 
 def trade_unit(
@@ -201,7 +228,9 @@ def trade_unit(
     allow_stock_buys: bool = False,
 ) -> tuple[tuple[Schedule, ...], SettleResult]:
     """Run a strategy over one unit and settle it: (schedules, result)."""
-    legs, settled = _trade_and_settle(unit, strategy, pair, spec, allow_stock_buys)
+    legs, settled = _trade_and_settle(
+        unit, strategy, pair, spec, allow_stock_buys, spec.cash_weights()
+    )
     schedules = tuple(
         _schedule(forecast, strategy, pair, window_legs)
         for forecast, window_legs in zip(unit.forecasts, legs)
@@ -217,12 +246,22 @@ def pf_unit(
 ) -> Fraction:
     """Profit of the strategy over one unit when its forecasts equal the
     settled prices (perfect foresight)."""
-    return _pf_cash(_foresight(unit), spec, strategy, allow_stock_buys)
+    return _pf_cash(
+        _foresight(unit), spec, strategy, allow_stock_buys, spec.cash_weights()
+    )
 
 
-def _pf_cash(pinned: _Unit, spec: BatterySpec, strategy: str, allow_stock_buys: bool) -> Fraction:
+def _pf_cash(
+    pinned: _Unit,
+    spec: BatterySpec,
+    strategy: str,
+    allow_stock_buys: bool,
+    weights: tuple[int, int, int],
+) -> Fraction:
     """Profit of the strategy over a unit whose forecasts are pinned already."""
-    _, (cash, den, _) = _trade_and_settle(pinned, strategy, MEDIAN_PAIR, spec, allow_stock_buys)
+    _, (cash, den, _) = _trade_and_settle(
+        pinned, strategy, MEDIAN_PAIR, spec, allow_stock_buys, weights
+    )
     return Fraction(cash, den)
 
 
@@ -234,51 +273,86 @@ def _foresight(unit: _Unit) -> _Unit:
 def dp_unit(unit: _Unit, spec: BatterySpec) -> Fraction:
     """Best possible profit over one unit, by ramp-lattice recursion.
 
-    The recursion reads the settled prices along the horizon's events.
-    Valid as a bound for fractional volumes too: the feasible set is an
-    interval polytope, so some optimum sits on the ramp lattice whenever the
-    charge span and starting charge are whole ramps.
+    The lattice holds the charges floor + k * step for k in [0, steps],
+    where step is the ramp, or the charge span when the ramp exceeds it:
+    no leg moves more than the span.  Valid as a bound for fractional
+    volumes too: the feasible set is an interval polytope, so some optimum
+    sits on the lattice whenever the charge span and starting charge are
+    whole steps.  A span of 0 is one point, where nothing trades.
+
+    The recursion (_lattice_best) reads the unit's prices along the
+    horizon's events and walks them backwards.  Before event t only the
+    lattice points within t steps of the start point k0 can be read, so it
+    keeps that band alone, clamped to [0, steps]: for n events, at most
+    2n + 1 points however deep the lattice.
 
     Prices are integers over one scale.  With the leg weights of
     BatterySpec.cash_weights, every leg's cash shares the denominator
     scale * den:
 
-        buy one ramp:  p * ramp * w_buy / (scale * den)
-        sell one ramp: p * ramp * w_sell / (scale * den)
+        buy one step:  p * step * w_buy / (scale * den)
+        sell one step: p * step * w_sell / (scale * den)
 
     So lattice values are integer numerators, compared exactly, and one
     Fraction is built at the end.  Prices of any size stay exact: Python
     integers do not overflow.
     """
-    initial = spec.initial_charge
-    span = spec.capacity - spec.min_charge
-    if span % spec.ramp:
+    floor = spec.min_charge
+    span = spec.capacity - floor
+    step = min(spec.ramp, span) or spec.ramp
+    if span % step:
         raise NonCommensurateRamp(
             f"charge span {span} is not a whole number of ramps {spec.ramp}"
         )
-    if (initial - spec.min_charge) % spec.ramp:
+    if (spec.initial_charge - floor) % step:
         raise NonCommensurateRamp("starting charge sits off the ramp lattice")
-    by_window, scale = _over_one_scale(unit.actuals)
-    prices = [by_window[w][p] for w, p in unit.horizon.events]
-    steps = span // spec.ramp
-    k0 = (initial - spec.min_charge) // spec.ramp
-    # n periods move at most n ramps: lattice points farther from k0 are
-    # unreachable, so the recursion keeps only [lo, hi].
-    lo, hi = max(0, k0 - len(prices)), min(steps, k0 + len(prices))
     w_buy, w_sell, den = spec.cash_weights()
-    buy_unit = spec.ramp * w_buy
-    sell_unit = spec.ramp * w_sell
-    value = [0] * (hi - lo + 1)
-    for price in reversed(prices):
-        buy, sell = price * buy_unit, price * sell_unit
-        # stay at k, or charge one ramp (reach k + 1)
-        charged = [v - buy for v in value[1:]]
-        best = [v if v > c else c for v, c in zip(value, charged)]
-        best.append(value[-1])
-        # or discharge one ramp (reach k - 1)
-        discharged = [v + sell for v in value[:-1]]
-        value = best[:1] + [b if b > d else d for b, d in zip(best[1:], discharged)]
-    return Fraction(value[k0 - lo], scale * den)
+    buy_step, sell_step = step * w_buy, step * w_sell
+    prices = unit.prices
+    events = [prices[w][p] for w, p in unit.horizon.events]
+    best = _lattice_best(
+        [p * buy_step for p in events],
+        [p * sell_step for p in events],
+        (spec.initial_charge - floor) // step,
+        span // step,
+    )
+    return Fraction(best, unit.scale * den)
+
+
+def _lattice_best(buys: Sequence[int], sells: Sequence[int], k0: int, steps: int) -> int:
+    """Best cash from lattice point k0 over the events, as one integer.
+
+    Event t costs buys[t] to charge one step and earns sells[t] to
+    discharge one; the lattice has the points [0, steps].  A point is worth
+    0 after the last event, and before event t the best of: stay, charge to
+    the point above, or discharge to the point below.  Each event is one
+    loop over the band of points within t steps of k0.
+    """
+    t = len(buys)
+    lo = max(0, k0 - t)
+    value = [0] * (min(steps, k0 + t) - lo + 1)  # value[i] is point lo + i
+    for buy, sell in zip(reversed(buys), reversed(sells)):
+        t -= 1
+        new_lo, new_hi = max(0, k0 - t), min(steps, k0 + t)
+        a = new_lo - lo
+        # for each point of the new band: the point above, the point itself
+        # and the point below, each read once as the window slides up
+        ups = value[a + 1:new_hi - lo + 2]
+        if new_hi == steps:  # the top cannot charge: a stand-in that never wins
+            ups.append(value[new_hi - lo] + buy)
+        stay = value[a]
+        down = value[a - 1] if new_lo else stay - sell  # the floor cannot discharge
+        new = []
+        append = new.append
+        for up in ups:
+            best = up - buy
+            if stay > best:
+                best = stay
+            down += sell
+            append(down if down > best else best)
+            down, stay = stay, up
+        value, lo = new, new_lo
+    return value[0]
 
 
 # --- one market or one dual horizon -----------------------------------------
@@ -296,8 +370,8 @@ def settle(
     """
     if schedule.window != actuals.window:
         raise WindowMismatch("schedule and prices cover different windows")
-    horizon = Horizon((actuals.window,))
-    return _result(*_settle(horizon, (_legs_of(schedule),), (actuals,), spec))
+    unit = _unit(Horizon((actuals.window,)), (), (actuals,))
+    return _result(*_settle(unit, (_legs_of(schedule),), spec, spec.cash_weights()))
 
 
 def settle_dual(
@@ -313,8 +387,9 @@ def settle_dual(
     if bm_schedule.window != bm_actuals.window:
         raise WindowMismatch("balancing schedule and prices differ")
     horizon = build_dual_horizon(dam_schedule.window, bm_schedule.window)
+    unit = _unit(horizon, (), (dam_actuals, bm_actuals))
     legs = (_legs_of(dam_schedule), _legs_of(bm_schedule))
-    return _result(*_settle(horizon, legs, (dam_actuals, bm_actuals), spec))
+    return _result(*_settle(unit, legs, spec, spec.cash_weights()))
 
 
 def degenerate_forecast(
@@ -333,7 +408,7 @@ def perfect_foresight(
     allow_stock_buys: bool = False,
 ) -> Fraction:
     """Profit of the strategy when the forecast equals the settled prices."""
-    unit = _Unit(Horizon((actuals.window,)), (), (actuals,))
+    unit = _unit(Horizon((actuals.window,)), (), (actuals,))
     return pf_unit(unit, spec, strategy, allow_stock_buys)
 
 
@@ -341,7 +416,7 @@ def _dual_unit(horizon: Horizon, dam_actuals: PriceSeries, bm_actuals: PriceSeri
     """The forecast-free unit of a dual horizon and the prices of its windows."""
     if (dam_actuals.window, bm_actuals.window) != horizon.windows:
         raise WindowMismatch("price windows do not match the horizon")
-    return _Unit(horizon, (), (dam_actuals, bm_actuals))
+    return _unit(horizon, (), (dam_actuals, bm_actuals))
 
 
 def perfect_foresight_dual(
@@ -356,7 +431,7 @@ def perfect_foresight_dual(
 
 def dp_optimal(actuals: PriceSeries, spec: BatterySpec) -> Fraction:
     """Best possible profit for the window given the settled prices."""
-    unit = _Unit(Horizon((actuals.window,)), (), (actuals,))
+    unit = _unit(Horizon((actuals.window,)), (), (actuals,))
     return dp_unit(unit, spec)
 
 
@@ -402,8 +477,9 @@ def score_forecasts(
     and its loss is summed as an integer by `pinball_sum`.  One Fraction is
     built per level, and one for the mean over all cells.
     """
+    _check_windows(forecasts, actuals, "score")
     cells: dict[Fraction, tuple[list, list]] = {}
-    for _, (fc,), (ps,) in window_units(forecasts, actuals, "score"):
+    for fc, ps in zip(forecasts, actuals):
         actual = [(y, ps.scale) for y in ps.scaled]
         for lv, column in zip(fc.levels, zip(*fc.scaled)):
             ys, zs = cells.setdefault(lv, ([], []))
@@ -447,17 +523,20 @@ def _run_item(payload: tuple, item: tuple):
     strategy is None, its pf total when pair is None, else the cell's
     per-window cash, as (numerator, denominator) integers, and trade count."""
     market, strategy, pair = item
-    spec, allow_stock, by_market, pinned = payload
+    spec, weights, allow_stock, by_market, pinned = payload
     units = by_market[market]
     if strategy is None:
         return sum((dp_unit(u, spec) for u in units), Fraction(0))
     if pair is None:
         return sum(
-            (_pf_cash(u, spec, strategy, allow_stock) for u in pinned[market]), Fraction(0)
+            (_pf_cash(u, spec, strategy, allow_stock, weights) for u in pinned[market]),
+            Fraction(0),
         )
     trades, per_window = 0, []
     for unit in units:
-        legs, (cash, den, _) = _trade_and_settle(unit, strategy, pair, spec, allow_stock)
+        legs, (cash, den, _) = _trade_and_settle(
+            unit, strategy, pair, spec, allow_stock, weights
+        )
         per_window.append((cash, den))
         trades += sum(map(len, legs))
     return per_window, trades
@@ -588,7 +667,7 @@ def run_sweep(
                  for u in units[m] for ps in u.actuals}
     pinned = {m: [u._replace(forecasts=tuple(foresight[ps] for ps in u.actuals)) for u in us]
               for m, us in units.items()}
-    payload = (spec, allow_stock_buys, units, pinned)
+    payload = (spec, spec.cash_weights(), allow_stock_buys, units, pinned)
     result = dict(zip(items, _run_lanes(payload, items, jobs)))
     rows: list[BacktestReport] = []
     for market, strategy in blocks:

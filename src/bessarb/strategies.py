@@ -11,20 +11,21 @@ matter in which order the strategy discovered its trades.  Every strategy
 starts from the spec's initial_charge.
 
 TS3 is one body over a horizon (_ts3_legs): a work list over an ordered
-list of index ranges, on one timeline of the horizon's events.  On one
-window the list is the window, whole.  On a day-ahead window and its
-balancing window (the dual-market scheduler) it is the balancing window
-alone, or, once the best day-ahead pair has traded, the balancing slots
-outside that pair's span and the day-ahead hours inside it.  TS3 sizes
-each pair with one rule, _execute_pair; bottleneck_execute runs that rule
-on a two-slot timeline.
+list of index ranges, on one charge path of the horizon's events, a plain
+list of the charge after each event.  On one window the list is the
+window, whole.  On a day-ahead window and its balancing window (the
+dual-market scheduler) it is the balancing window alone, or, once the best
+day-ahead pair has traded, the balancing slots outside that pair's span
+and the day-ahead hours inside it.  TS3 sizes each pair with one rule,
+_execute_pair; bottleneck_execute runs that rule on a two-slot path.
 
 Every strategy finds its pairs through one of two integer scans:
 _scan_ordered (buy before sell, for TS1 and TS2) and _scan_unordered
 (either order, for TS3).  A forecast holds its values as integers over one
 scale and repairs its curves once (QuantileForecast.repaired_curve); each
-strategy run weighs them by the battery's efficiencies, so a spread
-compares, ties and signs exactly as the exact fraction does.
+strategy run weighs them by the battery's efficiencies (cash_weights,
+worked out once per run), so a spread compares, ties and signs exactly as
+the exact fraction does.
 
 Each strategy body returns a window's legs: (period, signed ticks)
 integer pairs in period order, positive for a buy and negative for a sell.
@@ -39,12 +40,11 @@ and CSV files alike.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from bessarb._numeric import (
     TICKS_PER_MWH,
@@ -188,8 +188,7 @@ def _spread(spec: BatterySpec, buy_price: Fraction, sell_price: Fraction) -> Fra
     return spec.discharge_eff * sell_price - buy_price / spec.charge_eff
 
 
-@dataclass(frozen=True, slots=True)
-class _Curves:
+class _Curves(NamedTuple):
     """A forecast's buy and sell curves for one quantile pair and battery.
 
     buy and sell are the repaired quantile curves as integers over the
@@ -206,14 +205,16 @@ class _Curves:
     w_sell: int
 
 
-
-def _curves(forecast: QuantileForecast, pair: QuantilePair, spec: BatterySpec) -> _Curves:
-    w_buy, w_sell, _ = spec.cash_weights()
+def _curves(
+    forecast: QuantileForecast, pair: QuantilePair, weights: tuple[int, int, int]
+) -> _Curves:
+    """The pair's curves of the forecast, weighed by the battery's
+    cash_weights, worked out once by the caller's run."""
     return _Curves(
         forecast.repaired_curve(pair.buy_level),
         forecast.repaired_curve(pair.sell_level),
-        w_buy,
-        w_sell,
+        weights[0],
+        weights[1],
     )
 
 
@@ -253,8 +254,10 @@ def _scan_unordered(curves: _Curves, lo: int, hi: int) -> tuple[int, int] | None
     buy = curves.buy[lo:hi + 1]
     sell = curves.sell[lo:hi + 1]
     low, high = min(buy), max(sell)
+    if curves.w_sell * high <= curves.w_buy * low:
+        return None
     i_buy, i_sell = buy.index(low), sell.index(high)
-    if i_buy == i_sell or curves.w_sell * high <= curves.w_buy * low:
+    if i_buy == i_sell:
         return None
     return lo + i_buy, lo + i_sell
 
@@ -266,7 +269,7 @@ def bottleneck_execute(
 ) -> tuple[TradeOrder | None, TradeOrder | None, BatteryState]:
     """Size a two-leg trade from `state` as the strategies size their pairs.
 
-    This is _execute_pair on a two-slot timeline that starts at `state`,
+    This is _execute_pair on a two-slot path that starts at `state`,
     slots in period order, with stock buys allowed: the earlier leg is
     sized first, the later one from the charge it leaves behind, each
     within the ramp, the capacity and the floor.  A leg sized to nothing
@@ -274,9 +277,9 @@ def bottleneck_execute(
     """
     if candidate.buy_period == candidate.sell_period:
         raise InvalidPair("buy and sell must use different periods")
-    timeline = ChargeTimeline(replace(spec, initial_charge=state.charge), 2)
+    path = ChargeTimeline(replace(spec, initial_charge=state.charge), 2).path()
     buy_first = candidate.buy_period < candidate.sell_period
-    x_buy, x_sell = _execute_pair(timeline, int(not buy_first), int(buy_first), True)
+    x_buy, x_sell = _execute_pair(path, int(not buy_first), int(buy_first), spec, True)
     buy = (
         TradeOrder(candidate.buy_period, Side.BUY, x_buy, candidate.buy_price)
         if x_buy > 0
@@ -345,74 +348,96 @@ def _emit(legs: list, t_buy: int, x_buy: int, t_sell: int, x_sell: int) -> None:
 
 
 def _execute_pair(
-    timeline: ChargeTimeline,
+    path: list[int],
     i_buy: int,
     i_sell: int,
+    spec: BatterySpec,
     allow_stock_buys: bool,
 ) -> tuple[int, int]:
-    """Size and commit one candidate pair; its (buy, sell) ticks.
+    """Size and commit one candidate pair on a charge path; its (buy, sell) ticks.
 
-    Legs are sized against the committed trajectory in wall-clock order.  A
-    buy that a later sell of the same pair undoes only needs headroom until
-    that sell; every other leg must clear the whole committed future.  A
-    sell-first pair with nothing to sell trades nothing, unless stock buys
-    are allowed.  (0, 0) when nothing trades: a buy-first pair's sell is
-    never smaller than its buy.
+    path[i] is the committed charge after slot i's trade.  Legs are sized
+    against it in wall-clock order.  A buy that a later sell of the same
+    pair undoes only needs headroom until that sell; every other leg must
+    clear the whole committed future.  A sell-first pair with nothing to
+    sell trades nothing, unless stock buys are allowed.  (0, 0) when
+    nothing trades: a buy-first pair's sell is never smaller than its buy.
+
+    Each headroom is one min or max over a slice of the path.  The earlier
+    leg moves the slots up to the later one, and both legs together move
+    the slots from the later one on: one slice assignment each.
     """
+    ramp = spec.ramp
     if i_buy < i_sell:
-        x_buy = timeline.max_buy_between(i_buy, i_sell)
-        timeline.commit(i_buy, x_buy)
-        x_sell = timeline.max_sell_from(i_sell)
-        timeline.commit(i_sell, -x_sell)
-        return x_buy, x_sell
-    x_sell = timeline.max_sell_from(i_sell)
-    if x_sell == 0 and not allow_stock_buys:
-        return 0, 0
-    timeline.commit(i_sell, -x_sell)
-    x_buy = timeline.max_buy_from(i_buy)
-    timeline.commit(i_buy, x_buy)
+        x_buy = spec.capacity - max(path[i_buy:i_sell])
+        x_buy = x_buy if x_buy < ramp else ramp
+        x_sell = min(path[i_sell:]) + x_buy - spec.min_charge
+        x_sell = x_sell if x_sell < ramp else ramp
+        first, second, moved = i_buy, i_sell, x_buy
+    else:
+        x_sell = min(path[i_sell:]) - spec.min_charge
+        x_sell = x_sell if x_sell < ramp else ramp
+        if x_sell == 0 and not allow_stock_buys:
+            return 0, 0
+        x_buy = spec.capacity - max(path[i_buy:]) + x_sell
+        x_buy = x_buy if x_buy < ramp else ramp
+        first, second, moved = i_sell, i_buy, -x_sell
+    if moved:
+        path[first:second] = [c + moved for c in path[first:second]]
+    net = x_buy - x_sell
+    if net:
+        path[second:] = [c + net for c in path[second:]]
     return x_buy, x_sell
 
 
 def _run_worklist(
-    timeline: ChargeTimeline,
+    path: list[int],
     curves: _Curves,
     lo: int,
     hi: int,
     instants: Sequence[int],
     legs: list,
+    spec: BatterySpec,
     allow_stock_buys: bool,
 ) -> None:
     """Breadth-first pair extraction over index ranges of one curve pair.
 
-    Pops a range, trades its cheapest-buy/dearest-sell pair if one exists,
-    then requeues the sub-ranges either side of and between the two consumed
-    periods.  A range without a candidate is dropped whole: every sub-range
-    of an unprofitable range is itself unprofitable.  instants[t] is period
-    t's slot on the timeline.  Legs are appended in the order they trade.
+    Walks a list of ranges that grows as it is walked, so ranges are taken
+    in the order they were queued.  Trades a range's cheapest-buy/dearest-
+    sell pair if one exists, then queues the sub-ranges either side of and
+    between the two consumed periods.  Only ranges of two or more periods
+    are queued: a shorter one holds no pair.  A range without a candidate
+    is dropped whole: every sub-range of an unprofitable range is itself
+    unprofitable.  instants[t] is period t's slot on the charge path.  Legs
+    are appended in the order they trade.
     """
-    work = deque()
-    if lo <= hi:
-        work.append((lo, hi))
-    while work:
-        a, b = work.popleft()
+    work = [(lo, hi)] if lo < hi else []
+    for a, b in work:
         found = _scan_unordered(curves, a, b)
         if found is None:
             continue
         t_buy, t_sell = found
         x_buy, x_sell = _execute_pair(
-            timeline, instants[t_buy], instants[t_sell], allow_stock_buys
+            path, instants[t_buy], instants[t_sell], spec, allow_stock_buys
         )
         _emit(legs, t_buy, x_buy, t_sell, x_sell)
-        first, second = min(t_buy, t_sell), max(t_buy, t_sell)
-        work.append((a, first - 1))
-        work.append((first + 1, second - 1))
-        work.append((second + 1, b))
+        first, second = (t_buy, t_sell) if t_buy < t_sell else (t_sell, t_buy)
+        if first - a > 1:
+            work.append((a, first - 1))
+        if second - first > 2:
+            work.append((first + 1, second - 1))
+        if b - second > 1:
+            work.append((second + 1, b))
 
 
-def _ts1_legs(forecast: QuantileForecast, pair: QuantilePair, spec: BatterySpec) -> tuple:
+# Each body takes the battery's cash_weights, (w_buy, w_sell, den), worked
+# out once by the run that calls it.
+
+def _ts1_legs(
+    forecast: QuantileForecast, pair: QuantilePair, spec: BatterySpec, weights: tuple
+) -> tuple:
     found = _scan_ordered(
-        _curves(forecast, pair, spec), 0, forecast.window.period_count - 1
+        _curves(forecast, pair, weights), 0, forecast.window.period_count - 1
     )
     volume = min(spec.ramp, spec.capacity - spec.initial_charge)
     if found is None or not volume:
@@ -421,8 +446,10 @@ def _ts1_legs(forecast: QuantileForecast, pair: QuantilePair, spec: BatterySpec)
     return (t_buy, volume), (t_sell, -volume)
 
 
-def _ts2_legs(forecast: QuantileForecast, pair: QuantilePair, spec: BatterySpec) -> tuple:
-    curves = _curves(forecast, pair, spec)
+def _ts2_legs(
+    forecast: QuantileForecast, pair: QuantilePair, spec: BatterySpec, weights: tuple
+) -> tuple:
+    curves = _curves(forecast, pair, weights)
     volume = min(spec.ramp, spec.capacity - spec.initial_charge)
     legs: list = []
 
@@ -449,10 +476,11 @@ def _ts3_legs(
     pair: QuantilePair,
     spec: BatterySpec,
     allow_stock_buys: bool,
+    weights: tuple,
 ) -> tuple[tuple, ...]:
     """TS3 over a horizon: one sorted leg tuple per window.
 
-    Every window's pairs clip against one timeline over the horizon's
+    Every window's pairs clip against one charge path over the horizon's
     events.  The work list runs over an ordered list of (window, lo, hi)
     ranges: the last window, whole, unless a dual horizon's best day-ahead
     pair (the anchor) trades.  Then the balancing slots before the anchor
@@ -461,9 +489,9 @@ def _ts3_legs(
     """
     if len(forecasts) > 1 and tuple(f.window for f in forecasts) != horizon.windows:
         raise WindowMismatch("forecast windows do not match the horizon")
-    timeline = ChargeTimeline(spec, len(horizon.events))
+    path = [spec.initial_charge] * len(horizon.events)
     runs = [
-        (_curves(forecast, pair, spec), instants, [])
+        (_curves(forecast, pair, weights), instants, [])
         for forecast, instants in zip(forecasts, horizon.instants)
     ]
     last = len(runs) - 1
@@ -475,7 +503,7 @@ def _ts3_legs(
         if anchor is not None:
             t_buy, t_sell = anchor
             x_buy, x_sell = _execute_pair(
-                timeline, instants[t_buy], instants[t_sell], allow_stock_buys
+                path, instants[t_buy], instants[t_sell], spec, allow_stock_buys
             )
             _emit(legs, t_buy, x_buy, t_sell, x_sell)
         if legs:  # the anchor traded
@@ -490,7 +518,7 @@ def _ts3_legs(
             ]
     for w, lo, hi in ranges:
         curves, instants, legs = runs[w]
-        _run_worklist(timeline, curves, lo, hi, instants, legs, allow_stock_buys)
+        _run_worklist(path, curves, lo, hi, instants, legs, spec, allow_stock_buys)
     return tuple(tuple(sorted(legs)) for _, _, legs in runs)
 
 
@@ -501,18 +529,20 @@ def _trade_legs(
     pair: QuantilePair,
     spec: BatterySpec,
     allow_stock_buys: bool,
+    weights: tuple,
 ) -> tuple[tuple, ...]:
     """The strategy's legs over a horizon, one checked tuple per window.
 
     TS3 trades any horizon; TS1 and TS2 trade one window's forecast.
+    weights are the spec's cash_weights.
     """
     if strategy == "TS3":
-        legs = _ts3_legs(horizon, forecasts, pair, spec, allow_stock_buys)
+        legs = _ts3_legs(horizon, forecasts, pair, spec, allow_stock_buys, weights)
     elif len(forecasts) > 1:
         raise ConfigError("dual-market backtests use strategy TS3")
     elif strategy in ("TS1", "TS2"):
         run = _ts1_legs if strategy == "TS1" else _ts2_legs
-        legs = (run(forecasts[0], pair, spec),)
+        legs = (run(forecasts[0], pair, spec, weights),)
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
     for forecast, window_legs in zip(forecasts, legs):
@@ -528,7 +558,8 @@ def ts1(
     spec: BatterySpec,
 ) -> Schedule:
     """Trade only the single best buy-before-sell pair of the window."""
-    return _schedule(forecast, "TS1", pair, _ts1_legs(forecast, pair, spec))
+    legs = _ts1_legs(forecast, pair, spec, spec.cash_weights())
+    return _schedule(forecast, "TS1", pair, legs)
 
 
 def ts2(
@@ -542,7 +573,8 @@ def ts2(
     strictly after its sell are searched again, so all spans are disjoint
     and each one returns the battery to its starting charge.
     """
-    return _schedule(forecast, "TS2", pair, _ts2_legs(forecast, pair, spec))
+    legs = _ts2_legs(forecast, pair, spec, spec.cash_weights())
+    return _schedule(forecast, "TS2", pair, legs)
 
 
 def ts3(
@@ -552,7 +584,10 @@ def ts3(
     allow_stock_buys: bool = False,
 ) -> Schedule:
     """Work-list strategy: bottleneck-execute min/max pairs range by range."""
-    (legs,) = _ts3_legs(Horizon((forecast.window,)), (forecast,), pair, spec, allow_stock_buys)
+    (legs,) = _ts3_legs(
+        Horizon((forecast.window,)), (forecast,), pair, spec, allow_stock_buys,
+        spec.cash_weights(),
+    )
     return _schedule(forecast, "TS3", pair, legs)
 
 
@@ -573,7 +608,8 @@ def ts3_dual(
     profitable anchor the balancing window is traded alone.
     """
     dam_legs, bm_legs = _ts3_legs(
-        horizon, (dam_forecast, bm_forecast), pair, spec, allow_stock_buys
+        horizon, (dam_forecast, bm_forecast), pair, spec, allow_stock_buys,
+        spec.cash_weights(),
     )
     return (
         _schedule(dam_forecast, "TS3", pair, dam_legs),

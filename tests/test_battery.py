@@ -1,4 +1,9 @@
-"""Battery spec validation, clipped trades, replay and the charge timeline."""
+"""Battery spec validation, clipped trades, replay and the charge path.
+
+A charge path is what ChargeTimeline.path() returns: the charge after each
+slot's trade, a plain list that strategies._execute_pair sizes each pair
+against and commits it to.
+"""
 
 import json
 from dataclasses import replace
@@ -22,6 +27,7 @@ from bessarb.errors import (
     FloorViolation,
     RampViolation,
 )
+from bessarb.strategies import _execute_pair
 
 
 class _RebuildTimeline:
@@ -38,9 +44,6 @@ class _RebuildTimeline:
             out.append(charge)
         return out
 
-    def charge_before(self, slot):
-        return self.initial + sum(self._deltas[:slot])
-
     def max_buy_between(self, slot, end):
         path = self.path()
         segment = path[slot:end] if end > slot else path[slot:slot + 1]
@@ -55,10 +58,25 @@ class _RebuildTimeline:
     def commit(self, slot, signed_ticks):
         self._deltas[slot] += signed_ticks
 
+    def execute_pair(self, i_buy, i_sell, allow_stock_buys):
+        """The leg-sizing rule as it ran on a timeline's queries and commits."""
+        if i_buy < i_sell:
+            x_buy = self.max_buy_between(i_buy, i_sell)
+            self.commit(i_buy, x_buy)
+            x_sell = self.max_sell_from(i_sell)
+            self.commit(i_sell, -x_sell)
+            return x_buy, x_sell
+        x_sell = self.max_sell_from(i_sell)
+        if x_sell == 0 and not allow_stock_buys:
+            return 0, 0
+        self.commit(i_sell, -x_sell)
+        x_buy = self.max_buy_from(i_buy)
+        self.commit(i_buy, x_buy)
+        return x_buy, x_sell
 
-def charge_before(tl, slot):
-    """Charge of a timeline before slot's trade."""
-    return tl.path()[slot - 1] if slot > 0 else tl.spec.initial_charge
+
+def _path(spec, n_slots):
+    return ChargeTimeline(spec, n_slots).path()
 
 
 class TestBatterySpec:
@@ -161,18 +179,24 @@ class TestBatterySpec:
 
 
 class TestTradeBounds:
+    """Each leg _execute_pair sizes is clipped to the ramp, the capacity and
+    the floor: a buy-first pair at slots (0, 1), a sell-first one at (1, 0)."""
+
     def test_max_buy_clips_to_headroom(self):
         spec = replace(BatterySpec.from_mwh("3", "2"), initial_charge=2500)
-        assert ChargeTimeline(spec, 1).max_buy_from(0) == 500
+        assert _execute_pair(_path(spec, 2), 0, 1, spec, False) == (500, 2000)
 
     def test_max_buy_clips_to_ramp(self):
         spec = BatterySpec.from_mwh("3", "2")
-        assert ChargeTimeline(spec, 1).max_buy_from(0) == 2000
+        assert _execute_pair(_path(spec, 2), 0, 1, spec, False) == (2000, 2000)
 
     def test_max_sell_respects_floor(self):
         spec = BatterySpec.from_mwh("3", "2", min_charge_mwh="1")
-        assert ChargeTimeline(replace(spec, initial_charge=1500), 1).max_sell_from(0) == 500
-        assert ChargeTimeline(spec, 1).max_sell_from(0) == 0
+        above = replace(spec, initial_charge=1500)
+        assert _execute_pair(_path(above, 2), 1, 0, above, False) == (2000, 500)
+        # at the floor a sell-first pair sells nothing, and buys only as stock
+        assert _execute_pair(_path(spec, 2), 1, 0, spec, False) == (0, 0)
+        assert _execute_pair(_path(spec, 2), 1, 0, spec, True) == (2000, 0)
 
     def test_apply_trade_moves_charge(self):
         spec = unit_trading_spec()
@@ -232,90 +256,93 @@ class TestReplay:
 
 
 class TestChargeTimeline:
+    """_execute_pair on a charge path started by ChargeTimeline."""
+
     def test_empty_timeline_matches_scalar_bounds(self):
         spec = BatterySpec.from_mwh("3", "2", min_charge_mwh="1",
                                     initial_charge_mwh="1.5")
-        tl = ChargeTimeline(spec, 6)
+        assert _path(spec, 6) == [1500] * 6
         # from 1.5 MWh: buy up to the 3 MWh capacity, sell down to the 1 MWh floor
-        assert tl.max_buy_from(0) == 1500
-        assert tl.max_sell_from(0) == 500
-        assert tl.max_buy_between(2, 5) == 1500
+        path = _path(spec, 6)
+        assert _execute_pair(path, 2, 5, spec, False) == (1500, 2000)
+        assert path == [1500, 1500, 3000, 3000, 3000, 1000]
+        path = _path(spec, 6)
+        assert _execute_pair(path, 5, 0, spec, False) == (2000, 500)
+        assert path == [1000] * 5 + [3000]
 
     def test_path_accumulates_commits(self):
         spec = unit_trading_spec()
-        tl = ChargeTimeline(spec, 4)
-        tl.commit(1, 1000)
-        tl.commit(3, -1000)
-        assert tl.path() == [0, 1000, 1000, 0]
-        assert charge_before(tl, 1) == 0
-        assert charge_before(tl, 2) == 1000
+        path = _path(spec, 4)
+        assert _execute_pair(path, 1, 3, spec, False) == (1000, 1000)
+        assert path == [0, 1000, 1000, 0]
+        # the pair's buy holds the battery full until its sell: no room between
+        assert _execute_pair(path, 2, 3, spec, False) == (0, 0)
+        assert path == [0, 1000, 1000, 0]
 
     def test_buy_between_ignores_committed_future_after_end(self):
         spec = unit_trading_spec()
-        tl = ChargeTimeline(spec, 6)
-        tl.commit(4, 1000)  # a later buy holds the battery full from slot 4
-        # a buy undone before slot 4 still has full headroom
-        assert tl.max_buy_between(0, 3) == 1000
-        # a persistent buy does not
-        assert tl.max_buy_from(0) == 0
+        path = _path(spec, 6)
+        # a stock buy at slot 4 holds the battery full from slot 4
+        assert _execute_pair(path, 4, 1, spec, True) == (1000, 0)
+        assert path == [0, 0, 0, 0, 1000, 1000]
+        # a buy undone before slot 4 still has full headroom ...
+        assert _execute_pair(list(path), 0, 3, spec, False) == (1000, 1000)
+        # ... a persistent one does not
+        assert _execute_pair(list(path), 3, 0, spec, True) == (0, 0)
 
     def test_sell_from_clips_to_future_minimum(self):
         spec = replace(unit_trading_spec(), initial_charge=1000)
-        tl = ChargeTimeline(spec, 6)
-        tl.commit(3, -1000)
+        path = _path(spec, 6)
+        path[3:] = [0, 0, 0]  # a committed sell at slot 3
         # anything sold at slot 0 would drive slot 3's sell below the floor
-        assert tl.max_sell_from(0) == 0
-        assert tl.max_sell_from(4) == 0
+        assert _execute_pair(list(path), 1, 0, spec, False) == (0, 0)
+        assert _execute_pair(list(path), 5, 4, spec, False) == (0, 0)
 
     def test_initial_override(self):
         spec = replace(BatterySpec.from_mwh("2", "1"), initial_charge=2000)
-        tl = ChargeTimeline(spec, 3)
-        assert tl.max_buy_from(0) == 0
-        assert tl.max_sell_from(0) == 1000
+        assert _execute_pair(_path(spec, 3), 0, 1, spec, False) == (0, 1000)
+        assert _execute_pair(_path(spec, 3), 1, 0, spec, False) == (1000, 1000)
 
     @given(st.data())
     def test_matches_path_rebuild_oracle(self, data):
-        """Every query agrees with the rebuild-per-query timeline."""
+        """Every pair sizes and commits as on the rebuild-per-query timeline."""
         spec = BatterySpec.from_mwh("3", "1", min_charge_mwh="0.5")
-        n = data.draw(st.integers(min_value=1, max_value=10))
+        n = data.draw(st.integers(min_value=2, max_value=10))
         initial = data.draw(st.integers(min_value=spec.min_charge, max_value=spec.capacity))
-        tl = ChargeTimeline(replace(spec, initial_charge=initial), n)
+        spec = replace(spec, initial_charge=initial)
+        path = _path(spec, n)
         ref = _RebuildTimeline(spec, n, initial)
         for _ in range(data.draw(st.integers(min_value=0, max_value=8))):
-            slot = data.draw(st.integers(min_value=0, max_value=n - 1))
-            ticks = data.draw(st.integers(min_value=-spec.ramp, max_value=spec.ramp))
-            tl.commit(slot, ticks)
-            ref.commit(slot, ticks)
-            assert tl.path() == ref.path()
-            for i in range(n):
-                assert charge_before(tl, i) == ref.charge_before(i)
-                assert tl.max_buy_from(i) == ref.max_buy_from(i)
-                assert tl.max_sell_from(i) == ref.max_sell_from(i)
-                for end in range(n + 1):
-                    assert tl.max_buy_between(i, end) == ref.max_buy_between(i, end)
-        assert charge_before(tl, n) == ref.charge_before(n)
+            i_buy, i_sell = data.draw(st.lists(
+                st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=2,
+                unique=True,
+            ))
+            allow = data.draw(st.booleans())
+            got = _execute_pair(path, i_buy, i_sell, spec, allow)
+            assert got == ref.execute_pair(i_buy, i_sell, allow)
+            assert path == ref.path()
 
     @given(st.data())
     def test_pairwise_commits_always_replay(self, data):
-        """Ordered buy/sell pairs clipped by the timeline stay feasible."""
+        """Pairs in either order, each sized by _execute_pair, stay feasible."""
         spec = BatterySpec.from_mwh("3", "1")
         n = 12
-        tl = ChargeTimeline(spec, n)
+        path = _path(spec, n)
         free = list(range(n))
+        legs = []
+        allow = data.draw(st.booleans())
         for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
             if len(free) < 2:
                 break
-            i = data.draw(st.sampled_from(free[:-1]))
-            later = [s for s in free if s > i]
-            j = data.draw(st.sampled_from(later))
-            x_buy = tl.max_buy_between(i, j)
-            tl.commit(i, x_buy)
-            x_sell = tl.max_sell_from(j)
-            tl.commit(j, -x_sell)
+            i, j = data.draw(st.lists(st.sampled_from(free), min_size=2, max_size=2,
+                                      unique=True))
+            x_buy, x_sell = _execute_pair(path, i, j, spec, allow)
+            legs += [(i, x_buy), (j, -x_sell)]
             free.remove(i)
             free.remove(j)
-        path = tl.path()
         before = [spec.initial_charge] + path[:-1]
-        trades = [(s, b - a) for s, (a, b) in enumerate(zip(before, path)) if b != a]
-        final = replay(trades, spec)  # raises on any bound violation
-        assert spec.min_charge <= final.charge <= spec.capacity
+        assert sorted(s for s, x in legs if x) == [
+            s for s, (a, b) in enumerate(zip(before, path)) if b != a
+        ]
+        final = replay(legs, spec)  # raises on any bound violation
+        assert final.charge == path[-1]

@@ -560,6 +560,20 @@ class TestSweep:
         code, *_ = self.sweep(capsys, data_dir, tmp_path / "x", "--jobs", "0")
         assert code == 2
 
+    def test_ramp_above_the_span_sweeps_as_the_span(self, data_dir, tmp_path, capsys):
+        # no leg moves more than the 1 MWh span: a 5 MWh ramp trades, settles
+        # and bounds as a 1 MWh one does
+        for ramp, jobs in (("1", "1"), ("5", "2")):
+            battery = tmp_path / f"ramp{ramp}.json"
+            battery.write_text(
+                f'{{"capacity_mwh": "1", "ramp_mwh_per_period": "{ramp}"}}\n'
+            )
+            code, _, err = self.sweep(capsys, data_dir, tmp_path / ramp,
+                                      "--battery", str(battery), "--jobs", jobs)
+            assert (code, err) == (0, "")
+        for name in ("report.csv", "plot.csv"):
+            assert (tmp_path / "5" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
     def test_lane_error_does_not_depend_on_jobs(self, data_dir, tmp_path, capsys):
         battery = tmp_path / "battery.json"
         battery.write_text('{"capacity_mwh": "1", "ramp_mwh_per_period": "0.3"}\n')
@@ -651,6 +665,19 @@ class TestPf:
         assert float(parse(big)["dp"]) == pytest.approx(
             2 * float(parse(small)["dp"]), abs=0.02
         )
+
+    def test_ramp_above_the_span_runs(self, data_dir, tmp_path, capsys):
+        lines = []
+        for ramp in ("1", "5"):
+            battery = tmp_path / f"ramp{ramp}.json"
+            battery.write_text(
+                f'{{"capacity_mwh": "1", "ramp_mwh_per_period": "{ramp}"}}\n'
+            )
+            code, stdout, _ = run(capsys, "pf", "--actuals", str(data_dir / "bm_actuals.csv"),
+                                  "--market", "bm", "--battery", str(battery))
+            assert code == 0
+            lines.append(stdout)
+        assert lines[0] == lines[1]
 
     def test_missing_actuals(self, capsys):
         code, _, err = run(capsys, "pf")

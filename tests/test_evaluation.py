@@ -555,6 +555,94 @@ class TestDpOptimal:
             assert perfect_foresight(prices, UNIT, strategy) <= bound
 
 
+def _full_lattice_dp_unit(unit, spec):
+    """dp_unit as it ran before it kept the reachable band, over the whole
+    lattice: four list comprehensions per event.  An oracle."""
+    by_window, scale = evaluation._over_one_scale(unit.actuals)
+    prices = [by_window[w][p] for w, p in unit.horizon.events]
+    steps = (spec.capacity - spec.min_charge) // spec.ramp
+    k0 = (spec.initial_charge - spec.min_charge) // spec.ramp
+    w_buy, w_sell, den = spec.cash_weights()
+    buy_unit = spec.ramp * w_buy
+    sell_unit = spec.ramp * w_sell
+    value = [0] * (steps + 1)
+    for price in reversed(prices):
+        buy, sell = price * buy_unit, price * sell_unit
+        # stay at k, or charge one ramp (reach k + 1)
+        charged = [v - buy for v in value[1:]]
+        best = [v if v > c else c for v, c in zip(value, charged)]
+        best.append(value[-1])
+        # or discharge one ramp (reach k - 1)
+        discharged = [v + sell for v in value[:-1]]
+        value = best[:1] + [b if b > d else d for b, d in zip(best[1:], discharged)]
+    return Fraction(value[k0], scale * den)
+
+
+@st.composite
+def dp_units(draw):
+    """(unit, battery): a day-ahead, balancing or dual unit, prices over drawn
+    scales, and a battery whose span and start are whole ramps.  The lattice
+    is shallow, or deep (far more steps than the unit has events); the start
+    anywhere on it, the floor often above 0."""
+    market = draw(st.sampled_from(["DAM", "BM", "DAM+BM"]), label="market")
+    units = {}
+    for kind in (MarketKind.DAM, MarketKind.BM):
+        if kind.value in market:
+            window = TradingWindow(kind, BASE_EPOCH, kind.periods_per_window)
+            units[kind.value] = window_units(
+                [flat_forecast([0] * window.period_count, market=kind)],
+                [_series(draw, window, kind.value)], kind.value,
+            )
+    (unit,) = dual_units(units["DAM"], units["BM"]) if market == "DAM+BM" else units[market]
+    ramp = draw(st.integers(min_value=1, max_value=1500), label="ramp")
+    floor = draw(st.sampled_from([0, 1, 250, 2000]), label="floor")
+    steps = draw(st.one_of(st.integers(0, 8), st.integers(40, 400)), label="steps")
+    if floor + steps * ramp == 0:
+        floor = ramp
+    k0 = draw(st.integers(min_value=0, max_value=steps), label="k0")
+    spec = BatterySpec(
+        floor + steps * ramp, ramp, floor, floor + k0 * ramp,
+        draw(efficiencies), draw(efficiencies),
+    )
+    return unit, spec
+
+
+class TestDpKernel:
+    """dp_unit, over the band reachable from the start point, equals the
+    recursion over the whole lattice."""
+
+    @given(dp_units())
+    @settings(max_examples=150, deadline=None)
+    def test_band_matches_the_full_lattice(self, problem):
+        unit, spec = problem
+        assert dp_unit(unit, spec) == _full_lattice_dp_unit(unit, spec)
+
+    @given(dp_units(), st.integers(min_value=1, max_value=10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_ramp_above_the_span_steps_by_the_span(self, problem, extra):
+        # no leg moves more than the span: a larger ramp bounds as the span does
+        unit, spec = problem
+        span = spec.capacity - spec.min_charge
+        if span == 0:
+            wide = replace(spec, ramp=spec.ramp + extra)
+            assert dp_unit(unit, wide) == 0
+            return
+        at_span = replace(spec, ramp=span, initial_charge=spec.min_charge)
+        for start in (spec.min_charge, spec.capacity):
+            wide = replace(at_span, ramp=span + extra, initial_charge=start)
+            want = _full_lattice_dp_unit(unit, replace(at_span, initial_charge=start))
+            assert dp_unit(unit, wide) == want
+
+    def test_ramp_above_the_span_keeps_the_start_on_the_lattice(self):
+        # a 1 MWh span steps by 1 MWh, so a start at 0.5 MWh is off it
+        spec = BatterySpec.from_mwh("1", "5", initial_charge_mwh="0.5")
+        with pytest.raises(NonCommensurateRamp, match="^starting charge sits off"):
+            dp_optimal(make_prices([10, 50]), spec)
+        assert dp_optimal(make_prices([10, 50]), replace(spec, initial_charge=0)) == (
+            dp_optimal(make_prices([10, 50]), unit_trading_spec())
+        )
+
+
 class TestDpOptimalDual:
     def test_joint_bound_sees_cross_market_moves(self):
         dam = make_prices([10] + [30] * 23, market=MarketKind.DAM)

@@ -1,6 +1,7 @@
 """Pair selection, clipped execution and the four scheduling strategies."""
 
 import pickle
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 
@@ -27,8 +28,10 @@ from bessarb.market import (
 )
 from bessarb.strategies import (
     _curves,
+    _emit,
     _scan_ordered,
     _scan_unordered,
+    _ts3_legs,
     DEFAULT_PAIRS,
     MEDIAN_PAIR,
     CandidatePair,
@@ -236,13 +239,13 @@ class TestSchedule:
 def _ordered(fc, pair=MEDIAN_PAIR, lo=0, hi=None):
     """The (buy, sell) _scan_ordered finds in [lo, hi], the whole window by default."""
     hi = fc.window.period_count - 1 if hi is None else hi
-    return _scan_ordered(_curves(fc, pair, UNIT), lo, hi)
+    return _scan_ordered(_curves(fc, pair, UNIT.cash_weights()), lo, hi)
 
 
 def _unordered(fc, pair=MEDIAN_PAIR, lo=0, hi=None):
     """The (buy, sell) _scan_unordered finds in [lo, hi], the whole window by default."""
     hi = fc.window.period_count - 1 if hi is None else hi
-    return _scan_unordered(_curves(fc, pair, UNIT), lo, hi)
+    return _scan_unordered(_curves(fc, pair, UNIT.cash_weights()), lo, hi)
 
 
 def _priced(schedule):
@@ -362,7 +365,7 @@ class TestIntegerScans:
     @settings(max_examples=300)
     def test_ordered_scan_matches_fraction_oracle(self, problem):
         fc, pair, spec, lo, hi = problem
-        curves = _curves(fc, pair, spec)
+        curves = _curves(fc, pair, spec.cash_weights())
         want = _fraction_scan_ordered(*_fraction_curves(fc, pair), spec, lo, hi)
         if want is not None and want.expected_spread <= 0:
             want = None
@@ -378,7 +381,7 @@ class TestIntegerScans:
     @settings(max_examples=300)
     def test_unordered_scan_matches_fraction_oracle(self, problem):
         fc, pair, spec, lo, hi = problem
-        curves = _curves(fc, pair, spec)
+        curves = _curves(fc, pair, spec.cash_weights())
         want = _fraction_scan_unordered(*_fraction_curves(fc, pair), spec, lo, hi)
         found = _scan_unordered(curves, lo, hi)
         if want is None:
@@ -694,6 +697,144 @@ class TestTs3:
         sched = ts3(flat_forecast(curve), MEDIAN_PAIR, UNIT)
         periods = [o.period for o in sched.orders]
         assert len(periods) == len(set(periods))
+
+
+class _DequeTimeline:
+    """TS3's charge timeline before it ran on a plain list: a committed
+    trajectory with one query per headroom.  Part of an oracle."""
+
+    def __init__(self, spec, n_slots):
+        self.spec = spec
+        self.n_slots = n_slots
+        self._path = [spec.initial_charge] * n_slots
+
+    def max_buy_between(self, slot, end):
+        segment = self._path[slot:end] if end > slot else self._path[slot:slot + 1]
+        return min(self.spec.ramp, self.spec.capacity - max(segment))
+
+    def max_buy_from(self, slot):
+        return min(self.spec.ramp, self.spec.capacity - max(self._path[slot:]))
+
+    def max_sell_from(self, slot):
+        return min(self.spec.ramp, min(self._path[slot:]) - self.spec.min_charge)
+
+    def commit(self, slot, signed_ticks):
+        path = self._path
+        for i in range(slot, self.n_slots):
+            path[i] += signed_ticks
+
+
+def _timeline_execute_pair(timeline, i_buy, i_sell, allow_stock_buys):
+    if i_buy < i_sell:
+        x_buy = timeline.max_buy_between(i_buy, i_sell)
+        timeline.commit(i_buy, x_buy)
+        x_sell = timeline.max_sell_from(i_sell)
+        timeline.commit(i_sell, -x_sell)
+        return x_buy, x_sell
+    x_sell = timeline.max_sell_from(i_sell)
+    if x_sell == 0 and not allow_stock_buys:
+        return 0, 0
+    timeline.commit(i_sell, -x_sell)
+    x_buy = timeline.max_buy_from(i_buy)
+    timeline.commit(i_buy, x_buy)
+    return x_buy, x_sell
+
+
+def _deque_worklist(timeline, curves, lo, hi, instants, legs, allow_stock_buys):
+    work = deque()
+    if lo <= hi:
+        work.append((lo, hi))
+    while work:
+        a, b = work.popleft()
+        found = _scan_unordered(curves, a, b)
+        if found is None:
+            continue
+        t_buy, t_sell = found
+        x_buy, x_sell = _timeline_execute_pair(
+            timeline, instants[t_buy], instants[t_sell], allow_stock_buys
+        )
+        _emit(legs, t_buy, x_buy, t_sell, x_sell)
+        first, second = min(t_buy, t_sell), max(t_buy, t_sell)
+        work.append((a, first - 1))
+        work.append((first + 1, second - 1))
+        work.append((second + 1, b))
+
+
+def _deque_ts3_legs(horizon, forecasts, pair, spec, allow_stock_buys):
+    """TS3 as it ran on a deque of ranges and a timeline object: an oracle."""
+    timeline = _DequeTimeline(spec, len(horizon.events))
+    runs = [
+        (_curves(forecast, pair, spec.cash_weights()), instants, [])
+        for forecast, instants in zip(forecasts, horizon.instants)
+    ]
+    last = len(runs) - 1
+    ranges = [(last, 0, horizon.windows[last].period_count - 1)]
+    if last:
+        dam, bm = horizon.windows
+        curves, instants, legs = runs[0]
+        anchor = _scan_unordered(curves, 0, dam.period_count - 1)
+        if anchor is not None:
+            t_buy, t_sell = anchor
+            x_buy, x_sell = _timeline_execute_pair(
+                timeline, instants[t_buy], instants[t_sell], allow_stock_buys
+            )
+            _emit(legs, t_buy, x_buy, t_sell, x_sell)
+        if legs:
+            lo, hi = sorted(anchor)
+            r = dam.market.period_seconds // bm.market.period_seconds
+            n = bm.period_count
+            ranges = [
+                (1, 0, min(lo * r, n) - 1),
+                (1, (hi + 1) * r, n - 1),
+                (0, lo + 1, hi - 1),
+            ]
+    for w, lo, hi in ranges:
+        curves, instants, legs = runs[w]
+        _deque_worklist(timeline, curves, lo, hi, instants, legs, allow_stock_buys)
+    return tuple(tuple(sorted(legs)) for _, _, legs in runs)
+
+
+_LEVELS = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
+
+
+def _drawn_forecast(draw, window):
+    """Three levels, rows possibly crossed, few distinct values: many ties."""
+    rows = draw(st.lists(
+        st.tuples(*[st.integers(min_value=-5, max_value=40)] * 3),
+        min_size=window.period_count, max_size=window.period_count,
+    ))
+    return QuantileForecast(window, _LEVELS, rows, draw(st.sampled_from([1, 3, 100])))
+
+
+class TestTs3Kernel:
+    """_ts3_legs, on a plain charge path and a list of ranges, returns the
+    legs of the deque-and-timeline work list it replaced."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_deque_and_timeline_worklist(self, data):
+        draw = data.draw
+        market = draw(st.sampled_from(["DAM", "BM", "DAM+BM"]), label="market")
+        hours = draw(st.integers(min_value=1, max_value=24), label="hours")
+        # a balancing window ends inside its day-ahead window: two slots an hour
+        slots = draw(st.integers(min_value=1, max_value=min(16, 2 * hours)), label="slots")
+        windows = []
+        if market != "BM":
+            windows.append(TradingWindow(MarketKind.DAM, BASE_EPOCH, hours))
+        if market != "DAM":
+            windows.append(TradingWindow(MarketKind.BM, BASE_EPOCH, slots))
+        horizon = build_dual_horizon(*windows) if len(windows) > 1 else Horizon(tuple(windows))
+        forecasts = tuple(_drawn_forecast(draw, w) for w in windows)
+        ramp = draw(st.integers(min_value=1, max_value=1500), label="ramp")
+        floor = draw(st.integers(min_value=0, max_value=2000), label="floor")
+        capacity = floor + draw(st.integers(min_value=1, max_value=4000), label="span")
+        initial = draw(st.integers(min_value=floor, max_value=capacity), label="start")
+        spec = BatterySpec(capacity, ramp, floor, initial, draw(efficiencies), draw(efficiencies))
+        sell = draw(st.sampled_from(_LEVELS), label="sell level")
+        pair = QuantilePair(sell, draw(st.sampled_from([lv for lv in _LEVELS if lv >= sell])))
+        allow = draw(st.booleans(), label="allow stock buys")
+        want = _deque_ts3_legs(horizon, forecasts, pair, spec, allow)
+        assert _ts3_legs(horizon, forecasts, pair, spec, allow, spec.cash_weights()) == want
 
 
 class TestTs3Dual:
