@@ -6,10 +6,10 @@ schedule raises instead of producing a number.  A sweep settles the legs a
 strategy returns, and builds no order or Schedule; `trade_unit` builds the
 Schedules backtest writes from the same legs, and `settle` and
 `settle_dual` read a Schedule's orders as legs.  Two
-benchmarks frame each result: the same strategy run on a forecast that
-equals the settled prices (perfect foresight, pf), and an exact dynamic
-program over the ramp lattice (DP, the best any feasible schedule could have
-earned).
+benchmarks frame each result: the same strategy run on the settled prices,
+given as both its buy and its sell curve (perfect foresight, pf), and an
+exact dynamic program over the ramp lattice (DP, the best any feasible
+schedule could have earned).
 
 DP is the only guaranteed upper bound on realized cash.  pf is a reference,
 not a bound: a heuristic strategy can do better on a noisy forecast than on
@@ -21,17 +21,19 @@ balancing window that opens with it), with a forecast and the settled
 prices of each window, and those prices over one scale, worked out once
 per unit.  `window_units` and `dual_units` build units;
 `trade_unit` runs a strategy over a unit and settles it, and `pf_unit` and
-`dp_unit` give its benchmarks.  Settlement walks the horizon's instants and
-the DP reads prices along its events, so one body serves every shape.
+`dp_unit` give its benchmarks.  A trade and pf share one body from curves
+to settled cash (_trade_and_settle): a trade passes each forecast's curves
+for its quantile pair, pf the unit's prices.  Settlement walks the
+horizon's instants and the DP reads prices along its events, so one body
+serves every shape.
 `settle`, `perfect_foresight`, `dp_optimal` and their `_dual` forms name
 one market or one dual horizon, and run on the same bodies.
 
 A sweep runs one work list: DP per market, pf per (market, strategy), as
-neither depends on the quantile pair, then one item per cell.  Each
-window's pf forecast is built once per sweep, and the dual units share
-those of their two windows.  The battery's cash weights are worked out
-once per sweep too.  Its reports are built once every lane of the
-list is back, so they do not depend on jobs.
+neither depends on the quantile pair, then one item per cell.  pf builds
+no forecast: it trades each unit's prices.  The battery's cash weights
+are worked out once per sweep.  Its reports are built once every lane of
+the list is back, so they do not depend on jobs.
 """
 
 from __future__ import annotations
@@ -67,9 +69,10 @@ from bessarb.market import (
 )
 from bessarb.strategies import (
     DEFAULT_PAIRS,
-    MEDIAN_PAIR,
     QuantilePair,
     Schedule,
+    _curves,
+    _Curves,
     _schedule,
     _trade_legs,
 )
@@ -145,8 +148,8 @@ class _Unit(NamedTuple):
     """One settlement: its horizon, and a forecast and prices per window.
 
     prices and scale are the windows' prices as integers over one scale
-    (_over_one_scale), worked out once per unit: settlement and the DP
-    read them.
+    (_over_one_scale), worked out once per unit: settlement, pf (as both
+    curves of each window) and the DP read them.
     """
 
     horizon: Horizon
@@ -205,19 +208,23 @@ def dual_units(dam_units: Sequence[_Unit], bm_units: Sequence[_Unit]) -> list[_U
 
 def _trade_and_settle(
     unit: _Unit,
+    curves: Sequence[_Curves],
     strategy: str,
-    pair: QuantilePair,
     spec: BatterySpec,
     allow_stock_buys: bool,
     weights: tuple[int, int, int],
 ) -> tuple[tuple, tuple[int, int, int]]:
-    """The strategy's checked legs over one unit, one tuple per window, and
-    their settlement, (cash, den, final charge).  weights are the spec's
-    cash_weights."""
-    legs = _trade_legs(
-        unit.horizon, unit.forecasts, strategy, pair, spec, allow_stock_buys, weights
-    )
+    """The strategy's checked legs over one unit, traded on one curve pair
+    per window, and their settlement, (cash, den, final charge).  weights
+    are the spec's cash_weights, which the curves carry too."""
+    legs = _trade_legs(unit.horizon, curves, strategy, spec, allow_stock_buys)
     return legs, _settle(unit, legs, spec, weights)
+
+
+def _pf_curves(unit: _Unit, weights: tuple[int, int, int]) -> tuple[_Curves, ...]:
+    """The unit's settled prices as both curves of each window: what a
+    strategy trades under perfect foresight."""
+    return tuple(_Curves(p, p, weights[0], weights[1]) for p in unit.prices)
 
 
 def trade_unit(
@@ -228,8 +235,10 @@ def trade_unit(
     allow_stock_buys: bool = False,
 ) -> tuple[tuple[Schedule, ...], SettleResult]:
     """Run a strategy over one unit and settle it: (schedules, result)."""
+    weights = spec.cash_weights()
+    curves = tuple(_curves(f, pair, weights) for f in unit.forecasts)
     legs, settled = _trade_and_settle(
-        unit, strategy, pair, spec, allow_stock_buys, spec.cash_weights()
+        unit, curves, strategy, spec, allow_stock_buys, weights
     )
     schedules = tuple(
         _schedule(forecast, strategy, pair, window_legs)
@@ -244,30 +253,13 @@ def pf_unit(
     strategy: str = "TS3",
     allow_stock_buys: bool = False,
 ) -> Fraction:
-    """Profit of the strategy over one unit when its forecasts equal the
-    settled prices (perfect foresight)."""
-    return _pf_cash(
-        _foresight(unit), spec, strategy, allow_stock_buys, spec.cash_weights()
-    )
-
-
-def _pf_cash(
-    pinned: _Unit,
-    spec: BatterySpec,
-    strategy: str,
-    allow_stock_buys: bool,
-    weights: tuple[int, int, int],
-) -> Fraction:
-    """Profit of the strategy over a unit whose forecasts are pinned already."""
+    """Profit of the strategy over one unit when it trades the settled
+    prices (perfect foresight)."""
+    weights = spec.cash_weights()
     _, (cash, den, _) = _trade_and_settle(
-        pinned, strategy, MEDIAN_PAIR, spec, allow_stock_buys, weights
+        unit, _pf_curves(unit, weights), strategy, spec, allow_stock_buys, weights
     )
     return Fraction(cash, den)
-
-
-def _foresight(unit: _Unit) -> _Unit:
-    """The unit with each window's forecast pinned to its settled prices."""
-    return unit._replace(forecasts=tuple(degenerate_forecast(ps) for ps in unit.actuals))
 
 
 def dp_unit(unit: _Unit, spec: BatterySpec) -> Fraction:
@@ -395,7 +387,12 @@ def settle_dual(
 def degenerate_forecast(
     actuals: PriceSeries, levels: Sequence = (Fraction(1, 2),)
 ) -> QuantileForecast:
-    """Forecast that pins every quantile level to the settled price."""
+    """Forecast that pins every quantile level to the settled price.
+
+    No package code calls it: pf trades the prices themselves.  Such a
+    forecast scores zero pinball loss, and a sweep on it realizes pf in
+    every cell.
+    """
     levels = tuple(levels)
     rows = tuple((n,) * len(levels) for n in actuals.scaled)
     return QuantileForecast(actuals.window, levels, rows, actuals.scale)
@@ -407,7 +404,7 @@ def perfect_foresight(
     strategy: str = "TS3",
     allow_stock_buys: bool = False,
 ) -> Fraction:
-    """Profit of the strategy when the forecast equals the settled prices."""
+    """Profit of the strategy when it trades the settled prices."""
     unit = _unit(Horizon((actuals.window,)), (), (actuals,))
     return pf_unit(unit, spec, strategy, allow_stock_buys)
 
@@ -523,22 +520,23 @@ def _run_item(payload: tuple, item: tuple):
     strategy is None, its pf total when pair is None, else the cell's
     per-window cash, as (numerator, denominator) integers, and trade count."""
     market, strategy, pair = item
-    spec, weights, allow_stock, by_market, pinned = payload
+    spec, weights, allow_stock, by_market = payload
     units = by_market[market]
     if strategy is None:
         return sum((dp_unit(u, spec) for u in units), Fraction(0))
-    if pair is None:
-        return sum(
-            (_pf_cash(u, spec, strategy, allow_stock, weights) for u in pinned[market]),
-            Fraction(0),
-        )
     trades, per_window = 0, []
     for unit in units:
+        curves = (
+            _pf_curves(unit, weights) if pair is None
+            else tuple(_curves(f, pair, weights) for f in unit.forecasts)
+        )
         legs, (cash, den, _) = _trade_and_settle(
-            unit, strategy, pair, spec, allow_stock, weights
+            unit, curves, strategy, spec, allow_stock, weights
         )
         per_window.append((cash, den))
         trades += sum(map(len, legs))
+    if pair is None:
+        return sum((Fraction(cash, den) for cash, den in per_window), Fraction(0))
     return per_window, trades
 
 
@@ -661,13 +659,7 @@ def run_sweep(
     items = [(market, None, None) for market in dict.fromkeys(m for m, _ in blocks)]
     items += [(market, strategy, None) for market, strategy in blocks]
     items += [(market, strategy, pair) for market, strategy in blocks for pair in pairs]
-    # each window's pf forecast is built once; the pinned units keep the
-    # horizons of their units, so a dual horizon is built once too
-    foresight = {ps: degenerate_forecast(ps) for m in ("DAM", "BM") if m in units
-                 for u in units[m] for ps in u.actuals}
-    pinned = {m: [u._replace(forecasts=tuple(foresight[ps] for ps in u.actuals)) for u in us]
-              for m, us in units.items()}
-    payload = (spec, spec.cash_weights(), allow_stock_buys, units, pinned)
+    payload = (spec, spec.cash_weights(), allow_stock_buys, units)
     result = dict(zip(items, _run_lanes(payload, items, jobs)))
     rows: list[BacktestReport] = []
     for market, strategy in blocks:

@@ -21,11 +21,13 @@ _execute_pair; bottleneck_execute runs that rule on a two-slot path.
 
 Every strategy finds its pairs through one of two integer scans:
 _scan_ordered (buy before sell, for TS1 and TS2) and _scan_unordered
-(either order, for TS3).  A forecast holds its values as integers over one
-scale and repairs its curves once (QuantileForecast.repaired_curve); each
-strategy run weighs them by the battery's efficiencies (cash_weights,
-worked out once per run), so a spread compares, ties and signs exactly as
-the exact fraction does.
+(either order, for TS3).  A scan reads one buy curve and one sell curve
+per window (_Curves), integers over one scale, weighed by the battery's
+efficiencies (cash_weights, worked out once per run), so a spread
+compares, ties and signs exactly as the exact fraction does.  The bodies
+take curves, not forecasts: _curves turns a forecast and a quantile pair
+into curves (QuantileForecast.repaired_curve repairs each curve once), and
+perfect foresight gives a window's settled prices as both curves.
 
 Each strategy body returns a window's legs: (period, signed ticks)
 integer pairs in period order, positive for a buy and negative for a sell.
@@ -189,14 +191,15 @@ def _spread(spec: BatterySpec, buy_price: Fraction, sell_price: Fraction) -> Fra
 
 
 class _Curves(NamedTuple):
-    """A forecast's buy and sell curves for one quantile pair and battery.
+    """One window's buy and sell curves for one battery: what a strategy reads.
 
-    buy and sell are the repaired quantile curves as integers over the
-    forecast's scale L, so curve[t] / L is the exact price.  With the leg
-    weights w_buy and w_sell of BatterySpec.cash_weights,
+    buy and sell are prices as integers over one scale L, so curve[t] / L
+    is the exact price: a forecast's repaired quantile curves for one pair
+    (_curves), or the settled prices as both curves (perfect foresight).
+    With the leg weights w_buy and w_sell of BatterySpec.cash_weights,
     w_sell * sell[j] - w_buy * buy[i] is the spread
     discharge_eff*S_j - B_i/charge_eff times a positive constant.  So
-    argmax, ties and sign are those of the exact spread.
+    argmax, ties and sign are those of the exact spread, over any scale.
     """
 
     buy: tuple[int, ...]
@@ -430,15 +433,11 @@ def _run_worklist(
             work.append((second + 1, b))
 
 
-# Each body takes the battery's cash_weights, (w_buy, w_sell, den), worked
-# out once by the run that calls it.
+# Each body takes one _Curves per window: a forecast's pair of quantile
+# curves (_curves), or the settled prices as both curves (perfect foresight).
 
-def _ts1_legs(
-    forecast: QuantileForecast, pair: QuantilePair, spec: BatterySpec, weights: tuple
-) -> tuple:
-    found = _scan_ordered(
-        _curves(forecast, pair, weights), 0, forecast.window.period_count - 1
-    )
+def _ts1_legs(curves: _Curves, spec: BatterySpec) -> tuple:
+    found = _scan_ordered(curves, 0, len(curves.buy) - 1)
     volume = min(spec.ramp, spec.capacity - spec.initial_charge)
     if found is None or not volume:
         return ()
@@ -446,10 +445,7 @@ def _ts1_legs(
     return (t_buy, volume), (t_sell, -volume)
 
 
-def _ts2_legs(
-    forecast: QuantileForecast, pair: QuantilePair, spec: BatterySpec, weights: tuple
-) -> tuple:
-    curves = _curves(forecast, pair, weights)
+def _ts2_legs(curves: _Curves, spec: BatterySpec) -> tuple:
     volume = min(spec.ramp, spec.capacity - spec.initial_charge)
     legs: list = []
 
@@ -466,17 +462,15 @@ def _ts2_legs(
         recurse(t2 + 1, hi)
 
     if volume:
-        recurse(0, forecast.window.period_count - 1)
+        recurse(0, len(curves.buy) - 1)
     return tuple(legs)
 
 
 def _ts3_legs(
     horizon: Horizon,
-    forecasts: Sequence[QuantileForecast],
-    pair: QuantilePair,
+    curves: Sequence[_Curves],
     spec: BatterySpec,
     allow_stock_buys: bool,
-    weights: tuple,
 ) -> tuple[tuple, ...]:
     """TS3 over a horizon: one sorted leg tuple per window.
 
@@ -487,19 +481,14 @@ def _ts3_legs(
     span come first, those after it next, and the day-ahead hours inside it
     last.
     """
-    if len(forecasts) > 1 and tuple(f.window for f in forecasts) != horizon.windows:
-        raise WindowMismatch("forecast windows do not match the horizon")
     path = [spec.initial_charge] * len(horizon.events)
-    runs = [
-        (_curves(forecast, pair, weights), instants, [])
-        for forecast, instants in zip(forecasts, horizon.instants)
-    ]
+    runs = [(c, instants, []) for c, instants in zip(curves, horizon.instants)]
     last = len(runs) - 1
     ranges = [(last, 0, horizon.windows[last].period_count - 1)]
     if last:
         dam, bm = horizon.windows
-        curves, instants, legs = runs[0]
-        anchor = _scan_unordered(curves, 0, dam.period_count - 1)
+        dam_curves, instants, legs = runs[0]
+        anchor = _scan_unordered(dam_curves, 0, dam.period_count - 1)
         if anchor is not None:
             t_buy, t_sell = anchor
             x_buy, x_sell = _execute_pair(
@@ -517,36 +506,34 @@ def _ts3_legs(
                 (0, lo + 1, hi - 1),
             ]
     for w, lo, hi in ranges:
-        curves, instants, legs = runs[w]
-        _run_worklist(path, curves, lo, hi, instants, legs, spec, allow_stock_buys)
+        window_curves, instants, legs = runs[w]
+        _run_worklist(path, window_curves, lo, hi, instants, legs, spec, allow_stock_buys)
     return tuple(tuple(sorted(legs)) for _, _, legs in runs)
 
 
 def _trade_legs(
     horizon: Horizon,
-    forecasts: Sequence[QuantileForecast],
+    curves: Sequence[_Curves],
     strategy: str,
-    pair: QuantilePair,
     spec: BatterySpec,
     allow_stock_buys: bool,
-    weights: tuple,
 ) -> tuple[tuple, ...]:
     """The strategy's legs over a horizon, one checked tuple per window.
 
-    TS3 trades any horizon; TS1 and TS2 trade one window's forecast.
-    weights are the spec's cash_weights.
+    curves holds one _Curves per window of the horizon, a forecast's or the
+    settled prices'.  TS3 trades any horizon; TS1 and TS2 trade one window.
     """
     if strategy == "TS3":
-        legs = _ts3_legs(horizon, forecasts, pair, spec, allow_stock_buys, weights)
-    elif len(forecasts) > 1:
+        legs = _ts3_legs(horizon, curves, spec, allow_stock_buys)
+    elif len(curves) > 1:
         raise ConfigError("dual-market backtests use strategy TS3")
     elif strategy in ("TS1", "TS2"):
         run = _ts1_legs if strategy == "TS1" else _ts2_legs
-        legs = (run(forecasts[0], pair, spec, weights),)
+        legs = (run(curves[0], spec),)
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    for forecast, window_legs in zip(forecasts, legs):
-        _check_legs(window_legs, forecast.window.period_count, strategy)
+    for window, window_legs in zip(horizon.windows, legs):
+        _check_legs(window_legs, window.period_count, strategy)
     return legs
 
 
@@ -558,7 +545,7 @@ def ts1(
     spec: BatterySpec,
 ) -> Schedule:
     """Trade only the single best buy-before-sell pair of the window."""
-    legs = _ts1_legs(forecast, pair, spec, spec.cash_weights())
+    legs = _ts1_legs(_curves(forecast, pair, spec.cash_weights()), spec)
     return _schedule(forecast, "TS1", pair, legs)
 
 
@@ -573,7 +560,7 @@ def ts2(
     strictly after its sell are searched again, so all spans are disjoint
     and each one returns the battery to its starting charge.
     """
-    legs = _ts2_legs(forecast, pair, spec, spec.cash_weights())
+    legs = _ts2_legs(_curves(forecast, pair, spec.cash_weights()), spec)
     return _schedule(forecast, "TS2", pair, legs)
 
 
@@ -585,8 +572,8 @@ def ts3(
 ) -> Schedule:
     """Work-list strategy: bottleneck-execute min/max pairs range by range."""
     (legs,) = _ts3_legs(
-        Horizon((forecast.window,)), (forecast,), pair, spec, allow_stock_buys,
-        spec.cash_weights(),
+        Horizon((forecast.window,)), (_curves(forecast, pair, spec.cash_weights()),),
+        spec, allow_stock_buys,
     )
     return _schedule(forecast, "TS3", pair, legs)
 
@@ -607,9 +594,12 @@ def ts3_dual(
     trajectory so the combined schedule replays cleanly.  Without a
     profitable anchor the balancing window is traded alone.
     """
+    if (dam_forecast.window, bm_forecast.window) != horizon.windows:
+        raise WindowMismatch("forecast windows do not match the horizon")
+    weights = spec.cash_weights()
     dam_legs, bm_legs = _ts3_legs(
-        horizon, (dam_forecast, bm_forecast), pair, spec, allow_stock_buys,
-        spec.cash_weights(),
+        horizon, (_curves(dam_forecast, pair, weights), _curves(bm_forecast, pair, weights)),
+        spec, allow_stock_buys,
     )
     return (
         _schedule(dam_forecast, "TS3", pair, dam_legs),

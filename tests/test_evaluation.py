@@ -757,6 +757,57 @@ class TestUnitPathBounds:
             spec = replace(spec, initial_charge=result.final_charge)
 
 
+def _tied_series(draw, window, den, label):
+    """Prices of one window over den, few distinct values: many ties.  One
+    price of 1/den keeps den the window's own lowest scale."""
+    n = window.period_count
+    units = draw(st.lists(st.integers(-20, 60), min_size=n, max_size=n), label=f"{label} prices")
+    units[draw(st.integers(0, n - 1), label=f"{label} price at 1/{den}")] = 1
+    return PriceSeries(window, units, den)
+
+
+class TestPfOnPrices:
+    """pf trades each window's settled prices as both curves, over the unit's
+    one scale.  That is the strategy run on a one-level forecast pinned to
+    each window's prices, over the window's own scale, then settled.
+    """
+
+    @given(lattice_batteries(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_strategy_on_pinned_forecasts(self, spec, data):
+        draw = data.draw
+        market = draw(st.sampled_from(["DAM", "BM", "DAM+BM"]), label="market")
+        allow = draw(st.booleans(), label="allow stock buys")
+        units, actuals = [], []
+        for kind in (MarketKind.DAM, MarketKind.BM):
+            if kind.value not in market:
+                continue
+            window = TradingWindow(kind, BASE_EPOCH, kind.periods_per_window)
+            if market == "DAM+BM":  # day-ahead in cents, balancing in thirds
+                ps = _tied_series(draw, window, 100 if kind is MarketKind.DAM else 3, kind.value)
+            else:
+                ps = _series(draw, window, kind.value)
+            # the unit's own forecast is noise that pf must not read
+            units.append(window_units([_unit_forecast(draw, window, kind.value)], [ps], market))
+            actuals.append(ps)
+        pinned = [degenerate_forecast(ps) for ps in actuals]
+        if market == "DAM+BM":
+            (unit,) = dual_units(*units)
+            assert unit.scale == 300  # neither window's own scale
+            dam_sched, bm_sched = ts3_dual(unit.horizon, *pinned, MEDIAN_PAIR, spec, allow)
+            want = settle_dual(dam_sched, bm_sched, *actuals, spec).cash
+            strategy = "TS3"
+        else:
+            ((unit,),), (ps,), (fc,) = units, actuals, pinned
+            strategy = draw(st.sampled_from(STRATEGY_NAMES), label="strategy")
+            if strategy == "TS3":
+                sched = ts3(fc, MEDIAN_PAIR, spec, allow)
+            else:
+                sched = {"TS1": ts1, "TS2": ts2}[strategy](fc, MEDIAN_PAIR, spec)
+            want = settle(sched, ps, spec).cash
+        assert pf_unit(unit, spec, strategy, allow) == want
+
+
 def _pinball_formula(q, y, z):
     """The pinball loss from its definition, in Fractions."""
     return q * (y - z) if y >= z else (1 - q) * (z - y)
@@ -922,22 +973,28 @@ class TestRunSweep:
         rows = run_sweep(UNIT, dam_a, dam_f, pairs=pairs, strategies=("TS3",))
         assert len(rows) == 3  # two pair rows plus one average
 
-    def test_each_window_pins_its_pf_forecast_once_per_call(self, monkeypatch):
+    def test_pf_trades_the_prices_and_builds_no_forecast(self, monkeypatch):
         # the benchmark sweep's input: seed 1, 3 days, 3 DAM and 9 BM windows
         dam_a, dam_f = generate_synthetic(1, MarketKind.DAM, days=3, noise_sd=3.0)
         bm_a, bm_f = generate_synthetic(1, MarketKind.BM, days=3, noise_sd=3.0)
+        (unit,) = dual_units(window_units(dam_f[:1], dam_a[:1], "day-ahead"),
+                             window_units(bm_f[:1], bm_a[:1], "balancing"))
         built = []
+        check = QuantileForecast.__post_init__
 
-        def counting(actuals, *levels):
-            built.append(actuals.window)
-            return degenerate_forecast(actuals, *levels)
+        def counting(self):
+            built.append(self.window)
+            check(self)
 
-        monkeypatch.setattr(evaluation, "degenerate_forecast", counting)
+        monkeypatch.setattr(QuantileForecast, "__post_init__", counting)
         rows = run_sweep(UNIT, dam_a, dam_f, bm_a, bm_f)
-        assert len(built) == len(set(built)) == 12
-        # no pinned forecast outlives its call
+        assert pf_unit(unit, UNIT) == perfect_foresight_dual(unit.horizon, *unit.actuals, UNIT)
+        for strategy in STRATEGY_NAMES:
+            perfect_foresight(bm_a[0], UNIT, strategy)
+        assert built == []
+        # a second call returns the same rows
         assert run_sweep(UNIT, dam_a, dam_f, bm_a, bm_f) == rows
-        assert len(built) == 24
+        assert built == []
 
     def test_each_dual_horizon_is_built_once(self, monkeypatch, tmp_path):
         # the benchmark sweep's input: 3 DAM, 9 BM and 3 dual horizons

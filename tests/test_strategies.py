@@ -834,7 +834,8 @@ class TestTs3Kernel:
         pair = QuantilePair(sell, draw(st.sampled_from([lv for lv in _LEVELS if lv >= sell])))
         allow = draw(st.booleans(), label="allow stock buys")
         want = _deque_ts3_legs(horizon, forecasts, pair, spec, allow)
-        assert _ts3_legs(horizon, forecasts, pair, spec, allow, spec.cash_weights()) == want
+        curves = [_curves(f, pair, spec.cash_weights()) for f in forecasts]
+        assert _ts3_legs(horizon, curves, spec, allow) == want
 
 
 class TestTs3Dual:
