@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
@@ -58,6 +58,10 @@ class BatterySpec:
     initial_charge: int
     charge_eff: Fraction
     discharge_eff: Fraction
+    # cash_weights, worked out from the efficiencies when the spec is built.
+    # Derived from the fields above, so it takes no part in equality,
+    # hashing, repr, to_dict or digest.
+    _weights: tuple[int, int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
@@ -72,6 +76,9 @@ class BatterySpec:
             eff = getattr(self, name)
             if not 0 < eff <= 1:
                 raise ConfigError(f"{name} must lie in (0, 1]")
+        cn, cd = self.charge_eff.as_integer_ratio()
+        dn, dd = self.discharge_eff.as_integer_ratio()
+        object.__setattr__(self, "_weights", (cd * dd, dn * cn, TICKS_PER_MWH * dd * cn))
 
     @classmethod
     def from_mwh(
@@ -138,11 +145,10 @@ class BatterySpec:
         at price p/S earns w_sell*p*x / (S*den) when sold and costs
         w_buy*p*x / (S*den) when bought, where w_sell = dn*cn,
         w_buy = cd*dd and den = 1000*dd*cn (1000 ticks per MWh).  So legs
-        at prices over one scale add, compare and sign as integers.
+        at prices over one scale add, compare and sign as integers.  They
+        are worked out once per spec, when it is built.
         """
-        cn, cd = self.charge_eff.as_integer_ratio()
-        dn, dd = self.discharge_eff.as_integer_ratio()
-        return cd * dd, dn * cn, TICKS_PER_MWH * dd * cn
+        return self._weights
 
     def digest(self) -> str:
         """sha256 over the canonical JSON form, for schedule provenance."""

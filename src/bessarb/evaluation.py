@@ -23,17 +23,18 @@ per unit.  `window_units` and `dual_units` build units;
 `trade_unit` runs a strategy over a unit and settles it, and `pf_unit` and
 `dp_unit` give its benchmarks.  A trade and pf share one body from curves
 to settled cash (_trade_and_settle): a trade passes each forecast's curves
-for its quantile pair, pf the unit's prices.  Settlement walks the
-horizon's instants and the DP reads prices along its events, so one body
-serves every shape.
+for its quantile pair, pf the unit's prices.  Curves and settlement read
+the battery's cash weights from the spec, which works them out once, when
+it is built.  Settlement walks the horizon's instants and the DP reads
+prices along its events, so one body serves every shape.
 `settle`, `perfect_foresight`, `dp_optimal` and their `_dual` forms name
 one market or one dual horizon, and run on the same bodies.
 
-A sweep runs one work list: DP per market, pf per (market, strategy), as
-neither depends on the quantile pair, then one item per cell.  pf builds
-no forecast: it trades each unit's prices.  The battery's cash weights
-are worked out once per sweep.  Its reports are built once every lane of
-the list is back, so they do not depend on jobs.
+A sweep runs one work list: DP per market (dp_unit), pf per (market,
+strategy) (pf_unit), as neither depends on the quantile pair, then one
+item per cell, which runs trade_unit's body and builds no schedule.  Its
+reports are built once every lane of the list is back, so they do not
+depend on jobs.
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ def _settle(
     unit: _Unit,
     legs: Sequence[Sequence[tuple[int, int]]],
     spec: BatterySpec,
-    weights: tuple[int, int, int],
 ) -> tuple[int, int, int]:
     """Replay each window's (period, signed ticks) legs in the unit's
     wall-clock order and pay them: (cash, den, final charge), the cash being
@@ -120,7 +120,7 @@ def _settle(
         for w, window_legs in enumerate(legs)
         for period, signed in window_legs
     )
-    w_buy, w_sell, den = weights
+    w_buy, w_sell, den = spec.cash_weights()
     ramp, floor, capacity = spec.ramp, spec.min_charge, spec.capacity
     charge = spec.initial_charge
     cash = 0
@@ -212,19 +212,12 @@ def _trade_and_settle(
     strategy: str,
     spec: BatterySpec,
     allow_stock_buys: bool,
-    weights: tuple[int, int, int],
 ) -> tuple[tuple, tuple[int, int, int]]:
     """The strategy's checked legs over one unit, traded on one curve pair
-    per window, and their settlement, (cash, den, final charge).  weights
-    are the spec's cash_weights, which the curves carry too."""
+    per window, and their settlement, (cash, den, final charge).  Curves
+    and settlement weigh cash by the spec's cash_weights."""
     legs = _trade_legs(unit.horizon, curves, strategy, spec, allow_stock_buys)
-    return legs, _settle(unit, legs, spec, weights)
-
-
-def _pf_curves(unit: _Unit, weights: tuple[int, int, int]) -> tuple[_Curves, ...]:
-    """The unit's settled prices as both curves of each window: what a
-    strategy trades under perfect foresight."""
-    return tuple(_Curves(p, p, weights[0], weights[1]) for p in unit.prices)
+    return legs, _settle(unit, legs, spec)
 
 
 def trade_unit(
@@ -235,11 +228,8 @@ def trade_unit(
     allow_stock_buys: bool = False,
 ) -> tuple[tuple[Schedule, ...], SettleResult]:
     """Run a strategy over one unit and settle it: (schedules, result)."""
-    weights = spec.cash_weights()
-    curves = tuple(_curves(f, pair, weights) for f in unit.forecasts)
-    legs, settled = _trade_and_settle(
-        unit, curves, strategy, spec, allow_stock_buys, weights
-    )
+    curves = tuple(_curves(f, pair, spec) for f in unit.forecasts)
+    legs, settled = _trade_and_settle(unit, curves, strategy, spec, allow_stock_buys)
     schedules = tuple(
         _schedule(forecast, strategy, pair, window_legs)
         for forecast, window_legs in zip(unit.forecasts, legs)
@@ -254,11 +244,10 @@ def pf_unit(
     allow_stock_buys: bool = False,
 ) -> Fraction:
     """Profit of the strategy over one unit when it trades the settled
-    prices (perfect foresight)."""
-    weights = spec.cash_weights()
-    _, (cash, den, _) = _trade_and_settle(
-        unit, _pf_curves(unit, weights), strategy, spec, allow_stock_buys, weights
-    )
+    prices (perfect foresight): each window's prices as both its curves."""
+    w_buy, w_sell, _ = spec.cash_weights()
+    curves = tuple(_Curves(p, p, w_buy, w_sell) for p in unit.prices)
+    _, (cash, den, _) = _trade_and_settle(unit, curves, strategy, spec, allow_stock_buys)
     return Fraction(cash, den)
 
 
@@ -363,7 +352,7 @@ def settle(
     if schedule.window != actuals.window:
         raise WindowMismatch("schedule and prices cover different windows")
     unit = _unit(Horizon((actuals.window,)), (), (actuals,))
-    return _result(*_settle(unit, (_legs_of(schedule),), spec, spec.cash_weights()))
+    return _result(*_settle(unit, (_legs_of(schedule),), spec))
 
 
 def settle_dual(
@@ -381,7 +370,7 @@ def settle_dual(
     horizon = build_dual_horizon(dam_schedule.window, bm_schedule.window)
     unit = _unit(horizon, (), (dam_actuals, bm_actuals))
     legs = (_legs_of(dam_schedule), _legs_of(bm_schedule))
-    return _result(*_settle(unit, legs, spec, spec.cash_weights()))
+    return _result(*_settle(unit, legs, spec))
 
 
 def degenerate_forecast(
@@ -516,27 +505,24 @@ class BacktestReport:
 
 
 def _run_item(payload: tuple, item: tuple):
-    """One sweep item (market, strategy, pair): the market's DP total when
-    strategy is None, its pf total when pair is None, else the cell's
-    per-window cash, as (numerator, denominator) integers, and trade count."""
+    """One sweep item (market, strategy, pair): the market's DP total
+    (dp_unit) when strategy is None, its pf total (pf_unit) when pair is
+    None, else the cell's per-window cash, as (numerator, denominator)
+    integers, and trade count.  A cell runs trade_unit's body, and builds
+    no schedule."""
     market, strategy, pair = item
-    spec, weights, allow_stock, by_market = payload
+    spec, allow_stock, by_market = payload
     units = by_market[market]
     if strategy is None:
         return sum((dp_unit(u, spec) for u in units), Fraction(0))
+    if pair is None:
+        return sum((pf_unit(u, spec, strategy, allow_stock) for u in units), Fraction(0))
     trades, per_window = 0, []
     for unit in units:
-        curves = (
-            _pf_curves(unit, weights) if pair is None
-            else tuple(_curves(f, pair, weights) for f in unit.forecasts)
-        )
-        legs, (cash, den, _) = _trade_and_settle(
-            unit, curves, strategy, spec, allow_stock, weights
-        )
+        curves = tuple(_curves(f, pair, spec) for f in unit.forecasts)
+        legs, (cash, den, _) = _trade_and_settle(unit, curves, strategy, spec, allow_stock)
         per_window.append((cash, den))
         trades += sum(map(len, legs))
-    if pair is None:
-        return sum((Fraction(cash, den) for cash, den in per_window), Fraction(0))
     return per_window, trades
 
 
@@ -659,7 +645,7 @@ def run_sweep(
     items = [(market, None, None) for market in dict.fromkeys(m for m, _ in blocks)]
     items += [(market, strategy, None) for market, strategy in blocks]
     items += [(market, strategy, pair) for market, strategy in blocks for pair in pairs]
-    payload = (spec, spec.cash_weights(), allow_stock_buys, units)
+    payload = (spec, allow_stock_buys, units)
     result = dict(zip(items, _run_lanes(payload, items, jobs)))
     rows: list[BacktestReport] = []
     for market, strategy in blocks:

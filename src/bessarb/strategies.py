@@ -23,11 +23,12 @@ Every strategy finds its pairs through one of two integer scans:
 _scan_ordered (buy before sell, for TS1 and TS2) and _scan_unordered
 (either order, for TS3).  A scan reads one buy curve and one sell curve
 per window (_Curves), integers over one scale, weighed by the battery's
-efficiencies (cash_weights, worked out once per run), so a spread
+efficiencies (cash_weights, worked out once per battery), so a spread
 compares, ties and signs exactly as the exact fraction does.  The bodies
 take curves, not forecasts: _curves turns a forecast and a quantile pair
 into curves (QuantileForecast.repaired_curve repairs each curve once), and
-perfect foresight gives a window's settled prices as both curves.
+perfect foresight (evaluation.pf_unit) gives a window's settled prices as
+both curves.
 
 Each strategy body returns a window's legs: (period, signed ticks)
 integer pairs in period order, positive for a buy and negative for a sell.
@@ -195,11 +196,12 @@ class _Curves(NamedTuple):
 
     buy and sell are prices as integers over one scale L, so curve[t] / L
     is the exact price: a forecast's repaired quantile curves for one pair
-    (_curves), or the settled prices as both curves (perfect foresight).
-    With the leg weights w_buy and w_sell of BatterySpec.cash_weights,
-    w_sell * sell[j] - w_buy * buy[i] is the spread
-    discharge_eff*S_j - B_i/charge_eff times a positive constant.  So
-    argmax, ties and sign are those of the exact spread, over any scale.
+    (_curves), or the settled prices as both curves (perfect foresight,
+    evaluation.pf_unit).  Both take the leg weights w_buy and w_sell from
+    the spec's cash_weights.  With them, w_sell * sell[j] - w_buy * buy[i]
+    is the spread discharge_eff*S_j - B_i/charge_eff times a positive
+    constant.  So argmax, ties and sign are those of the exact spread,
+    over any scale.
     """
 
     buy: tuple[int, ...]
@@ -208,16 +210,14 @@ class _Curves(NamedTuple):
     w_sell: int
 
 
-def _curves(
-    forecast: QuantileForecast, pair: QuantilePair, weights: tuple[int, int, int]
-) -> _Curves:
-    """The pair's curves of the forecast, weighed by the battery's
-    cash_weights, worked out once by the caller's run."""
+def _curves(forecast: QuantileForecast, pair: QuantilePair, spec: BatterySpec) -> _Curves:
+    """The pair's curves of the forecast, weighed by the spec's cash_weights."""
+    w_buy, w_sell, _ = spec.cash_weights()
     return _Curves(
         forecast.repaired_curve(pair.buy_level),
         forecast.repaired_curve(pair.sell_level),
-        weights[0],
-        weights[1],
+        w_buy,
+        w_sell,
     )
 
 
@@ -545,7 +545,7 @@ def ts1(
     spec: BatterySpec,
 ) -> Schedule:
     """Trade only the single best buy-before-sell pair of the window."""
-    legs = _ts1_legs(_curves(forecast, pair, spec.cash_weights()), spec)
+    legs = _ts1_legs(_curves(forecast, pair, spec), spec)
     return _schedule(forecast, "TS1", pair, legs)
 
 
@@ -560,7 +560,7 @@ def ts2(
     strictly after its sell are searched again, so all spans are disjoint
     and each one returns the battery to its starting charge.
     """
-    legs = _ts2_legs(_curves(forecast, pair, spec.cash_weights()), spec)
+    legs = _ts2_legs(_curves(forecast, pair, spec), spec)
     return _schedule(forecast, "TS2", pair, legs)
 
 
@@ -572,7 +572,7 @@ def ts3(
 ) -> Schedule:
     """Work-list strategy: bottleneck-execute min/max pairs range by range."""
     (legs,) = _ts3_legs(
-        Horizon((forecast.window,)), (_curves(forecast, pair, spec.cash_weights()),),
+        Horizon((forecast.window,)), (_curves(forecast, pair, spec),),
         spec, allow_stock_buys,
     )
     return _schedule(forecast, "TS3", pair, legs)
@@ -596,9 +596,8 @@ def ts3_dual(
     """
     if (dam_forecast.window, bm_forecast.window) != horizon.windows:
         raise WindowMismatch("forecast windows do not match the horizon")
-    weights = spec.cash_weights()
     dam_legs, bm_legs = _ts3_legs(
-        horizon, (_curves(dam_forecast, pair, weights), _curves(bm_forecast, pair, weights)),
+        horizon, (_curves(dam_forecast, pair, spec), _curves(bm_forecast, pair, spec)),
         spec, allow_stock_buys,
     )
     return (

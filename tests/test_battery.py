@@ -6,11 +6,12 @@ against and commits it to.
 """
 
 import json
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bessarb.battery import (
@@ -176,6 +177,67 @@ class TestBatterySpec:
         assert a.digest() == unit_trading_spec().digest()
         assert a.digest() != b.digest()
         assert len(a.digest()) == 64
+
+
+# efficiencies n/d in (0, 1], 1 and values with no decimal form among them
+efficiencies = st.integers(1, 60).flatmap(
+    lambda d: st.integers(1, d).map(lambda n: Fraction(n, d))
+)
+
+
+def _bat(charge_eff, discharge_eff):
+    """The CI's bat.json battery with the given efficiencies."""
+    return BatterySpec.from_mwh("2", "0.5", "0.5", charge_eff=charge_eff,
+                                discharge_eff=discharge_eff, initial_charge_mwh="1")
+
+
+class TestCashWeights:
+    """The spec works out its cash weights once, when it is built; they are
+    derived from the efficiencies and are no part of what the spec is."""
+
+    @given(efficiencies, efficiencies)
+    @example(Fraction(1), Fraction(1))
+    @example(Fraction(1, 3), Fraction(2, 3))
+    def test_weights_are_the_efficiencies_integer_ratios(self, charge_eff, discharge_eff):
+        spec = _bat(charge_eff, discharge_eff)
+        cn, cd = charge_eff.as_integer_ratio()
+        dn, dd = discharge_eff.as_integer_ratio()
+        assert spec.cash_weights() == (cd * dd, dn * cn, 1000 * dd * cn)
+
+    @given(efficiencies, efficiencies, efficiencies)
+    @example(Fraction(1), Fraction(1, 3), Fraction(1, 3))
+    def test_replaced_efficiency_gets_fresh_weights(self, charge_eff, discharge_eff, other):
+        spec = _bat(charge_eff, discharge_eff)
+        assert replace(spec, charge_eff=other).cash_weights() == \
+            _bat(other, discharge_eff).cash_weights()
+        assert replace(spec, discharge_eff=other).cash_weights() == \
+            _bat(charge_eff, other).cash_weights()
+
+    @given(efficiencies, efficiencies, st.integers(500, 2000))
+    def test_start_and_pickle_keep_the_weights(self, charge_eff, discharge_eff, start):
+        spec = _bat(charge_eff, discharge_eff)
+        assert replace(spec, initial_charge=start).cash_weights() == spec.cash_weights()
+        # a spawned sweep lane gets its spec as a pickle
+        assert pickle.loads(pickle.dumps(spec)).cash_weights() == spec.cash_weights()
+
+    @given(efficiencies, efficiencies)
+    def test_identity_ignores_the_weights(self, charge_eff, discharge_eff):
+        spec = _bat(charge_eff, discharge_eff)
+        skewed = _bat(charge_eff, discharge_eff)
+        object.__setattr__(skewed, "_weights", (0, 0, 0))
+        assert skewed == spec and hash(skewed) == hash(spec)
+        assert repr(skewed) == repr(spec)
+        assert skewed.to_dict() == spec.to_dict() and skewed.digest() == spec.digest()
+
+    def test_digests_stay_put(self):
+        assert unit_trading_spec().digest() == (
+            "5b5c39a4bb8fb4b1f4303077580072c71c420bae740a476cea8e0d8b3d99ff8f"
+        )
+        bat = BatterySpec.from_dict({"capacity_mwh": "2", "ramp_mwh_per_period": "0.5",
+                                     "min_charge_mwh": "0.5", "initial_charge_mwh": "1"})
+        assert bat.digest() == (
+            "b142dbc60e0e1b88ece6c96536f10e66f035164ee67b755e18d9d597db9e90bd"
+        )
 
 
 class TestTradeBounds:

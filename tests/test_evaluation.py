@@ -181,6 +181,9 @@ _VIOLATIONS = [
      "charge 499 below floor 500"),
 ]
 _BOUNDED = BatterySpec.from_mwh("2", "0.5", "0.5", initial_charge_mwh="1")
+# the bounded battery with efficiencies, and so cash weights, not the unit's
+_EFFICIENT = BatterySpec.from_mwh("2", "0.5", "0.5", charge_eff="0.9", discharge_eff="0.95",
+                                  initial_charge_mwh="1")
 
 
 def _orders(legs, market):
@@ -1093,12 +1096,17 @@ class TestRunSweep:
         with pytest.raises(WindowMismatch):
             run_sweep(UNIT, dam_a, dam_f[:-1] if len(dam_f) > 1 else [])
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    # forked lanes and pf get the unit's cash weights, and others
+    @pytest.mark.parametrize("jobs,spec", [
+        pytest.param(jobs, spec, id=f"{jobs}{tag}")
+        for spec, tag in ((UNIT, ""), (_EFFICIENT, "-efficient"))
+        for jobs in (1, 2)
+    ])
     @pytest.mark.parametrize("allow", [False, True])
-    def test_benchmark_columns_are_per_window_sums(self, jobs, allow):
+    def test_benchmark_columns_are_per_window_sums(self, jobs, spec, allow):
         dam_a, dam_f, bm_a, bm_f = self._data(days=2)
         pairs = (MEDIAN_PAIR, QuantilePair("0.1", "0.9"))
-        rows = run_sweep(UNIT, dam_a, dam_f, bm_a, bm_f, pairs=pairs,
+        rows = run_sweep(spec, dam_a, dam_f, bm_a, bm_f, pairs=pairs,
                          jobs=jobs, allow_stock_buys=allow)
         bm_by_start = {ps.window.start_epoch_s: ps for ps in bm_a}
         dual = [
@@ -1109,18 +1117,18 @@ class TestRunSweep:
         assert dual
         expected = {
             ("DAM", s): (
-                sum(perfect_foresight(ps, UNIT, s, allow) for ps in dam_a),
-                sum(dp_optimal(ps, UNIT) for ps in dam_a),
+                sum(perfect_foresight(ps, spec, s, allow) for ps in dam_a),
+                sum(dp_optimal(ps, spec) for ps in dam_a),
             )
             for s in ("TS1", "TS2", "TS3")
         }
         expected["BM", "TS3"] = (
-            sum(perfect_foresight(ps, UNIT, "TS3", allow) for ps in bm_a),
-            sum(dp_optimal(ps, UNIT) for ps in bm_a),
+            sum(perfect_foresight(ps, spec, "TS3", allow) for ps in bm_a),
+            sum(dp_optimal(ps, spec) for ps in bm_a),
         )
         expected["DAM+BM", "TS3"] = (
-            sum(perfect_foresight_dual(h, d, b, UNIT, allow) for h, d, b in dual),
-            sum(dp_optimal_dual(h, d, b, UNIT) for h, d, b in dual),
+            sum(perfect_foresight_dual(h, d, b, spec, allow) for h, d, b in dual),
+            sum(dp_optimal_dual(h, d, b, spec) for h, d, b in dual),
         )
         assert len(rows) == len(expected) * (len(pairs) + 1)
         for row in rows:

@@ -239,13 +239,13 @@ class TestSchedule:
 def _ordered(fc, pair=MEDIAN_PAIR, lo=0, hi=None):
     """The (buy, sell) _scan_ordered finds in [lo, hi], the whole window by default."""
     hi = fc.window.period_count - 1 if hi is None else hi
-    return _scan_ordered(_curves(fc, pair, UNIT.cash_weights()), lo, hi)
+    return _scan_ordered(_curves(fc, pair, UNIT), lo, hi)
 
 
 def _unordered(fc, pair=MEDIAN_PAIR, lo=0, hi=None):
     """The (buy, sell) _scan_unordered finds in [lo, hi], the whole window by default."""
     hi = fc.window.period_count - 1 if hi is None else hi
-    return _scan_unordered(_curves(fc, pair, UNIT.cash_weights()), lo, hi)
+    return _scan_unordered(_curves(fc, pair, UNIT), lo, hi)
 
 
 def _priced(schedule):
@@ -365,7 +365,7 @@ class TestIntegerScans:
     @settings(max_examples=300)
     def test_ordered_scan_matches_fraction_oracle(self, problem):
         fc, pair, spec, lo, hi = problem
-        curves = _curves(fc, pair, spec.cash_weights())
+        curves = _curves(fc, pair, spec)
         want = _fraction_scan_ordered(*_fraction_curves(fc, pair), spec, lo, hi)
         if want is not None and want.expected_spread <= 0:
             want = None
@@ -381,7 +381,7 @@ class TestIntegerScans:
     @settings(max_examples=300)
     def test_unordered_scan_matches_fraction_oracle(self, problem):
         fc, pair, spec, lo, hi = problem
-        curves = _curves(fc, pair, spec.cash_weights())
+        curves = _curves(fc, pair, spec)
         want = _fraction_scan_unordered(*_fraction_curves(fc, pair), spec, lo, hi)
         found = _scan_unordered(curves, lo, hi)
         if want is None:
@@ -764,7 +764,7 @@ def _deque_ts3_legs(horizon, forecasts, pair, spec, allow_stock_buys):
     """TS3 as it ran on a deque of ranges and a timeline object: an oracle."""
     timeline = _DequeTimeline(spec, len(horizon.events))
     runs = [
-        (_curves(forecast, pair, spec.cash_weights()), instants, [])
+        (_curves(forecast, pair, spec), instants, [])
         for forecast, instants in zip(forecasts, horizon.instants)
     ]
     last = len(runs) - 1
@@ -834,7 +834,7 @@ class TestTs3Kernel:
         pair = QuantilePair(sell, draw(st.sampled_from([lv for lv in _LEVELS if lv >= sell])))
         allow = draw(st.booleans(), label="allow stock buys")
         want = _deque_ts3_legs(horizon, forecasts, pair, spec, allow)
-        curves = [_curves(f, pair, spec.cash_weights()) for f in forecasts]
+        curves = [_curves(f, pair, spec) for f in forecasts]
         assert _ts3_legs(horizon, curves, spec, allow) == want
 
 
