@@ -18,15 +18,17 @@ the true prices (22 of 4200 sweep rows over 40 seeds did).
 Everything runs on units.  A unit is what one settlement covers: a
 market.Horizon (one window of one market, or a day-ahead window and the
 balancing window that opens with it), with a forecast and the settled
-prices of each window, and those prices over one scale, worked out once
-per unit.  `window_units` and `dual_units` build units;
+prices of each window, and one price column: the settled price of each
+of the horizon's events, in event order, over one scale, built once per
+unit.  `window_units` and `dual_units` build units;
 `trade_unit` runs a strategy over a unit and settles it, and `pf_unit` and
-`dp_unit` give its benchmarks.  A trade and pf share one body from curves
-to settled cash (_trade_and_settle): a trade passes each forecast's curves
-for its quantile pair, pf the unit's prices.  Curves and settlement read
-the battery's cash weights from the spec, which works them out once, when
-it is built.  Settlement walks the horizon's instants and the DP reads
-prices along its events, so one body serves every shape.
+`dp_unit` give its benchmarks.  A trade and pf both trade curves
+(_trade_legs) and settle the legs: a trade passes each forecast's curves
+for its quantile pair, pf each window's settled prices.  Curves and
+settlement read the battery's cash weights from the spec, which works
+them out once, when it is built.  Settlement pays a leg the column's
+price at its instant and the DP walks the column, so one body serves
+every shape.
 `settle`, `perfect_foresight`, `dp_optimal` and their `_dual` forms name
 one market or one dual horizon, and run on the same bodies.
 
@@ -87,18 +89,6 @@ class SettleResult:
     final_charge: int
 
 
-def _over_one_scale(
-    series: Sequence[PriceSeries],
-) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Every series' prices as integers over the lcm of their scales."""
-    scale = math.lcm(*(ps.scale for ps in series))
-    return tuple(
-        ps.scaled if ps.scale == scale
-        else tuple(n * (scale // ps.scale) for n in ps.scaled)
-        for ps in series
-    ), scale
-
-
 def _settle(
     unit: _Unit,
     legs: Sequence[Sequence[tuple[int, int]]],
@@ -109,14 +99,15 @@ def _settle(
     cash / den.
 
     The battery bounds are compared as integers; a leg that breaks one goes
-    to apply_trade, which raises the named violation.  Prices are the
-    unit's integers over one scale.  Cash is summed as one integer over
-    scale * den, with the spec's cash_weights, (w_buy, w_sell, den).
+    to apply_trade, which raises the named violation.  A leg at instant k
+    pays the unit's price column at k, an integer over the unit's scale.
+    Cash is summed as one integer over scale * den, with the spec's
+    cash_weights, (w_buy, w_sell, den).
     """
     prices, instants = unit.prices, unit.horizon.instants
     # instants are distinct, so the legs sort on their instant alone
     ordered = sorted(
-        (instants[w][period], signed, prices[w][period])
+        (instants[w][period], signed)
         for w, window_legs in enumerate(legs)
         for period, signed in window_legs
     )
@@ -124,13 +115,13 @@ def _settle(
     ramp, floor, capacity = spec.ramp, spec.min_charge, spec.capacity
     charge = spec.initial_charge
     cash = 0
-    for _, signed, price in ordered:
+    for k, signed in ordered:
         after = charge + signed
         if not (-ramp <= signed <= ramp and floor <= after <= capacity):
             apply_trade(BatteryState(charge), spec, signed)
         charge = after
         # a buy (signed > 0) pays, a sell (signed < 0) earns
-        cash -= (w_buy if signed > 0 else w_sell) * price * signed
+        cash -= (w_buy if signed > 0 else w_sell) * prices[k] * signed
     return cash, unit.scale * den, charge
 
 
@@ -147,15 +138,17 @@ def _legs_of(schedule: Schedule) -> tuple[tuple[int, int], ...]:
 class _Unit(NamedTuple):
     """One settlement: its horizon, and a forecast and prices per window.
 
-    prices and scale are the windows' prices as integers over one scale
-    (_over_one_scale), worked out once per unit: settlement, pf (as both
-    curves of each window) and the DP read them.
+    prices is the unit's price column: prices[k] is the settled price of
+    the horizon's event k, as an integer over scale, the lcm of the
+    windows' scales.  It is built once per unit (_unit); settlement and
+    the DP read it by instant.  pf reads each window's own integers
+    (actuals), as a strategy compares prices only within one window.
     """
 
     horizon: Horizon
     forecasts: tuple[QuantileForecast, ...]
     actuals: tuple[PriceSeries, ...]
-    prices: tuple[tuple[int, ...], ...]
+    prices: tuple[int, ...]
     scale: int
 
 
@@ -164,8 +157,11 @@ def _unit(
     forecasts: tuple[QuantileForecast, ...],
     actuals: tuple[PriceSeries, ...],
 ) -> _Unit:
-    """The unit of a horizon, with its prices over one scale."""
-    return _Unit(horizon, forecasts, actuals, *_over_one_scale(actuals))
+    """The unit of a horizon, with its price column in event order."""
+    scale = math.lcm(*(ps.scale for ps in actuals))
+    factors = [scale // ps.scale for ps in actuals]
+    prices = tuple(actuals[w].scaled[p] * factors[w] for w, p in horizon.events)
+    return _Unit(horizon, forecasts, actuals, prices, scale)
 
 
 def _check_windows(
@@ -206,20 +202,6 @@ def dual_units(dam_units: Sequence[_Unit], bm_units: Sequence[_Unit]) -> list[_U
     return units
 
 
-def _trade_and_settle(
-    unit: _Unit,
-    curves: Sequence[_Curves],
-    strategy: str,
-    spec: BatterySpec,
-    allow_stock_buys: bool,
-) -> tuple[tuple, tuple[int, int, int]]:
-    """The strategy's checked legs over one unit, traded on one curve pair
-    per window, and their settlement, (cash, den, final charge).  Curves
-    and settlement weigh cash by the spec's cash_weights."""
-    legs = _trade_legs(unit.horizon, curves, strategy, spec, allow_stock_buys)
-    return legs, _settle(unit, legs, spec)
-
-
 def trade_unit(
     unit: _Unit,
     strategy: str,
@@ -229,12 +211,12 @@ def trade_unit(
 ) -> tuple[tuple[Schedule, ...], SettleResult]:
     """Run a strategy over one unit and settle it: (schedules, result)."""
     curves = tuple(_curves(f, pair, spec) for f in unit.forecasts)
-    legs, settled = _trade_and_settle(unit, curves, strategy, spec, allow_stock_buys)
+    legs = _trade_legs(unit.horizon, curves, strategy, spec, allow_stock_buys)
     schedules = tuple(
         _schedule(forecast, strategy, pair, window_legs)
         for forecast, window_legs in zip(unit.forecasts, legs)
     )
-    return schedules, _result(*settled)
+    return schedules, _result(*_settle(unit, legs, spec))
 
 
 def pf_unit(
@@ -244,10 +226,12 @@ def pf_unit(
     allow_stock_buys: bool = False,
 ) -> Fraction:
     """Profit of the strategy over one unit when it trades the settled
-    prices (perfect foresight): each window's prices as both its curves."""
+    prices (perfect foresight): each window's own integers as both its
+    curves, settled on the unit's price column."""
     w_buy, w_sell, _ = spec.cash_weights()
-    curves = tuple(_Curves(p, p, w_buy, w_sell) for p in unit.prices)
-    _, (cash, den, _) = _trade_and_settle(unit, curves, strategy, spec, allow_stock_buys)
+    curves = tuple(_Curves(ps.scaled, ps.scaled, w_buy, w_sell) for ps in unit.actuals)
+    legs = _trade_legs(unit.horizon, curves, strategy, spec, allow_stock_buys)
+    cash, den, _ = _settle(unit, legs, spec)
     return Fraction(cash, den)
 
 
@@ -261,13 +245,13 @@ def dp_unit(unit: _Unit, spec: BatterySpec) -> Fraction:
     sits on the lattice whenever the charge span and starting charge are
     whole steps.  A span of 0 is one point, where nothing trades.
 
-    The recursion (_lattice_best) reads the unit's prices along the
-    horizon's events and walks them backwards.  Before event t only the
+    The recursion (_lattice_best) reads the unit's price column, which is
+    in event order, and walks it backwards.  Before event t only the
     lattice points within t steps of the start point k0 can be read, so it
     keeps that band alone, clamped to [0, steps]: for n events, at most
     2n + 1 points however deep the lattice.
 
-    Prices are integers over one scale.  With the leg weights of
+    Prices are integers over the unit's scale.  With the leg weights of
     BatterySpec.cash_weights, every leg's cash shares the denominator
     scale * den:
 
@@ -289,11 +273,9 @@ def dp_unit(unit: _Unit, spec: BatterySpec) -> Fraction:
         raise NonCommensurateRamp("starting charge sits off the ramp lattice")
     w_buy, w_sell, den = spec.cash_weights()
     buy_step, sell_step = step * w_buy, step * w_sell
-    prices = unit.prices
-    events = [prices[w][p] for w, p in unit.horizon.events]
     best = _lattice_best(
-        [p * buy_step for p in events],
-        [p * sell_step for p in events],
+        [p * buy_step for p in unit.prices],
+        [p * sell_step for p in unit.prices],
         (spec.initial_charge - floor) // step,
         span // step,
     )
@@ -520,7 +502,8 @@ def _run_item(payload: tuple, item: tuple):
     trades, per_window = 0, []
     for unit in units:
         curves = tuple(_curves(f, pair, spec) for f in unit.forecasts)
-        legs, (cash, den, _) = _trade_and_settle(unit, curves, strategy, spec, allow_stock)
+        legs = _trade_legs(unit.horizon, curves, strategy, spec, allow_stock)
+        cash, den, _ = _settle(unit, legs, spec)
         per_window.append((cash, den))
         trades += sum(map(len, legs))
     return per_window, trades

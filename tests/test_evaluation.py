@@ -1,6 +1,7 @@
 """Settlement, perfect-foresight and DP benchmarks, scoring and sweeps."""
 
 import json
+import math
 import multiprocessing
 import pickle
 import random
@@ -561,8 +562,11 @@ class TestDpOptimal:
 def _full_lattice_dp_unit(unit, spec):
     """dp_unit as it ran before it kept the reachable band, over the whole
     lattice: four list comprehensions per event.  An oracle."""
-    by_window, scale = evaluation._over_one_scale(unit.actuals)
-    prices = [by_window[w][p] for w, p in unit.horizon.events]
+    scale = math.lcm(*(ps.scale for ps in unit.actuals))
+    prices = [
+        unit.actuals[w].scaled[p] * (scale // unit.actuals[w].scale)
+        for w, p in unit.horizon.events
+    ]
     steps = (spec.capacity - spec.min_charge) // spec.ramp
     k0 = (spec.initial_charge - spec.min_charge) // spec.ramp
     w_buy, w_sell, den = spec.cash_weights()
@@ -770,9 +774,10 @@ def _tied_series(draw, window, den, label):
 
 
 class TestPfOnPrices:
-    """pf trades each window's settled prices as both curves, over the unit's
-    one scale.  That is the strategy run on a one-level forecast pinned to
-    each window's prices, over the window's own scale, then settled.
+    """pf trades each window's settled prices as both curves, over each
+    window's own scale.  That is the strategy run on a one-level forecast
+    pinned to each window's prices, over the window's own scale, then
+    settled.
     """
 
     @given(lattice_batteries(), st.data())
@@ -797,6 +802,9 @@ class TestPfOnPrices:
         if market == "DAM+BM":
             (unit,) = dual_units(*units)
             assert unit.scale == 300  # neither window's own scale
+            for k, (w, p) in enumerate(unit.horizon.events):
+                ps = unit.actuals[w]
+                assert unit.prices[k] * ps.scale == ps.scaled[p] * unit.scale
             dam_sched, bm_sched = ts3_dual(unit.horizon, *pinned, MEDIAN_PAIR, spec, allow)
             want = settle_dual(dam_sched, bm_sched, *actuals, spec).cash
             strategy = "TS3"
