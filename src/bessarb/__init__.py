@@ -3,7 +3,9 @@
 The package turns quantile price forecasts into battery trade schedules,
 settles them against realized prices, and benchmarks the result against a
 perfect-foresight run and an exact dynamic-programming bound.  A fleet
-economics module projects multi-year returns for catalog batteries.
+economics module projects multi-year returns for catalog batteries; it
+loads on first use of one of its names, so a command that projects no
+returns never reads it.
 """
 
 from bessarb.battery import BatterySpec, BatteryState, unit_trading_spec
@@ -35,16 +37,18 @@ from bessarb.evaluation import (
     run_sweep,
     settle,
 )
-from bessarb.economics import (
-    EconScenario,
-    annual_return_curve,
-    annualize_backtest_revenue,
-    breakeven_year,
-    implied_base_revenue,
-    load_catalog,
-)
 
 __version__ = "0.1.0"
+
+# The names of bessarb.economics that __getattr__ serves on first use.
+_ECONOMICS = (
+    "EconScenario",
+    "annual_return_curve",
+    "implied_base_revenue",
+    "breakeven_year",
+    "annualize_backtest_revenue",
+    "load_catalog",
+)
 
 __all__ = [
     "BatterySpec",
@@ -72,10 +76,14 @@ __all__ = [
     "pinball",
     "run_sweep",
     "BacktestReport",
-    "EconScenario",
-    "annual_return_curve",
-    "implied_base_revenue",
-    "breakeven_year",
-    "annualize_backtest_revenue",
-    "load_catalog",
+    *_ECONOMICS,
 ]
+
+
+def __getattr__(name: str):
+    """The economics names of __all__, read from their module on first use."""
+    if name in _ECONOMICS:
+        from bessarb import economics
+
+        return getattr(economics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

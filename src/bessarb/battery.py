@@ -6,15 +6,12 @@ x ticks raises the charge by exactly x ticks.
 
 A run starts from its spec's initial_charge.  A caller that starts a run
 elsewhere, say where the last run ended, passes
-`dataclasses.replace(spec, initial_charge=ticks)`, range-checked like any
-spec.
+`spec.replace(initial_charge=ticks)`, range-checked like any spec.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
@@ -28,6 +25,7 @@ from bessarb._numeric import (
     parse_number,
     ticks_to_mwh,
 )
+from bessarb._record import Record
 from bessarb.errors import (
     CapacityViolation,
     ConfigError,
@@ -45,40 +43,35 @@ _JSON_KEYS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class BatterySpec:
+class BatterySpec(Record, derived=("_weights",)):
     """Physical battery parameters, energy quantities in milli-MWh ticks.
 
-    initial_charge is where every run on the spec starts.
+    initial_charge is where every run on the spec starts.  _weights holds
+    cash_weights, worked out from the efficiencies when the spec is built:
+    derived, so it takes no part in equality, hashing, repr, to_dict or
+    digest.
     """
 
-    capacity: int
-    ramp: int
-    min_charge: int
-    initial_charge: int
-    charge_eff: Fraction
-    discharge_eff: Fraction
-    # cash_weights, worked out from the efficiencies when the spec is built.
-    # Derived from the fields above, so it takes no part in equality,
-    # hashing, repr, to_dict or digest.
-    _weights: tuple[int, int, int] = field(init=False, compare=False, repr=False)
+    __slots__ = ("capacity", "ramp", "min_charge", "initial_charge",
+                 "charge_eff", "discharge_eff", "_weights")
 
-    def __post_init__(self) -> None:
-        if self.capacity <= 0:
+    def __init__(self, capacity: int, ramp: int, min_charge: int, initial_charge: int,
+                 charge_eff: Fraction, discharge_eff: Fraction) -> None:
+        if capacity <= 0:
             raise ConfigError("capacity must be positive")
-        if self.ramp <= 0:
+        if ramp <= 0:
             raise ConfigError("ramp must be positive")
-        if not 0 <= self.min_charge <= self.capacity:
+        if not 0 <= min_charge <= capacity:
             raise ConfigError("min_charge must lie in [0, capacity]")
-        if not self.min_charge <= self.initial_charge <= self.capacity:
+        if not min_charge <= initial_charge <= capacity:
             raise ConfigError("initial_charge must lie in [min_charge, capacity]")
-        for name in ("charge_eff", "discharge_eff"):
-            eff = getattr(self, name)
+        for name, eff in (("charge_eff", charge_eff), ("discharge_eff", discharge_eff)):
             if not 0 < eff <= 1:
                 raise ConfigError(f"{name} must lie in (0, 1]")
-        cn, cd = self.charge_eff.as_integer_ratio()
-        dn, dd = self.discharge_eff.as_integer_ratio()
-        object.__setattr__(self, "_weights", (cd * dd, dn * cn, TICKS_PER_MWH * dd * cn))
+        cn, cd = charge_eff.as_integer_ratio()
+        dn, dd = discharge_eff.as_integer_ratio()
+        self._set(capacity, ramp, min_charge, initial_charge, charge_eff, discharge_eff,
+                  (cd * dd, dn * cn, TICKS_PER_MWH * dd * cn))
 
     @classmethod
     def from_mwh(
@@ -152,6 +145,8 @@ class BatterySpec:
 
     def digest(self) -> str:
         """sha256 over the canonical JSON form, for schedule provenance."""
+        import hashlib
+
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -176,11 +171,13 @@ def unit_trading_spec() -> BatterySpec:
     return BatterySpec.from_mwh("1", "1", "0", charge_eff="0.98", discharge_eff="0.8")
 
 
-@dataclass(frozen=True, slots=True)
-class BatteryState:
+class BatteryState(Record):
     """Stored energy in ticks."""
 
-    charge: int
+    __slots__ = ("charge",)
+
+    def __init__(self, charge: int) -> None:
+        self._set(charge)
 
 
 def apply_trade(state: BatteryState, spec: BatterySpec, signed_ticks: int) -> BatteryState:

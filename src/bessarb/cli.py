@@ -25,24 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from bessarb import __version__
 from bessarb._numeric import exact_text, format_decimal, format_money, parse_number
 from bessarb.battery import BatterySpec, unit_trading_spec
-from bessarb.economics import (
-    DEFAULT_ANNUAL_FEES,
-    DEFAULT_YEARS,
-    DEGRADATION_KINDS,
-    MAINTENANCE_KINDS,
-    EconScenario,
-    annual_return_curve,
-    breakeven_year,
-    load_catalog,
-    scenario_for,
-)
 from bessarb.errors import (
     BessArbError,
     ConfigError,
@@ -220,6 +208,14 @@ def _score_options(p: argparse.ArgumentParser) -> None:
 def _econ_options(p: argparse.ArgumentParser) -> None:
     # Scenario options have no parser default: unset, EconScenario or the
     # catalog asset decides, and econ can tell a given option from an unset one.
+    # Only econ reads the economics module, so no other command loads it.
+    from bessarb.economics import (
+        DEFAULT_ANNUAL_FEES,
+        DEFAULT_YEARS,
+        DEGRADATION_KINDS,
+        MAINTENANCE_KINDS,
+    )
+
     p.add_argument("--asset", help="catalog asset key (A, B, C or D)")
     p.add_argument("--capex", type=_decimal, help="purchase cost, EUR")
     p.add_argument("--revenue", type=_decimal, help="first-year trading revenue, EUR")
@@ -389,7 +385,7 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
         dp += dp_unit(unit, unit_spec)
         schedules.extend(unit_schedules)
         if args.carry_state:
-            unit_spec = replace(unit_spec, initial_charge=result.final_charge)
+            unit_spec = unit_spec.replace(initial_charge=result.final_charge)
     if out is not None:
         for i, schedule in enumerate(schedules):
             name = f"schedule_{schedule.window.market.value.lower()}_{i:03d}.csv"
@@ -471,6 +467,14 @@ _SCENARIO_FIELDS = dict(
 
 
 def _cmd_econ(args: argparse.Namespace) -> int:
+    from bessarb.economics import (
+        EconScenario,
+        annual_return_curve,
+        breakeven_year,
+        load_catalog,
+        scenario_for,
+    )
+
     given = {field: getattr(args, key) for key, field in _SCENARIO_FIELDS.items()
              if getattr(args, key) is not None}
     if args.asset is not None:

@@ -14,12 +14,12 @@ maintenance either escalates by compounding or grows linearly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Sequence
 
 from bessarb._numeric import exact
+from bessarb._record import Record
 from bessarb.battery import BatterySpec
 from bessarb.errors import ConfigError, MissingRevenueSource, ZeroSpan
 
@@ -32,30 +32,26 @@ DEGRADATION_KINDS = ("linear", "loss_compound")
 MAINTENANCE_KINDS = ("compound", "linear")
 
 
-@dataclass(frozen=True, slots=True)
-class EconScenario:
+class EconScenario(Record):
     """Inputs for one cumulative-return projection."""
 
-    capex: Fraction
-    base_revenue: Fraction
-    base_maintenance: Fraction
-    annual_fees: Fraction = DEFAULT_ANNUAL_FEES
-    years: int = DEFAULT_YEARS
-    degradation_kind: str = "linear"
-    degradation_period_years: int = 1
-    maintenance_kind: str = "compound"
+    __slots__ = ("capex", "base_revenue", "base_maintenance", "annual_fees", "years",
+                 "degradation_kind", "degradation_period_years", "maintenance_kind")
 
-    def __post_init__(self) -> None:
-        for name in ("capex", "base_revenue", "base_maintenance", "annual_fees"):
-            object.__setattr__(self, name, exact(getattr(self, name)))
-        if self.years < 1:
+    def __init__(self, capex: Fraction, base_revenue: Fraction, base_maintenance: Fraction,
+                 annual_fees: Fraction = DEFAULT_ANNUAL_FEES, years: int = DEFAULT_YEARS,
+                 degradation_kind: str = "linear", degradation_period_years: int = 1,
+                 maintenance_kind: str = "compound") -> None:
+        money = tuple(map(exact, (capex, base_revenue, base_maintenance, annual_fees)))
+        if years < 1:
             raise ConfigError("projection needs at least one year")
-        if self.degradation_period_years < 1:
+        if degradation_period_years < 1:
             raise ConfigError("degradation period must be at least one year")
-        if self.degradation_kind not in DEGRADATION_KINDS:
-            raise ConfigError(f"unknown degradation kind {self.degradation_kind!r}")
-        if self.maintenance_kind not in MAINTENANCE_KINDS:
-            raise ConfigError(f"unknown maintenance kind {self.maintenance_kind!r}")
+        if degradation_kind not in DEGRADATION_KINDS:
+            raise ConfigError(f"unknown degradation kind {degradation_kind!r}")
+        if maintenance_kind not in MAINTENANCE_KINDS:
+            raise ConfigError(f"unknown maintenance kind {maintenance_kind!r}")
+        self._set(*money, years, degradation_kind, degradation_period_years, maintenance_kind)
 
 
 def degradation_steps(scenario: EconScenario, year: int) -> int:
@@ -123,21 +119,21 @@ def annualize_backtest_revenue(total_cash, span_days) -> Fraction:
 
 # --- asset catalog ----------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class CatalogBattery:
-    key: str
-    label: str
-    capacity_mwh: Fraction
-    max_discharge_mwh_per_hour: Fraction
-    charge_eff: Fraction
-    discharge_eff: Fraction
-    capex: Fraction
-    base_maintenance: Fraction
-    annual_fees: Fraction
-    degradation_kind: str | None
-    degradation_period_years: int | None
-    maintenance_kind: str | None
-    reference_curve: tuple[Fraction, ...]
+class CatalogBattery(Record):
+    __slots__ = ("key", "label", "capacity_mwh", "max_discharge_mwh_per_hour", "charge_eff",
+                 "discharge_eff", "capex", "base_maintenance", "annual_fees",
+                 "degradation_kind", "degradation_period_years", "maintenance_kind",
+                 "reference_curve")
+
+    def __init__(self, key: str, label: str, capacity_mwh: Fraction,
+                 max_discharge_mwh_per_hour: Fraction, charge_eff: Fraction,
+                 discharge_eff: Fraction, capex: Fraction, base_maintenance: Fraction,
+                 annual_fees: Fraction, degradation_kind: str | None,
+                 degradation_period_years: int | None, maintenance_kind: str | None,
+                 reference_curve: tuple[Fraction, ...]) -> None:
+        self._set(key, label, capacity_mwh, max_discharge_mwh_per_hour, charge_eff,
+                  discharge_eff, capex, base_maintenance, annual_fees, degradation_kind,
+                  degradation_period_years, maintenance_kind, reference_curve)
 
     def to_battery_spec(self) -> BatterySpec:
         """Hourly-market battery bounds for this asset, floor at empty."""

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -56,6 +55,7 @@ from bessarb._numeric import (
     pinball_sum,
     scale_ratios,
 )
+from bessarb._record import Record
 from bessarb.battery import BatterySpec, BatteryState, apply_trade
 from bessarb.errors import (
     BessArbError,
@@ -83,10 +83,11 @@ from bessarb.strategies import (
 STRATEGY_NAMES = ("TS1", "TS2", "TS3")
 
 
-@dataclass(frozen=True, slots=True)
-class SettleResult:
-    cash: Fraction
-    final_charge: int
+class SettleResult(Record):
+    __slots__ = ("cash", "final_charge")
+
+    def __init__(self, cash: Fraction, final_charge: int) -> None:
+        self._set(cash, final_charge)
 
 
 def _settle(
@@ -429,11 +430,11 @@ def pinball(level, actual, predicted) -> Fraction:
     return Fraction(pinball_sum(a, b, (y,), (z,)), b * scale)
 
 
-@dataclass(frozen=True, slots=True)
-class PinballReport:
-    per_level: dict
-    mean: Fraction
-    cells: int
+class PinballReport(Record):
+    __slots__ = ("per_level", "mean", "cells")
+
+    def __init__(self, per_level: dict, mean: Fraction, cells: int) -> None:
+        self._set(per_level, mean, cells)
 
 
 def score_forecasts(
@@ -471,19 +472,16 @@ def score_forecasts(
 
 # --- sweep ------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class BacktestReport:
+class BacktestReport(Record):
     """One report row: a strategy and quantile pair over a set of windows."""
 
-    market: str
-    strategy: str
-    pair_label: str
-    realized: Fraction
-    trades: Fraction
-    pf: Fraction
-    dp: Fraction
-    windows: int
-    per_window: tuple[Fraction, ...] = ()
+    __slots__ = ("market", "strategy", "pair_label", "realized", "trades", "pf", "dp",
+                 "windows", "per_window")
+
+    def __init__(self, market: str, strategy: str, pair_label: str, realized: Fraction,
+                 trades: Fraction, pf: Fraction, dp: Fraction, windows: int,
+                 per_window: tuple[Fraction, ...] = ()) -> None:
+        self._set(market, strategy, pair_label, realized, trades, pf, dp, windows, per_window)
 
 
 def _run_item(payload: tuple, item: tuple):

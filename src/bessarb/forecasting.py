@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from pathlib import Path
@@ -30,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from bessarb._numeric import parse_ratio, pinball_sum, scale_ratios
+from bessarb._record import Record
 from bessarb.errors import (
     EmptyTrainSet,
     InsufficientHistory,
@@ -53,37 +53,32 @@ from bessarb.market import (
 _FEATURE_BOUND = 1e100  # the largest feature magnitude from_csv takes
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
+class FeatureMatrix(Record):
     """Time-ordered feature rows with exact price targets.
 
     Target t is targets[t] / scale, integers over one positive scale that
     slices keep.
     """
 
-    market: MarketKind
-    timestamps: tuple[int, ...]
-    feature_names: tuple[str, ...]
-    features: np.ndarray
-    targets: tuple[int, ...]
-    scale: int
+    __slots__ = ("market", "timestamps", "feature_names", "features", "targets", "scale")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "features", np.asarray(self.features, dtype=float)
-        )
-        n = len(self.timestamps)
-        if self.features.shape != (n, len(self.feature_names)):
+    def __init__(self, market: MarketKind, timestamps: tuple[int, ...],
+                 feature_names: tuple[str, ...], features: np.ndarray,
+                 targets: tuple[int, ...], scale: int) -> None:
+        features = np.asarray(features, dtype=float)
+        n = len(timestamps)
+        if features.shape != (n, len(feature_names)):
             raise MalformedRow(0, "feature block shape does not match names/rows")
-        if len(self.targets) != n:
+        if len(targets) != n:
             raise MalformedRow(0, "target count does not match rows")
-        if self.scale <= 0:
-            raise MalformedRow(0, f"target scale {self.scale} is not positive")
-        for prev, cur in zip(self.timestamps, self.timestamps[1:]):
+        if scale <= 0:
+            raise MalformedRow(0, f"target scale {scale} is not positive")
+        for prev, cur in zip(timestamps, timestamps[1:]):
             if cur <= prev:
                 raise NonMonotonicTimestamps(
                     f"feature rows out of order at {format_timestamp(cur)}"
                 )
+        self._set(market, timestamps, feature_names, features, targets, scale)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -280,30 +275,30 @@ def _interpolate(ranking: np.ndarray, k: int, targets: Sequence[int],
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class WalkForwardPlan:
+class WalkForwardPlan(Record):
     """Rolling evaluation recipe over a feature matrix."""
 
-    train_span_s: int
-    test_span_s: int
-    step_s: int
-    retune_every_s: int
-    k_grid: tuple[int, ...] = (3, 5, 9, 15)
-    levels: tuple = DEFAULT_LEVELS
+    __slots__ = ("train_span_s", "test_span_s", "step_s", "retune_every_s", "k_grid", "levels")
 
-    def __post_init__(self) -> None:
-        if min(self.train_span_s, self.test_span_s, self.step_s) <= 0:
+    def __init__(self, train_span_s: int, test_span_s: int, step_s: int,
+                 retune_every_s: int, k_grid: tuple[int, ...] = (3, 5, 9, 15),
+                 levels: tuple = DEFAULT_LEVELS) -> None:
+        if min(train_span_s, test_span_s, step_s) <= 0:
             raise InsufficientHistory("plan spans must be positive")
-        if self.retune_every_s <= 0:
+        if retune_every_s <= 0:
             raise InsufficientHistory("retune interval must be positive")
-        if not self.k_grid or min(self.k_grid) < 1:
+        if not k_grid or min(k_grid) < 1:
             raise KTooLarge("k grid must hold positive candidates")
+        self._set(train_span_s, test_span_s, step_s, retune_every_s, k_grid, levels)
 
 
-@dataclass(frozen=True, slots=True)
-class WalkForwardResult:
-    forecasts: tuple[QuantileForecast, ...]
-    refits: tuple[tuple[int, int], ...]  # (test window start, chosen k)
+class WalkForwardResult(Record):
+    # refits: (test window start, chosen k) of each refit
+    __slots__ = ("forecasts", "refits")
+
+    def __init__(self, forecasts: tuple[QuantileForecast, ...],
+                 refits: tuple[tuple[int, int], ...]) -> None:
+        self._set(forecasts, refits)
 
 
 def _choose_k(train: FeatureMatrix, plan: WalkForwardPlan, train_end_s: int) -> int:

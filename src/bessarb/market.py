@@ -27,10 +27,7 @@ their trades in wall-clock order once.
 from __future__ import annotations
 
 import math
-import random
-import statistics
 import warnings
-from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
 from fractions import Fraction
@@ -47,6 +44,7 @@ from bessarb._numeric import (
     parse_ratios,
     scale_ratios,
 )
+from bessarb._record import Record
 from bessarb.errors import (
     LevelMissing,
     LevelOutOfRange,
@@ -75,13 +73,13 @@ class MarketKind(str, Enum):
         return 24 if self is MarketKind.DAM else 16
 
 
-@dataclass(frozen=True, slots=True)
-class TradingWindow:
+class TradingWindow(Record):
     """A contiguous run of trading periods in one market."""
 
-    market: MarketKind
-    start_epoch_s: int
-    period_count: int
+    __slots__ = ("market", "start_epoch_s", "period_count")
+
+    def __init__(self, market: MarketKind, start_epoch_s: int, period_count: int) -> None:
+        self._set(market, start_epoch_s, period_count)
 
     def timestamp_of(self, period: int) -> int:
         if not 0 <= period < self.period_count:
@@ -162,8 +160,7 @@ def _epochs(window: TradingWindow) -> range:
     return range(window.start_epoch_s, window.end_epoch_s, window.market.period_seconds)
 
 
-@dataclass(frozen=True, slots=True)
-class PriceSeries:
+class PriceSeries(Record):
     """Settlement prices for one window, EUR/MWh.
 
     The prices are held as integers over one positive scale, reduced on
@@ -172,18 +169,14 @@ class PriceSeries:
     time it is read.
     """
 
-    window: TradingWindow
-    scaled: tuple[int, ...]
-    scale: int
+    __slots__ = ("window", "scaled", "scale")
 
-    def __post_init__(self) -> None:
-        if len(self.scaled) != self.window.period_count:
+    def __init__(self, window: TradingWindow, scaled: Sequence[int], scale: int) -> None:
+        if len(scaled) != window.period_count:
             raise WindowMismatch(
-                f"{len(self.scaled)} prices for a {self.window.period_count}-period window"
+                f"{len(scaled)} prices for a {window.period_count}-period window"
             )
-        scaled, scale = lowest_scale(self.scaled, self.scale)
-        object.__setattr__(self, "scaled", scaled)
-        object.__setattr__(self, "scale", scale)
+        self._set(window, *lowest_scale(scaled, scale))
 
     @property
     def prices(self) -> tuple[Fraction, ...]:
@@ -213,8 +206,7 @@ def _checked_levels(levels: Iterable) -> tuple[Fraction, ...]:
     return checked
 
 
-@dataclass(frozen=True, slots=True)
-class QuantileForecast:
+class QuantileForecast(Record, derived=("_repaired",)):
     """Per-period quantile price forecasts for one window.
 
     scaled is period-major integer rows over one positive scale, reduced
@@ -225,34 +217,27 @@ class QuantileForecast:
     of the rows sorted ascending, which is how every strategy reads them.
     """
 
-    window: TradingWindow
-    levels: tuple[Fraction, ...]
-    scaled: tuple[tuple[int, ...], ...]
-    scale: int
-    # The columns of the repaired rows by level ratio, filled by the first
-    # repaired_curve call.  Derived from the fields above, so it takes no
-    # part in equality or hashing.
-    _repaired: dict | None = field(default=None, init=False, compare=False, repr=False)
+    # _repaired: the columns of the repaired rows by level ratio, filled by
+    # the first repaired_curve call.  Derived from the fields, so it takes
+    # no part in equality or hashing.
+    __slots__ = ("window", "levels", "scaled", "scale", "_repaired")
 
-    def __post_init__(self) -> None:
-        levels = _checked_levels(self.levels)
-        rows = self.scaled
-        if len(rows) != self.window.period_count:
+    def __init__(self, window: TradingWindow, levels: Iterable,
+                 scaled: Sequence[Sequence[int]], scale: int) -> None:
+        levels = _checked_levels(levels)
+        if len(scaled) != window.period_count:
             raise WindowMismatch(
-                f"{len(rows)} forecast rows for a {self.window.period_count}-period window"
+                f"{len(scaled)} forecast rows for a {window.period_count}-period window"
             )
         width = len(levels)
-        for row in rows:
+        for row in scaled:
             if len(row) != width:
                 raise WindowMismatch(
                     f"forecast row has {len(row)} values for {width} levels"
                 )
-        flat, scale = lowest_scale((n for row in rows for n in row), self.scale)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "scaled", tuple(
-            flat[t * width:(t + 1) * width] for t in range(len(rows))
-        ))
-        object.__setattr__(self, "scale", scale)
+        flat, scale = lowest_scale((n for row in scaled for n in row), scale)
+        rows = tuple(flat[t * width:(t + 1) * width] for t in range(len(scaled)))
+        self._set(window, levels, rows, scale, None)
 
     @property
     def values(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -461,8 +446,7 @@ def write_forecast_csv(path: str | Path, forecasts: Iterable[QuantileForecast]) 
 
 # --- settlement horizon ---------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Horizon:
+class Horizon(Record, derived=("events", "instants")):
     """The windows of one settlement, and their trades in wall-clock order.
 
     A horizon holds one window of one market, or a day-ahead window and
@@ -474,12 +458,9 @@ class Horizon:
     equality.
     """
 
-    windows: tuple[TradingWindow, ...]
-    events: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    instants: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("windows", "events", "instants")
 
-    def __post_init__(self) -> None:
-        windows = self.windows
+    def __init__(self, windows: tuple[TradingWindow, ...]) -> None:
         events = [(i, p) for i, w in enumerate(windows) for p in range(w.period_count)]
         if len(windows) > 1:
             events.sort(key=lambda e: (
@@ -488,8 +469,7 @@ class Horizon:
         instants = [[0] * w.period_count for w in windows]
         for k, (i, p) in enumerate(events):
             instants[i][p] = k
-        object.__setattr__(self, "events", tuple(events))
-        object.__setattr__(self, "instants", tuple(map(tuple, instants)))
+        self._set(windows, tuple(events), tuple(map(tuple, instants)))
 
 
 def build_dual_horizon(dam: TradingWindow, bm: TradingWindow) -> Horizon:
@@ -547,6 +527,9 @@ def generate_synthetic(
     varies across periods.  With noise_sd == 0 the forecast equals the
     settled price at every level.
     """
+    import random
+    import statistics
+
     lvls = _checked_levels(levels)
     z = {lv: statistics.NormalDist().inv_cdf(float(lv)) for lv in lvls}
     rng = random.Random(f"{seed}:{market.value}")

@@ -43,7 +43,6 @@ and CSV files alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -56,6 +55,7 @@ from bessarb._numeric import (
     exact_text,
     parse_number,
 )
+from bessarb._record import Record
 from bessarb.battery import BatterySpec, BatteryState, ChargeTimeline
 from bessarb.errors import ConfigError, InvalidPair, WindowMismatch
 from bessarb.market import (
@@ -71,28 +71,26 @@ class Side(str, Enum):
     SELL = "sell"
 
 
-@dataclass(frozen=True, slots=True)
-class QuantilePair:
+class QuantilePair(Record):
     """Quantile levels used to price the two legs of a trade.
 
     The sell leg is priced at the lower level and the buy leg at the upper
     one, so the decision spread under-states the median expectation.
     """
 
-    sell_level: Fraction
-    buy_level: Fraction
+    __slots__ = ("sell_level", "buy_level")
 
-    def __post_init__(self) -> None:
-        for name in ("sell_level", "buy_level"):
-            raw = getattr(self, name)
+    def __init__(self, sell_level: Fraction, buy_level: Fraction) -> None:
+        levels = []
+        for name, raw in (("sell_level", sell_level), ("buy_level", buy_level)):
             lv = exact(raw)
             if not 0 < lv < 1:
                 raise InvalidPair(f"{name} {raw} outside (0, 1)")
-            object.__setattr__(self, name, lv)
-        if self.sell_level > self.buy_level:
-            raise InvalidPair(
-                f"sell level {self.sell_level} above buy level {self.buy_level}"
-            )
+            levels.append(lv)
+        sell, buy = levels
+        if sell > buy:
+            raise InvalidPair(f"sell level {sell} above buy level {buy}")
+        self._set(sell, buy)
 
     @classmethod
     def parse(cls, text: str) -> "QuantilePair":
@@ -128,51 +126,45 @@ DEFAULT_PAIRS = tuple(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class TradeOrder:
-    period: int
-    side: Side
-    volume_ticks: int
-    expected_price: Fraction
+class TradeOrder(Record):
+    __slots__ = ("period", "side", "volume_ticks", "expected_price")
 
-    def __post_init__(self) -> None:
+    def __init__(self, period: int, side: Side, volume_ticks: int,
+                 expected_price: Fraction) -> None:
         # "buy" is Side.BUY; a side that is neither raises ValueError
-        object.__setattr__(self, "side", Side(self.side))
+        self._set(period, Side(side), volume_ticks, expected_price)
 
     @property
     def signed_ticks(self) -> int:
         return self.volume_ticks if self.side is Side.BUY else -self.volume_ticks
 
 
-@dataclass(frozen=True, slots=True)
-class Schedule:
+class Schedule(Record):
     """Orders for one window, at most one per period, in period order."""
 
-    window: TradingWindow
-    strategy: str
-    pair: QuantilePair
-    orders: tuple[TradeOrder, ...]
+    __slots__ = ("window", "strategy", "pair", "orders")
 
-    def __post_init__(self) -> None:
+    def __init__(self, window: TradingWindow, strategy: str, pair: QuantilePair,
+                 orders: tuple[TradeOrder, ...]) -> None:
         # a non-positive volume goes in as an empty leg, which the check refuses
         _check_legs(
-            [(o.period, o.signed_ticks if o.volume_ticks > 0 else 0) for o in self.orders],
-            self.window.period_count,
-            self.strategy,
+            [(o.period, o.signed_ticks if o.volume_ticks > 0 else 0) for o in orders],
+            window.period_count,
+            strategy,
         )
+        self._set(window, strategy, pair, orders)
 
     @property
     def trade_count(self) -> int:
         return len(self.orders)
 
 
-@dataclass(frozen=True, slots=True)
-class CandidatePair:
-    buy_period: int
-    sell_period: int
-    buy_price: Fraction
-    sell_price: Fraction
-    expected_spread: Fraction
+class CandidatePair(Record):
+    __slots__ = ("buy_period", "sell_period", "buy_price", "sell_price", "expected_spread")
+
+    def __init__(self, buy_period: int, sell_period: int, buy_price: Fraction,
+                 sell_price: Fraction, expected_spread: Fraction) -> None:
+        self._set(buy_period, sell_period, buy_price, sell_price, expected_spread)
 
     @classmethod
     def of(
@@ -280,7 +272,7 @@ def bottleneck_execute(
     """
     if candidate.buy_period == candidate.sell_period:
         raise InvalidPair("buy and sell must use different periods")
-    path = ChargeTimeline(replace(spec, initial_charge=state.charge), 2).path()
+    path = ChargeTimeline(spec.replace(initial_charge=state.charge), 2).path()
     buy_first = candidate.buy_period < candidate.sell_period
     x_buy, x_sell = _execute_pair(path, int(not buy_first), int(buy_first), spec, True)
     buy = (

@@ -7,7 +7,6 @@ against and commits it to.
 
 import json
 import pickle
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -208,15 +207,15 @@ class TestCashWeights:
     @example(Fraction(1), Fraction(1, 3), Fraction(1, 3))
     def test_replaced_efficiency_gets_fresh_weights(self, charge_eff, discharge_eff, other):
         spec = _bat(charge_eff, discharge_eff)
-        assert replace(spec, charge_eff=other).cash_weights() == \
+        assert spec.replace(charge_eff=other).cash_weights() == \
             _bat(other, discharge_eff).cash_weights()
-        assert replace(spec, discharge_eff=other).cash_weights() == \
+        assert spec.replace(discharge_eff=other).cash_weights() == \
             _bat(charge_eff, other).cash_weights()
 
     @given(efficiencies, efficiencies, st.integers(500, 2000))
     def test_start_and_pickle_keep_the_weights(self, charge_eff, discharge_eff, start):
         spec = _bat(charge_eff, discharge_eff)
-        assert replace(spec, initial_charge=start).cash_weights() == spec.cash_weights()
+        assert spec.replace(initial_charge=start).cash_weights() == spec.cash_weights()
         # a spawned sweep lane gets its spec as a pickle
         assert pickle.loads(pickle.dumps(spec)).cash_weights() == spec.cash_weights()
 
@@ -245,7 +244,7 @@ class TestTradeBounds:
     the floor: a buy-first pair at slots (0, 1), a sell-first one at (1, 0)."""
 
     def test_max_buy_clips_to_headroom(self):
-        spec = replace(BatterySpec.from_mwh("3", "2"), initial_charge=2500)
+        spec = BatterySpec.from_mwh("3", "2").replace(initial_charge=2500)
         assert _execute_pair(_path(spec, 2), 0, 1, spec, False) == (500, 2000)
 
     def test_max_buy_clips_to_ramp(self):
@@ -254,7 +253,7 @@ class TestTradeBounds:
 
     def test_max_sell_respects_floor(self):
         spec = BatterySpec.from_mwh("3", "2", min_charge_mwh="1")
-        above = replace(spec, initial_charge=1500)
+        above = spec.replace(initial_charge=1500)
         assert _execute_pair(_path(above, 2), 1, 0, above, False) == (2000, 500)
         # at the floor a sell-first pair sells nothing, and buys only as stock
         assert _execute_pair(_path(spec, 2), 1, 0, spec, False) == (0, 0)
@@ -308,7 +307,7 @@ class TestReplay:
             replay([(5, 1000), (2, -1000)], spec)
 
     def test_starts_from_given_state(self):
-        spec = replace(BatterySpec.from_mwh("2", "1"), initial_charge=1500)
+        spec = BatterySpec.from_mwh("2", "1").replace(initial_charge=1500)
         final = replay([(0, -1000)], spec)
         assert final.charge == 500
 
@@ -353,7 +352,7 @@ class TestChargeTimeline:
         assert _execute_pair(list(path), 3, 0, spec, True) == (0, 0)
 
     def test_sell_from_clips_to_future_minimum(self):
-        spec = replace(unit_trading_spec(), initial_charge=1000)
+        spec = unit_trading_spec().replace(initial_charge=1000)
         path = _path(spec, 6)
         path[3:] = [0, 0, 0]  # a committed sell at slot 3
         # anything sold at slot 0 would drive slot 3's sell below the floor
@@ -361,7 +360,7 @@ class TestChargeTimeline:
         assert _execute_pair(list(path), 5, 4, spec, False) == (0, 0)
 
     def test_initial_override(self):
-        spec = replace(BatterySpec.from_mwh("2", "1"), initial_charge=2000)
+        spec = BatterySpec.from_mwh("2", "1").replace(initial_charge=2000)
         assert _execute_pair(_path(spec, 3), 0, 1, spec, False) == (0, 1000)
         assert _execute_pair(_path(spec, 3), 1, 0, spec, False) == (1000, 1000)
 
@@ -371,7 +370,7 @@ class TestChargeTimeline:
         spec = BatterySpec.from_mwh("3", "1", min_charge_mwh="0.5")
         n = data.draw(st.integers(min_value=2, max_value=10))
         initial = data.draw(st.integers(min_value=spec.min_charge, max_value=spec.capacity))
-        spec = replace(spec, initial_charge=initial)
+        spec = spec.replace(initial_charge=initial)
         path = _path(spec, n)
         ref = _RebuildTimeline(spec, n, initial)
         for _ in range(data.draw(st.integers(min_value=0, max_value=8))):

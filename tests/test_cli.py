@@ -10,7 +10,6 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -403,7 +402,7 @@ class TestBacktestOracle:
                 schedules.extend(scheds)
                 finals.append(result.final_charge)
                 if carry:
-                    carried = replace(spec, initial_charge=result.final_charge)
+                    carried = spec.replace(initial_charge=result.final_charge)
         else:
             fn = {"TS1": ts1, "TS2": ts2, "TS3": ts3}[strategy]
             kwargs = {"allow_stock_buys": allow_stock} if strategy == "TS3" else {}
@@ -417,7 +416,7 @@ class TestBacktestOracle:
                 schedules.append(sched)
                 finals.append(result.final_charge)
                 if carry:
-                    carried = replace(spec, initial_charge=result.final_charge)
+                    carried = spec.replace(initial_charge=result.final_charge)
         line = (f"profit={format_money(profit)} trades={trades} "
                 f"pf={format_money(pf)} dp={format_money(dp)}\n")
         return line, [schedule_to_dict(s, spec) for s in schedules], finals
@@ -1449,6 +1448,32 @@ class TestExitContract:
         assert (done.returncode, done.stdout) == (2, "")
         (line,) = done.stderr.splitlines()
         assert json.loads(line)["error"] == "ConfigError"
+
+    def test_cold_import_loads_what_a_sweep_runs(self):
+        # Every command starts a fresh interpreter, so each module the
+        # command line imports but a sweep never calls is start-up a user
+        # waits for: the dataclasses machinery, hashlib (for digests),
+        # statistics (for gen) and the economics module (for econ).
+        src = str(Path(bessarb.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+
+        def loaded(module):
+            code = (f"import sys, {module}; print(sorted(set(sys.modules) & {{'dataclasses',"
+                    " 'hashlib', 'statistics', 'bessarb.economics'}))")
+            done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  text=True, env=env, timeout=120)
+            assert (done.returncode, done.stderr) == (0, "")
+            return done.stdout
+
+        assert loaded("bessarb.cli") == "[]\n"
+        assert "dataclasses" not in loaded("bessarb.forecasting")
+        # the economics names still resolve from the package, on first use
+        code = ("import bessarb; from bessarb import load_catalog; "
+                "print(all(getattr(bessarb, n) for n in bessarb.__all__), len(load_catalog()))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "True 4\n", "")
 
 
 # --- one parser per named subcommand ----------------------------------------

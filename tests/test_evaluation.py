@@ -6,7 +6,6 @@ import multiprocessing
 import pickle
 import random
 import tempfile
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -152,7 +151,7 @@ class TestSettle:
         actuals = make_prices([10, 20])
         sched = _schedule(actuals.window, [])
         with pytest.raises(ConfigError):
-            settle(sched, actuals, replace(UNIT, initial_charge=1500))
+            settle(sched, actuals, UNIT.replace(initial_charge=1500))
 
     def test_side_given_as_text(self):
         # "buy" is a buy: it charges the battery and is paid as one
@@ -480,7 +479,7 @@ class TestDpOptimal:
     def test_initial_must_sit_on_lattice(self):
         spec = BatterySpec.from_mwh("2", "1")
         with pytest.raises(NonCommensurateRamp):
-            dp_optimal(make_prices([10, 50]), replace(spec, initial_charge=500))
+            dp_optimal(make_prices([10, 50]), spec.replace(initial_charge=500))
 
     @given(
         st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=6),
@@ -491,7 +490,7 @@ class TestDpOptimal:
         spec = BatterySpec.from_mwh("3", "1")
         prices = make_prices(curve)
         initial = k0 * spec.ramp
-        assert dp_optimal(prices, replace(spec, initial_charge=initial)) == (
+        assert dp_optimal(prices, spec.replace(initial_charge=initial)) == (
             _brute_lattice_best(prices.prices, spec, initial)
         )
 
@@ -528,7 +527,7 @@ class TestDpOptimal:
         (unit,) = window_units([flat_forecast(curve)], [make_prices(curve)], "BM")
         assert spec.initial_charge == spec.min_charge
         assert dp_unit(unit, spec) == 0
-        assert dp_unit(unit, replace(spec, initial_charge=spec.capacity)) == Fraction(56)
+        assert dp_unit(unit, spec.replace(initial_charge=spec.capacity)) == Fraction(56)
 
     def test_zero_steps_is_idle(self):
         spec = BatterySpec.from_mwh("2", "1", min_charge_mwh="2",
@@ -631,13 +630,13 @@ class TestDpKernel:
         unit, spec = problem
         span = spec.capacity - spec.min_charge
         if span == 0:
-            wide = replace(spec, ramp=spec.ramp + extra)
+            wide = spec.replace(ramp=spec.ramp + extra)
             assert dp_unit(unit, wide) == 0
             return
-        at_span = replace(spec, ramp=span, initial_charge=spec.min_charge)
+        at_span = spec.replace(ramp=span, initial_charge=spec.min_charge)
         for start in (spec.min_charge, spec.capacity):
-            wide = replace(at_span, ramp=span + extra, initial_charge=start)
-            want = _full_lattice_dp_unit(unit, replace(at_span, initial_charge=start))
+            wide = at_span.replace(ramp=span + extra, initial_charge=start)
+            want = _full_lattice_dp_unit(unit, at_span.replace(initial_charge=start))
             assert dp_unit(unit, wide) == want
 
     def test_ramp_above_the_span_keeps_the_start_on_the_lattice(self):
@@ -645,7 +644,7 @@ class TestDpKernel:
         spec = BatterySpec.from_mwh("1", "5", initial_charge_mwh="0.5")
         with pytest.raises(NonCommensurateRamp, match="^starting charge sits off"):
             dp_optimal(make_prices([10, 50]), spec)
-        assert dp_optimal(make_prices([10, 50]), replace(spec, initial_charge=0)) == (
+        assert dp_optimal(make_prices([10, 50]), spec.replace(initial_charge=0)) == (
             dp_optimal(make_prices([10, 50]), unit_trading_spec())
         )
 
@@ -761,7 +760,7 @@ class TestUnitPathBounds:
             dp = dp_unit(unit, spec)
             assert result.cash <= dp
             assert pf_unit(unit, spec, strategy, allow) <= dp
-            spec = replace(spec, initial_charge=result.final_charge)
+            spec = spec.replace(initial_charge=result.final_charge)
 
 
 def _tied_series(draw, window, den, label):
@@ -991,13 +990,13 @@ class TestRunSweep:
         (unit,) = dual_units(window_units(dam_f[:1], dam_a[:1], "day-ahead"),
                              window_units(bm_f[:1], bm_a[:1], "balancing"))
         built = []
-        check = QuantileForecast.__post_init__
+        build = QuantileForecast.__init__
 
-        def counting(self):
+        def counting(self, *args, **kwargs):
+            build(self, *args, **kwargs)
             built.append(self.window)
-            check(self)
 
-        monkeypatch.setattr(QuantileForecast, "__post_init__", counting)
+        monkeypatch.setattr(QuantileForecast, "__init__", counting)
         rows = run_sweep(UNIT, dam_a, dam_f, bm_a, bm_f)
         assert pf_unit(unit, UNIT) == perfect_foresight_dual(unit.horizon, *unit.actuals, UNIT)
         for strategy in STRATEGY_NAMES:
@@ -1013,13 +1012,13 @@ class TestRunSweep:
         bm_a, bm_f = generate_synthetic(1, MarketKind.BM, days=3, noise_sd=3.0)
         parallel = run_sweep(UNIT, dam_a, dam_f, bm_a, bm_f, jobs=2)
         built = []
-        derive = Horizon.__post_init__
+        derive = Horizon.__init__
 
-        def counting(self):
+        def counting(self, *args, **kwargs):
+            derive(self, *args, **kwargs)
             built.append(len(self.windows))
-            derive(self)
 
-        monkeypatch.setattr(Horizon, "__post_init__", counting)
+        monkeypatch.setattr(Horizon, "__init__", counting)
         serial = run_sweep(UNIT, dam_a, dam_f, bm_a, bm_f)
         assert (len(built), built.count(2)) == (15, 3)
         write_report_csv(tmp_path / "serial.csv", serial)
@@ -1031,18 +1030,18 @@ class TestRunSweep:
         dam_a, dam_f = generate_synthetic(1, MarketKind.DAM, days=3, noise_sd=3.0)
         bm_a, bm_f = generate_synthetic(1, MarketKind.BM, days=3, noise_sd=3.0)
         built = {"orders": 0, "schedules": 0}
-        order_init, schedule_check = TradeOrder.__init__, Schedule.__post_init__
+        order_init, schedule_init = TradeOrder.__init__, Schedule.__init__
 
         def counted_order(self, *args, **kwargs):
             built["orders"] += 1
             order_init(self, *args, **kwargs)
 
-        def counted_schedule(self):
+        def counted_schedule(self, *args, **kwargs):
             built["schedules"] += 1
-            schedule_check(self)
+            schedule_init(self, *args, **kwargs)
 
         monkeypatch.setattr(TradeOrder, "__init__", counted_order)
-        monkeypatch.setattr(Schedule, "__post_init__", counted_schedule)
+        monkeypatch.setattr(Schedule, "__init__", counted_schedule)
         rows = run_sweep(UNIT, dam_a, dam_f, bm_a, bm_f)
         assert built == {"orders": 0, "schedules": 0}
         assert sum(r.trades for r in rows if r.pair_label != "average") > 0
@@ -1272,7 +1271,7 @@ def sweep_batteries(draw):
     spec = draw(lattice_batteries())
     usual = st.sampled_from([Fraction(1, 3), Fraction(1), Fraction("0.98"), Fraction("0.8")])
     eff = st.one_of(usual, efficiencies)
-    return replace(spec, charge_eff=draw(eff), discharge_eff=draw(eff))
+    return spec.replace(charge_eff=draw(eff), discharge_eff=draw(eff))
 
 
 def _public_cell(spec, market, strategy, pair, allow, dam, bm):

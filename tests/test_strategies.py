@@ -2,7 +2,6 @@
 
 import pickle
 from collections import deque
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -577,13 +576,13 @@ class TestTs1:
         assert sched.orders == ()
 
     def test_volume_respects_initial_charge(self):
-        spec = replace(BatterySpec.from_mwh("2", "2"), initial_charge=1500)
+        spec = BatterySpec.from_mwh("2", "2").replace(initial_charge=1500)
         sched = ts1(flat_forecast([10, 50]), MEDIAN_PAIR, spec)
         assert sched.orders[0].volume_ticks == 500
 
     def test_initial_charge_out_of_range(self):
         with pytest.raises(ConfigError):
-            ts1(flat_forecast([10, 50]), MEDIAN_PAIR, replace(UNIT, initial_charge=2000))
+            ts1(flat_forecast([10, 50]), MEDIAN_PAIR, UNIT.replace(initial_charge=2000))
 
     @given(price_curves, st.integers(min_value=1, max_value=20))
     def test_scaling_prices_never_moves_the_pair(self, curve, scale):
@@ -686,7 +685,7 @@ class TestTs3:
 
     @given(price_curves, st.booleans(), st.integers(min_value=0, max_value=1000))
     def test_schedules_always_replay(self, curve, allow, initial):
-        spec = replace(UNIT, initial_charge=initial)
+        spec = UNIT.replace(initial_charge=initial)
         sched = ts3(flat_forecast(curve), MEDIAN_PAIR, spec, allow_stock_buys=allow)
         trades = [(o.period, o.signed_ticks) for o in sched.orders]
         final = replay(trades, spec)
