@@ -72,6 +72,7 @@ from bessarb.market import (
 )
 from bessarb.strategies import (
     DEFAULT_PAIRS,
+    STRATEGY_NAMES,
     QuantilePair,
     Schedule,
     _curves,
@@ -79,8 +80,6 @@ from bessarb.strategies import (
     _schedule,
     _trade_legs,
 )
-
-STRATEGY_NAMES = ("TS1", "TS2", "TS3")
 
 
 class SettleResult(Record):

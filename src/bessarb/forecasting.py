@@ -80,6 +80,16 @@ class FeatureMatrix(Record):
                 )
         self._set(market, timestamps, feature_names, features, targets, scale)
 
+    def __eq__(self, other):
+        # the feature block compares cell by cell, not as one truth value;
+        # defining __eq__ leaves the class unhashable, as its array field is
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._key(self), self._key(other))
+        )
+
     def __len__(self) -> int:
         return len(self.timestamps)
 

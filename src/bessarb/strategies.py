@@ -19,8 +19,13 @@ day-ahead pair has traded, the balancing slots outside that pair's span
 and the day-ahead hours inside it.  TS3 sizes each pair with one rule,
 _execute_pair; bottleneck_execute runs that rule on a two-slot path.
 
+TS1 and TS2 are one body too (_ordered_legs): TS2 trades the window's
+best buy-before-sell pair, then does the same on the periods before its
+buy and after its sell; TS1 is TS2's first pair.  STRATEGY_NAMES names
+the three strategies beside their one dispatch, _trade_legs.
+
 Every strategy finds its pairs through one of two integer scans:
-_scan_ordered (buy before sell, for TS1 and TS2) and _scan_unordered
+_scan_ordered (buy before sell, for _ordered_legs) and _scan_unordered
 (either order, for TS3).  A scan reads one buy curve and one sell curve
 per window (_Curves), integers over one scale, weighed by the battery's
 efficiencies (cash_weights, worked out once per battery), so a spread
@@ -308,8 +313,8 @@ def _check_legs(legs: Sequence[tuple[int, int]], period_count: int, strategy: st
         if not signed:
             raise WindowMismatch("orders must have positive volume")
         last = period
-    # pair-stacking strategies always alternate buy, sell, buy, ...
-    if strategy in ("TS1", "TS2") and (
+    # ordered-pair strategies always alternate buy, sell, buy, ...
+    if strategy in _STACKS and (
         any(signed < 0 for _, signed in legs[::2])
         or any(signed > 0 for _, signed in legs[1::2])
     ):
@@ -428,34 +433,25 @@ def _run_worklist(
 # Each body takes one _Curves per window: a forecast's pair of quantile
 # curves (_curves), or the settled prices as both curves (perfect foresight).
 
-def _ts1_legs(curves: _Curves, spec: BatterySpec) -> tuple:
-    found = _scan_ordered(curves, 0, len(curves.buy) - 1)
+def _ordered_legs(curves: _Curves, spec: BatterySpec, stack: bool) -> tuple:
+    """TS1 and TS2: the best buy-before-sell pair of the window, at the fill
+    volume min(ramp, capacity - initial_charge).
+
+    With stack (TS2) the periods strictly before the pair's buy and strictly
+    after its sell are searched again, so the spans are disjoint and the legs
+    come out in period order; TS1 is TS2's first pair.
+    """
     volume = min(spec.ramp, spec.capacity - spec.initial_charge)
-    if found is None or not volume:
-        return ()
-    t_buy, t_sell = found
-    return (t_buy, volume), (t_sell, -volume)
 
-
-def _ts2_legs(curves: _Curves, spec: BatterySpec) -> tuple:
-    volume = min(spec.ramp, spec.capacity - spec.initial_charge)
-    legs: list = []
-
-    def recurse(lo: int, hi: int) -> None:
-        # the periods before a pair's buy, the pair, then those after its
-        # sell: the legs come out in period order
+    def legs(lo: int, hi: int) -> tuple:
         found = _scan_ordered(curves, lo, hi)
         if found is None:
-            return
-        t1, t2 = found
-        recurse(lo, t1 - 1)
-        legs.append((t1, volume))
-        legs.append((t2, -volume))
-        recurse(t2 + 1, hi)
+            return ()
+        t_buy, t_sell = found
+        pair = (t_buy, volume), (t_sell, -volume)
+        return legs(lo, t_buy - 1) + pair + legs(t_sell + 1, hi) if stack else pair
 
-    if volume:
-        recurse(0, len(curves.buy) - 1)
-    return tuple(legs)
+    return legs(0, len(curves.buy) - 1) if volume else ()
 
 
 def _ts3_legs(
@@ -503,6 +499,12 @@ def _ts3_legs(
     return tuple(tuple(sorted(legs)) for _, _, legs in runs)
 
 
+# The strategies a sweep, backtest and pf name: TS1 and TS2 trade ordered
+# pairs (_ordered_legs, whose stack flag each maps to), TS3 the work list.
+_STACKS = {"TS1": False, "TS2": True}
+STRATEGY_NAMES = (*_STACKS, "TS3")
+
+
 def _trade_legs(
     horizon: Horizon,
     curves: Sequence[_Curves],
@@ -513,15 +515,15 @@ def _trade_legs(
     """The strategy's legs over a horizon, one checked tuple per window.
 
     curves holds one _Curves per window of the horizon, a forecast's or the
-    settled prices'.  TS3 trades any horizon; TS1 and TS2 trade one window.
+    settled prices'.  TS3 trades any horizon; TS1 and TS2 trade one window,
+    on one body (_ordered_legs): TS1 is TS2's first pair.
     """
     if strategy == "TS3":
         legs = _ts3_legs(horizon, curves, spec, allow_stock_buys)
     elif len(curves) > 1:
         raise ConfigError("dual-market backtests use strategy TS3")
-    elif strategy in ("TS1", "TS2"):
-        run = _ts1_legs if strategy == "TS1" else _ts2_legs
-        legs = (run(curves[0], spec),)
+    elif strategy in _STACKS:
+        legs = (_ordered_legs(curves[0], spec, _STACKS[strategy]),)
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
     for window, window_legs in zip(horizon.windows, legs):
@@ -537,7 +539,7 @@ def ts1(
     spec: BatterySpec,
 ) -> Schedule:
     """Trade only the single best buy-before-sell pair of the window."""
-    legs = _ts1_legs(_curves(forecast, pair, spec), spec)
+    legs = _ordered_legs(_curves(forecast, pair, spec), spec, False)
     return _schedule(forecast, "TS1", pair, legs)
 
 
@@ -552,7 +554,7 @@ def ts2(
     strictly after its sell are searched again, so all spans are disjoint
     and each one returns the battery to its starting charge.
     """
-    legs = _ts2_legs(_curves(forecast, pair, spec), spec)
+    legs = _ordered_legs(_curves(forecast, pair, spec), spec, True)
     return _schedule(forecast, "TS2", pair, legs)
 
 

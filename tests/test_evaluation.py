@@ -1049,24 +1049,28 @@ class TestRunSweep:
         sched = ts3(dam_f[0], MEDIAN_PAIR, UNIT)
         assert built == {"orders": sched.trade_count, "schedules": 1} and sched.orders
 
-    @pytest.mark.parametrize("body, legs, message", [
+    @pytest.mark.parametrize("body, legs, message, strategy", [
         # TS3's body returns one leg tuple per window of the horizon
-        ("_ts3_legs", (((24, 1000),),), "order period 24 outside window"),
-        ("_ts3_legs", (((3, 1000), (2, -1000)),), "orders must have strictly ascending periods"),
-        ("_ts3_legs", (((3, 0),),), "orders must have positive volume"),
-        ("_ts1_legs", ((2, -1000), (3, 1000)), "TS1 orders must alternate buy/sell"),
-        ("_ts2_legs", ((2, 1000), (3, 1000)), "TS2 orders must alternate buy/sell"),
+        ("_ts3_legs", (((24, 1000),),), "order period 24 outside window", "TS3"),
+        ("_ts3_legs", (((3, 1000), (2, -1000)),), "orders must have strictly ascending periods",
+         "TS3"),
+        ("_ts3_legs", (((3, 0),),), "orders must have positive volume", "TS3"),
+        # TS1 and TS2 share one body
+        ("_ordered_legs", ((2, -1000), (3, 1000)), "TS1 orders must alternate buy/sell", "TS1"),
+        ("_ordered_legs", ((2, 1000), (3, 1000)), "TS2 orders must alternate buy/sell", "TS2"),
     ])
-    def test_sweep_legs_are_checked_as_schedules_are(self, monkeypatch, body, legs, message):
+    def test_sweep_legs_are_checked_as_schedules_are(
+        self, monkeypatch, body, legs, message, strategy
+    ):
         dam_a, dam_f, *_ = self._data()
         monkeypatch.setattr(strategies, body, lambda *args: legs)
         with pytest.raises(WindowMismatch) as err:
-            run_sweep(UNIT, dam_a, dam_f, pairs=(MEDIAN_PAIR,))
+            run_sweep(UNIT, dam_a, dam_f, pairs=(MEDIAN_PAIR,), strategies=(strategy,))
         assert str(err.value) == message
         # backtest's path refuses them with the same message
         (unit,) = window_units(dam_f, dam_a, "day-ahead")
         with pytest.raises(WindowMismatch) as err:
-            trade_unit(unit, f"TS{body[3]}", MEDIAN_PAIR, UNIT)
+            trade_unit(unit, strategy, MEDIAN_PAIR, UNIT)
         assert str(err.value) == message
 
     def test_degenerate_forecasts_collapse_pairs_to_pf(self):

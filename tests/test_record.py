@@ -30,9 +30,11 @@ from bessarb.market import (
 from bessarb.strategies import CandidatePair, QuantilePair, Schedule, TradeOrder
 from conftest import make_forecast, make_prices, make_window
 
-# One shared float array: a tuple holding an array compares it by identity
-# first, so two matrices built on it compare equal.
-_FEATURES = np.array([[1.0, 0.5], [2.0, -0.5]])
+
+def _features():
+    # a fresh array on every call: two matrices compare their cells, not
+    # the identity of one shared array
+    return np.array([[1.0, 0.5], [2.0, -0.5]])
 
 
 def _forecast():
@@ -64,7 +66,7 @@ RECORDS = {
     EconScenario: lambda: EconScenario("1000", "200", "50"),
     CatalogBattery: lambda: load_catalog()["A"],
     FeatureMatrix: lambda: FeatureMatrix(
-        MarketKind.DAM, (BASE_EPOCH, BASE_EPOCH + 3600), ("x", "y"), _FEATURES, (1, 2), 1),
+        MarketKind.DAM, (BASE_EPOCH, BASE_EPOCH + 3600), ("x", "y"), _features(), (1, 2), 1),
     WalkForwardPlan: lambda: WalkForwardPlan(86400, 3600, 3600, 86400),
     WalkForwardResult: lambda: WalkForwardResult((_forecast(),), ((BASE_EPOCH, 3),)),
 }
@@ -136,8 +138,21 @@ def test_pickle_keeps_fields_and_derived_values(cls, protocol):
         record.repaired_curve(record.levels[0])  # fills the derived columns
     restored = pickle.loads(pickle.dumps(record, protocol))
     assert type(restored) is cls and _values(restored) == _values(record)
-    if cls is not FeatureMatrix:  # a copied array is no longer the same object
-        assert restored == record
+    assert restored == record
+
+
+def test_feature_matrices_differing_in_one_cell_differ():
+    matrix = RECORDS[FeatureMatrix]()
+    for cell in np.ndindex(matrix.features.shape):
+        features = matrix.features.copy()
+        features[cell] += 1
+        other = matrix.replace(features=features)
+        assert matrix != other and not matrix == other
+    # a NaN cell compares equal to itself, as a shared float does in a tuple
+    nan = matrix.features.copy()
+    nan[0, 0] = np.nan
+    assert matrix.replace(features=nan) == matrix.replace(features=nan.copy())
+    assert matrix != matrix.replace(features=nan)
 
 
 def test_records_of_two_classes_differ():

@@ -5,7 +5,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from bessarb.battery import (
@@ -18,6 +18,7 @@ from bessarb.errors import ConfigError, InvalidPair, LevelMissing, WindowMismatc
 from bessarb.evaluation import settle
 from bessarb.market import (
     BASE_EPOCH,
+    DEFAULT_LEVELS,
     Horizon,
     MarketKind,
     QuantileForecast,
@@ -637,6 +638,68 @@ class TestTs2:
         assert sides == [Side.BUY, Side.SELL] * (len(sides) // 2)
         final = replay([(o.period, o.signed_ticks) for o in sched.orders], UNIT)
         assert final.charge == UNIT.initial_charge
+
+
+def _oracle_ordered_orders(rows, pair, spec, stack):
+    """TS1 (stack False) or TS2 orders by brute force on exact Fractions.
+
+    Each row is repaired by sorting it.  Every i < j of a range is tried
+    for the largest discharge_eff*S[j] - B[i]/charge_eff, ties to the
+    earliest buy, then the earliest sell; only a positive spread trades, at
+    min(ramp, capacity - initial_charge).  TS2 then searches [lo, i-1] and
+    [j+1, hi] the same way.
+    """
+    repaired = [sorted(row) for row in rows]
+    buy = [row[DEFAULT_LEVELS.index(pair.buy_level)] for row in repaired]
+    sell = [row[DEFAULT_LEVELS.index(pair.sell_level)] for row in repaired]
+    volume = min(spec.ramp, spec.capacity - spec.initial_charge)
+
+    def orders(lo, hi):
+        best = None
+        for i in range(lo, hi + 1):
+            for j in range(i + 1, hi + 1):
+                spread = spec.discharge_eff * sell[j] - buy[i] / spec.charge_eff
+                if best is None or spread > best[0]:
+                    best = (spread, i, j)
+        if best is None or best[0] <= 0:
+            return []
+        _, i, j = best
+        pair_orders = [TradeOrder(i, Side.BUY, volume, buy[i]),
+                       TradeOrder(j, Side.SELL, volume, sell[j])]
+        if not stack:
+            return pair_orders
+        return orders(lo, i - 1) + pair_orders + orders(j + 1, hi)
+
+    return tuple(orders(0, len(rows) - 1)) if volume else ()
+
+
+class TestOrderedPairOracle:
+    """The public ts1 and ts2 give the brute-force oracle's orders: TS1 is
+    TS2's first pair, and TS2 never searches between a pair's legs."""
+
+    # no explain phase: on a failure it took about 130 s of a 150 s report
+    @given(st.data())
+    @settings(max_examples=300, deadline=None,
+              phases=[p for p in Phase if p is not Phase.explain])
+    def test_ts1_and_ts2_match_the_oracle(self, data):
+        draw = data.draw
+        n = draw(st.integers(min_value=1, max_value=24), label="periods")
+        # rows of the five default levels, drawn unsorted, so many are crossed
+        rows = draw(st.lists(
+            st.tuples(*[decimal_prices] * len(DEFAULT_LEVELS)), min_size=n, max_size=n,
+        ), label="rows")
+        fc = exact_forecast(TradingWindow(MarketKind.DAM, BASE_EPOCH, n), DEFAULT_LEVELS, rows)
+        pair = draw(st.sampled_from(DEFAULT_PAIRS), label="pair")
+        floor = draw(st.integers(min_value=0, max_value=2000), label="floor")
+        capacity = floor + draw(st.integers(min_value=1, max_value=4000), label="span")
+        # a start at capacity leaves a fill volume of 0
+        initial = draw(st.one_of(
+            st.just(capacity), st.integers(min_value=floor, max_value=capacity)
+        ), label="start")
+        ramp = draw(st.integers(min_value=1, max_value=5000), label="ramp")
+        spec = BatterySpec(capacity, ramp, floor, initial, draw(efficiencies), draw(efficiencies))
+        assert ts1(fc, pair, spec).orders == _oracle_ordered_orders(rows, pair, spec, False)
+        assert ts2(fc, pair, spec).orders == _oracle_ordered_orders(rows, pair, spec, True)
 
 
 class TestTs3:
