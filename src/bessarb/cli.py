@@ -329,7 +329,7 @@ def _load_market_files(args: argparse.Namespace, prefix: str):
 
 
 def _load_units(args: argparse.Namespace, prefix: str):
-    return window_units(*_load_market_files(args, prefix), prefix)
+    return window_units(*_load_market_files(args, prefix))
 
 
 # --- subcommands ------------------------------------------------------------

@@ -165,21 +165,26 @@ def _unit(
 
 
 def _check_windows(
-    forecasts: Sequence[QuantileForecast], actuals: Sequence[PriceSeries], what: str
+    forecasts: Sequence[QuantileForecast], actuals: Sequence[PriceSeries]
 ) -> None:
-    """Raise WindowMismatch unless forecasts and prices cover the same windows."""
+    """Raise WindowMismatch unless forecasts and prices cover the same windows.
+
+    The message opens with the market of the windows (DAM or BM, as in a
+    report's market column), so every command names a mismatch alike.
+    """
     if len(forecasts) != len(actuals):
-        raise WindowMismatch(f"{what}: forecast and price window counts differ")
+        market = (actuals or forecasts)[0].window.market.value
+        raise WindowMismatch(f"{market}: forecast and price window counts differ")
     for fc, ps in zip(forecasts, actuals):
         if fc.window != ps.window:
-            raise WindowMismatch(f"{what}: forecast and price windows differ")
+            raise WindowMismatch(f"{ps.window.market.value}: forecast and price windows differ")
 
 
 def window_units(
-    forecasts: Sequence[QuantileForecast], actuals: Sequence[PriceSeries], what: str
+    forecasts: Sequence[QuantileForecast], actuals: Sequence[PriceSeries]
 ) -> list[_Unit]:
     """One unit per window; forecasts and prices must cover the same windows."""
-    _check_windows(forecasts, actuals, what)
+    _check_windows(forecasts, actuals)
     return [
         _unit(Horizon((ps.window,)), (fc,), (ps,))
         for fc, ps in zip(forecasts, actuals)
@@ -445,7 +450,7 @@ def score_forecasts(
     and its loss is summed as an integer by `pinball_sum`.  One Fraction is
     built per level, and one for the mean over all cells.
     """
-    _check_windows(forecasts, actuals, "score")
+    _check_windows(forecasts, actuals)
     cells: dict[Fraction, tuple[list, list]] = {}
     for fc, ps in zip(forecasts, actuals):
         actual = [(y, ps.scale) for y in ps.scaled]
@@ -612,12 +617,14 @@ def run_sweep(
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ConfigError(f"sweep repeats {name}")
-    units = {"DAM": window_units(dam_forecasts, dam_actuals, "day-ahead")}
+    units = {"DAM": window_units(dam_forecasts, dam_actuals)}
     blocks = [("DAM", s) for s in strategies]
+    if bm_actuals is None and bm_forecasts is not None:
+        raise ConfigError("balancing forecasts given without prices")
     if bm_actuals is not None:
         if bm_forecasts is None:
             raise ConfigError("balancing prices given without forecasts")
-        units["BM"] = window_units(bm_forecasts, bm_actuals, "balancing")
+        units["BM"] = window_units(bm_forecasts, bm_actuals)
         units["DAM+BM"] = dual_units(units["DAM"], units["BM"])
         blocks.append(("BM", "TS3"))
         if units["DAM+BM"]:

@@ -10,13 +10,13 @@ finished schedule always replays cleanly against the battery bounds no
 matter in which order the strategy discovered its trades.  Every strategy
 starts from the spec's initial_charge.
 
-TS3 is one body over a horizon (_ts3_legs): a work list over an ordered
-list of index ranges, on one charge path of the horizon's events, a plain
-list of the charge after each event.  On one window the list is the
-window, whole.  On a day-ahead window and its balancing window (the
-dual-market scheduler) it is the balancing window alone, or, once the best
-day-ahead pair has traded, the balancing slots outside that pair's span
-and the day-ahead hours inside it.  TS3 sizes each pair with one rule,
+TS3 is one body over a horizon (_ts3_legs), which walks its own work list
+over an ordered list of index ranges, on one charge path of the horizon's
+events, a plain list of the charge after each event.  On one window the
+list is the window, whole.  On a day-ahead window and its balancing window
+(the dual-market scheduler) it is the balancing window alone, or, once the
+best day-ahead pair has traded, the balancing slots outside that pair's
+span and the day-ahead hours inside it.  TS3 sizes each pair with one rule,
 _execute_pair; bottleneck_execute runs that rule on a two-slot path.
 
 TS1 and TS2 are one body too (_ordered_legs): TS2 trades the window's
@@ -390,46 +390,6 @@ def _execute_pair(
     return x_buy, x_sell
 
 
-def _run_worklist(
-    path: list[int],
-    curves: _Curves,
-    lo: int,
-    hi: int,
-    instants: Sequence[int],
-    legs: list,
-    spec: BatterySpec,
-    allow_stock_buys: bool,
-) -> None:
-    """Breadth-first pair extraction over index ranges of one curve pair.
-
-    Walks a list of ranges that grows as it is walked, so ranges are taken
-    in the order they were queued.  Trades a range's cheapest-buy/dearest-
-    sell pair if one exists, then queues the sub-ranges either side of and
-    between the two consumed periods.  Only ranges of two or more periods
-    are queued: a shorter one holds no pair.  A range without a candidate
-    is dropped whole: every sub-range of an unprofitable range is itself
-    unprofitable.  instants[t] is period t's slot on the charge path.  Legs
-    are appended in the order they trade.
-    """
-    work = [(lo, hi)] if lo < hi else []
-    for a, b in work:
-        found = _scan_unordered(curves, a, b)
-        if found is None:
-            continue
-        t_buy, t_sell = found
-        x_buy, x_sell = _execute_pair(
-            path, instants[t_buy], instants[t_sell], spec, allow_stock_buys
-        )
-        _emit(legs, t_buy, x_buy, t_sell, x_sell)
-        first, second = (t_buy, t_sell) if t_buy < t_sell else (t_sell, t_buy)
-        if first - a > 1:
-            work.append((a, first - 1))
-        if second - first > 2:
-            work.append((first + 1, second - 1))
-        if b - second > 1:
-            work.append((second + 1, b))
-
-
 # Each body takes one _Curves per window: a forecast's pair of quantile
 # curves (_curves), or the settled prices as both curves (perfect foresight).
 
@@ -463,11 +423,22 @@ def _ts3_legs(
     """TS3 over a horizon: one sorted leg tuple per window.
 
     Every window's pairs clip against one charge path over the horizon's
-    events.  The work list runs over an ordered list of (window, lo, hi)
-    ranges: the last window, whole, unless a dual horizon's best day-ahead
-    pair (the anchor) trades.  Then the balancing slots before the anchor
-    span come first, those after it next, and the day-ahead hours inside it
-    last.
+    events; instants[t] is period t's slot on that path.  TS3 walks an
+    ordered list of (window, lo, hi) ranges: the last window, whole, unless
+    a dual horizon's best day-ahead pair (the anchor) trades.  Then the
+    balancing slots before the anchor span come first, those after it next,
+    and the day-ahead hours inside it last.
+
+    Each range is worked off in full before the next one starts, as a work
+    list of index ranges that grows as it is walked, so its ranges are taken
+    breadth-first, in the order they were queued.  The path commits pairs in
+    the order they trade, so one queue shared by all ranges would trade
+    differently.  A range trades its
+    cheapest-buy/dearest-sell pair if one exists, then queues the sub-ranges
+    either side of and between the two consumed periods.  Only ranges of two
+    or more periods are queued: a shorter one holds no pair.  A range with
+    no pair is dropped whole: every sub-range of an unprofitable range is
+    itself unprofitable.  Legs are appended in the order they trade.
     """
     path = [spec.initial_charge] * len(horizon.events)
     runs = [(c, instants, []) for c, instants in zip(curves, horizon.instants)]
@@ -495,7 +466,23 @@ def _ts3_legs(
             ]
     for w, lo, hi in ranges:
         window_curves, instants, legs = runs[w]
-        _run_worklist(path, window_curves, lo, hi, instants, legs, spec, allow_stock_buys)
+        work = [(lo, hi)] if lo < hi else []
+        for a, b in work:
+            found = _scan_unordered(window_curves, a, b)
+            if found is None:
+                continue
+            t_buy, t_sell = found
+            x_buy, x_sell = _execute_pair(
+                path, instants[t_buy], instants[t_sell], spec, allow_stock_buys
+            )
+            _emit(legs, t_buy, x_buy, t_sell, x_sell)
+            first, second = (t_buy, t_sell) if t_buy < t_sell else (t_sell, t_buy)
+            if first - a > 1:
+                work.append((a, first - 1))
+            if second - first > 2:
+                work.append((first + 1, second - 1))
+            if b - second > 1:
+                work.append((second + 1, b))
     return tuple(tuple(sorted(legs)) for _, _, legs in runs)
 
 

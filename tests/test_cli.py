@@ -737,6 +737,29 @@ class TestScore:
         }
 
 
+class TestWindowMismatch:
+    def test_every_command_names_it_by_market(self, tmp_path, capsys):
+        """Prices one day long against a 3-day forecast: backtest, sweep and
+        score print the same error, which names the report's market."""
+        data = tmp_path / "data"
+        run(capsys, "gen", "--out", str(data), "--days", "3", "--markets", "dam")
+        short = tmp_path / "short.csv"
+        short.write_text("".join((data / "dam_actuals.csv").read_text().splitlines(True)[:25]))
+        forecast = str(data / "dam_forecast.csv")
+        markets = ("--dam-actuals", str(short), "--dam-forecast", forecast)
+        for argv in (
+            ("backtest", "--market", "dam", *markets),
+            ("sweep", *markets, "--out", str(tmp_path / "out")),
+            ("score", "--forecast", forecast, "--actuals", str(short)),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, ""), argv
+            assert stderr_error(err) == {
+                "error": "WindowMismatch",
+                "message": "DAM: forecast and price window counts differ",
+            }, argv
+
+
 class TestEcon:
     def test_catalog_asset_projection(self, tmp_path, capsys):
         out = tmp_path / "e"

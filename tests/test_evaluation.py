@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from bessarb import errors, evaluation, strategies
@@ -524,7 +524,7 @@ class TestDpOptimal:
         # sells one ramp at 40 and one at 30, each at the 0.8 discharge rate.
         spec = BatterySpec.from_mwh("2", "1")
         curve = [40, 30, 20]
-        (unit,) = window_units([flat_forecast(curve)], [make_prices(curve)], "BM")
+        (unit,) = window_units([flat_forecast(curve)], [make_prices(curve)])
         assert spec.initial_charge == spec.min_charge
         assert dp_unit(unit, spec) == 0
         assert dp_unit(unit, spec.replace(initial_charge=spec.capacity)) == Fraction(56)
@@ -597,7 +597,7 @@ def dp_units(draw):
             window = TradingWindow(kind, BASE_EPOCH, kind.periods_per_window)
             units[kind.value] = window_units(
                 [flat_forecast([0] * window.period_count, market=kind)],
-                [_series(draw, window, kind.value)], kind.value,
+                [_series(draw, window, kind.value)],
             )
     (unit,) = dual_units(units["DAM"], units["BM"]) if market == "DAM+BM" else units[market]
     ramp = draw(st.integers(min_value=1, max_value=1500), label="ramp")
@@ -726,8 +726,10 @@ class TestUnitPathBounds:
     the final charge of each unit carried into the next.
     """
 
+    # no explain phase: a failure took 54 s to report with it, 30 s without
     @given(lattice_batteries(), st.data())
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120, deadline=None,
+              phases=[p for p in Phase if p is not Phase.explain])
     def test_trade_and_pf_stay_within_dp(self, spec, data):
         market = data.draw(st.sampled_from(["DAM", "BM", "DAM+BM"]), label="market")
         days = data.draw(st.integers(min_value=1, max_value=2), label="days")
@@ -742,7 +744,6 @@ class TestUnitPathBounds:
             by_market[kind.value] = window_units(
                 [_unit_forecast(data.draw, w, kind.value) for w in windows],
                 [_series(data.draw, w, kind.value) for w in windows],
-                kind.value,
             )
         if market == "DAM+BM":
             units = dual_units(by_market["DAM"], by_market["BM"])
@@ -779,8 +780,10 @@ class TestPfOnPrices:
     settled.
     """
 
+    # no explain phase: a failure took 303 s to report with it, 9 s without
     @given(lattice_batteries(), st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None,
+              phases=[p for p in Phase if p is not Phase.explain])
     def test_equals_the_strategy_on_pinned_forecasts(self, spec, data):
         draw = data.draw
         market = draw(st.sampled_from(["DAM", "BM", "DAM+BM"]), label="market")
@@ -795,7 +798,7 @@ class TestPfOnPrices:
             else:
                 ps = _series(draw, window, kind.value)
             # the unit's own forecast is noise that pf must not read
-            units.append(window_units([_unit_forecast(draw, window, kind.value)], [ps], market))
+            units.append(window_units([_unit_forecast(draw, window, kind.value)], [ps]))
             actuals.append(ps)
         pinned = [degenerate_forecast(ps) for ps in actuals]
         if market == "DAM+BM":
@@ -983,12 +986,20 @@ class TestRunSweep:
         rows = run_sweep(UNIT, dam_a, dam_f, pairs=pairs, strategies=("TS3",))
         assert len(rows) == 3  # two pair rows plus one average
 
+    @pytest.mark.parametrize("given, missing", [("prices", "forecasts"),
+                                                ("forecasts", "prices")])
+    def test_half_a_balancing_market_is_refused(self, given, missing):
+        dam_a, dam_f, bm_a, bm_f = self._data()
+        half = (bm_a, None) if given == "prices" else (None, bm_f)
+        with pytest.raises(ConfigError, match=f"^balancing {given} given without {missing}$"):
+            run_sweep(UNIT, dam_a, dam_f, *half)
+
     def test_pf_trades_the_prices_and_builds_no_forecast(self, monkeypatch):
         # the benchmark sweep's input: seed 1, 3 days, 3 DAM and 9 BM windows
         dam_a, dam_f = generate_synthetic(1, MarketKind.DAM, days=3, noise_sd=3.0)
         bm_a, bm_f = generate_synthetic(1, MarketKind.BM, days=3, noise_sd=3.0)
-        (unit,) = dual_units(window_units(dam_f[:1], dam_a[:1], "day-ahead"),
-                             window_units(bm_f[:1], bm_a[:1], "balancing"))
+        (unit,) = dual_units(window_units(dam_f[:1], dam_a[:1]),
+                             window_units(bm_f[:1], bm_a[:1]))
         built = []
         build = QuantileForecast.__init__
 
@@ -1068,7 +1079,7 @@ class TestRunSweep:
             run_sweep(UNIT, dam_a, dam_f, pairs=(MEDIAN_PAIR,), strategies=(strategy,))
         assert str(err.value) == message
         # backtest's path refuses them with the same message
-        (unit,) = window_units(dam_f, dam_a, "day-ahead")
+        (unit,) = window_units(dam_f, dam_a)
         with pytest.raises(WindowMismatch) as err:
             trade_unit(unit, strategy, MEDIAN_PAIR, UNIT)
         assert str(err.value) == message
@@ -1166,8 +1177,8 @@ class TestRunSweep:
         dam_a, dam_f, _, _ = self._data(days=2)
         bm_a, bm_f = generate_synthetic(4, MarketKind.BM, days=1)
         units = dual_units(
-            window_units(dam_f, dam_a, "day-ahead"),
-            window_units(bm_f, bm_a, "balancing"),
+            window_units(dam_f, dam_a),
+            window_units(bm_f, bm_a),
         )
         # day 2 has no balancing data; day 1 pairs with its first window only
         assert [(u.forecasts, u.actuals) for u in units] == [
@@ -1186,8 +1197,8 @@ class TestRunSweep:
         pairs = (MEDIAN_PAIR, QuantilePair("0.1", "0.9"), QuantilePair("0.3", "0.7"))
         rows = run_sweep(spec, dam_a, dam_f, bm_a, bm_f, pairs=pairs, jobs=jobs,
                          allow_stock_buys=True, include_average=False)
-        dam = window_units(dam_f, dam_a, "day-ahead")
-        bm = window_units(bm_f, bm_a, "balancing")
+        dam = window_units(dam_f, dam_a)
+        bm = window_units(bm_f, bm_a)
         units = {"DAM": dam, "BM": bm, "DAM+BM": dual_units(dam, bm)}
         pair_of = {pair.label: pair for pair in pairs}
         assert {r.market for r in rows} == set(units)
@@ -1343,7 +1354,7 @@ class TestLegsMatchSchedules:
         dam = self._draw_market(data, MarketKind.DAM, 1)
         bm = self._draw_market(data, MarketKind.BM, 1)
         units = {
-            kind: window_units([fc for fc, _ in rows], [ps for _, ps in rows], kind)
+            kind: window_units([fc for fc, _ in rows], [ps for _, ps in rows])
             for kind, rows in (("DAM", dam), ("BM", bm))
         }
         (unit,) = dual_units(units["DAM"], units["BM"]) if market == "DAM+BM" else units[market]

@@ -742,6 +742,21 @@ class TestTs3:
         final = replay([(o.period, o.signed_ticks) for o in sched.orders], UNIT)
         assert final.charge == 1000
 
+    def test_sub_ranges_trade_earliest_first(self):
+        # the first pair (2, 3) queues [0, 1] and [4, 5], each a sell-first
+        # pair that sells the stored charge: [0, 1] trades first, so it still
+        # finds that charge, and [4, 5] finds it bought back at period 1
+        spec = UNIT.replace(capacity=2000, initial_charge=1000)
+        sched = ts3(flat_forecast([3, 2, 1, 4, 3, 1]), MEDIAN_PAIR, spec)
+        assert [(o.period, o.side, o.volume_ticks) for o in sched.orders] == [
+            (0, Side.SELL, 1000),
+            (1, Side.BUY, 1000),
+            (2, Side.BUY, 1000),
+            (3, Side.SELL, 1000),
+            (4, Side.SELL, 1000),
+            (5, Side.BUY, 1000),
+        ]
+
     def test_nonpositive_ranges_are_dropped_whole(self):
         sched = ts3(flat_forecast([50, 45, 40, 35]), MEDIAN_PAIR, UNIT)
         assert sched.orders == ()
