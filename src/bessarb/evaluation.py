@@ -45,7 +45,7 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from bessarb._numeric import (
     exact,
@@ -446,31 +446,34 @@ def score_forecasts(
 ) -> PinballReport:
     """Mean pinball loss per quantile level and over all cells, exact.
 
-    Each level's actuals and predictions are scaled to integers over one L,
-    and its loss is summed as an integer by `pinball_sum`.  One Fraction is
-    built per level, and one for the mean over all cells.
+    Every window's actuals and predictions are scaled once, to integers over
+    L, the lcm of every forecast and price scale.  Forecasts may carry
+    different levels, so each level keeps its own list of cells, and its
+    loss is summed as an integer by `pinball_sum`.  One Fraction is built
+    per level, and one for the mean over all cells.
     """
     _check_windows(forecasts, actuals)
-    cells: dict[Fraction, tuple[list, list]] = {}
+    scale = math.lcm(*(fc.scale for fc in forecasts), *(ps.scale for ps in actuals))
+    cells: dict[tuple[int, int], tuple[list, list]] = {}  # by the level's a/b
     for fc, ps in zip(forecasts, actuals):
-        actual = [(y, ps.scale) for y in ps.scaled]
+        m = scale // ps.scale
+        actual = [y * m for y in ps.scaled]
+        m = scale // fc.scale
         for lv, column in zip(fc.levels, zip(*fc.scaled)):
-            ys, zs = cells.setdefault(lv, ([], []))
+            ys, zs = cells.setdefault(lv.as_integer_ratio(), ([], []))
             ys += actual
-            zs += [(z, fc.scale) for z in column]
+            zs += [z * m for z in column]
     if not cells:
         raise WindowMismatch("nothing to score")
-    per_level, sums = {}, []
-    for lv in sorted(cells):
-        ys, zs = cells[lv]
-        values, scale = scale_ratios(ys + zs)
-        n = len(ys)
-        loss = pinball_sum(lv.numerator, lv.denominator, values[:n], values[n:])
-        per_level[lv] = Fraction(loss, lv.denominator * scale * n)
-        sums.append((loss, lv.denominator * scale))
+    per_level, losses = {}, []
+    for a, b in sorted(cells, key=lambda ratio: Fraction(*ratio)):
+        ys, zs = cells[a, b]
+        loss = pinball_sum(a, b, ys, zs)
+        per_level[Fraction(a, b)] = Fraction(loss, b * scale * len(ys))
+        losses.append((loss, b))
     total_cells = sum(len(ys) for ys, _ in cells.values())
-    losses, den = scale_ratios(sums)
-    mean = Fraction(sum(losses), den * total_cells)
+    sums, den = scale_ratios(losses)
+    mean = Fraction(sum(sums), den * scale * total_cells)
     return PinballReport(per_level, mean, total_cells)
 
 
@@ -663,7 +666,22 @@ def _format_trades(trades: Fraction) -> str:
     return format_money(trades).rstrip("0").rstrip(".")
 
 
-def _report_row(r: BacktestReport) -> dict:
+def _totals_formatter() -> Callable[[Fraction], str]:
+    """format_money for one writer call: a block's rows share their pf and
+    dp totals, so each distinct total is formatted once."""
+    texts: dict[tuple[int, int], str] = {}
+
+    def total(value: Fraction) -> str:
+        ratio = value.as_integer_ratio()
+        text = texts.get(ratio)
+        if text is None:
+            text = texts[ratio] = format_cents(*ratio)
+        return text
+
+    return total
+
+
+def _report_row(r: BacktestReport, total: Callable[[Fraction], str]) -> dict:
     """One report row's columns, for the CSV and JSON files alike."""
     return {
         "market": r.market,
@@ -671,22 +689,24 @@ def _report_row(r: BacktestReport) -> dict:
         "pair": r.pair_label,
         "profit_eur": format_money(r.realized),
         "trades": _format_trades(r.trades),
-        "pf_eur": format_money(r.pf),
-        "dp_eur": format_money(r.dp),
+        "pf_eur": total(r.pf),
+        "dp_eur": total(r.dp),
         "windows": r.windows,
     }
 
 
 def write_report_csv(path: str | Path, reports: Iterable[BacktestReport]) -> None:
     """One line per row: the fields of _report_row, in its key order."""
+    total = _totals_formatter()
     lines = ["market,strategy,pair,profit_eur,trades,pf_eur,dp_eur,windows"]
-    lines += [",".join(map(str, _report_row(r).values())) for r in reports]
+    lines += [",".join(map(str, _report_row(r, total).values())) for r in reports]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_report_json(path: str | Path, reports: Iterable[BacktestReport]) -> None:
+    total = _totals_formatter()
     doc = [
-        {**_report_row(r), "window_profits_eur": [format_money(x) for x in r.per_window]}
+        {**_report_row(r, total), "window_profits_eur": [format_money(x) for x in r.per_window]}
         for r in reports
     ]
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

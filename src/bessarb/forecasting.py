@@ -13,7 +13,10 @@ k-th float distance is inf or NaN, and the query and every training
 feature are finite, that query is ranked in exact integer arithmetic.
 Targets are read as integers over one L when the feature CSV is read.  A
 quantile at level a/b is read off the sorted neighbour targets by linear
-interpolation at rank (k - 1) * a/b, as an integer over b * L.  The
+interpolation at rank (k - 1) * a/b, as an integer over b * L.  `fit`
+holds the targets as one numpy array, in int64 when no such integer can
+overflow it and as Python ints otherwise, so every query's neighbours are
+gathered, sorted and interpolated in one array expression.  The
 walk-forward forecasts keep those integers; `predict` returns Fractions.
 """
 
@@ -44,6 +47,7 @@ from bessarb.market import (
     MarketKind,
     QuantileForecast,
     _coerce_level,
+    _whole_file,
     cut_windows,
     format_timestamp,
     read_table,
@@ -94,17 +98,14 @@ class FeatureMatrix(Record):
         return len(self.timestamps)
 
     def slice_by_time(self, start_s: int, end_s: int) -> "FeatureMatrix":
-        # timestamps strictly increase, so the rows in [start_s, end_s) are a run
+        # timestamps strictly increase, so the rows in [start_s, end_s) are a
+        # run, and a run of a checked matrix needs no check of its own
         lo = bisect_left(self.timestamps, start_s)
         hi = bisect_left(self.timestamps, end_s)
-        return FeatureMatrix(
-            self.market,
-            self.timestamps[lo:hi],
-            self.feature_names,
-            self.features[lo:hi],
-            self.targets[lo:hi],
-            self.scale,
-        )
+        run = object.__new__(FeatureMatrix)
+        run._set(self.market, self.timestamps[lo:hi], self.feature_names,
+                 self.features[lo:hi], self.targets[lo:hi], self.scale)
+        return run
 
     @classmethod
     def from_csv(cls, path: str | Path, market: MarketKind) -> "FeatureMatrix":
@@ -118,30 +119,38 @@ class FeatureMatrix(Record):
         every n below 4e107, more rows than any array can hold: no column
         read here overflows the mean or the std.  The cells are checked
         once every row has parsed, so another fault in the file is named
-        first.  A matrix built directly is not checked.
+        first.  A matrix built directly is not checked.  A canonical file,
+        as bessarb writes one, is read in one pass (market._whole_file) and
+        any other by read_table; a header alone reads as a (0, n) matrix.
         """
-        rows = read_table(path)
-        _, header = next(rows)
+        whole = _whole_file(path, market, features=True)
+        rows = None if whole else read_table(path)
+        header = whole[0] if whole else next(rows)[1]
         if len(header) < 3 or header[0].lower() != "timestamp" or header[-1].lower() != "target":
             raise UnknownColumn(f"{path}: expected header timestamp,<features...>,target")
         names = tuple(header[1:-1])
-        timestamps, lines, feats, targets = [], [], [], []
-        for line, ts, cells in rows:
-            timestamps.append(ts)
-            lines.append(line)
-            try:
-                feats.append([float(c) for c in cells[:-1]])
-            except ValueError:
-                raise MalformedRow(line, f"{path}: non-numeric feature") from None
-            targets.append(parse_ratio(cells[-1], line=line))
-        features = np.array(feats)
+        if whole:
+            _, epochs, feats, targets, scale = whole
+            timestamps, lines = tuple(epochs), range(2, len(epochs) + 2)
+        else:
+            timestamps, lines, feats, targets = [], [], [], []
+            for line, ts, cells in rows:
+                timestamps.append(ts)
+                lines.append(line)
+                try:
+                    feats += map(float, cells[:-1])
+                except ValueError:
+                    raise MalformedRow(line, f"{path}: non-numeric feature") from None
+                targets.append(parse_ratio(cells[-1], line=line))
+            (targets, scale), timestamps = scale_ratios(targets), tuple(timestamps)
+        features = np.array(feats, dtype=float).reshape(len(timestamps), len(names))
         # NaN fails every comparison, so this finds non-finite cells too
         beyond = np.flatnonzero(~(np.abs(features) <= _FEATURE_BOUND).all(axis=-1))
         if beyond.size:
             raise MalformedRow(
                 lines[beyond[0]], f"{path}: feature not finite or beyond {_FEATURE_BOUND:g}"
             )
-        return cls(market, tuple(timestamps), names, features, *scale_ratios(targets))
+        return cls(market, timestamps, names, features, tuple(targets), scale)
 
 
 def _standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +184,7 @@ class KnnQuantileForecaster:
             self._train = (matrix.features - self._mean) / self._std
         self._fit_finite = bool(np.isfinite(self._mean).all() and np.isfinite(self._std).all())
         self._features = matrix.features
-        self._targets, self._scale = matrix.targets, matrix.scale
+        self._targets, self._scale = _target_array(matrix.targets, self._level_lcm), matrix.scale
         return self
 
     def _ranking(self, features, k: int) -> np.ndarray:
@@ -223,7 +232,7 @@ class KnnQuantileForecaster:
         """predict's rows as integers, and the one scale they are over."""
         ranking = self._ranking(features, self.k)
         rows = _interpolate(ranking, self.k, self._targets, self._level_terms)
-        return rows, self._level_lcm * self._scale
+        return rows.tolist(), self._level_lcm * self._scale
 
     def predict(self, features) -> list[tuple[Fraction, ...]]:
         rows, den = self._predict_scaled(features)
@@ -263,26 +272,42 @@ def _exact_ranking(features: np.ndarray, query: list[float], k: int) -> list[int
     return sorted(range(n), key=dist.__getitem__)[:k]
 
 
-def _interpolate(ranking: np.ndarray, k: int, targets: Sequence[int],
-                 terms: Sequence[tuple[int, int, int]]) -> list[list[int]]:
-    """Per ranked query, each level's quantile of its k nearest targets.
+def _target_array(targets: Sequence[int], lcm: int) -> np.ndarray:
+    """The targets for _interpolate: int64 when 3 * max|t| * B < 2**63.
 
-    `targets` are integers over L, and `terms` holds (a, b, B // b) per
-    level a/b, B the lcm of the level denominators.  Rank (k - 1) * a/b
-    splits into lo + rem/b, so each quantile is an integer over B * L.
+    B is the lcm of the level denominators.  A quantile at a/b is
+    (lo * b + rem * (hi - lo)) * (B // b), rem < b, so no partial sum of it
+    exceeds 3 * max|t| * B in magnitude; max|t| counts as at least 1, so b
+    and B // b fit too.  Past the bound the array holds the Python ints,
+    which numpy sorts and adds as objects.
     """
-    splits = [(*divmod((k - 1) * a, b), b, w) for a, b, w in terms]
-    out = []
-    for row in ranking[:, :k].tolist():
-        nb = sorted(targets[i] for i in row)
-        cells = []
-        for lo, rem, b, w in splits:
-            value = nb[lo] * b
-            if rem:
-                value += rem * (nb[lo + 1] - nb[lo])
-            cells.append(value * w)
-        out.append(cells)
-    return out
+    try:
+        array = np.array(targets, dtype=np.int64)
+        if 3 * max(int(array.max(initial=1)), -int(array.min(initial=0)), 1) * lcm < 2**63:
+            return array
+    except OverflowError:
+        pass
+    return np.array(targets, dtype=object)
+
+
+def _interpolate(ranking: np.ndarray, k: int, targets: np.ndarray,
+                 terms: Sequence[tuple[int, int, int]]) -> np.ndarray:
+    """Per ranked query (a row), each level's quantile of its k nearest targets.
+
+    `targets` (_target_array) are integers over L, and `terms` holds
+    (a, b, B // b) per level a/b, B the lcm of the level denominators.  Rank
+    (k - 1) * a/b splits into lo + rem/b, so each quantile is an integer
+    over B * L.
+    """
+    nb = np.sort(targets[ranking[:, :k]], axis=1)
+    columns = []
+    for a, b, w in terms:
+        lo, rem = divmod((k - 1) * a, b)
+        value = nb[:, lo] * b
+        if rem:
+            value += rem * (nb[:, lo + 1] - nb[:, lo])
+        columns.append(value * w)
+    return np.stack(columns, axis=1)
 
 
 class WalkForwardPlan(Record):
@@ -334,7 +359,7 @@ def _choose_k(train: FeatureMatrix, plan: WalkForwardPlan, train_end_s: int) -> 
     actual = [y * model._level_lcm for y in val.targets]
     best_k, best_loss = None, None
     for k in ks:
-        columns = zip(*_interpolate(ranking, k, fit.targets, model._level_terms))
+        columns = _interpolate(ranking, k, model._targets, model._level_terms).T.tolist()
         loss = sum(
             w * pinball_sum(a, b, actual, col)
             for (a, b, w), col in zip(model._level_terms, columns)

@@ -1,7 +1,10 @@
 """Market data containers, CSV ingest/emit and synthetic data generation.
 
 Every timestamped CSV (prices, forecasts and forecasting features) is
-read by read_table, and cut_windows cuts rows into trading windows.
+first offered to _whole_file, which reads a canonical file in one pass:
+the files the package writes, and any file written the same way.  Any
+other file is read by read_table, and cut_windows cuts its rows into
+trading windows, so every fault and warning comes from that row reader.
 
 Two market granularities are supported: hourly day-ahead windows of 24
 periods and half-hourly balancing windows of 16 periods.  Prices are exact
@@ -27,14 +30,17 @@ their trades in wall-clock order once.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from datetime import date, datetime
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from bessarb._numeric import (
+    _PLAIN,
     decimal_formatter,
     exact,
     format_decimal,
@@ -153,6 +159,7 @@ def timestamp_formatter() -> Callable[[int], str]:
 # The times of day of the half-hour grid both markets trade on, as
 # format_timestamp names them.  Each read_table call starts from a copy.
 _GRID_SECONDS = {_time_text(s): s for s in range(0, 86400, 1800)}
+_GRID_TEXTS = tuple(_GRID_SECONDS)
 
 
 def _epochs(window: TradingWindow) -> range:
@@ -235,7 +242,7 @@ class QuantileForecast(Record, derived=("_repaired",)):
                 raise WindowMismatch(
                     f"forecast row has {len(row)} values for {width} levels"
                 )
-        flat, scale = lowest_scale((n for row in scaled for n in row), scale)
+        flat, scale = lowest_scale(chain.from_iterable(scaled), scale)
         rows = tuple(flat[t * width:(t + 1) * width] for t in range(len(scaled)))
         self._set(window, levels, rows, scale, None)
 
@@ -276,6 +283,8 @@ def read_table(path: str | Path):
     The file must be UTF-8, after an optional byte-order mark, and every
     row must have as many cells as the header and open with a timestamp
     after the one before; a fault raises with the file and line.
+
+    The readers send here only a file that _whole_file declines.
 
     As timestamp_formatter does for writers, each call keeps one table
     from date text to the day's epoch seconds and one from time-of-day text
@@ -365,12 +374,93 @@ def cut_windows(
     return windows
 
 
+_STAMP = r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ"
+_FLOAT = _PLAIN + r"(?:e[-+]?\d+)?"
+
+
+def _whole_file(path, market: MarketKind, features: bool = False):
+    """A canonical file read in one pass, or None for read_table to read.
+
+    Canonical: ASCII, a printable header line, then rows that each end in
+    `\\n` and hold format_timestamp's text of an instant on the half-hour
+    grid, one period after the row before, and one unpadded plain decimal
+    per further header cell; without `features`, a whole number of windows.
+    With `features`, every cell but a row's last may also carry an exponent,
+    and is read by float.  Gives (header cells, the rows' epochs as a range,
+    the float cells, the plain cells as integers over one 10**k, 10**k).
+    It raises nothing: an unreadable file, or a cell past int's digit limit,
+    is declined.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        return None
+    if not data.isascii():
+        return None
+    head, _, body = data.decode("ascii").partition("\n")
+    header = [cell.strip() for cell in head.split(",")]
+    width = len(header)
+    if not head.isprintable() or width < 2:  # a blank line has no comma
+        return None
+    cells = [_FLOAT if features else _PLAIN] * (width - 2) + [_PLAIN]
+    if not re.fullmatch(f"(?:{_STAMP}{''.join(',' + c for c in cells)}\n)*", body):
+        return None
+    flat = body.replace("\n", ",").split(",")[:-1]
+    stamps = flat[::width]
+    step, n = market.period_seconds, len(stamps)
+    if not features and n % market.periods_per_window:
+        return None
+    epochs, want = range(0), []
+    if n:
+        try:
+            first = parse_timestamp(stamps[0])
+        except MalformedRow:
+            return None
+        epochs = range(first, first + n * step, step)
+        # each day's date text, joined to the grid's times of day in turn
+        day, second = divmod(first, 86400)
+        times, at = _GRID_TEXTS[second % step // 1800::step // 1800], second // step
+        while second % 1800 == 0 and len(want) < n:
+            date_text = _date_text(day)
+            want += [date_text + time for time in times[at:at + n - len(want)]]
+            day, at = day + 1, 0
+    if stamps != want:
+        return None
+    del flat[::width]
+    floats = []
+    if features:  # a row's last cell is its target
+        floats, flat = flat, flat[width - 2::width - 1]
+        del floats[width - 2::width - 1]
+        floats = list(map(float, floats))
+    parts = [cell.partition(".") for cell in flat]
+    k = max((len(part) for _, _, part in parts), default=0)
+    try:
+        ints = [int(whole + part.ljust(k, "0")) for whole, _, part in parts]
+    except ValueError:  # past int's digit limit: the row reader says so
+        return None
+    return header, epochs, floats, ints, 10 ** k
+
+
+def _window_blocks(market: MarketKind, epochs: range, values: list, size: int):
+    """(window, its `size` values per period) of each whole window of `epochs`."""
+    per = market.periods_per_window
+    span = per * size
+    return [
+        (TradingWindow(market, start, per), values[i * span:(i + 1) * span])
+        for i, start in enumerate(epochs[::per])
+    ]
+
+
 def parse_price_csv(path: str | Path, market: MarketKind) -> list[PriceSeries]:
     """Read `timestamp,price` rows into whole trading windows."""
-    rows = read_table(path)
-    _, header = next(rows)
+    whole = _whole_file(path, market)
+    rows = None if whole else read_table(path)
+    header = whole[0] if whole else next(rows)[1]
     if [c.lower() for c in header] != ["timestamp", "price"]:
         raise UnknownColumn(f"{path}: expected header timestamp,price")
+    if whole:
+        _, epochs, _, ints, scale = whole
+        return [PriceSeries(w, v, scale) for w, v in _window_blocks(market, epochs, ints, 1)]
     prices = ((line, ts, parse_ratio(cells[0], line=line)) for line, ts, cells in rows)
     return [
         PriceSeries(w, *scale_ratios(block))
@@ -391,8 +481,9 @@ def _parse_level_column(name: str, *, path, line: int) -> Fraction:
 
 def parse_forecast_csv(path: str | Path, market: MarketKind) -> list[QuantileForecast]:
     """Read `timestamp,q10,q50,...` rows into whole forecast windows."""
-    rows = read_table(path)
-    header_line, header = next(rows)
+    whole = _whole_file(path, market)
+    rows = None if whole else read_table(path)
+    header_line, header = (1, whole[0]) if whole else next(rows)
     if len(header) < 2 or header[0].lower() != "timestamp":
         raise UnknownColumn(f"{path}: expected header timestamp,q<level>,...")
     levels = tuple(
@@ -401,13 +492,20 @@ def parse_forecast_csv(path: str | Path, market: MarketKind) -> list[QuantileFor
     if list(levels) != sorted(set(levels)):
         raise LevelOutOfRange(f"{path}: quantile columns must ascend strictly")
     width = len(levels)
-    ratios = ((line, ts, parse_ratios(cells, line=line)) for line, ts, cells in rows)
-    forecasts = []
-    for w, block in cut_windows(ratios, market, path):
-        flat, scale = scale_ratios([ratio for row in block for ratio in row])
-        rows = [flat[t:t + width] for t in range(0, len(flat), width)]
-        forecasts.append(QuantileForecast(w, levels, rows, scale))
-    return forecasts
+    if whole:
+        _, epochs, _, ints, scale = whole
+        blocks = [(w, v, scale) for w, v in _window_blocks(market, epochs, ints, width)]
+    else:
+        ratios = ((line, ts, parse_ratios(cells, line=line)) for line, ts, cells in rows)
+        blocks = [
+            (w, *scale_ratios([ratio for row in block for ratio in row]))
+            for w, block in cut_windows(ratios, market, path)
+        ]
+    return [
+        QuantileForecast(w, levels, [flat[t:t + width] for t in range(0, len(flat), width)],
+                         scale)
+        for w, flat, scale in blocks
+    ]
 
 
 def write_price_csv(path: str | Path, series: Iterable[PriceSeries]) -> None:

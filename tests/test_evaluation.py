@@ -8,13 +8,14 @@ import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from bessarb import errors, evaluation, strategies
-from bessarb._numeric import ticks_to_mwh
+from bessarb._numeric import format_cents, ticks_to_mwh
 from bessarb.battery import (
     BatterySpec,
     BatteryState,
@@ -1482,6 +1483,30 @@ class TestReportWriters:
         text = path.read_text()
         assert '"profit_eur": "29.80"' in text
         assert '"window_profits_eur"' in text
+
+    def test_each_distinct_total_is_formatted_once(self, tmp_path):
+        # two blocks of rows; each block shares its pf and dp totals, and the
+        # second block's dp equals the first block's pf
+        pf, dp, dp2 = Fraction("149.25"), Fraction("149.6"), Fraction(597, 4)
+        rows = [
+            BacktestReport("DAM" if i < 8 else "BM", "TS3", f"{i}", Fraction(i, 7),
+                           Fraction(i), pf if i < 8 else dp, dp if i < 8 else dp2, 4)
+            for i in range(16)
+        ]
+        calls = []
+
+        def counting(num, den):
+            calls.append((num, den))
+            return format_cents(num, den)
+
+        with mock.patch.object(evaluation, "format_cents", counting):
+            write_report_csv(tmp_path / "report.csv", rows)
+            assert sorted(calls) == sorted({x.as_integer_ratio() for x in (pf, dp, dp2)})
+            calls.clear()
+            write_report_json(tmp_path / "report.json", rows)
+            assert sorted(calls) == sorted({x.as_integer_ratio() for x in (pf, dp, dp2)})
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        assert lines[1].endswith(",149.25,149.60,4") and lines[9].endswith(",149.60,149.25,4")
 
     def test_plot_csv_spread(self, tmp_path):
         path = tmp_path / "plot.csv"

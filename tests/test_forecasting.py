@@ -294,6 +294,24 @@ class TestFractionOracles:
             for k in range(1, len(train) + 1):
                 assert model._ranking(np.array(queries), k).tolist() == [e[:k] for e in exact]
 
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_interpolation_at_the_int64_guard(self, past):
+        """Targets as large as int64 interpolation takes, and one past it:
+        the second are held as Python ints.  Levels of large denominator
+        interpolate between the farthest targets, -M and M."""
+        levels = (Fraction(1, 3), Fraction(123457, 1000003), Fraction(999999, 1000000))
+        lcm = math.lcm(*(lv.denominator for lv in levels))
+        top = (2**63 - 1) // (3 * lcm) + past  # the largest M with 3 * M * B < 2**63
+        targets = [top, -top, 1 - top, top - 1, 0, 7]
+        train = [[float(i)] for i in range(len(targets))]
+        queries = [[0.0], [2.5], [5.0]]
+        for k in (2, 3, len(targets)):
+            model = KnnQuantileForecaster(k, levels).fit(train_matrix(train, targets))
+            assert model._targets.dtype == (object if past else np.int64)
+            got = model.predict(queries)
+            assert got == fraction_predict(train, targets, k, levels, queries)
+            assert all(type(v) is Fraction for row in got for v in row)
+
     @given(feature_tables(rows=32), st.data())
     @settings(max_examples=60, deadline=None)
     def test_choose_k_matches_per_k_fraction_loop(self, table, data):
@@ -463,6 +481,18 @@ class TestFeatureMatrix:
             FeatureMatrix.from_csv(path, MarketKind.BM)
         assert "line 2" in str(err.value)
 
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+    def test_header_only_csv_is_an_empty_matrix(self, tmp_path, line_end):
+        # "\n" takes the one-pass read, "\r\n" the row reader
+        path = tmp_path / "features.csv"
+        path.write_bytes(f"timestamp,a,b,target{line_end}".encode())
+        m = FeatureMatrix.from_csv(path, MarketKind.DAM)
+        assert (m.timestamps, m.feature_names, m.targets, m.scale) == ((), ("a", "b"), (), 1)
+        assert m.features.shape == (0, 2) and m.features.dtype == float
+        plan = WalkForwardPlan(86400, 86400, 86400, 86400)
+        with pytest.raises(EmptyTrainSet, match="^empty feature matrix$"):
+            walk_forward(m, plan)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_non_finite_feature_names_its_line(self, tmp_path, cell):

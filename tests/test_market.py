@@ -2,9 +2,11 @@
 
 import pickle
 import tempfile
+import warnings
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from bessarb.errors import (
     UnknownColumn,
     WindowMismatch,
 )
+from bessarb import forecasting, market
 from bessarb.forecasting import FeatureMatrix
 from bessarb.market import (
     BASE_EPOCH,
@@ -660,6 +663,166 @@ class TestReadTableStamps:
         with pytest.raises(MalformedRow) as err:
             list(read_table(path))
         assert (err.value.line, str(err.value)) == (4, str(want.value))
+
+
+# --- the one-pass read of canonical files ------------------------------------
+
+_PLAIN_CELLS = st.from_regex(r"-?[0-9]{1,7}(\.[0-9]{1,4})?", fullmatch=True)
+# float reprs (exponents among them) within and past the feature bound
+_FLOAT_CELLS = st.one_of(
+    _PLAIN_CELLS,
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False).map(repr),
+)
+_LEVEL_COLUMNS = ("q2.5", "q10", "q30", "q50", "q70", "q90", "q97.5")
+
+
+@st.composite
+def _canonical_files(draw):
+    """(reader, market, lines): a file as bessarb writes one, as text lines."""
+    reader = draw(st.sampled_from(sorted(READERS)))
+    mk = draw(st.sampled_from(MarketKind))
+    step = mk.period_seconds
+    start = BASE_EPOCH + draw(st.integers(-10**6, 10**6)) * step
+    plain = draw(st.lists(_PLAIN_CELLS, min_size=1, max_size=12))
+    if reader == "features":
+        names = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=3))
+        header, rows = f"timestamp,{','.join(names)},target", draw(st.integers(0, 40))
+        floats = draw(st.lists(_FLOAT_CELLS, min_size=1, max_size=12))
+        pools = [floats] * len(names) + [plain]
+    else:
+        rows = draw(st.integers(0, 3)) * mk.periods_per_window
+        if reader == "prices":
+            header, pools = draw(st.sampled_from(["timestamp,price", "Timestamp,Price"])), [plain]
+        else:
+            columns = sorted(draw(st.sets(st.sampled_from(_LEVEL_COLUMNS), min_size=1)),
+                             key=lambda name: Fraction(name[1:]))
+            header, pools = "timestamp," + ",".join(columns), [plain] * len(columns)
+    # cell j of row i cycles through its column's drawn pool of texts
+    lines = [header] + [
+        ",".join([format_timestamp(start + i * step)]
+                 + [pool[(i * len(pools) + j) % len(pool)] for j, pool in enumerate(pools)])
+        for i in range(rows)
+    ]
+    return reader, mk, lines
+
+
+def _spoil(draw, lines: list[str]) -> str:
+    """The text of `lines`, spoilt in one of the ways a data file can be."""
+    how = draw(st.sampled_from([
+        "crlf", "bom", "blank line", "space line", "padded cell", "+00:00 stamp",
+        "space stamp", "exponent cell", "5-digit year", "short tail", "gap",
+        "out of order", "long cell", "wide digit", "empty body", "line break",
+    ]))
+    lines = list(lines)
+    row = draw(st.integers(1, max(1, len(lines) - 1)))
+    has_rows = len(lines) > 1
+    if how == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    if how == "bom":
+        return "\ufeff" + "\n".join(lines) + "\n"
+    if how in ("blank line", "space line"):
+        lines.insert(row, "" if how == "blank line" else "  ")
+    elif how == "empty body":
+        del lines[1:]
+    elif how == "line break":
+        at = draw(st.integers(0, len(lines) - 1))
+        cut = draw(st.integers(0, len(lines[at])))
+        char = draw(st.sampled_from(["\x0b", "\x1c", "\x85", "\u2028"]))
+        lines[at] = lines[at][:cut] + char + lines[at][cut:]
+    elif has_rows:
+        stamp, *cells = lines[row].split(",")
+        cell = draw(st.integers(0, len(cells) - 1))
+        if how == "padded cell":
+            cells[cell] = draw(st.sampled_from([" ", "\t"])) + cells[cell]
+        elif how == "exponent cell":
+            cells[cell] = draw(st.sampled_from(["1e2", "-25E-1", "3e0"]))
+        elif how == "long cell":
+            cells[cell] = "1" * 5000  # past int's default digit limit
+        elif how == "wide digit":  # a Unicode digit that int() and Fraction() read
+            cells[cell] = cells[cell].replace("5", "\uff15", 1) + "\uff15"
+        elif how == "+00:00 stamp":
+            stamp = stamp[:-1] + "+00:00"
+        elif how == "space stamp":
+            stamp = stamp.replace("T", " ")
+        elif how == "5-digit year":
+            stamp = "1" + stamp
+        lines[row] = ",".join([stamp, *cells])
+        if how == "short tail":
+            del lines[-1]
+        elif how == "gap" and len(lines) > 3:
+            del lines[row if row < len(lines) - 1 else row - 1]
+        elif how == "out of order" and len(lines) > 2:
+            i = min(row, len(lines) - 2)
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, path, mk):
+    """What a reader gives: its value or its error, and the warnings shown."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = ("value", parse(path, mk))
+        except Exception as exc:
+            got = ("error", type(exc), str(exc), getattr(exc, "line", None))
+    if got[0] == "value" and isinstance(got[1], FeatureMatrix):
+        got += (got[1].features.dtype, got[1].features.shape)
+    return got, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def _row_reader_alone():
+    """The readers with the one-pass read declining every file."""
+    decline = mock.Mock(return_value=None)
+    return mock.patch.object(market, "_whole_file", decline), mock.patch.object(
+        forecasting, "_whole_file", decline)
+
+
+class TestWholeFileRead:
+    """A file read in one pass gives what the row reader alone gives: equal
+    objects, or the same error, message, line and warnings."""
+
+    def _both(self, reader, mk, text):
+        parse = READERS[reader][2]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            whole = market._whole_file(path, mk, features=reader == "features")
+            public = _outcome(parse, path, mk)
+            first, second = _row_reader_alone()
+            with first, second:
+                rows = _outcome(parse, path, mk)
+        return whole, public, rows
+
+    @settings(max_examples=150, deadline=None)
+    @given(_canonical_files())
+    def test_canonical_files(self, drawn):
+        reader, mk, lines = drawn
+        whole, public, rows = self._both(reader, mk, "\n".join(lines) + "\n")
+        assert whole is not None
+        assert public == rows
+
+    @settings(max_examples=300, deadline=None)
+    @given(_canonical_files(), st.data())
+    def test_spoilt_files(self, drawn, data):
+        reader, mk, lines = drawn
+        _, public, rows = self._both(reader, mk, _spoil(data.draw, lines))
+        assert public == rows
+
+    def test_declines_what_it_cannot_read(self, tmp_path):
+        lines = _table("prices").decode().splitlines()
+        path = tmp_path / "p.csv"
+        for text in ["\r\n".join(lines), "\ufeff" + "\n".join(lines) + "\n",
+                     "\n".join(lines[:-1]) + "\n", "\n".join(lines[:5] + ["", *lines[5:]]) + "\n",
+                     "\n".join(lines[:5] + ["2024-01-01T02:00:00Z,3\uff15", *lines[6:]]) + "\n",
+                     "\n".join(lines)]:  # no line end after the last row
+            path.write_bytes(text.encode())
+            assert market._whole_file(path, MarketKind.BM) is None
+        path.write_text("\n".join(lines) + "\n")
+        header, epochs, floats, ints, scale = market._whole_file(path, MarketKind.BM)
+        assert (header, floats, scale) == (["timestamp", "price"], [], 1)
+        assert epochs == range(BASE_EPOCH, BASE_EPOCH + 16 * 1800, 1800)
+        assert ints == list(range(30, 46))
+        assert market._whole_file(tmp_path / "missing.csv", MarketKind.BM) is None
 
 
 class TestDualHorizon:
