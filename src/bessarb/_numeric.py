@@ -36,7 +36,6 @@ MAX_EXPONENT = 200
 
 _PLAIN = r"-?\d+(?:\.\d+)?"
 _PLAIN_DECIMAL = re.compile(_PLAIN, re.ASCII)
-_PLAIN_ROW = re.compile(f"{_PLAIN}(?:,{_PLAIN})*", re.ASCII)  # cells joined by commas
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 
 
@@ -57,21 +56,6 @@ def parse_ratio(text: str, *, line: int = 0) -> tuple[int, int]:
         raise MalformedRow(line, f"{exc}: {text!r}") from None
     except (ValueError, ZeroDivisionError):
         raise MalformedRow(line, f"not a decimal number: {text!r}") from None
-
-
-def parse_ratios(cells: Sequence[str], *, line: int = 0) -> list[tuple[int, int]]:
-    """parse_ratio of each cell.  A row of plain decimals is checked once
-    and read in one pass; any other row is read cell by cell."""
-    if _PLAIN_ROW.fullmatch(",".join(cells)):
-        ratios = []
-        try:
-            for cell in cells:
-                whole, _, part = cell.partition(".")
-                ratios.append((int(whole + part), 10 ** len(part)))
-            return ratios
-        except ValueError:  # past int's limit: parse_ratio says so
-            pass
-    return [parse_ratio(cell, line=line) for cell in cells]
 
 
 def parse_number(text: str) -> Fraction:

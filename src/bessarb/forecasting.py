@@ -25,13 +25,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import count
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from bessarb._numeric import parse_ratio, pinball_sum, scale_ratios
+from bessarb._numeric import pinball_sum
 from bessarb._record import Record
 from bessarb.errors import (
     EmptyTrainSet,
@@ -46,11 +45,10 @@ from bessarb.market import (
     DEFAULT_LEVELS,
     MarketKind,
     QuantileForecast,
+    TradingWindow,
     _coerce_level,
-    _whole_file,
-    cut_windows,
+    _read_csv,
     format_timestamp,
-    read_table,
 )
 
 
@@ -119,38 +117,20 @@ class FeatureMatrix(Record):
         every n below 4e107, more rows than any array can hold: no column
         read here overflows the mean or the std.  The cells are checked
         once every row has parsed, so another fault in the file is named
-        first.  A matrix built directly is not checked.  A canonical file,
-        as bessarb writes one, is read in one pass (market._whole_file) and
-        any other by read_table; a header alone reads as a (0, n) matrix.
+        first.  A matrix built directly is not checked.  The file is read by
+        market._read_csv, as price and forecast files are, and its stamps
+        need only increase; a header alone reads as a (0, n) matrix.
         """
-        whole = _whole_file(path, market, features=True)
-        rows = None if whole else read_table(path)
-        header = whole[0] if whole else next(rows)[1]
-        if len(header) < 3 or header[0].lower() != "timestamp" or header[-1].lower() != "target":
-            raise UnknownColumn(f"{path}: expected header timestamp,<features...>,target")
-        names = tuple(header[1:-1])
-        if whole:
-            _, epochs, feats, targets, scale = whole
-            timestamps, lines = tuple(epochs), range(2, len(epochs) + 2)
-        else:
-            timestamps, lines, feats, targets = [], [], [], []
-            for line, ts, cells in rows:
-                timestamps.append(ts)
-                lines.append(line)
-                try:
-                    feats += map(float, cells[:-1])
-                except ValueError:
-                    raise MalformedRow(line, f"{path}: non-numeric feature") from None
-                targets.append(parse_ratio(cells[-1], line=line))
-            (targets, scale), timestamps = scale_ratios(targets), tuple(timestamps)
-        features = np.array(feats, dtype=float).reshape(len(timestamps), len(names))
-        # NaN fails every comparison, so this finds non-finite cells too
-        beyond = np.flatnonzero(~(np.abs(features) <= _FEATURE_BOUND).all(axis=-1))
-        if beyond.size:
-            raise MalformedRow(
-                lines[beyond[0]], f"{path}: feature not finite or beyond {_FEATURE_BOUND:g}"
-            )
-        return cls(market, timestamps, names, features, tuple(targets), scale)
+
+        def header(cells, line):
+            if len(cells) < 3 or cells[0].lower() != "timestamp" or cells[-1].lower() != "target":
+                raise UnknownColumn(f"{path}: expected header timestamp,<features...>,target")
+            return tuple(cells[1:-1])
+
+        got = _read_csv(path, market, header, _FEATURE_BOUND)
+        names, epochs, floats, (targets,), (scale,) = got
+        features = np.array(floats, dtype=float).reshape(len(epochs), len(names))
+        return cls(market, tuple(epochs), names, features, tuple(targets), scale)
 
 
 def _standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -382,14 +362,14 @@ def walk_forward(
     if len(matrix) == 0:
         raise EmptyTrainSet("empty feature matrix")
     market = matrix.market
-    per_window = market.periods_per_window
-    window_span = per_window * market.period_seconds
+    per_window, step = market.periods_per_window, market.period_seconds
+    window_span = per_window * step
     if plan.test_span_s % window_span:
         raise InsufficientHistory(
             "test span must be a whole number of trading windows"
         )
     test_start = matrix.timestamps[0] + plan.train_span_s
-    horizon_end = matrix.timestamps[-1] + market.period_seconds
+    horizon_end = matrix.timestamps[-1] + step
     forecasts: list[QuantileForecast] = []
     refits: list[tuple[int, int]] = []
     chosen_k: int | None = None
@@ -399,11 +379,10 @@ def walk_forward(
         test = matrix.slice_by_time(test_start, test_start + plan.test_span_s)
         if len(train) == 0:
             raise EmptyTrainSet("training slice is empty")
-        grid = tuple(range(test_start, test_start + plan.test_span_s, window_span))
-        if len(test) != len(grid) * per_window or test.timestamps[::per_window] != grid:
+        if test.timestamps != tuple(range(test_start, test_start + plan.test_span_s, step)):
             raise MissingPeriod(
                 f"test rows from {format_timestamp(test_start)} do not fill "
-                f"{len(grid)} whole windows"
+                f"{plan.test_span_s // window_span} whole windows"
             )
         if chosen_k is None or test_start - last_tune >= plan.retune_every_s:
             chosen_k = _choose_k(train, plan, test_start)
@@ -411,8 +390,9 @@ def walk_forward(
             refits.append((test_start, chosen_k))
         model = KnnQuantileForecaster(chosen_k, plan.levels).fit(train)
         scaled, scale = model._predict_scaled(test.features)
-        rows = zip(count(1), test.timestamps, scaled)
-        for window, block in cut_windows(rows, market, "test span"):
+        for i in range(0, len(scaled), per_window):
+            window = TradingWindow(market, test_start + i * step, per_window)
+            block = scaled[i:i + per_window]
             forecasts.append(QuantileForecast(window, model.levels, block, scale))
         test_start += plan.step_s
     if not forecasts:

@@ -1,10 +1,17 @@
 """Market data containers, CSV ingest/emit and synthetic data generation.
 
-Every timestamped CSV (prices, forecasts and forecasting features) is
-first offered to _whole_file, which reads a canonical file in one pass:
-the files the package writes, and any file written the same way.  Any
-other file is read by read_table, and cut_windows cuts its rows into
-trading windows, so every fault and warning comes from that row reader.
+Every timestamped CSV (prices, forecasts and forecasting features) is read
+by one reader, _read_csv, with one path that builds and one loop that only
+names faults.  It checks the file in blocks: the stamp column against the
+texts format_timestamp gives one period apart, and each value column
+against one plain-decimal pattern.  It tries the text as it stands, then
+its non-blank lines rejoined.  There a stamp column that fails its check
+is read by parse_timestamp, and a value column is stripped, as the row
+reader strips each cell, and checked again; only then is it read cell by
+cell, by parse_ratio or float, and each window's cells put over the lcm of
+their denominators.  Whole windows are cut by slicing.  A file neither
+form passes goes to _name_fault, which walks its lines in order and raises
+the first fault with its line.
 
 Two market granularities are supported: hourly day-ahead windows of 24
 periods and half-hourly balancing windows of 16 periods.  Prices are exact
@@ -16,8 +23,8 @@ no package code reads the `prices` and `values` Fraction views, which are
 built only when read.  Floats only appear inside the synthetic
 generator before rounding to cents.  Writers print a window's cells by its
 scale's decimal plan and each timestamp from one date text per calendar
-day, both worked out within the call; the reader likewise parses each date
-text and time of day once per call.
+day, both worked out within the call; the reader builds the stamp texts it
+expects the same way.
 
 A forecast's rows may cross levels; QuantileForecast.repaired_curve reads
 one level of the rows sorted ascending, and that is the only repair.
@@ -47,8 +54,6 @@ from bessarb._numeric import (
     lowest_scale,
     parse_decimal,
     parse_ratio,
-    parse_ratios,
-    scale_ratios,
 )
 from bessarb._record import Record
 from bessarb.errors import (
@@ -154,12 +159,6 @@ def timestamp_formatter() -> Callable[[int], str]:
         return date_text + time_text
 
     return stamp
-
-
-# The times of day of the half-hour grid both markets trade on, as
-# format_timestamp names them.  Each read_table call starts from a copy.
-_GRID_SECONDS = {_time_text(s): s for s in range(0, 86400, 1800)}
-_GRID_TEXTS = tuple(_GRID_SECONDS)
 
 
 def _epochs(window: TradingWindow) -> range:
@@ -276,23 +275,39 @@ class QuantileForecast(Record, derived=("_repaired",)):
 
 # --- CSV ingest -----------------------------------------------------------
 
-def read_table(path: str | Path):
-    """Yield a timestamped CSV's (line, header cells), then each row.
+_FLOAT = _PLAIN + r"(?:e[-+]?\d+)?"
+# cells joined by commas; \d is ASCII, so a digit that int() reads but
+# Fraction reads over another denominator fails here
+_PLAIN_CELLS = re.compile(f"(?:{_PLAIN}(?:,{_PLAIN})*)?", re.ASCII)
+_FLOAT_CELLS = re.compile(f"(?:{_FLOAT}(?:,{_FLOAT})*)?", re.ASCII)
+# the first instant past the years parse_timestamp reads
+_YEAR_10000_S = (date.max.toordinal() + 1 - _EPOCH_ORDINAL) * 86400
+# the times of day of the half-hour grid, as format_timestamp names them
+_GRID_TEXTS = tuple(_time_text(s) for s in range(0, 86400, 1800))
 
-    Rows come as (line, epoch seconds, value cells), blank lines skipped.
-    The file must be UTF-8, after an optional byte-order mark, and every
-    row must have as many cells as the header and open with a timestamp
-    after the one before; a fault raises with the file and line.
 
-    The readers send here only a file that _whole_file declines.
+def _read_csv(path, market: MarketKind, read_header: Callable, bound: float | None = None):
+    """One timestamped CSV: (read_header's value, epochs, float cells,
+    decimal columns as integers, scales).  The columns' cells of each
+    block of rows are over one scale, listed in `scales`: a block is a
+    window of rows, or the whole file for a feature table.
 
-    As timestamp_formatter does for writers, each call keeps one table
-    from date text to the day's epoch seconds and one from time-of-day text
-    to seconds, the latter starting with the half-hour grid.  A stamp enters
-    them only when format_timestamp gives back its exact text, so both
-    halves are ten characters; any other stamp (a `+00:00` offset, a space
-    for the `T`) goes through parse_timestamp every time, and so does every
-    fault.
+    The file must be UTF-8, after an optional byte-order mark.  Its first
+    non-blank line, as str.splitlines cuts lines, is the header: its cells,
+    stripped, and its line go to read_header, which raises on a bad one.
+    Every further non-blank line is a row of as many cells, opening with a
+    timestamp after the one before.  With `bound`, the file is a feature
+    table: each row's cells but the first and last are floats of magnitude
+    at most `bound`.  Without it, each whole window of rows must be one
+    period apart.  Every other cell is a decimal, read as parse_ratio reads
+    it.
+
+    The block checks (_checked) take the text as it stands, its lines cut
+    at `\\r\\n` when it holds one and else at `\\n`, then, when each row has
+    the header's width, its non-blank lines rejoined, and build from the
+    first that passes.  A file that neither
+    passes goes to _name_fault, which raises the fault a row-by-row read
+    meets first.
     """
     try:
         text = Path(path).read_bytes().decode("utf-8-sig")
@@ -302,170 +317,241 @@ def read_table(path: str | Path):
         # same line
         line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
         raise MalformedRow(line, f"{path}: not UTF-8 text") from None
-    header = prev = None
-    days: dict[str, int] = {}
-    seconds = dict(_GRID_SECONDS)
+    # the line end of the text as it stands: a line that passes the block
+    # checks holds no other break, so its lines are those splitlines cuts
+    end = "\r\n" if "\r\n" in text else "\n"
+    head, line, lines = text.partition(end)[0], 1, None
+    if not (head.strip() and head.isprintable()):  # else no other break ends line 1
+        lines = text.splitlines()
+        line = next((n for n, raw in enumerate(lines, 1) if raw.strip()), 0)
+        if not line:
+            raise MalformedRow(0, f"{path}: empty file")
+        head, lines = lines[line - 1], list(filter(str.strip, lines))
+    header = [cell.strip() for cell in head.split(",")]
+    value, width = read_header(header, line), len(header)
+    # the text as it stands, when its first line is the header; then its
+    # non-blank lines, when each has the header's width
+    got = None if lines else _checked(text.replace(end, ",\n"), width, market, bound, False)
+    if got is None:
+        lines = lines or list(filter(str.strip, text.splitlines()))
+        if all(raw.count(",") == width - 1 for raw in lines):
+            got = _checked(",\n".join(lines) + ",\n", width, market, bound, True)
+    if got is None:  # cells the row reader parses fail a check only where it faults
+        _name_fault(path, text, market, bound)
+    return (value, *got)
+
+
+def _checked(form: str, width: int, market: MarketKind, bound: float | None,
+             fallback: bool):
+    """(epochs, float cells, decimal columns, scale) of a form, or None.
+
+    A form is the lines, header first, each ending in `,\\n`.  Split at
+    commas, it holds each `\\n` at the head of the cell after it: the cells
+    of row r sit from width * (r + 1) on, and each stamp opens with `\\n`,
+    so a row of another width misplaces a stamp.  Stamps must be
+    format_timestamp's text one period apart (_grid), and the float cells,
+    and each column of decimal cells, must match one pattern.  With
+    `fallback`, the form is the row reader's own lines, each of `width`
+    cells.  Stamps that fail _grid are then read by parse_timestamp; they
+    must increase, and each whole window's be one period apart.  A value
+    column that fails its check is stripped and checked again, and else
+    read cell by cell as the row reader reads it, by float or parse_ratio.
+    """
+    cells = form.split(",")
+    if (len(cells) - 1) % width or cells[-1] != "\n":
+        return None
+    stamps = cells[width:-1:width]
+    step = market.period_seconds
+    per = market.periods_per_window
+    epochs = _grid(stamps, step)
+    if epochs is None and fallback:
+        try:
+            epochs = tuple(map(parse_timestamp, stamps))
+        except MalformedRow:
+            return None
+        if any(b <= a for a, b in zip(epochs, epochs[1:])) or bound is None and any(
+            epochs[i:i + per] != tuple(range(epochs[i], epochs[i] + per * step, step))
+            for i in range(0, len(epochs) - per + 1, per)
+        ):
+            return None
+    if epochs is None:
+        return None
+    decimals = cells[width:-1]
+    del decimals[::width]
+    floats, m = [], width - 1  # m decimal columns
+    if bound is not None:  # a row's last cell is its target
+        floats, decimals, m = decimals, decimals[width - 2::width - 1], 1
+        del floats[width - 2::width - 1]
+        if not _FLOAT_CELLS.fullmatch(",".join(floats)):
+            if not fallback:
+                return None
+            floats = [cell.strip() for cell in floats]  # float keeps U+001F
+        try:
+            floats = list(map(float, floats))
+        except ValueError:
+            return None
+        # NaN fails every comparison, so this finds non-finite cells too
+        if not all(map(bound.__ge__, map(abs, floats))):
+            return None
+    try:  # a column at a time: re takes superlinear time over one long repeat
+        read = [_decimals(decimals[j::m], fallback) for j in range(m)]
+    except MalformedRow:
+        return None
+    if None in read:
+        return None
+    # blocks of rows that share a scale: each window, or a feature table whole
+    rows = max(len(epochs), 1)
+    blocks = range(0, rows, per if bound is None else rows)
+    if any(type(s) is list for _, s in read):  # a column read cell by cell
+        return epochs, floats, *_rescaled(read, blocks)
+    scale = math.lcm(*(s for _, s in read))
+    return epochs, floats, [c if s == scale else [n * (scale // s) for n in c]
+                            for c, s in read], [scale] * len(blocks)
+
+
+def _grid(stamps: list[str], step: int) -> range | None:
+    """The epochs of `stamps` when each is `\\n` and format_timestamp's text
+    of an instant on the half-hour grid, one step after the one before, in
+    a year parse_timestamp reads; else None.  The texts are built from one
+    date text per day."""
+    if not stamps:
+        return range(0)
+    try:
+        first = parse_timestamp(stamps[0])
+    except MalformedRow:
+        return None
+    epochs = range(first, first + len(stamps) * step, step)
+    if epochs[-1] >= _YEAR_10000_S:
+        return None
+    day, second = divmod(first, 86400)
+    if second % 1800:  # off the half-hour grid both markets trade on
+        return None
+    times, want, at = _GRID_TEXTS[second % step // 1800::step // 1800], [], second // step
+    while len(want) < len(stamps):
+        date_text = "\n" + _date_text(day)
+        want += [date_text + time for time in times[at:at + len(stamps) - len(want)]]
+        day, at = day + 1, 0
+    return epochs if want == stamps else None
+
+
+def _decimals(cells: list[str], fallback: bool = True):
+    """(numerators, denominators) of parse_ratio of each cell, or None.
+
+    Plain decimals are checked with one pattern and read as integers over
+    one 10**k, given as that one int.  Any other column is None without
+    `fallback`.  With it, the column is stripped and checked again, and
+    else read cell by cell, each cell's denominator in a list, raising the
+    first cell's MalformedRow.
+    """
+    plain = _PLAIN_CELLS.fullmatch(",".join(cells))
+    if not plain and fallback:  # the row reader strips each cell
+        cells = [cell.strip() for cell in cells]
+        plain = _PLAIN_CELLS.fullmatch(",".join(cells))
+    if plain:
+        parts = [cell.partition(".") for cell in cells]
+        k = max((len(part) for _, _, part in parts), default=0)
+        try:
+            return [int(whole + part.ljust(k, "0")) for whole, _, part in parts], 10 ** k
+        except ValueError:  # one empty cell, or one past int's digit limit
+            pass
+    if not fallback:
+        return None
+    nums, dens = zip(*map(parse_ratio, cells))
+    return list(nums), list(dens)
+
+
+def _rescaled(read: list, blocks: range) -> tuple[list, list]:
+    """(columns, scales): the _decimals columns `read`, each block of rows
+    over one scale, the lcm of its cells' denominators, as the row reader
+    scaled each window.  No lcm spans the file, so cells whose
+    denominators differ cost one window's lcm each, not the file's."""
+    size = blocks.step
+    dens = [[s] * len(c) if type(s) is int else s for c, s in read]
+    columns, scales = [[] for _ in read], []
+    for i in blocks:
+        scale = math.lcm(*chain.from_iterable(d[i:i + size] for d in dens))
+        for column, (nums, _), d in zip(columns, read, dens):
+            column += [n * (scale // e) for n, e in zip(nums[i:i + size], d[i:i + size])]
+        scales.append(scale)
+    return columns, scales
+
+
+def _name_fault(path, text: str, market: MarketKind, bound: float | None) -> None:
+    """Raise the first fault of a file that _read_csv could not build.
+
+    Walks the lines once, in order, as a row-by-row read would: each row's
+    column count, stamp, order and cells, and each whole window's gaps as
+    it fills; with `bound`, the first row beyond it once all rows read.
+    It builds nothing.
+    """
+    per, step = market.periods_per_window, market.period_seconds
+    width = prev = beyond = None
+    window = []
     for line, raw in enumerate(text.splitlines(), start=1):
-        if raw.strip() == "":
+        if not raw.strip():
             continue
         cells = [cell.strip() for cell in raw.split(",")]
-        if header is None:
-            header = cells
-            yield line, header
+        if width is None:  # the header, already read
+            width = len(cells)
             continue
-        if len(cells) != len(header):
-            raise MalformedRow(
-                line, f"{path}: expected {len(header)} columns, got {len(cells)}"
-            )
-        stamp = cells[0]
-        day, second = days.get(stamp[:10]), seconds.get(stamp[10:])
-        if day is not None and second is not None:
-            ts = day + second
-        else:
-            ts = parse_timestamp(stamp, line=line)
-            if format_timestamp(ts) == stamp:
-                second = ts % 86400
-                days[stamp[:10]], seconds[stamp[10:]] = ts - second, second
+        if len(cells) != width:
+            raise MalformedRow(line, f"{path}: expected {width} columns, got {len(cells)}")
+        ts = parse_timestamp(cells[0], line=line)
         if prev is not None and ts <= prev:
             raise NonMonotonicTimestamps(
                 f"{path}:{line}: timestamp {format_timestamp(ts)} not after "
                 f"{format_timestamp(prev)}"
             )
-        prev = ts
-        yield line, ts, cells[1:]
-    if header is None:
-        raise MalformedRow(0, f"{path}: empty file")
+        prev, decimals = ts, cells[1:]
+        if bound is not None:
+            try:
+                floats = [float(cell) for cell in cells[1:-1]]
+            except ValueError:
+                raise MalformedRow(line, f"{path}: non-numeric feature") from None
+            if beyond is None and not all(abs(x) <= bound for x in floats):
+                beyond = line
+            decimals = cells[-1:]
+        for cell in decimals:
+            parse_ratio(cell, line=line)
+        if bound is None:
+            window.append((line, ts))
+            if len(window) == per:
+                for k, (at, got) in enumerate(window):
+                    want = window[0][1] + k * step
+                    if got != want:
+                        raise MissingPeriod(f"{path}:{at}: expected {format_timestamp(want)}, "
+                                            f"got {format_timestamp(got)}")
+                window = []
+    if beyond is not None:
+        raise MalformedRow(beyond, f"{path}: feature not finite or beyond {bound:g}")
 
 
-def cut_windows(
-    rows: Iterable[tuple[int, int, object]], market: MarketKind, path
-) -> list[tuple[TradingWindow, tuple]]:
-    """Whole windows of (line, epoch seconds, value) rows, with their values.
-
-    Each window opens at the first row not yet in a window; a gap inside
-    it raises MissingPeriod, and a short tail is dropped with a warning.
-    """
-    step = market.period_seconds
-    count = market.periods_per_window
-    windows, block = [], []
-    for row in rows:
-        block.append(row)
-        if len(block) < count:
-            continue
-        start = block[0][1]
-        for k, (line, ts, _) in enumerate(block):
-            want = start + k * step
-            if ts != want:
-                raise MissingPeriod(
-                    f"{path}:{line}: expected {format_timestamp(want)}, "
-                    f"got {format_timestamp(ts)}"
-                )
-        windows.append(
-            (TradingWindow(market, start, count), tuple(v for _, _, v in block))
-        )
-        block = []
-    if block:
+def _windows(path, market: MarketKind, epochs, rows: list, scales: list) -> list:
+    """(window, its rows, its scale) of each whole window of rows whose
+    `epochs` and `scales` _read_csv gave, cut by slicing; a short tail is
+    dropped with a warning that names the reader's caller."""
+    per = market.periods_per_window
+    whole = len(rows) - len(rows) % per
+    if whole < len(rows):
         warnings.warn(
-            f"{path}: dropping {len(block)} trailing rows "
-            f"(short of a full {count}-period window)",
+            f"{path}: dropping {len(rows) - whole} trailing rows "
+            f"(short of a full {per}-period window)",
             IngestWarning,
             stacklevel=3,
         )
-    return windows
-
-
-_STAMP = r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ"
-_FLOAT = _PLAIN + r"(?:e[-+]?\d+)?"
-
-
-def _whole_file(path, market: MarketKind, features: bool = False):
-    """A canonical file read in one pass, or None for read_table to read.
-
-    Canonical: ASCII, a printable header line, then rows that each end in
-    `\\n` and hold format_timestamp's text of an instant on the half-hour
-    grid, one period after the row before, and one unpadded plain decimal
-    per further header cell; without `features`, a whole number of windows.
-    With `features`, every cell but a row's last may also carry an exponent,
-    and is read by float.  Gives (header cells, the rows' epochs as a range,
-    the float cells, the plain cells as integers over one 10**k, 10**k).
-    It raises nothing: an unreadable file, or a cell past int's digit limit,
-    is declined.
-    """
-    try:
-        data = Path(path).read_bytes()
-    except OSError:
-        return None
-    if not data.isascii():
-        return None
-    head, _, body = data.decode("ascii").partition("\n")
-    header = [cell.strip() for cell in head.split(",")]
-    width = len(header)
-    if not head.isprintable() or width < 2:  # a blank line has no comma
-        return None
-    cells = [_FLOAT if features else _PLAIN] * (width - 2) + [_PLAIN]
-    if not re.fullmatch(f"(?:{_STAMP}{''.join(',' + c for c in cells)}\n)*", body):
-        return None
-    flat = body.replace("\n", ",").split(",")[:-1]
-    stamps = flat[::width]
-    step, n = market.period_seconds, len(stamps)
-    if not features and n % market.periods_per_window:
-        return None
-    epochs, want = range(0), []
-    if n:
-        try:
-            first = parse_timestamp(stamps[0])
-        except MalformedRow:
-            return None
-        epochs = range(first, first + n * step, step)
-        # each day's date text, joined to the grid's times of day in turn
-        day, second = divmod(first, 86400)
-        times, at = _GRID_TEXTS[second % step // 1800::step // 1800], second // step
-        while second % 1800 == 0 and len(want) < n:
-            date_text = _date_text(day)
-            want += [date_text + time for time in times[at:at + n - len(want)]]
-            day, at = day + 1, 0
-    if stamps != want:
-        return None
-    del flat[::width]
-    floats = []
-    if features:  # a row's last cell is its target
-        floats, flat = flat, flat[width - 2::width - 1]
-        del floats[width - 2::width - 1]
-        floats = list(map(float, floats))
-    parts = [cell.partition(".") for cell in flat]
-    k = max((len(part) for _, _, part in parts), default=0)
-    try:
-        ints = [int(whole + part.ljust(k, "0")) for whole, _, part in parts]
-    except ValueError:  # past int's digit limit: the row reader says so
-        return None
-    return header, epochs, floats, ints, 10 ** k
-
-
-def _window_blocks(market: MarketKind, epochs: range, values: list, size: int):
-    """(window, its `size` values per period) of each whole window of `epochs`."""
-    per = market.periods_per_window
-    span = per * size
-    return [
-        (TradingWindow(market, start, per), values[i * span:(i + 1) * span])
-        for i, start in enumerate(epochs[::per])
-    ]
+    return [(TradingWindow(market, epochs[i], per), rows[i:i + per], scales[i // per])
+            for i in range(0, whole, per)]
 
 
 def parse_price_csv(path: str | Path, market: MarketKind) -> list[PriceSeries]:
     """Read `timestamp,price` rows into whole trading windows."""
-    whole = _whole_file(path, market)
-    rows = None if whole else read_table(path)
-    header = whole[0] if whole else next(rows)[1]
-    if [c.lower() for c in header] != ["timestamp", "price"]:
-        raise UnknownColumn(f"{path}: expected header timestamp,price")
-    if whole:
-        _, epochs, _, ints, scale = whole
-        return [PriceSeries(w, v, scale) for w, v in _window_blocks(market, epochs, ints, 1)]
-    prices = ((line, ts, parse_ratio(cells[0], line=line)) for line, ts, cells in rows)
-    return [
-        PriceSeries(w, *scale_ratios(block))
-        for w, block in cut_windows(prices, market, path)
-    ]
+
+    def header(cells, line):
+        if [c.lower() for c in cells] != ["timestamp", "price"]:
+            raise UnknownColumn(f"{path}: expected header timestamp,price")
+
+    _, epochs, _, (prices,), scales = _read_csv(path, market, header)
+    return [PriceSeries(*got) for got in _windows(path, market, epochs, prices, scales)]
 
 
 def _parse_level_column(name: str, *, path, line: int) -> Fraction:
@@ -481,30 +567,19 @@ def _parse_level_column(name: str, *, path, line: int) -> Fraction:
 
 def parse_forecast_csv(path: str | Path, market: MarketKind) -> list[QuantileForecast]:
     """Read `timestamp,q10,q50,...` rows into whole forecast windows."""
-    whole = _whole_file(path, market)
-    rows = None if whole else read_table(path)
-    header_line, header = (1, whole[0]) if whole else next(rows)
-    if len(header) < 2 or header[0].lower() != "timestamp":
-        raise UnknownColumn(f"{path}: expected header timestamp,q<level>,...")
-    levels = tuple(
-        _parse_level_column(name, path=path, line=header_line) for name in header[1:]
-    )
-    if list(levels) != sorted(set(levels)):
-        raise LevelOutOfRange(f"{path}: quantile columns must ascend strictly")
-    width = len(levels)
-    if whole:
-        _, epochs, _, ints, scale = whole
-        blocks = [(w, v, scale) for w, v in _window_blocks(market, epochs, ints, width)]
-    else:
-        ratios = ((line, ts, parse_ratios(cells, line=line)) for line, ts, cells in rows)
-        blocks = [
-            (w, *scale_ratios([ratio for row in block for ratio in row]))
-            for w, block in cut_windows(ratios, market, path)
-        ]
+
+    def header(cells, line):
+        if len(cells) < 2 or cells[0].lower() != "timestamp":
+            raise UnknownColumn(f"{path}: expected header timestamp,q<level>,...")
+        levels = tuple(_parse_level_column(name, path=path, line=line) for name in cells[1:])
+        if list(levels) != sorted(set(levels)):
+            raise LevelOutOfRange(f"{path}: quantile columns must ascend strictly")
+        return levels
+
+    levels, epochs, _, columns, scales = _read_csv(path, market, header)
     return [
-        QuantileForecast(w, levels, [flat[t:t + width] for t in range(0, len(flat), width)],
-                         scale)
-        for w, flat, scale in blocks
+        QuantileForecast(w, levels, rows, scale)
+        for w, rows, scale in _windows(path, market, epochs, list(zip(*columns)), scales)
     ]
 
 

@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from bessarb._numeric import scale_ratios
 from bessarb.battery import unit_trading_spec
@@ -13,6 +14,27 @@ from bessarb.market import (
     PriceSeries,
     QuantileForecast,
     TradingWindow,
+)
+
+
+# Decimal-like text: signs, padding, ASCII and Arabic-Indic digits,
+# underscores, a point on either side, exponents and slashes, plus a few
+# named cases and arbitrary short text.
+_digits = st.text(alphabet="0123456789\u0663_", max_size=6)
+texts = st.one_of(
+    st.builds(
+        lambda *parts: "".join(parts),
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from(["", "-", "+"]),
+        _digits,
+        st.sampled_from(["", "."]),
+        _digits,
+        st.sampled_from(["", "e3", "E-2", "e", "/3", "/0", "/"]),
+        st.sampled_from(["", " ", "\n"]),
+    ),
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "", ".", "-", "1/3", "1e3",
+                     "1_0", "12,5", ".5", "5.", "0x10", "\u0663.\u0665"]),
+    st.text(max_size=8),
 )
 
 

@@ -741,6 +741,14 @@ class TestWalkForward:
         with pytest.raises(MissingPeriod):
             walk_forward(m, self.plan())
 
+    def test_off_grid_test_row_rejected(self):
+        ts = [BASE_EPOCH + i * BM_STEP for i in range(48)]
+        ts[40] += 600  # 20:10, still after the row before and before the next
+        m = bm_matrix(range(48), timestamps=ts)
+        with pytest.raises(MissingPeriod, match="^test rows from 2024-01-01T16:00:00Z do not fill "
+                                                "1 whole windows$"):
+            walk_forward(m, self.plan())
+
     def test_train_span_must_exceed_validation_tail(self):
         with pytest.raises(InsufficientHistory):
             walk_forward(

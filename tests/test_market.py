@@ -1,12 +1,12 @@
 """Market containers, CSV ingest, dual horizon and the synthetic generator."""
 
+import math
 import pickle
 import tempfile
 import warnings
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +21,8 @@ from bessarb.errors import (
     UnknownColumn,
     WindowMismatch,
 )
-from bessarb import forecasting, market
-from bessarb.forecasting import FeatureMatrix
+from bessarb import market
+from bessarb.forecasting import _FEATURE_BOUND, FeatureMatrix
 from bessarb.market import (
     BASE_EPOCH,
     DEFAULT_LEVELS,
@@ -38,13 +38,13 @@ from bessarb.market import (
     parse_forecast_csv,
     parse_price_csv,
     parse_timestamp,
-    read_table,
     write_forecast_csv,
     write_price_csv,
 )
-from bessarb._numeric import format_decimal
+from bessarb._numeric import format_decimal, parse_ratio, scale_ratios
 
-from conftest import exact_forecast, frac, make_forecast, make_prices, merged_events, scaled
+import row_reader
+from conftest import exact_forecast, frac, make_forecast, make_prices, merged_events, scaled, texts
 
 
 class TestWindows:
@@ -627,7 +627,8 @@ _STEPS = st.one_of(st.sampled_from([1800, 3600, 84600, 86400]), st.integers(1, 2
 
 
 class TestReadTableStamps:
-    """read_table's date and time tables read every stamp as parse_timestamp does."""
+    """FeatureMatrix.from_csv, the one reader that takes any increasing
+    stamps, reads every stamp as parse_timestamp does."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(st.integers(-9000, 9000).map(lambda k: BASE_EPOCH + k * 1800),
@@ -639,10 +640,10 @@ class TestReadTableStamps:
             epoch += step
             stamps.append(_stamp_text(epoch, form))
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "p.csv"
-            path.write_text("timestamp,price\n" + "".join(f"{t},1\n" for t in stamps))
-            rows = list(read_table(path))[1:]
-        assert [ts for _, ts, _ in rows] == [parse_timestamp(t) for t in stamps]
+            path = Path(tmp) / "f.csv"
+            path.write_text("timestamp,a,target\n" + "".join(f"{t},1,1\n" for t in stamps))
+            matrix = FeatureMatrix.from_csv(path, MarketKind.BM)
+        assert matrix.timestamps == tuple(parse_timestamp(t) for t in stamps)
 
     @pytest.mark.parametrize("bad", [
         "2024-01-01T02:00:00",
@@ -652,20 +653,20 @@ class TestReadTableStamps:
         "2024-13-01T00:00:00Z",
     ])
     def test_bad_stamp_after_known_ones_fails_as_parse_timestamp(self, bad, tmp_path):
-        # lines 2 and 3 enter the tables; line 4 shares a date or time text
-        path = tmp_path / "p.csv"
+        # line 4 shares a date or time text with lines 2 and 3
+        path = tmp_path / "f.csv"
         path.write_text(
-            "timestamp,price\n2024-01-01T00:00:00Z,1\n2024-01-01T01:00:00Z,1\n"
-            f"{bad},1\n"
+            "timestamp,a,target\n2024-01-01T00:00:00Z,1,1\n2024-01-01T01:00:00Z,1,1\n"
+            f"{bad},1,1\n"
         )
         with pytest.raises(MalformedRow) as want:
             parse_timestamp(bad, line=4)
         with pytest.raises(MalformedRow) as err:
-            list(read_table(path))
+            FeatureMatrix.from_csv(path, MarketKind.BM)
         assert (err.value.line, str(err.value)) == (4, str(want.value))
 
 
-# --- the one-pass read of canonical files ------------------------------------
+# --- the block read against the row-by-row read -------------------------------
 
 _PLAIN_CELLS = st.from_regex(r"-?[0-9]{1,7}(\.[0-9]{1,4})?", fullmatch=True)
 # float reprs (exponents among them) within and past the feature bound
@@ -770,59 +771,175 @@ def _outcome(parse, path, mk):
     return got, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
 
 
-def _row_reader_alone():
-    """The readers with the one-pass read declining every file."""
-    decline = mock.Mock(return_value=None)
-    return mock.patch.object(market, "_whole_file", decline), mock.patch.object(
-        forecasting, "_whole_file", decline)
+# the row-by-row read of each public reader
+ORACLES = {
+    "prices": row_reader.read_prices,
+    "forecasts": row_reader.read_forecasts,
+    "features": row_reader.read_features,
+}
+
+
+def _block_read(reader, mk, text):
+    """The block checks on the text as it stands, as the reader makes them."""
+    end = "\r\n" if "\r\n" in text else "\n"
+    width = text.partition(end)[0].count(",") + 1
+    bound = _FEATURE_BOUND if reader == "features" else None
+    return market._checked(text.replace(end, ",\n"), width, mk, bound, False)
 
 
 class TestWholeFileRead:
-    """A file read in one pass gives what the row reader alone gives: equal
+    """The public readers give what the row-by-row read gives: equal
     objects, or the same error, message, line and warnings."""
 
     def _both(self, reader, mk, text):
-        parse = READERS[reader][2]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
             path.write_bytes(text.encode("utf-8"))
-            whole = market._whole_file(path, mk, features=reader == "features")
-            public = _outcome(parse, path, mk)
-            first, second = _row_reader_alone()
-            with first, second:
-                rows = _outcome(parse, path, mk)
-        return whole, public, rows
+            public = _outcome(READERS[reader][2], path, mk)
+            rows = _outcome(ORACLES[reader], path, mk)
+        return public, rows
 
     @settings(max_examples=150, deadline=None)
     @given(_canonical_files())
     def test_canonical_files(self, drawn):
         reader, mk, lines = drawn
-        whole, public, rows = self._both(reader, mk, "\n".join(lines) + "\n")
-        assert whole is not None
+        text = "\n".join(lines) + "\n"
+        public, rows = self._both(reader, mk, text)
         assert public == rows
+        # the block checks take every canonical file the reader can build
+        # (a feature past the bound is a fault) on the text as it stands
+        assert (_block_read(reader, mk, text) is not None) == (public[0][0] == "value")
 
     @settings(max_examples=300, deadline=None)
     @given(_canonical_files(), st.data())
     def test_spoilt_files(self, drawn, data):
         reader, mk, lines = drawn
-        _, public, rows = self._both(reader, mk, _spoil(data.draw, lines))
+        public, rows = self._both(reader, mk, _spoil(data.draw, lines))
         assert public == rows
 
     def test_declines_what_it_cannot_read(self, tmp_path):
+        # the block checks decline each text as it stands, and take a short
+        # tail; the reader reads each as the row-by-row read does
         lines = _table("prices").decode().splitlines()
-        path = tmp_path / "p.csv"
-        for text in ["\r\n".join(lines), "\ufeff" + "\n".join(lines) + "\n",
-                     "\n".join(lines[:-1]) + "\n", "\n".join(lines[:5] + ["", *lines[5:]]) + "\n",
-                     "\n".join(lines[:5] + ["2024-01-01T02:00:00Z,3\uff15", *lines[6:]]) + "\n",
-                     "\n".join(lines)]:  # no line end after the last row
-            path.write_bytes(text.encode())
-            assert market._whole_file(path, MarketKind.BM) is None
-        path.write_text("\n".join(lines) + "\n")
-        header, epochs, floats, ints, scale = market._whole_file(path, MarketKind.BM)
-        assert (header, floats, scale) == (["timestamp", "price"], [], 1)
+        declined = ["\r\n".join(lines), "\n".join(lines[:5] + ["", *lines[5:]]) + "\n",
+                    "\n".join(lines[:5] + ["2024-01-01T02:00:00Z,3\uff15", *lines[6:]]) + "\n",
+                    "\n".join(lines[:5] + ["2024-01-01T02:00:00Z,3.\uff15", *lines[6:]]) + "\n",
+                    "\n".join(lines)]  # no line end after the last row
+        short_tail = "\n".join(lines[:-1]) + "\n"
+        for text in [*declined, short_tail]:
+            taken = _block_read("prices", MarketKind.BM, text) is not None
+            assert taken == (text == short_tail)
+            public, rows = self._both("prices", MarketKind.BM, text)
+            assert public == rows
+        text = "\n".join(lines) + "\n"
+        epochs, floats, columns, scales = _block_read("prices", MarketKind.BM, text)
+        assert (floats, columns, scales) == ([], [list(range(30, 46))], [1])
         assert epochs == range(BASE_EPOCH, BASE_EPOCH + 16 * 1800, 1800)
-        assert ints == list(range(30, 46))
-        assert market._whole_file(tmp_path / "missing.csv", MarketKind.BM) is None
+        for parse in (parse_price_csv, row_reader.read_prices):
+            with pytest.raises(FileNotFoundError):
+                parse(tmp_path / "missing.csv", MarketKind.BM)
+
+    @pytest.mark.parametrize("target, want", [
+        # int() reads U+FF15 as 5 and Fraction does too, but over its own
+        # denominator: the target column takes the scale the row read gives
+        ("1.\uff15", ((3,), 2)),
+        # the row read strips ` 0.50` to 50 over 100, where Fraction gives 1/2
+        (" 0.50", ((50,), 100)),
+    ])
+    def test_target_takes_the_scale_the_row_read_gives(self, target, want, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(f"timestamp,a,target\n{format_timestamp(BASE_EPOCH)},1,{target}\n")
+        matrix = FeatureMatrix.from_csv(path, MarketKind.BM)
+        assert (matrix.targets, matrix.scale) == want
+        assert matrix == row_reader.read_features(path, MarketKind.BM)
+
+    @pytest.mark.parametrize("reader", ["prices", "forecasts"])
+    def test_each_window_takes_the_lcm_of_its_own_cells(self, reader, monkeypatch, tmp_path):
+        # every cell 1/p over its own prime p: a window's scale is the
+        # product of its own primes, and no lcm spans more than one window
+        mk, windows = MarketKind.DAM, 3
+        width = 1 if reader == "prices" else 2
+        primes = [p for p in range(1009, 4000) if all(p % q for q in range(2, 64))]
+        cells = iter(primes[:windows * mk.periods_per_window * width])
+        lines = [",".join([format_timestamp(BASE_EPOCH + i * 3600),
+                           *(f"1/{next(cells)}" for _ in range(width))])
+                 for i in range(windows * mk.periods_per_window)]
+        header = "timestamp,price" if reader == "prices" else "timestamp,q10,q90"
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join([header, *lines]) + "\n")
+        rows = _outcome(ORACLES[reader], path, mk)
+        built, lcm = [], math.lcm
+        monkeypatch.setattr(math, "lcm", lambda *ds: built.append(lcm(*ds)) or built[-1])
+        public = _outcome(READERS[reader][2], path, mk)
+        monkeypatch.undo()
+        assert public == rows
+        scales = [w.scale for w in rows[0][1]]
+        assert len(set(scales)) == windows and max(built) == max(scales)
+
+    @pytest.mark.parametrize("blank", ["\n", "  \n", "\r\n", "\x0c"])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_faults_after_blank_lines_name_their_line(self, reader, blank, tmp_path):
+        # two blank lines before the bad cell of what is then line 7
+        data = _table(reader, spoil=lambda row: row.replace(b",", b",x", 1))
+        head, rest = data.split(b"\n", 1)
+        path = tmp_path / "t.csv"
+        path.write_bytes(head + b"\n" + 2 * blank.encode() + rest)
+        public, rows = self._both(reader, MarketKind.BM, path.read_text())
+        assert public == rows
+        assert public[0][3] == 7
+
+    @pytest.mark.parametrize("pad", ["\x1f", " \x1f", "\u3000"])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_cells_padded_with_any_whitespace(self, reader, pad, tmp_path):
+        # the row read strips every cell; float() keeps U+001F, which
+        # str.strip takes off
+        data = _table(reader, spoil=lambda row: row.replace(b",", f"{pad},{pad}".encode()))
+        public, rows = self._both(reader, MarketKind.BM, data.decode() + f"{pad}\n")
+        assert public == rows
+        assert public[0][0] == "value"
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x85", "\u2028"])
+    @pytest.mark.parametrize("where", ["after the stamp", "for the comma"])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_line_break_inside_a_row(self, reader, where, char, tmp_path):
+        # line 5 ends after its stamp, a row of one cell; its other cells
+        # open line 6
+        new = char.encode() + (b"," if where == "after the stamp" else b"")
+        data = _table(reader, spoil=lambda row: row.replace(b",", new, 1))
+        public, rows = self._both(reader, MarketKind.BM, data.decode())
+        assert public == rows
+        error, kind, message, line = public[0]
+        assert (kind, line) == (MalformedRow, 5) and message.endswith("columns, got 1")
+
+
+class TestDecimals:
+    """The readers' value check reads a column as parse_ratio reads each cell."""
+
+    @given(st.one_of(
+        st.lists(texts, max_size=6),
+        st.lists(st.from_regex(r"-?[0-9]{1,4}(\.[0-9]{1,4})?", fullmatch=True), max_size=6),
+    ))
+    def test_column_reads_as_each_cell(self, cells):
+        cells = [cell.strip() for cell in cells if "," not in cell]
+        try:
+            want = scale_ratios([parse_ratio(cell) for cell in cells])
+        except MalformedRow as exc:
+            with pytest.raises(MalformedRow) as err:
+                market._decimals(cells)
+            assert str(err.value) == str(exc)
+            assert market._decimals(cells, False) is None
+        else:
+            nums, dens = market._decimals(cells)
+            # one int is the one 10**k of a column of plain decimals
+            per_cell = [dens] * len(nums) if type(dens) is int else dens
+            assert scale_ratios(list(zip(nums, per_cell))) == want
+            # unstripped, a column is read in one block or declined
+            assert market._decimals(cells, False) in (None, (nums, dens))
+
+    def test_column_past_the_int_limit_names_its_cell(self):
+        cells = ["1.5", "9" * 5000]
+        with pytest.raises(MalformedRow, match="not a decimal number"):
+            market._decimals(cells)
 
 
 class TestDualHorizon:

@@ -21,31 +21,12 @@ from bessarb._numeric import (
     parse_decimal,
     parse_number,
     parse_ratio,
-    parse_ratios,
     scale_ratios,
     ticks_to_mwh,
 )
 from bessarb.errors import ConfigError, MalformedRow
 
-# Decimal-like text: signs, padding, ASCII and Arabic-Indic digits,
-# underscores, a point on either side, exponents and slashes, plus a few
-# named cases and arbitrary short text.
-_digits = st.text(alphabet="0123456789\u0663_", max_size=6)
-texts = st.one_of(
-    st.builds(
-        lambda *parts: "".join(parts),
-        st.sampled_from(["", " ", "\t"]),
-        st.sampled_from(["", "-", "+"]),
-        _digits,
-        st.sampled_from(["", "."]),
-        _digits,
-        st.sampled_from(["", "e3", "E-2", "e", "/3", "/0", "/"]),
-        st.sampled_from(["", " ", "\n"]),
-    ),
-    st.sampled_from(["nan", "NaN", "inf", "-inf", "", ".", "-", "1/3", "1e3",
-                     "1_0", "12,5", ".5", "5.", "0x10", "\u0663.\u0665"]),
-    st.text(max_size=8),
-)
+from conftest import texts
 
 
 def _within_bound(text: str) -> bool:
@@ -117,26 +98,6 @@ class TestParseDecimal:
         # past int's digit limit it fails as a row too
         with pytest.raises(MalformedRow, match="^line 7: "):
             parse_ratio(text, line=7)
-
-    @given(st.one_of(
-        st.lists(texts, max_size=6),
-        st.lists(st.from_regex(r"-?[0-9]{1,4}(\.[0-9]{1,4})?", fullmatch=True), max_size=6),
-    ))
-    def test_row_reads_as_each_cell(self, cells):
-        cells = [cell.strip() for cell in cells if "," not in cell]
-        try:
-            want = [parse_ratio(cell, line=7) for cell in cells]
-        except MalformedRow as exc:
-            with pytest.raises(MalformedRow) as err:
-                parse_ratios(cells, line=7)
-            assert str(err.value) == str(exc)
-        else:
-            assert parse_ratios(cells, line=7) == want
-
-    def test_row_past_the_int_limit_names_its_cell(self):
-        cells = ["1.5", "9" * 5000]
-        with pytest.raises(MalformedRow, match="not a decimal number"):
-            parse_ratios(cells, line=3)
 
     def test_plain_decimals_are_not_bounded(self):
         text = "-" + "9" * (2 * MAX_DIGITS) + "." + "5" * MAX_DIGITS
